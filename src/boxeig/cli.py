@@ -29,7 +29,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -60,6 +59,10 @@ WORKING_DIGITS = 25
 METHOD_ORDER = (METHOD_A1, METHOD_A2, METHOD_A3, METHOD_RR, METHOD_EXACT)
 FORMATS = ("md", "csv", "json")
 
+# Rows always run sequentially; the flag is still accepted so that existing
+# scripts keep working.
+SERIAL_HELP = "no effect (rows always run sequentially); kept for compatibility"
+
 
 class UsageError(Exception):
     """Invalid flag value or combination; maps to exit status 1."""
@@ -85,7 +88,6 @@ class RunConfig:
     digits: int = DEFAULT_DIGITS
     format: str = "md"
     selection: RootSelection = field(default=DEFAULT_SELECTION)
-    serial: bool = False
 
     def __post_init__(self) -> None:
         for n in self.n_values:
@@ -290,11 +292,12 @@ def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
 
 
 def compute_rows(cfg: RunConfig) -> list[dict[str, Rational | None]]:
-    """One cell mapping per N, in order; rows run in parallel by default."""
-    if cfg.serial or len(cfg.n_values) == 1:
-        return [compute_cells(cfg, n) for n in cfg.n_values]
-    with ThreadPoolExecutor(max_workers=min(8, len(cfg.n_values))) as pool:
-        return list(pool.map(lambda n: compute_cells(cfg, n), cfg.n_values))
+    """One cell mapping per N, in order.
+
+    Rows run one after another: the work is pure-Python exact arithmetic,
+    which threads cannot run in parallel under the interpreter lock.
+    """
+    return [compute_cells(cfg, n) for n in cfg.n_values]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -307,7 +310,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         digits=args.digits,
         format=args.format,
         selection=RootSelection.parse(args.select),
-        serial=args.serial,
     )
     columns = method_columns(cfg.methods)
     rows_raw = compute_rows(cfg)
@@ -350,18 +352,13 @@ def cmd_table(args: argparse.Namespace) -> int:
                 methods=(column.method,),
                 potential=PotentialSpec.linear(column.lam),
                 n_values=(n,),
-                serial=True,
             )
             cells = compute_cells(cfg, n)
             key = "W(A2)" if column.quantity == "w" else f"eps({column.method})"
             values.append(cells[key])
         return values
 
-    if args.serial:
-        computed = [row_cells(n) for n in table.n_values]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(table.n_values))) as pool:
-            computed = list(pool.map(row_cells, table.n_values))
+    computed = [row_cells(n) for n in table.n_values]
 
     headers = ["N", "column", "golden", "computed", "status"]
     rows = []
@@ -452,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--digits", type=int, default=DEFAULT_DIGITS, help="significant digits to print")
     solve.add_argument("--format", choices=FORMATS, default="md")
     solve.add_argument("--select", default="default", help="root policy: default|smallest|nearest:<x>|min-w")
-    solve.add_argument("--serial", action="store_true", help="compute rows sequentially")
+    solve.add_argument("--serial", action="store_true", help=SERIAL_HELP)
     solve.add_argument("--out", help="write the rendered table to a file")
     solve.set_defaults(func=cmd_solve)
 
     table = sub.add_parser("table", help="recompute a stored golden table and diff per cell")
     table.add_argument("id", type=int, help="golden table id (1-4)")
     table.add_argument("--format", choices=FORMATS, default="md")
-    table.add_argument("--serial", action="store_true", help="compute rows sequentially")
+    table.add_argument("--serial", action="store_true", help=SERIAL_HELP)
     table.add_argument("--out", help="write the diff report to a file")
     table.set_defaults(func=cmd_table)
 

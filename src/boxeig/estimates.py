@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
+from . import rootfind
 from .model import KIND_LINEAR, KIND_ZERO, PotentialSpec
-from .poly import as_rational
+from .poly import RationalPoly, as_rational
 
 METHOD_A1 = "A1"
 METHOD_A2 = "A2"
@@ -97,3 +99,51 @@ def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction,
     factor = max(Fraction(1), 1 + bound)
     hi = Fraction((state + 2) ** 2) * Fraction(math.pi) ** 2 * factor
     return (Fraction(0), hi)
+
+
+# Enclosure width to which candidates are refined before their values are
+# compared; the chosen one is then refined on to the solver's tolerance.
+COARSE_WIDTH = Fraction(1, 10**12)
+
+
+def select_root(
+    p: RationalPoly,
+    bracket: tuple[Fraction, Fraction],
+    state: int,
+    selection: RootSelection,
+    tol: Fraction,
+    rank: Callable[[Fraction], Fraction] | None = None,
+) -> tuple[Fraction, Fraction] | None:
+    """Certified enclosure (width <= 2*tol) of the root of p that is selected.
+
+    Index policies take the (state+1)-th isolating interval and refine only
+    that one.  Policies that compare values, ``nearest`` and any ``rank``
+    (a key on eps, such as the quotient value for ``min-w``), first refine
+    every candidate to a coarse certified enclosure and compare its
+    midpoint.  None when the bracket holds no suitable root.
+    """
+    if p.degree < 1:
+        return None
+    intervals = rootfind.isolate_real_roots(p, bracket).isolator_intervals
+    if rank is None and selection.policy != "nearest":
+        if state >= len(intervals):
+            return None
+        return rootfind.certified_root(p, intervals[state], 2 * tol)
+    if not intervals:
+        return None
+    candidates = [rootfind.certified_root(p, iv, COARSE_WIDTH) for iv in intervals]
+    mids = [(a + b) / 2 for a, b in candidates]
+    if rank is None:
+        idx = selection.pick_index(mids, state)
+    else:
+        if state >= len(mids):
+            return None
+        idx = sorted(range(len(mids)), key=lambda i: rank(mids[i]))[state]
+    return rootfind.certified_root(p, candidates[idx], 2 * tol)
+
+
+def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Fraction, Fraction]:
+    """The given search bracket as exact rationals, or the default one."""
+    if bracket is None:
+        return default_bracket(potential, state)
+    return (rootfind._exactify(bracket[0]), rootfind._exactify(bracket[1]))

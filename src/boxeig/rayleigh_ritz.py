@@ -18,12 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rootfind
-from .estimates import METHOD_RR, EigenEstimate, default_bracket
+from .estimates import (
+    DEFAULT_SELECTION,
+    METHOD_RR,
+    EigenEstimate,
+    resolve_bracket,
+    select_root,
+)
 from .model import PotentialSpec
 from .poly import RationalPoly
 from .series import SOLVER_TOL
-from .variational import as_rational_bound
 
 
 @dataclass(frozen=True)
@@ -162,15 +166,10 @@ def solve_secular(
         raise ValueError(
             f"state {state} out of range for a basis of size {system.size}"
         )
-    if bracket is None:
-        bracket = default_bracket(system.potential, state)
-    bracket = (as_rational_bound(bracket[0]), as_rational_bound(bracket[1]))
-    report = rootfind.isolate_real_roots(system.char_poly, bracket, tol=Fraction(1, 10**16))
-    if state >= len(report.isolator_intervals):
+    bracket = resolve_bracket(bracket, system.potential, state)
+    enclosure = select_root(system.char_poly, bracket, state, DEFAULT_SELECTION, tol)
+    if enclosure is None:
         return None
-    enclosure = rootfind.certified_root(
-        system.char_poly, report.isolator_intervals[state], 2 * tol
-    )
     mid = (enclosure[0] + enclosure[1]) / 2
     # det(S) equals the telescoped product of the elimination pivots
     # M_k / M_{k-1}, so dividing by it makes the determinant monic in eps:

@@ -4,7 +4,8 @@ The counting layer is exact: Sturm sequences are built in rational arithmetic
 with a primitive-part reduction after every remainder step, so sign-variation
 counts (and hence root counts on half-open intervals) carry no rounding error.
 Isolation bisects the requested bracket until each piece holds at most one
-distinct root.
+distinct root; it refines nothing, so a solver certifies only the root it
+picks.
 
 Refinement is a hybrid: a fast Newton/bisection loop in extended-precision
 floating point proposes a root, and the result is certified by evaluating the
@@ -16,8 +17,9 @@ back to pure rational bisection, so the returned enclosure is always trusted.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
@@ -33,12 +35,30 @@ Interval = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class RootReport:
-    """Result of isolating (and refining) the real roots in a bracket."""
+    """Isolating intervals of the distinct real roots in a bracket.
+
+    ``roots`` refines every root to within ``refined_to`` and attaches its
+    multiplicity; that work is done only when ``roots`` is first read.
+    """
 
     bracket: Interval
     isolator_intervals: tuple[Interval, ...]
-    roots: tuple[tuple[float, int], ...]  # (value, multiplicity_hint), ascending
-    refined_to: float
+    poly: RationalPoly = field(repr=False, compare=False)
+    tol: Fraction = field(repr=False, compare=False)
+
+    @property
+    def refined_to(self) -> float:
+        return float(self.tol)
+
+    @cached_property
+    def roots(self) -> tuple[tuple[float, int], ...]:
+        """(value, multiplicity) per isolating interval, ascending."""
+        mults = _multiplicities(self.poly, self.isolator_intervals)
+        out = []
+        for (a, b), m in zip(self.isolator_intervals, mults):
+            lo, hi = certified_root(self.poly, (a, b), 2 * self.tol)
+            out.append((float((lo + hi) / 2), m))
+        return tuple(out)
 
 
 def _sign(x: Fraction) -> int:
@@ -66,6 +86,20 @@ def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
     return chain
 
 
+def _counting_chain(p: RationalPoly) -> list[RationalPoly]:
+    """Sturm chain of p divided through by its last member, gcd(p, p').
+
+    Every member of p's own chain vanishes at a multiple root of p, so sign
+    variations there would count nothing; the divided chain is the chain of
+    the square-free part and counts distinct roots at every point.
+    """
+    chain = sturm_sequence(p)
+    g = chain[-1]
+    if g.degree < 1:
+        return chain
+    return [q.divexact(g) for q in chain]
+
+
 def sign_variations(chain: Sequence[RationalPoly], x: Fraction) -> int:
     """Number of sign changes in the chain evaluated at x (zeros skipped)."""
     signs = [s for s in (_sign(p.eval(x)) for p in chain) if s != 0]
@@ -77,7 +111,7 @@ def count_real_roots(p: RationalPoly, lo, hi) -> int:
     lo, hi = as_rational(_exactify(lo)), as_rational(_exactify(hi))
     if lo >= hi:
         raise ValueError("empty interval")
-    chain = sturm_sequence(p)
+    chain = _counting_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
@@ -93,6 +127,48 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     if a.leading < 0:
         a = -a
     return a
+
+
+def square_free_decomposition(p: RationalPoly) -> list[RationalPoly]:
+    """Yun's algorithm: [a_1, a_2, ...] with p = c * a_1 * a_2^2 * a_3^3 ...
+
+    The a_m are square-free and pairwise coprime; a_m is constant when p has
+    no root of multiplicity exactly m.  A square-free p costs one gcd.
+    """
+    if p.degree < 1:
+        return []
+    d = p.differentiate()
+    g = poly_gcd(p, d)
+    b = p.divexact(g)
+    c = d.divexact(g) - b.differentiate()
+    factors = []
+    while b.degree >= 1:
+        a = poly_gcd(b, c)
+        b = b.divexact(a)
+        c = c.divexact(a) - b.differentiate()
+        factors.append(a)
+    return factors
+
+
+def _multiplicities(p: RationalPoly, intervals: Sequence[Interval]) -> list[int]:
+    """Multiplicity of the root in each isolating interval of p.
+
+    One square-free decomposition serves every root: the root in (a, b] has
+    multiplicity m when the factor a_m has a root there.
+    """
+    factors = [
+        (m, f) for m, f in enumerate(square_free_decomposition(p), 1) if f.degree >= 1
+    ]
+    if len(factors) == 1:
+        return [factors[0][0]] * len(intervals)
+    chains = {m: sturm_sequence(f) for m, f in factors}
+
+    def holds_root(m: int, f: RationalPoly, a: Fraction, b: Fraction) -> bool:
+        if a == b:
+            return f.eval(a) == 0
+        return sign_variations(chains[m], a) > sign_variations(chains[m], b)
+
+    return [next(m for m, f in factors if holds_root(m, f, a, b)) for a, b in intervals]
 
 
 def square_free_part(p: RationalPoly) -> RationalPoly:
@@ -113,40 +189,17 @@ def _exactify(x) -> Fraction:
     return as_rational(x)
 
 
-def _multiplicity_at(p: RationalPoly, r: Fraction) -> int:
-    """Exact multiplicity of a known rational root."""
-    linear = RationalPoly.from_coeffs([-r, 1], p.var)
-    m = 0
-    while True:
-        q, rem = p.divmod(linear)
-        if not rem.is_zero:
-            return m
-        m += 1
-        p = q
-        if p.is_zero:
-            return m
-
-
-def _multiplicity_hint(p: RationalPoly, lo: Fraction, hi: Fraction) -> int:
-    """1 for a simple root; k when the gcd chain still has a root in (lo, hi]."""
-    m = 1
-    g = poly_gcd(p, p.differentiate())
-    while g.degree >= 1 and count_real_roots(g, lo, hi) >= 1:
-        m += 1
-        g = poly_gcd(g, g.differentiate())
-    return m
-
-
 def isolate_real_roots(
     p: RationalPoly,
     bracket: tuple,
     tol=DEFAULT_TOL,
 ) -> RootReport:
-    """Isolate and refine every distinct real root of p inside the bracket.
+    """Isolating intervals for every distinct real root of p in the bracket.
 
     Roots landing exactly on a bracket endpoint are reported as inside.  The
-    returned roots are ascending, refined to within ``tol``, and carry a
-    multiplicity hint (1 unless a repeated root was detected).
+    intervals are ascending; p is nonzero at both ends of each, except for
+    degenerate intervals (r, r) at exact rational roots r.  ``tol`` only
+    sets the accuracy of the report's lazily computed ``roots``.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -159,27 +212,12 @@ def isolate_real_roots(
 
     intervals: list[Interval] = []
     if p.degree >= 1:
-        chain = sturm_sequence(p)
+        chain = _counting_chain(p)
         if p.eval(lo) == 0:
             intervals.append((lo, lo))
         _split(p, chain, lo, hi, sign_variations(chain, lo), sign_variations(chain, hi), intervals)
     intervals.sort(key=lambda iv: (iv[0], iv[1]))
-
-    roots: list[tuple[float, int]] = []
-    for a, b in intervals:
-        if a == b:
-            mult = _multiplicity_at(p, a)
-            roots.append((float(a), mult))
-        else:
-            enc = certified_root(p, (a, b), 2 * tol)
-            mult = _multiplicity_hint(p, a, b)
-            roots.append((float((enc[0] + enc[1]) / 2), mult))
-    return RootReport(
-        bracket=(lo, hi),
-        isolator_intervals=tuple(intervals),
-        roots=tuple(roots),
-        refined_to=float(tol),
-    )
+    return RootReport(bracket=(lo, hi), isolator_intervals=tuple(intervals), poly=p, tol=tol)
 
 
 def _split(
@@ -191,16 +229,22 @@ def _split(
     vhi: int,
     out: list[Interval],
 ) -> None:
-    """Recursive bisection until each piece holds at most one distinct root."""
+    """Recursive bisection until each piece holds at most one distinct root.
+
+    A one-root piece whose excluded end lo is itself a root (reported by
+    the piece to its left) is bisected on, so that refinement, which reads
+    a zero at an endpoint as the root, cannot return lo for it.
+    """
     count = vlo - vhi  # roots in (lo, hi]
     if count <= 0:
         return
     if count == 1:
         if p.eval(hi) == 0:
             out.append((hi, hi))
-        else:
+            return
+        if p.eval(lo) != 0:
             out.append((lo, hi))
-        return
+            return
     mid = (lo + hi) / 2
     vmid = sign_variations(chain, mid)
     _split(p, chain, lo, mid, vlo, vmid, out)
@@ -224,6 +268,10 @@ def _horner(coeffs, x):
     return acc
 
 
+class _NoSignChange(ValueError):
+    """p has the same nonzero sign at both ends of the interval."""
+
+
 def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     """Shrink an isolating interval to a certified enclosure of width <= width.
 
@@ -242,7 +290,7 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     if shi == 0:
         return (hi, hi)
     if slo == shi:
-        raise ValueError("interval endpoints do not bracket a sign change")
+        raise _NoSignChange("interval endpoints do not bracket a sign change")
 
     # Fast phase: Newton/bisection in extended precision, inside the bracket.
     digits = max(20, _digits_needed(width) + 10)
@@ -315,38 +363,27 @@ def _float_phase(p: RationalPoly, lo: Fraction, hi: Fraction, slo: int, digits: 
 
 
 def certified_root(p: RationalPoly, interval: Interval, width) -> Interval:
-    """Certified enclosure for the single root in an isolating interval.
+    """Certified enclosure of width <= width for the root in an isolating interval.
 
-    Degenerate intervals (exact rational roots) pass through; intervals whose
-    endpoints have equal signs (even-multiplicity roots) are retried on the
-    square-free part, which shares the root but crosses zero there.
+    Degenerate intervals at exact rational roots pass through; intervals
+    whose endpoints have equal signs (even-multiplicity roots) are retried on
+    the square-free part, which shares the root but crosses zero there.
+    Raises ValueError when neither vanishes or crosses zero in the interval.
     """
-    if interval[0] == interval[1]:
-        return interval
     try:
         return refine_enclosure(p, interval, width)
-    except ValueError:
+    except _NoSignChange:
+        logger.debug("refining an even-multiplicity root via the square-free part")
         return refine_enclosure(square_free_part(p), interval, width)
 
 
 def refine(p: RationalPoly, interval: tuple, tol=DEFAULT_TOL) -> float:
     """Refine the single root in the interval to within tol (absolute).
 
-    The result is certified by an exact sign check on a rational enclosure of
-    width at most 2*tol.  An isolating interval without a sign change (an
-    even-multiplicity root) is retried on the square-free part of p.
+    The midpoint of :func:`certified_root`'s enclosure of width 2*tol.
     """
     tol = _exactify(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = _exactify(interval[0]), _exactify(interval[1])
-    slo = _sign(p.eval(lo))
-    shi = _sign(p.eval(hi))
-    work = p
-    if slo != 0 and shi != 0 and slo == shi:
-        work = square_free_part(p)
-        if _sign(work.eval(lo)) == _sign(work.eval(hi)) != 0:
-            raise ValueError("interval does not isolate a root")
-        logger.debug("refining an even-multiplicity root via the square-free part")
-    a, b = refine_enclosure(work, (lo, hi), 2 * tol)
+    a, b = certified_root(p, (_exactify(interval[0]), _exactify(interval[1])), 2 * tol)
     return float((a + b) / 2)

@@ -26,13 +26,13 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rootfind
 from .estimates import (
     DEFAULT_SELECTION,
     METHOD_A1,
     EigenEstimate,
     RootSelection,
-    default_bracket,
+    resolve_bracket,
+    select_root,
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
@@ -196,23 +196,10 @@ def solve_a1(
     """Eigenvalue estimate from B(eps) = 0; None when no suitable root exists."""
     series = build_series(potential, n)
     b = boundary_polynomial(series)
-    if bracket is None:
-        bracket = default_bracket(potential, state)
-    if b.degree < 1:
+    bracket = resolve_bracket(bracket, potential, state)
+    enclosure = select_root(b, bracket, state, selection, tol)
+    if enclosure is None:
         return None
-    report = rootfind.isolate_real_roots(b, bracket, tol=Fraction(1, 10**16))
-    if not report.roots:
-        return None
-    candidates = [
-        (iv[0] + iv[1]) / 2 for iv in report.isolator_intervals
-    ]
-    try:
-        idx = selection.pick_index(candidates, state)
-    except ValueError:
-        return None
-    if idx >= len(candidates):
-        return None
-    enclosure = rootfind.certified_root(b, report.isolator_intervals[idx], 2 * tol)
     mid = (enclosure[0] + enclosure[1]) / 2
     return EigenEstimate(
         method=METHOD_A1,
@@ -220,6 +207,6 @@ def solve_a1(
         state=state,
         eps=float(mid),
         residual=abs(float(b.eval(mid))),
-        bracket=(float(report.bracket[0]), float(report.bracket[1])),
+        bracket=(float(bracket[0]), float(bracket[1])),
         enclosure=enclosure,
     )

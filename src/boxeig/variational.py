@@ -25,15 +25,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from . import rootfind
 from .estimates import (
     DEFAULT_SELECTION,
     METHOD_A2,
     METHOD_A3,
     EigenEstimate,
     RootSelection,
-    default_bracket,
+    resolve_bracket,
+    select_root,
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
@@ -120,22 +121,14 @@ def kinetic_energy_forms(trial: TrialFunction) -> tuple[RationalPoly, RationalPo
     return by_parts, literal
 
 
+@lru_cache(maxsize=8)
 def quotient_for(potential: PotentialSpec, n: int) -> RayleighQuotient:
-    """Convenience: series -> trial -> quotient at order n (n >= 4)."""
+    """Convenience: series -> trial -> quotient at order n (n >= 4).
+
+    Cached for the last few (potential, n), so that A2 and A3 on one row
+    share a single build.
+    """
     return build_quotient(build_trial(build_series(potential, n)))
-
-
-def _candidate_roots(
-    p: RationalPoly, bracket: tuple[Fraction, Fraction]
-) -> list[tuple[Fraction, Fraction]]:
-    """Moderately refined enclosures for every root of p in the bracket."""
-    if p.degree < 1:
-        return []
-    report = rootfind.isolate_real_roots(p, bracket, tol=Fraction(1, 10**16))
-    coarse = Fraction(1, 10**12)
-    return [
-        rootfind.certified_root(p, iv, coarse) for iv in report.isolator_intervals
-    ]
 
 
 def solve_a2(
@@ -155,28 +148,12 @@ def solve_a2(
     if state > 0:
         logger.warning("excited-state selection for the stationary method is heuristic")
     quotient = quotient_for(potential, n)
-    if bracket is None:
-        bracket = default_bracket(potential, state)
-    bracket = (as_rational_bound(bracket[0]), as_rational_bound(bracket[1]))
+    bracket = resolve_bracket(bracket, potential, state)
     s_poly = quotient.stationarity_polynomial()
-    candidates = _candidate_roots(s_poly, bracket)
-    if not candidates:
+    rank = quotient.value if selection.policy in ("default", "min-w") else None
+    enclosure = select_root(s_poly, bracket, state, selection, tol, rank)
+    if enclosure is None:
         return None
-    mids = [(a + b) / 2 for a, b in candidates]
-    w_values = [quotient.value(m) for m in mids]
-    if selection.policy in ("default", "min-w"):
-        order = sorted(range(len(mids)), key=lambda i: w_values[i])
-        if state >= len(order):
-            return None
-        idx = order[state]
-    else:
-        try:
-            idx = selection.pick_index(mids, state)
-        except ValueError:
-            return None
-        if idx >= len(mids):
-            return None
-    enclosure = rootfind.certified_root(s_poly, candidates[idx], 2 * tol)
     mid = (enclosure[0] + enclosure[1]) / 2
     w_exact = quotient.value(mid)
     den_mid = quotient.den.eval(mid)
@@ -206,28 +183,12 @@ def solve_a3(
     if state > 0:
         logger.warning("excited-state selection for the fixed-point method is heuristic")
     quotient = quotient_for(potential, n)
-    if bracket is None:
-        bracket = default_bracket(potential, state)
-    bracket = (as_rational_bound(bracket[0]), as_rational_bound(bracket[1]))
+    bracket = resolve_bracket(bracket, potential, state)
     f_poly = quotient.fixed_point_polynomial()
-    candidates = _candidate_roots(f_poly, bracket)
-    if not candidates:
+    rank = quotient.value if selection.policy == "min-w" else None
+    enclosure = select_root(f_poly, bracket, state, selection, tol, rank)
+    if enclosure is None:
         return None
-    mids = [(a + b) / 2 for a, b in candidates]
-    if selection.policy == "min-w":
-        w_values = [quotient.value(m) for m in mids]
-        order = sorted(range(len(mids)), key=lambda i: w_values[i])
-        if state >= len(order):
-            return None
-        idx = order[state]
-    else:
-        try:
-            idx = selection.pick_index(mids, state)
-        except ValueError:
-            return None
-        if idx >= len(mids):
-            return None
-    enclosure = rootfind.certified_root(f_poly, candidates[idx], 2 * tol)
     mid = (enclosure[0] + enclosure[1]) / 2
     residual = abs(mid - quotient.value(mid))
     return EigenEstimate(
@@ -240,8 +201,3 @@ def solve_a3(
         enclosure=enclosure,
     )
 
-
-def as_rational_bound(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)
-    return as_rational(x)

@@ -52,7 +52,6 @@ def reproduce_table(table_id: int):
                 methods=methods,
                 potential=PotentialSpec.linear(lam),
                 n_values=(n,),
-                serial=True,
             )
             cells = compute_cells(cfg, n)
             for j, col in cols:

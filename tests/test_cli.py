@@ -76,10 +76,27 @@ def test_solve_json_types(capsys):
 
 
 def test_solve_serial_and_parallel_identical(capsys):
+    # rows always run sequentially; --serial is accepted and changes nothing
     args = ["solve", "--methods", "a1,a2,a3,rr", "--n", "7..10", "--digits", "16"]
-    _, out_parallel, _ = run(capsys, *args)
+    _, out_default, _ = run(capsys, *args)
     _, out_serial, _ = run(capsys, *args, "--serial")
-    assert out_parallel == out_serial
+    assert out_default == out_serial
+
+
+def test_table_serial_flag_is_accepted(capsys):
+    code, out, _ = run(capsys, "table", "4")
+    assert code == 0
+    assert run(capsys, "table", "4", "--serial") == (0, out, "")
+
+
+def test_solve_a1_nearest_compares_refined_roots(capsys):
+    # 41.1657 and 50.4912 share one raw isolating interval of the state-1
+    # bracket; 50.4912 is nearer to 48 and is the only root in (44, 60]
+    a1_n16 = ("solve", "--methods", "a1", "--n", "16", "--lambda=0")
+    code, out, _ = run(capsys, *a1_n16, "--state", "1", "--select", "nearest:48")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "| 16 | 50.49123864 |"
+    assert run(capsys, *a1_n16, "--bracket", "44,60")[1] == out
 
 
 def test_solve_negative_coupling_equals_form(capsys):

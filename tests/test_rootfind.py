@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from boxeig import rootfind
+from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
+from boxeig.rayleigh_ritz import solve_rr
 from boxeig.rootfind import (
     count_real_roots,
     isolate_real_roots,
@@ -14,8 +17,11 @@ from boxeig.rootfind import (
     refine_enclosure,
     sturm_sequence,
     sign_variations,
+    square_free_decomposition,
     square_free_part,
 )
+from boxeig.series import solve_a1
+from boxeig.variational import solve_a3
 
 
 def poly_from_roots(roots, var="q"):
@@ -44,6 +50,14 @@ def test_sturm_sequence_known_cubic():
 def test_sturm_counts_distinct_roots_of_multiple_root_poly():
     p = poly_from_roots([1, 1, 2])  # double root at 1
     assert count_real_roots(p, Fraction(0), Fraction(3)) == 2
+
+
+def test_sturm_counts_at_a_multiple_root():
+    # every member of the plain Sturm chain vanishes at the double root 1
+    p = poly_from_roots([1, 1, 2])
+    assert count_real_roots(p, Fraction(1), Fraction(3)) == 1
+    assert count_real_roots(p, Fraction(0), Fraction(1)) == 1
+    assert count_real_roots(p, Fraction(1, 2), Fraction(2)) == 2
 
 
 def grid_scan_count(int_coeffs, lo_num, hi_num, denom, grid_points):
@@ -121,6 +135,14 @@ def test_isolation_separates_close_roots():
     assert b1 <= a2, "intervals are disjoint and ordered"
 
 
+def test_isolation_bisects_onto_a_multiple_root():
+    # the first bisection point of (-2, 2) is the double root 0
+    p = poly_from_roots([0, 0, 1, -1])
+    report = isolate_real_roots(p, (Fraction(-2), Fraction(2)), tol=Fraction(1, 10**12))
+    assert report.isolator_intervals[1] == (Fraction(0), Fraction(0))
+    assert [(round(v, 9), m) for v, m in report.roots] == [(-1.0, 1), (0.0, 2), (1.0, 1)]
+
+
 def test_isolation_endpoint_root_left():
     # root exactly at the left endpoint of the bracket is still reported
     p = poly_from_roots([0, Fraction(1, 2)])
@@ -128,6 +150,16 @@ def test_isolation_endpoint_root_left():
     roots = sorted(float((a + b) / 2) for a, b in report.isolator_intervals)
     assert len(roots) == 2
     assert abs(roots[0] - 0.0) < 1e-9 and abs(roots[1] - 0.5) < 1e-9
+
+
+def test_root_beside_a_root_on_the_left_endpoint():
+    # (0, 1] holds only 1/3, but p(0) = 0: refinement must not return 0
+    p = poly_from_roots([0, Fraction(1, 3)])
+    report = isolate_real_roots(p, (Fraction(0), Fraction(1)), tol=Fraction(1, 10**12))
+    values = [v for v, _ in report.roots]
+    assert values[0] == 0.0 and abs(values[1] - 1 / 3) < 1e-11
+    for a, b in report.isolator_intervals:
+        assert a == b or (p.eval(a) != 0 and p.eval(b) != 0)
 
 
 def test_isolation_endpoint_root_right():
@@ -162,6 +194,16 @@ def test_multiplicity_hints():
     assert abs(r2 - 1) < 1e-9 and m2 == 2
 
 
+def test_square_free_decomposition():
+    p = poly_from_roots([1, 1, 1, 2, 2, -1, Fraction(1, 2)])
+    factors = square_free_decomposition(p)
+    assert [f.degree for f in factors] == [2, 1, 1]
+    assert factors[0] == poly_from_roots([-1, Fraction(1, 2)]).primitive_part()
+    assert factors[1].eval(Fraction(2)) == 0 and factors[2].eval(Fraction(1)) == 0
+    product = factors[0] * factors[1] ** 2 * factors[2] ** 3
+    assert (p.divexact(product)).degree == 0
+
+
 def test_square_free_part():
     p = poly_from_roots([1, 1, 1, 2])
     sf = square_free_part(p)
@@ -191,6 +233,14 @@ def test_refine_float_result():
     assert abs(r - 2**0.5) < 1e-12
 
 
+def test_refine_rejects_an_interval_without_a_root():
+    p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
+    assert refine(p, (Fraction(1, 3), Fraction(1, 3))) == 1 / 3
+    for interval in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))):
+        with pytest.raises(ValueError):
+            refine(p, interval)
+
+
 def test_refine_even_multiplicity_root():
     # (q - 1/3)^2 has no sign change; refinement must fall back to the
     # square-free part and still locate the root
@@ -211,6 +261,55 @@ def test_rational_root_detected_exactly():
     report = isolate_real_roots(p, (Fraction(6), Fraction(10)), tol=Fraction(1, 10**12))
     assert report.isolator_intervals == ((Fraction(6), Fraction(6)),)
     assert report.roots == ((6.0, 1),)
+
+
+# ---------------------------------------------------------------------------
+# work done per solve: isolate once, certify only the chosen root
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of refine_enclosure and poly_gcd made through the module."""
+    counts = {"refine_enclosure": 0, "poly_gcd": 0}
+    for name in counts:
+        original = getattr(rootfind, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, name, counted)
+    return counts
+
+
+def test_isolation_refines_nothing_until_roots_is_read(call_counts):
+    p = poly_from_roots([1, 1, -2, Fraction(7, 3)])  # double root at 1
+    report = isolate_real_roots(p, (Fraction(-3), Fraction(3)), tol=Fraction(1, 10**12))
+    assert len(report.isolator_intervals) == 3
+    assert call_counts == {"refine_enclosure": 0, "poly_gcd": 0}
+    values = [v for v, _ in report.roots]
+    assert [m for _, m in report.roots] == [1, 2, 1]
+    for got, want in zip(values, (-2, 1, 7 / 3)):
+        assert abs(got - want) < 1e-11
+    # one square-free decomposition serves every multiplicity
+    gcds = call_counts["poly_gcd"]
+    assert report.roots is report.roots
+    assert call_counts["poly_gcd"] == gcds
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_a1(PotentialSpec.linear(1), 12),
+        lambda: solve_a3(PotentialSpec.linear(1), 10),
+        lambda: solve_rr(PotentialSpec.linear(1), 6),
+    ],
+    ids=["a1", "a3", "rr"],
+)
+def test_index_policy_solve_refines_one_root(call_counts, solve):
+    est = solve()
+    assert est is not None
+    assert call_counts == {"refine_enclosure": 1, "poly_gcd": 0}
 
 
 # ---------------------------------------------------------------------------

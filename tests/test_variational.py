@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
@@ -210,3 +211,39 @@ def test_state_selection_warns(caplog):
     with caplog.at_level(logging.WARNING):
         solve_a3(V0, 9, state=1)
     assert any("heuristic" in rec.message for rec in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# value-comparing selection and the shared quotient
+
+# lam=1, N=10, bracket (0, 200): S has six roots and F five, so each policy
+# below chooses among several candidates.  Values pinned at 20 digits.
+PINNED_SELECTIONS = [
+    (solve_a2, "min-w", 0, "10.367140113775152329", "10.368507295872918292"),
+    (solve_a2, "min-w", 1, "48.144551309289899250", "40.068034642150005210"),
+    (solve_a3, "nearest:40", 0, "40.886695383691254503", None),
+    (solve_a3, "nearest:100", 0, "119.35324096756156566", None),
+]
+
+
+@pytest.mark.parametrize("solve, policy, state, eps, w", PINNED_SELECTIONS)
+def test_value_comparing_selection_is_pinned(solve, policy, state, eps, w):
+    est = solve(V1, 10, (Fraction(0), Fraction(200)), state, RootSelection.parse(policy))
+    assert format_significant(est.eps_rational(), 20) == eps
+    if w is not None:
+        assert format_significant(est.w_exact, 20) == w
+
+
+def test_a2_and_a3_share_one_quotient_build(monkeypatch):
+    import boxeig.variational as variational
+
+    builds = []
+    original = variational.build_quotient
+    monkeypatch.setattr(
+        variational, "build_quotient", lambda trial: builds.append(trial.n) or original(trial)
+    )
+    variational.quotient_for.cache_clear()
+    potential = PotentialSpec.linear(Fraction(3, 7))
+    assert solve_a2(potential, 9) is not None
+    assert solve_a3(potential, 9) is not None
+    assert builds == [9]
