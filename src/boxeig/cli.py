@@ -284,7 +284,7 @@ def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
             est = solve_a3(cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
             cells["eps(A3)"] = None if est is None else est.eps_rational()
         elif method == METHOD_RR:
-            est = solve_rr(cfg.potential, n, cfg.bracket, cfg.state, tol)
+            est = solve_rr(cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
             cells["eps(RR)"] = None if est is None else est.eps_rational()
         elif method == METHOD_EXACT:
             cells["eps(exact)"] = _exact_eigenvalue(cfg.potential, cfg.state, cfg.digits)

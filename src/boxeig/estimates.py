@@ -120,8 +120,12 @@ def select_root(
     that one.  Policies that compare values, ``nearest`` and any ``rank``
     (a key on eps, such as the quotient value for ``min-w``), first refine
     every candidate to a coarse certified enclosure and compare its
-    midpoint.  None when the bracket holds no suitable root.
+    midpoint.  None when the bracket holds no suitable root.  ``min-w``
+    without a ``rank`` is refused: only the quotient methods have a value
+    to rank by.
     """
+    if selection.policy == "min-w" and rank is None:
+        raise ValueError("'min-w' selection ranks by quotient value, which only A2 and A3 have")
     if p.degree < 1:
         return None
     intervals = rootfind.isolate_real_roots(p, bracket).isolator_intervals

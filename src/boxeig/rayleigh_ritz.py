@@ -6,7 +6,9 @@ are plain integrals over [0, 1]:
     S_ij = integral f_i f_j,
     H_ij = integral (f_i' f_j' + v f_i f_j),
 
-both exact rationals.  Eigenvalue estimates are the roots of
+both exact rationals with closed forms (see :func:`basis_matrices`).  The
+same matrices give the quotient of the power-series trial function, which
+is a combination of this basis.  Eigenvalue estimates are the roots of
 det(H - eps S) = 0; the determinant is expanded into an exact polynomial in
 eps by fraction-free (Bareiss) elimination over the polynomial ring, then
 handed to the shared root machinery.  For a symmetric positive-definite S
@@ -22,6 +24,7 @@ from .estimates import (
     DEFAULT_SELECTION,
     METHOD_RR,
     EigenEstimate,
+    RootSelection,
     resolve_bracket,
     select_root,
 )
@@ -50,48 +53,58 @@ def basis_function(j: int, n: int) -> RationalPoly:
     return RationalPoly.monomial(j, 1, "q") - RationalPoly.monomial(n, 1, "q")
 
 
-def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
-    """Assemble S, H and expand det(H - eps S).  Requires n >= 3."""
+def basis_matrices(
+    potential: PotentialSpec, n: int
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
+    """(S, H) of the basis f_j = q^j - q^n, j = 1..n-1, in closed form.
+
+    With M(p) = integral of q^p = 1/(p+1), the q^a moment of f_i f_j is
+    M(a+i+j) - M(a+i+n) - M(a+j+n) + M(a+2n), and the kinetic element
+    integral f_i' f_j' is ij M(i+j-2) - in M(i+n-2) - jn M(j+n-2) + n^2 M(2n-2).
+    S is the q^0 moment; H adds v_k times the q^k moment to the kinetic part.
+    """
     if n < 3:
         raise ValueError("basis order must be at least 3")
-    size = n - 1
-    f = [basis_function(j, n) for j in range(1, n)]
-    df = [fj.differentiate() for fj in f]
-    v = potential.v
-    s_rows = []
-    h_rows = []
-    for i in range(size):
-        s_row = []
-        h_row = []
-        for j in range(size):
-            if j < i:
-                s_row.append(s_rows[j][i])
-                h_row.append(h_rows[j][i])
-                continue
-            fifj = f[i] * f[j]
-            s_row.append(fifj.integrate_01())
-            h_elem = (df[i] * df[j]).integrate_01()
-            if not v.is_zero:
-                h_elem += (v * fifj).integrate_01()
-            h_row.append(h_elem)
-        s_rows.append(s_row)
-        h_rows.append(h_row)
 
+    def moment(a: int, i: int, j: int) -> Fraction:
+        return (
+            Fraction(1, a + i + j + 1)
+            - Fraction(1, a + i + n + 1)
+            - Fraction(1, a + j + n + 1)
+            + Fraction(1, a + 2 * n + 1)
+        )
+
+    def kinetic(i: int, j: int) -> Fraction:
+        return (
+            Fraction(i * j, i + j - 1)
+            - Fraction(i * n, i + n - 1)
+            - Fraction(j * n, j + n - 1)
+            + Fraction(n * n, 2 * n - 1)
+        )
+
+    v_terms = [(k, vk) for k, vk in enumerate(potential.v.coeffs) if vk]
+    index = range(1, n)
+    s = tuple(tuple(moment(0, i, j) for j in index) for i in index)
+    h = tuple(
+        tuple(kinetic(i, j) + sum(vk * moment(k, i, j) for k, vk in v_terms) for j in index)
+        for i in index
+    )
+    return s, h
+
+
+def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
+    """Take S and H from :func:`basis_matrices` and expand det(H - eps S).
+
+    Requires n >= 3.
+    """
+    s, h = basis_matrices(potential, n)
+    size = n - 1
     pencil = [
-        [
-            RationalPoly.from_coeffs([h_rows[i][j], -s_rows[i][j]], "eps")
-            for j in range(size)
-        ]
+        [RationalPoly.from_coeffs([h[i][j], -s[i][j]], "eps") for j in range(size)]
         for i in range(size)
     ]
     char_poly = bareiss_determinant(pencil)
-    return SecularSystem(
-        n=n,
-        potential=potential,
-        h=tuple(tuple(r) for r in h_rows),
-        s=tuple(tuple(r) for r in s_rows),
-        char_poly=char_poly,
-    )
+    return SecularSystem(n=n, potential=potential, h=h, s=s, char_poly=char_poly)
 
 
 def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
@@ -159,22 +172,26 @@ def solve_secular(
     system: SecularSystem,
     state: int = 0,
     bracket=None,
+    selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
-    """The (state+1)-th smallest root of det(H - eps S) in the bracket."""
+    """The root of det(H - eps S) in the bracket that ``selection`` picks.
+
+    By default that is the (state+1)-th smallest.
+    """
     if state >= system.size:
         raise ValueError(
             f"state {state} out of range for a basis of size {system.size}"
         )
     bracket = resolve_bracket(bracket, system.potential, state)
-    enclosure = select_root(system.char_poly, bracket, state, DEFAULT_SELECTION, tol)
+    enclosure = select_root(system.char_poly, bracket, state, selection, tol)
     if enclosure is None:
         return None
     mid = (enclosure[0] + enclosure[1]) / 2
-    # det(S) equals the telescoped product of the elimination pivots
-    # M_k / M_{k-1}, so dividing by it makes the determinant monic in eps:
-    # the residual is the value of prod_k (eps_k - eps) at the midpoint.
-    det_s = leading_principal_minors(system.s)[-1]
+    # The leading eps-coefficient of det(H - eps S) is (-1)^size det(S), and
+    # det(S) > 0; dividing by it makes the determinant monic in eps, so the
+    # residual is the value of prod_k (eps_k - eps) at the midpoint.
+    det_s = abs(system.char_poly.leading)
     residual = abs(system.char_poly.eval(mid)) / det_s
     return EigenEstimate(
         method=METHOD_RR,
@@ -192,7 +209,8 @@ def solve_rr(
     n: int,
     bracket=None,
     state: int = 0,
+    selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
     """Convenience: build the secular system at order n and solve."""
-    return solve_secular(build_secular(potential, n), state, bracket, tol)
+    return solve_secular(build_secular(potential, n), state, bracket, selection, tol)

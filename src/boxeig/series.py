@@ -15,9 +15,6 @@ B(eps) = sum_{j=1..N} c_j(eps), whose roots enforce phi(1) = 0 (the "A1"
 estimates), and a trial function sum_{j=1..N-1} c_j(eps) (q^j - q^N) that
 satisfies both boundary conditions identically and feeds the variational
 methods.
-
-The module also carries the small bivariate toolkit (lists of eps-polynomials
-indexed by q-power) that the quotient construction builds on.
 """
 
 from __future__ import annotations
@@ -131,55 +128,6 @@ def specialize(s, eps) -> RationalPoly:
             coeffs[s.n] -= value
         return RationalPoly.from_coeffs(coeffs, "q")
     raise TypeError(f"cannot specialize {type(s).__name__}")
-
-
-# ----------------------------------------------------------------------
-# bivariate helpers: a polynomial in (q, eps) as a list of eps-polynomials
-# indexed by q-power.
-
-QSeries = list
-
-
-def trial_q_series(trial: TrialFunction) -> QSeries:
-    """The trial function as eps-polynomial coefficients of q^0..q^n."""
-    zero = RationalPoly.zero("eps")
-    out = [zero] * (trial.n + 1)
-    for j, cj in trial.terms:
-        out[j] = out[j] + cj
-        out[trial.n] = out[trial.n] - cj
-    return out
-
-
-def potential_q_series(v: RationalPoly) -> QSeries:
-    """Lift a rational q-polynomial to eps-constant coefficients."""
-    return [RationalPoly.constant(c, "eps") for c in v.coeffs]
-
-
-def q_series_mul(a: QSeries, b: QSeries) -> QSeries:
-    zero = RationalPoly.zero("eps")
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b):
-            if bj.is_zero:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def q_series_derivative(a: QSeries) -> QSeries:
-    return [k * c for k, c in enumerate(a)][1:]
-
-
-def q_series_integral01(a: QSeries) -> RationalPoly:
-    """Integrate over q in [0, 1]: sum coeff_k / (k+1), an eps-polynomial."""
-    acc = RationalPoly.zero("eps")
-    for k, c in enumerate(a):
-        acc = acc + c * Fraction(1, k + 1)
-    return acc
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,12 @@ the trial function" are implemented:
   a true upper bound on the ground state;
 * self-consistent points eps = W(eps) (roots of F = eps den - num).
 
-Everything up to root refinement is exact rational arithmetic; the kinetic
-term uses the integrated-by-parts form (phi' squared), which equals the
-literal -phi phi'' form identically because the trial function vanishes at
-both walls.
+The trial function is sum_j c_j(eps) f_j in the Rayleigh-Ritz basis
+f_j = q^j - q^N, so num and den are the quadratic forms c^T H c and c^T S c
+with that method's matrices.  Everything up to root refinement is exact
+rational arithmetic; the kinetic term uses the integrated-by-parts form
+(phi' squared), which equals the literal -phi phi'' form identically because
+the trial function vanishes at both walls.
 """
 
 from __future__ import annotations
@@ -38,17 +40,8 @@ from .estimates import (
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
-from .series import (
-    SOLVER_TOL,
-    TrialFunction,
-    build_series,
-    build_trial,
-    potential_q_series,
-    q_series_derivative,
-    q_series_integral01,
-    q_series_mul,
-    trial_q_series,
-)
+from .rayleigh_ritz import basis_function, basis_matrices
+from .series import SOLVER_TOL, TrialFunction, build_series, build_trial
 
 logger = logging.getLogger(__name__)
 
@@ -82,43 +75,40 @@ class RayleighQuotient:
         return eps * self.den - self.num
 
 
+def _quadratic_form(matrix, terms) -> RationalPoly:
+    """sum_i c_i sum_j matrix[i-1][j-1] c_j over the terms (j, c_j)."""
+    acc = RationalPoly.zero("eps")
+    for i, ci in terms:
+        row = matrix[i - 1]
+        acc = acc + ci * sum((cj * row[j - 1] for j, cj in terms), RationalPoly.zero("eps"))
+    return acc
+
+
 def build_quotient(trial: TrialFunction) -> RayleighQuotient:
-    """Assemble num and den by exact integration of the trial function."""
-    phi = trial_q_series(trial)
-    dphi = q_series_derivative(phi)
-    phi2 = q_series_mul(phi, phi)
-    num_series = q_series_mul(dphi, dphi)
-    if not trial.potential.v.is_zero:
-        v = potential_q_series(trial.potential.v)
-        v_phi2 = q_series_mul(v, phi2)
-        n = max(len(num_series), len(v_phi2))
-        zero = RationalPoly.zero("eps")
-        num_series = [
-            (num_series[k] if k < len(num_series) else zero)
-            + (v_phi2[k] if k < len(v_phi2) else zero)
-            for k in range(n)
-        ]
+    """num = c^T H c and den = c^T S c over the trial function's terms."""
+    s, h = basis_matrices(trial.potential, trial.n)
     return RayleighQuotient(
         n=trial.n,
         potential=trial.potential,
-        num=q_series_integral01(num_series),
-        den=q_series_integral01(phi2),
+        num=_quadratic_form(h, trial.terms),
+        den=_quadratic_form(s, trial.terms),
     )
 
 
 def kinetic_energy_forms(trial: TrialFunction) -> tuple[RationalPoly, RationalPoly]:
     """(integral of phi'^2, integral of -phi phi'') as eps-polynomials.
 
-    The two agree identically for functions vanishing at both walls; the
-    test suite checks the equality exactly.
+    The first is the kinetic part of the quotient, from the closed-form
+    matrix; the second integrates -f_i f_j'' of the basis polynomials
+    directly.  The two agree identically for functions vanishing at both
+    walls; the test suite checks the equality exactly.
     """
-    phi = trial_q_series(trial)
-    dphi = q_series_derivative(phi)
-    by_parts = q_series_integral01(q_series_mul(dphi, dphi))
-    ddphi = q_series_derivative(dphi)
-    minus_phi_ddphi = [-c for c in q_series_mul(phi, ddphi)]
-    literal = q_series_integral01(minus_phi_ddphi)
-    return by_parts, literal
+    n = trial.n
+    by_parts = _quadratic_form(basis_matrices(PotentialSpec.zero(), n)[1], trial.terms)
+    f = [basis_function(j, n) for j in range(1, n)]
+    ddf = [fj.differentiate().differentiate() for fj in f]
+    minus_f_ddf = [[-(fi * ddfj).integrate_01() for ddfj in ddf] for fi in f]
+    return by_parts, _quadratic_form(minus_f_ddf, trial.terms)
 
 
 @lru_cache(maxsize=8)

@@ -99,6 +99,15 @@ def test_solve_a1_nearest_compares_refined_roots(capsys):
     assert run(capsys, *a1_n16, "--bracket", "44,60")[1] == out
 
 
+def test_solve_rr_honours_select(capsys):
+    # bracket (0, 200) holds four RR roots; 88.826 (state 2) is nearest to 100
+    rr_n10 = ("solve", "--methods", "rr", "--n", "10", "--bracket", "0,200")
+    code, out, _ = run(capsys, *rr_n10, "--select", "nearest:100")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "| 10 | 88.82644938 |"
+    assert run(capsys, *rr_n10, "--state", "2")[1] == out
+
+
 def test_solve_negative_coupling_equals_form(capsys):
     code, out, _ = run(capsys, "solve", "--lambda=-3/2", "--methods", "a2", "--n", "8")
     assert code == 0
@@ -169,6 +178,8 @@ def test_solve_out_file(tmp_path, capsys):
         ("solve", "--bracket", "9,4"),
         ("solve", "--lambda", "1/0"),
         ("solve", "--select", "largest"),
+        ("solve", "--methods", "a1", "--n", "10", "--select", "min-w"),
+        ("solve", "--methods", "rr", "--n", "10", "--select", "min-w"),
         ("exact", "--digits", "4"),
         ("convert", "/nonexistent/file.box"),
     ],

@@ -14,6 +14,8 @@ from boxeig.estimates import (
 )
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
+from boxeig.rayleigh_ritz import solve_rr
+from boxeig.series import solve_a1
 
 
 def test_parse_policies():
@@ -60,6 +62,12 @@ def test_pick_index_nearest():
 def test_pick_index_empty():
     with pytest.raises(ValueError):
         DEFAULT_SELECTION.pick_index([], 0)
+
+
+@pytest.mark.parametrize("solve", [solve_a1, solve_rr])
+def test_min_w_refused_without_quotient(solve):
+    with pytest.raises(ValueError, match="min-w"):
+        solve(PotentialSpec.linear(Fraction(1)), 10, selection=RootSelection.parse("min-w"))
 
 
 def test_default_bracket_free_box():

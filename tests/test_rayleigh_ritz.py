@@ -14,6 +14,7 @@ from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import (
     bareiss_determinant,
     basis_function,
+    basis_matrices,
     build_secular,
     leading_principal_minors,
     solve_rr,
@@ -23,6 +24,9 @@ from boxeig.rootfind import count_real_roots
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
+CUBIC = PotentialSpec.general(
+    RationalPoly.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 2), 1], "q")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +76,19 @@ def test_closed_form_matrix_elements(n):
         for j in range(1, n):
             assert sys_n.s[i - 1][j - 1] == closed_form_s(i, j, n)
             assert sys_n.h[i - 1][j - 1] == closed_form_h_free(i, j, n)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_basis_matrices_match_direct_integration(n):
+    # reference: integrate the products of the basis polynomials term by term
+    s, h = basis_matrices(CUBIC, n)
+    f = [basis_function(j, n) for j in range(1, n)]
+    for i, fi in enumerate(f):
+        for j, fj in enumerate(f):
+            fifj = fi * fj
+            assert s[i][j] == fifj.integrate_01()
+            kinetic = fi.differentiate() * fj.differentiate()
+            assert h[i][j] == (kinetic + CUBIC.v * fifj).integrate_01()
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
@@ -241,8 +258,12 @@ def test_excited_states_interlace():
 
 
 def test_residual_is_small_at_roots():
-    est = solve_rr(V0, 8)
+    system = build_secular(V0, 8)
+    est = solve_secular(system)
     assert est.residual < 1e-20
+    # the residual is the monic determinant prod_k (eps_k - eps) at the midpoint
+    det_s = leading_principal_minors(system.s)[-1]
+    assert est.residual == float(abs(system.char_poly.eval(est.eps_rational())) / det_s)
 
 
 def test_state_out_of_range():

@@ -12,7 +12,7 @@ from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.series import build_series, build_trial
+from boxeig.series import build_series, build_trial, specialize
 from boxeig.variational import (
     build_quotient,
     kinetic_energy_forms,
@@ -23,6 +23,9 @@ from boxeig.variational import (
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
+CUBIC = PotentialSpec.general(
+    RationalPoly.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 2), 1], "q")
+)
 
 small_rationals = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -70,6 +73,21 @@ def test_quotient_value_at_zero_energy():
 def test_kinetic_forms_agree_exactly(potential, n):
     by_parts, literal = kinetic_energy_forms(build_trial(build_series(potential, n)))
     assert by_parts == literal
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_quotient_matches_direct_integration(n):
+    # reference: integrate the specialized trial polynomial in q
+    rq = quotient_for(CUBIC, n)
+    trial = build_trial(build_series(CUBIC, n))
+    for eps in (Fraction(0), Fraction(7, 2), Fraction(-13, 3), Fraction(50)):
+        phi = specialize(trial, eps)
+        dphi = phi.differentiate()
+        num = (dphi * dphi + CUBIC.v * phi * phi).integrate_01()
+        den = (phi * phi).integrate_01()
+        assert rq.num.eval(eps) == num
+        assert rq.den.eval(eps) == den
+        assert rq.value(eps) == num / den
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
