@@ -44,7 +44,7 @@ from .estimates import (
     RootSelection,
 )
 from .model import PotentialSpec, load_problem, nondimensionalize, require_unit_interval
-from .oracle import exact_box, exact_linear
+from .oracle import RootScanError, exact_box, exact_linear
 from .poly import Rational, format_rational
 from .rayleigh_ritz import solve_rr
 from .rootfind import mpf_to_rational
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"boxeig: error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, NotImplementedError) as exc:
+    except (OSError, ValueError, NotImplementedError, RootScanError) as exc:
         print(f"boxeig: error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,9 @@ Two closed-form references and two numerical integrators live here:
 
 * ``exact_box``: the empty box has eigenvalues (n+1)^2 pi^2.
 * ``exact_linear``: for the ramp v = lam*q the eigenvalues are roots of a
-  2x2 determinant of Airy functions evaluated at the walls.
+  2x2 determinant of Airy functions evaluated at the walls.  A scan in
+  pi^2/4 steps brackets the wanted root, certified regula falsi refines it,
+  and bisection takes over only when the fast phase cannot certify.
 * ``series_integrate``: a stepping Taylor-series integrator in extended
   precision, used to evaluate the eigencondition when the Airy arguments
   would leave the series evaluator's validated range, and as a second,
@@ -34,6 +36,10 @@ from .poly import RationalPoly, as_rational
 AIRY_Z_MAX = 30.0
 DEFAULT_DIGITS = 30
 _SCAN_LIMIT = 200
+# Regula falsi steps before bisection takes over.  Simple roots certify
+# within 8 steps (measured for |lam| <= 200, states 0..3, up to 45 digits);
+# a multiple root converges only linearly and is left to bisection.
+_REFINE_LIMIT = 30
 
 # Gamma(1/3) and Gamma(2/3), frozen at 200+ digits.  Derived once with
 # spouge_gamma below (rigorous error bound); the test suite re-derives them
@@ -178,7 +184,10 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     The general solution is a combination of Airy functions of
     z = lam^(1/3) q - eps lam^(-2/3); vanishing at both walls makes the 2x2
     determinant G(eps) = Ai(z0) Bi(z1) - Ai(z1) Bi(z0) vanish.  Eigenvalues
-    are located by scanning G from eps = 0 in steps of pi^2/4 and bisecting.
+    are located by scanning G from eps = 0 in steps of pi^2/4, then refined
+    by Anderson-Bjorck regula falsi and certified by a sign change across a
+    window of width 10^-(digits+4); bisection finishes the job when that
+    certificate fails (see :func:`_scan_and_refine`).
 
     When the scan would push |z| beyond the Airy evaluator's validated range
     (small |lam|), the determinant condition is replaced by the equivalent
@@ -194,6 +203,15 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
         raise ValueError("digits must be at least 2")
 
     ctx = _context(digits + 10)
+    # eps_k >= min v + (k+1)^2 pi^2, so a state whose bound lies past the
+    # scan's end can never be bracketed.
+    bound = _to_mpf(ctx, min(lam, 0)) + (state + 1) ** 2 * ctx.pi**2
+    scan_end = _SCAN_LIMIT * ctx.pi**2 / 4
+    if bound > scan_end:
+        raise RootScanError(
+            f"state {state} is out of reach: its eigenvalue is at least "
+            f"{ctx.nstr(bound, 6)}, beyond the scan's end {ctx.nstr(scan_end, 6)}"
+        )
     lam_f = _to_mpf(ctx, lam)
     cbrt_abs = ctx.cbrt(abs(lam_f))
     lam13 = cbrt_abs if lam > 0 else -cbrt_abs  # real cube root
@@ -210,7 +228,7 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
         a1 = airy(z1, airy_digits)
         return a0.ai * a1.bi - a1.ai * a0.bi
 
-    result = _scan_and_bisect(determinant, ctx, state, digits)
+    result = _scan_and_refine(determinant, ctx, state, digits)
     if result is not None:
         return result
     return _linear_by_ode(lam, state, digits)
@@ -222,9 +240,19 @@ def _exact_number(x) -> Fraction:
     return as_rational(x)
 
 
-def _scan_and_bisect(func, ctx: MPContext, state: int, digits: int):
-    """Scan func from 0 in pi^2/4 steps for the (state+1)-th sign change,
-    then bisect.  Returns None if func reports out-of-range (None value)."""
+def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
+    """The (state+1)-th sign change of func on eps >= 0, to 10^-(digits+4).
+
+    The scan walks from 0 in pi^2/4 steps until it has seen state+1 sign
+    changes, which brackets the wanted root.  Anderson-Bjorck regula falsi
+    then refines inside that bracket until a step moves the iterate c by
+    less than half the target width, and c is certified by a sign change of
+    func between c - target/2 and c + target/2: the same certificate as a
+    bisection bracket of width target.  If the certificate fails or the
+    iteration budget runs out, plain bisection finishes from the current
+    bracket, which always holds a sign change.  Returns None as soon as
+    func reports out-of-range (None value).
+    """
     step = ctx.pi**2 / 4
     prev_x = ctx.mpf(0)
     prev_v = func(prev_x)
@@ -241,7 +269,7 @@ def _scan_and_bisect(func, ctx: MPContext, state: int, digits: int):
             changes += 1
             if changes == state + 1:
                 lo, hi = prev_x, x
-                flo = prev_v
+                flo, fhi = prev_v, v
                 break
         prev_x, prev_v = x, v
     if lo is None:
@@ -249,18 +277,54 @@ def _scan_and_bisect(func, ctx: MPContext, state: int, digits: int):
             f"no {state + 1}-th sign change within {_SCAN_LIMIT} scan steps"
         )
     target = ctx.mpf(10) ** (-(digits + 4))
-    while hi - lo > target:
-        mid = (lo + hi) / 2
+    half = target / 2
+
+    # Fast phase: Anderson-Bjorck regula falsi.  b is the newest iterate
+    # and a the other end of the bracket; while a is retained its value is
+    # scaled down, which keeps its sign, so func(a) and func(b) always differ
+    # in sign.
+    a, fa, b, fb = lo, flo, hi, fhi
+    prev_c = None
+    for _ in range(_REFINE_LIMIT):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = func(c)
+        if fc is None:
+            return None
+        if fc == 0:
+            return c
+        if (fc > 0) == (fb > 0):
+            m = 1 - fc / fb
+            fa *= m if m > 0 else ctx.mpf(1) / 2
+        else:
+            a, fa = b, fb
+        b, fb = c, fc
+        if prev_c is not None and abs(c - prev_c) < half:
+            if lo <= c - half and c + half <= hi:
+                below, above = func(c - half), func(c + half)
+                if below is None or above is None:
+                    return None
+                if below == 0:
+                    return c - half
+                if above == 0:
+                    return c + half
+                if (below > 0) != (above > 0):
+                    return c
+            break
+        prev_c = c
+
+    # Trusted fallback: bisection on signs, from the current bracket.
+    while abs(b - a) > target:
+        mid = (a + b) / 2
         v = func(mid)
         if v is None:
             return None
         if v == 0:
             return mid
-        if (v > 0) == (flo > 0):
-            lo, flo = mid, v
+        if (v > 0) == (fa > 0):
+            a, fa = mid, v
         else:
-            hi = mid
-    return (lo + hi) / 2
+            b = mid
+    return (a + b) / 2
 
 
 def _linear_by_ode(lam: Fraction, state: int, digits: int):
@@ -272,7 +336,7 @@ def _linear_by_ode(lam: Fraction, state: int, digits: int):
         y, _ = series_integrate(v, eps, 0, 1, 0, 1, ctx)
         return y
 
-    result = _scan_and_bisect(wall_value, ctx, state, digits)
+    result = _scan_and_refine(wall_value, ctx, state, digits)
     if result is None:  # pragma: no cover - wall_value never returns None
         raise RootScanError("taylor path failed")
     return result

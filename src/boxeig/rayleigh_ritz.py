@@ -82,12 +82,18 @@ def basis_matrices(
             + Fraction(n * n, 2 * n - 1)
         )
 
+    def symmetric(element) -> tuple[tuple[Fraction, ...], ...]:
+        # Both integrands are symmetric in i and j: build the upper triangle
+        # and mirror it.
+        upper = {(i, j): element(i, j) for i in range(1, n) for j in range(i, n)}
+        return tuple(
+            tuple(upper[min(i, j), max(i, j)] for j in range(1, n)) for i in range(1, n)
+        )
+
     v_terms = [(k, vk) for k, vk in enumerate(potential.v.coeffs) if vk]
-    index = range(1, n)
-    s = tuple(tuple(moment(0, i, j) for j in index) for i in index)
-    h = tuple(
-        tuple(kinetic(i, j) + sum(vk * moment(k, i, j) for k, vk in v_terms) for j in index)
-        for i in index
+    s = symmetric(lambda i, j: moment(0, i, j))
+    h = symmetric(
+        lambda i, j: kinetic(i, j) + sum(vk * moment(k, i, j) for k, vk in v_terms)
     )
     return s, h
 

@@ -181,6 +181,8 @@ def test_solve_out_file(tmp_path, capsys):
         ("solve", "--methods", "a1", "--n", "10", "--select", "min-w"),
         ("solve", "--methods", "rr", "--n", "10", "--select", "min-w"),
         ("exact", "--digits", "4"),
+        ("exact", "--lambda=1", "--state", "25", "--digits", "6"),
+        ("solve", "--methods", "exact", "--lambda=1", "--state", "25", "--n", "4"),
         ("convert", "/nonexistent/file.box"),
     ],
 )

@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import boxeig.oracle as oracle
+from boxeig.cli import _exact_eigenvalue, format_significant
 from boxeig.goldens import BENCHMARK_EPS_FREE, BENCHMARK_EPS_RAMP
 from boxeig.model import PotentialSpec
 from boxeig.oracle import (
@@ -186,6 +188,109 @@ def test_exact_linear_scan_budget_exhausts():
     # the 26th level sits far beyond the scan window, whichever route runs
     with pytest.raises(RootScanError):
         exact_linear(1, state=25, digits=6)
+
+
+def test_exact_linear_refuses_unreachable_state_before_evaluating(monkeypatch):
+    # (25+1)^2 pi^2 lies far past the scan's end: refused with no evaluation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigencondition was evaluated")
+
+    monkeypatch.setattr(oracle, "airy", forbidden)
+    monkeypatch.setattr(oracle, "series_integrate", forbidden)
+    with pytest.raises(RootScanError, match="out of reach"):
+        exact_linear(1, state=25, digits=6)
+    with pytest.raises(RootScanError, match="out of reach"):
+        exact_linear(-30, state=25, digits=6)
+
+
+@pytest.mark.parametrize(
+    "lam, state, expected",
+    [
+        ("-5", 1, "36.9865843553024270247325023851"),
+        ("-7", 0, "6.31589178782760084046640821182"),
+        ("1/10", 0, "9.91959342847695922730902101789"),  # Taylor-ODE path
+        ("1", 2, "89.3266345424787460796047063396"),  # Taylor-ODE path
+        ("50", 1, "65.1770031601952269144534814783"),
+        ("-30", 1, "74.0013110428896249460192406034"),
+    ],
+)
+def test_exact_linear_30_digit_values(lam, state, expected):
+    # reference strings from plain bisection to 10^-39 on the same scan
+    # bracket; the certified refinement must print the same digits
+    value = _exact_eigenvalue(PotentialSpec.linear(Fraction(lam)), state, 30)
+    assert format_significant(value, 30) == expected
+
+
+def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
+    # 11 scan points need 22 Airy evaluations; bisecting to 10^-39 would add
+    # about 250 more, the certified regula falsi about 10
+    calls = []
+    real_airy = oracle.airy
+
+    def counting_airy(*args, **kwargs):
+        calls.append(args)
+        return real_airy(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "airy", counting_airy)
+    exact_linear(-7, 0, digits=35)
+    assert len(calls) <= 40
+
+
+def _recording(func, points):
+    def recorded(x):
+        points.append(x)
+        return func(x)
+
+    return recorded
+
+
+def test_scan_and_refine_certifies_a_simple_root_fast():
+    digits = 30
+    ctx = oracle._context(digits + 10)
+    r = ctx.mpf(7) / 3
+    points = []
+    c = oracle._scan_and_refine(
+        _recording(lambda x: (x - r) * (x + 1), points), ctx, 0, digits
+    )
+    assert abs(c - r) <= ctx.mpf(10) ** -(digits + 4)
+    assert len(points) <= 2 + 12  # two scan points, then a few refinement steps
+
+
+def test_scan_and_refine_triple_root():
+    # regula falsi converges only linearly at a triple root; the result must
+    # still lie within the target width of the root
+    digits = 30
+    ctx = oracle._context(digits + 10)
+    r = ctx.mpf(7) / 3
+    c = oracle._scan_and_refine(lambda x: (x - r) ** 3, ctx, 0, digits)
+    assert abs(c - r) <= ctx.mpf(10) ** -(digits + 4)
+
+
+def test_scan_and_refine_falls_back_to_bisection_when_uncertified():
+    # (x - r)^101 is so flat that regula falsi stalls at the bracket's end:
+    # two iterates agree, the certificate at c -+ target/2 fails, and
+    # bisection must finish from the bracket
+    digits = 30
+    ctx = oracle._context(digits + 10)
+    r = ctx.mpf(7) / 3
+    target = ctx.mpf(10) ** -(digits + 4)
+    points = []
+    c = oracle._scan_and_refine(
+        _recording(lambda x: (x - r) ** 101, points), ctx, 0, digits
+    )
+    assert abs(c - r) <= target
+    assert len(points) > math.log2((ctx.pi**2 / 4) / target)
+
+
+def test_scan_and_refine_exhausts_its_scan_budget():
+    # one sign change only, so the second never comes: the scan gives up
+    # after its full budget of steps
+    points = []
+    with pytest.raises(RootScanError, match="2-th sign change"):
+        oracle._scan_and_refine(
+            _recording(lambda x: x - 3, points), oracle._context(20), 1, 10
+        )
+    assert len(points) == oracle._SCAN_LIMIT + 1
 
 
 def test_exact_linear_perturbative_slope():
