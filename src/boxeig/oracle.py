@@ -502,7 +502,7 @@ def _scan_float(f, bracket, state: int) -> tuple[float, float]:
     n = max(4, int((hi - lo) / step) + 1)
     prev_x, prev_v = lo, f(lo)
     changes = 0
-    for i in range(1, min(n, _SCAN_LIMIT) + 1):
+    for i in range(1, n + 1):
         x = min(lo + i * step, hi)
         v = f(x)
         if v == 0 or (v > 0) != (prev_v > 0):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -284,14 +285,7 @@ class RationalPoly:
         """
         if self.is_zero:
             return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        return RationalPoly(tuple(Fraction(v // g) for v in ints), self.var)
+        return _from_ints(_primitive_ints(self), self.var)
 
     # ------------------------------------------------------------------
     # rendering
@@ -314,3 +308,98 @@ class RationalPoly:
             else:
                 parts.append(f"{format_rational(c)}*{self.var}^{k}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# ----------------------------------------------------------------------
+# integer coefficient lists
+#
+# The fraction-free kernels (the Bareiss determinant and the Sturm chain)
+# clear denominators once and then work on plain lists of ints, ascending
+# powers with no trailing zeros, so that no ring operation pays the gcd a
+# Fraction takes.  RationalPoly stays the type at their boundaries.
+
+
+def _denominator(polys: Iterable[RationalPoly]) -> int:
+    """Least common multiple of every coefficient denominator."""
+    return lcm(*(c.denominator for p in polys for c in p.coeffs))
+
+
+def _scaled_ints(p: RationalPoly, den: int) -> list[int]:
+    """Coefficients of den * p, where den is a multiple of every denominator."""
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _primitive_ints(p: RationalPoly) -> list[int]:
+    """p scaled by a positive rational to coprime integer coefficients."""
+    ints = _scaled_ints(p, _denominator((p,)))
+    g = _int_content(ints)
+    return [v // g for v in ints]
+
+
+def _from_ints(a: Sequence[int], var: str, den: int = 1) -> RationalPoly:
+    """The polynomial a / den."""
+    return RationalPoly(tuple(Fraction(v, den) for v in a), var)
+
+
+def _int_content(a: Sequence[int]) -> int:
+    """gcd of the coefficients, nonnegative."""
+    return gcd(*a)
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _int_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for a nonzero b that divides a in Z[x]; ValueError otherwise."""
+    db = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c, m = divmod(rem[db + k], lead)
+        if m:
+            raise ValueError("inexact polynomial division")
+        quo[k] = c
+        if c:
+            for j in range(db):
+                rem[j + k] -= c * b[j]
+    if any(rem[:db]):
+        raise ValueError("inexact polynomial division")
+    return quo
+
+
+def _int_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, for deg a >= deg b.
+
+    It is the remainder of a / b over the rationals times that power of
+    lc(b), so it has integer coefficients and needs no division.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    low = b[:-1]
+    rem = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        # rem := lead * rem - c x^k b, whose x^(db+k) term cancels
+        c = rem.pop()
+        rem = [lead * v for v in rem]
+        if c:
+            for j, y in enumerate(low):
+                rem[j + k] -= c * y
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem

@@ -10,9 +10,10 @@ both exact rationals with closed forms (see :func:`basis_matrices`).  The
 same matrices give the quotient of the power-series trial function, which
 is a combination of this basis.  Eigenvalue estimates are the roots of
 det(H - eps S) = 0; the determinant is expanded into an exact polynomial in
-eps by fraction-free (Bareiss) elimination over the polynomial ring, then
-handed to the shared root machinery.  For a symmetric positive-definite S
-all n-1 roots are real and they bound the true spectrum from above.
+eps by fraction-free (Bareiss) elimination over Z[eps], after the
+denominators of H and S are cleared once, then handed to the shared root
+machinery.  For a symmetric positive-definite S all n-1 roots are real and
+they bound the true spectrum from above.
 """
 
 from __future__ import annotations
@@ -29,7 +30,15 @@ from .estimates import (
     select_root,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly
+from .poly import (
+    RationalPoly,
+    _denominator,
+    _from_ints,
+    _int_divexact,
+    _int_mul,
+    _int_sub,
+    _scaled_ints,
+)
 from .series import SOLVER_TOL
 
 
@@ -116,55 +125,63 @@ def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
 def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
     """Exact determinant of a square polynomial matrix, fraction-free.
 
-    Every division in the Bareiss recurrence is exact in the polynomial
-    ring, which keeps intermediate degrees linear in the elimination step
-    instead of exponential.
+    The denominators are cleared once: with D the lcm of every coefficient
+    denominator, the Bareiss recurrence runs on the integer polynomials
+    D a_ij, and det = det(D A) / D^size.  Every division in the recurrence is
+    exact in Z[eps], which keeps intermediate degrees linear in the
+    elimination step instead of exponential and needs no gcd.
     """
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
-    var = matrix[0][0].var
-    a = [list(row) for row in matrix]
-    if any(len(row) != size for row in a):
+    if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
+    var = matrix[0][0].var
+    den = _denominator(p for row in matrix for p in row)
+    a = [[_scaled_ints(p, den) for p in row] for row in matrix]
     sign = 1
-    prev = RationalPoly.one(var)
+    prev = [1]
     for k in range(size - 1):
-        if a[k][k].is_zero:
+        if not a[k][k]:
             for i in range(k + 1, size):
-                if not a[i][k].is_zero:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
                 return RationalPoly.zero(var)
+        pivot, pivot_row = a[k][k], a[k]
         for i in range(k + 1, size):
+            row = a[i]
+            lead = row[k]
             for j in range(k + 1, size):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = RationalPoly.zero(var)
-        prev = a[k][k]
-    return a[size - 1][size - 1] * sign
+                num = _int_sub(_int_mul(pivot, row[j]), _int_mul(lead, pivot_row[j]))
+                row[j] = _int_divexact(num, prev)
+            row[k] = []
+        prev = pivot
+    det = a[size - 1][size - 1]
+    return _from_ints([sign * c for c in det], var, den**size)
 
 
 def leading_principal_minors(matrix) -> list[Fraction]:
-    """Exact leading principal minors det(M[:k][:k]), k = 1..size."""
+    """Exact leading principal minors det(M[:k][:k]), k = 1..size.
+
+    Gaussian elimination without row exchanges: while the pivots are
+    nonzero, the k-th minor is the product of the first k pivots.  A zero
+    pivot makes its minor zero and leaves the later minors to be computed
+    one by one, each with row exchanges inside its own leading block.
+    """
     size = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
     minors = []
     det = Fraction(1)
-    # plain fraction Gaussian elimination, recording pivots
     for k in range(size):
         if a[k][k] == 0:
-            pivot = next(
-                (i for i in range(k + 1, size) if a[i][k] != 0), None
+            minors.append(Fraction(0))
+            minors.extend(
+                _determinant([row[:m] for row in matrix[:m]]) for m in range(k + 2, size + 1)
             )
-            if pivot is None:
-                det = Fraction(0)
-                minors.extend([Fraction(0)] * (size - k))
-                return minors
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
+            return minors
         for i in range(k + 1, size):
             factor = a[i][k] / a[k][k]
             for j in range(k, size):
@@ -172,6 +189,26 @@ def leading_principal_minors(matrix) -> list[Fraction]:
         det *= a[k][k]
         minors.append(det)
     return minors
+
+
+def _determinant(matrix) -> Fraction:
+    """Exact determinant by Gaussian elimination with row exchanges."""
+    size = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        for i in range(k + 1, size):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, size):
+                a[i][j] -= factor * a[k][j]
+        det *= a[k][k]
+    return det
 
 
 def solve_secular(

@@ -1,8 +1,9 @@
 """Certified real-root location for polynomials with rational coefficients.
 
-The counting layer is exact: Sturm sequences are built in rational arithmetic
-with a primitive-part reduction after every remainder step, so sign-variation
-counts (and hence root counts on half-open intervals) carry no rounding error.
+The counting layer is exact: a Sturm sequence is built as an integer
+primitive pseudo-remainder sequence (the denominators are cleared once, and
+every pseudo-remainder is divided by its content), so sign-variation counts
+(and hence root counts on half-open intervals) carry no rounding error.
 Isolation bisects the requested bracket until each piece holds at most one
 distinct root; it refines nothing, so a solver certifies only the root it
 picks.
@@ -24,7 +25,14 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 
-from .poly import RationalPoly, as_rational
+from .poly import (
+    RationalPoly,
+    _from_ints,
+    _int_content,
+    _int_prem,
+    _primitive_ints,
+    as_rational,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -70,20 +78,31 @@ def _sign(x: Fraction) -> int:
 
 
 def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
-    """Signed remainder sequence of (p, p'), primitive-reduced at every step."""
+    """Signed remainder sequence of (p, p'), primitive-reduced at every step.
+
+    The chain is built on integer coefficients: each member after p' is the
+    pseudo-remainder lc(b)^(delta+1) a mod b of the two before it, divided
+    by its content, with its sign chosen so that it is a positive multiple
+    of -(a mod b).
+    """
     if p.is_zero:
         raise ValueError("Sturm sequence of the zero polynomial is undefined")
-    chain = [p.primitive_part()]
+    chain = [_primitive_ints(p)]
     d = p.differentiate()
-    if d.is_zero:
-        return chain
-    chain.append(d.primitive_part())
-    while chain[-1].degree >= 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero:
-            break
-        chain.append((-r).primitive_part())
-    return chain
+    if not d.is_zero:
+        chain.append(_primitive_ints(d))
+        while True:
+            a, b = chain[-2], chain[-1]
+            r = _int_prem(a, b)
+            if not r:
+                break
+            # r is lc(b)^(delta+1) times a mod b, and the member is -(a mod b)
+            # made primitive: divide by -content unless that factor is negative
+            g = _int_content(r)
+            if b[-1] > 0 or (len(a) - len(b)) % 2:
+                g = -g
+            chain.append([c // g for c in r])
+    return [_from_ints(c, p.var) for c in chain]
 
 
 def _counting_chain(p: RationalPoly) -> list[RationalPoly]:

@@ -425,6 +425,16 @@ def test_shoot_root_scan_error_outside_bracket():
         shoot_root(V0, bracket=(20.0, 30.0))  # no eigenvalue in (20, 30)
 
 
+def test_shoot_root_scans_to_the_bracket_end():
+    # from -300 the 6-th sign change (near 340) lies more than 200 scan
+    # steps of pi^2/4 away; both brackets hold the same states 0..5
+    ramp = PotentialSpec.linear(Fraction(-30))
+    far = shoot_root(ramp, bracket=(-300.0, 600.0), state=5, steps=1000)
+    near = shoot_root(ramp, bracket=(-10.0, 600.0), state=5, steps=1000)
+    assert abs(far - near) < 1e-9
+    assert abs(near - 340.356) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # mpf -> Fraction bridge used by renderers
 

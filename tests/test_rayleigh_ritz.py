@@ -24,6 +24,8 @@ from boxeig.rootfind import count_real_roots
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
+V_MINUS_7 = PotentialSpec.linear(Fraction(-7))
+V_MINUS_30 = PotentialSpec.linear(Fraction(-30))
 CUBIC = PotentialSpec.general(
     RationalPoly.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 2), 1], "q")
 )
@@ -192,10 +194,16 @@ def leibniz_determinant(matrix):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
 def test_bareiss_matches_leibniz(size, rng):
+    # rational coefficients with unlike denominators, entries of degree up to
+    # 3, and some zero entries, which make the elimination exchange rows
     matrix = [
         [
             RationalPoly.from_coeffs(
-                [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))], "eps"
+                [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                    for _ in range(rng.choice((0, 1, 2, 3, 4)))
+                ],
+                "eps",
             )
             for _ in range(size)
         ]
@@ -216,6 +224,39 @@ def test_bareiss_matches_gaussian_on_constants():
         det_gauss = leading_principal_minors(entries)[-1] if size else Fraction(1)
         assert det_poly.degree <= 0
         assert det_poly.coeff(0) == det_gauss
+
+
+@pytest.mark.parametrize(
+    "matrix,minors",
+    [
+        ([[0, 1], [1, 0]], [0, -1]),
+        ([[1, 2, 3], [2, 4, 5], [3, 5, 7]], [1, 0, -1]),
+        ([[0, 0, 1], [0, 2, 0], [1, 0, 0]], [0, 0, -2]),
+        ([[2, 1], [1, 3]], [2, 5]),
+    ],
+)
+def test_leading_principal_minors_after_a_zero_pivot(matrix, minors):
+    assert leading_principal_minors(matrix) == minors
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+@pytest.mark.parametrize(
+    "potential",
+    [V0, V1, V_MINUS_7, V_MINUS_30, CUBIC],
+    ids=["0", "q", "-7q", "-30q", "cubic"],
+)
+def test_char_poly_is_the_pencil_determinant(potential, n):
+    # a polynomial of degree n - 1 that agrees with det(H - eps S) at n
+    # distinct points is det(H - eps S)
+    system = build_secular(potential, n)
+    assert system.char_poly.degree == n - 1
+    for k in range(n):
+        eps = Fraction(7 * k - 20, 3)
+        pencil = [
+            [system.h[i][j] - eps * system.s[i][j] for j in range(system.size)]
+            for i in range(system.size)
+        ]
+        assert system.char_poly.eval(eps) == leading_principal_minors(pencil)[-1]
 
 
 def test_bareiss_singular_matrix_is_zero_poly():

@@ -60,6 +60,42 @@ def test_sturm_counts_at_a_multiple_root():
     assert count_real_roots(p, Fraction(1, 2), Fraction(2)) == 2
 
 
+def fraction_sturm_chain(p):
+    """Reference chain in rational arithmetic: divide, negate, make primitive."""
+    chain = [p.primitive_part()]
+    d = p.differentiate()
+    if d.is_zero:
+        return chain
+    chain.append(d.primitive_part())
+    while True:
+        _, r = chain[-2].divmod(chain[-1])
+        if r.is_zero:
+            return chain
+        chain.append((-r).primitive_part())
+
+
+def test_sturm_sequence_matches_fraction_reference_chain():
+    rng = random.Random(20261018)
+    sign_matters = 0  # steps with lc(b) < 0 and an even degree gap deg a - deg b
+    for _ in range(400):
+        degree = rng.randint(0, 10)
+        # sparse coefficients make remainders drop more than one degree
+        coeffs = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 8)) if rng.random() < 0.6 else 0
+            for _ in range(degree)
+        ]
+        coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 8)))
+        p = RationalPoly.from_coeffs(coeffs)
+        expected = fraction_sturm_chain(p)
+        assert sturm_sequence(p) == expected, coeffs
+        sign_matters += sum(
+            1
+            for a, b in zip(expected[1:], expected[2:])
+            if b.leading < 0 and (a.degree - b.degree) % 2 == 0
+        )
+    assert sign_matters >= 10
+
+
 def grid_scan_count(int_coeffs, lo_num, hi_num, denom, grid_points):
     """Exact root count of an integer polynomial on (lo, hi] by grid scan.
 
