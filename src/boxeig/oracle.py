@@ -498,6 +498,8 @@ def shoot_root(potential, bracket=None, state: int = 0, steps: int = 10000) -> f
 
 def _scan_float(f, bracket, state: int) -> tuple[float, float]:
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"shooting bracket must be finite with lo < hi, got {bracket}")
     step = math.pi**2 / 4
     n = max(4, int((hi - lo) / step) + 1)
     prev_x, prev_v = lo, f(lo)

@@ -425,6 +425,12 @@ def test_shoot_root_scan_error_outside_bracket():
         shoot_root(V0, bracket=(20.0, 30.0))  # no eigenvalue in (20, 30)
 
 
+@pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 30.0), (30.0, 20.0)])
+def test_shoot_root_rejects_a_bad_bracket(bracket):
+    with pytest.raises(ValueError, match="finite with lo < hi"):
+        shoot_root(V0, bracket=bracket, steps=200)
+
+
 def test_shoot_root_scans_to_the_bracket_end():
     # from -300 the 6-th sign change (near 340) lies more than 200 scan
     # steps of pi^2/4 away; both brackets hold the same states 0..5
