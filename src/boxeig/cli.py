@@ -93,6 +93,8 @@ class RunConfig:
         for n in self.n_values:
             if not N_MIN <= n <= N_MAX:
                 raise UsageError(f"N={n} outside [{N_MIN}, {N_MAX}]")
+        if self.state < 0:
+            raise UsageError(f"--state must be nonnegative, got {self.state}")
         if not DIGITS_MIN <= self.digits <= DIGITS_MAX:
             raise UsageError(f"--digits {self.digits} outside [{DIGITS_MIN}, {DIGITS_MAX}]")
         if self.format not in FORMATS:

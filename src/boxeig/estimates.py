@@ -122,8 +122,10 @@ def select_root(
     every candidate to a coarse certified enclosure and compare its
     midpoint.  None when the bracket holds no suitable root.  ``min-w``
     without a ``rank`` is refused: only the quotient methods have a value
-    to rank by.
+    to rank by, and so is a negative state.
     """
+    if state < 0:
+        raise ValueError("state must be nonnegative")
     if selection.policy == "min-w" and rank is None:
         raise ValueError("'min-w' selection ranks by quotient value, which only A2 and A3 have")
     if p.degree < 1:

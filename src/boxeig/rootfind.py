@@ -1,18 +1,20 @@
 """Certified real-root location for polynomials with rational coefficients.
 
-The counting layer is exact: a Sturm sequence is built as an integer
-primitive pseudo-remainder sequence (the denominators are cleared once, and
-every pseudo-remainder is divided by its content), so sign-variation counts
+Every computation works on one exact representation, the primitive integer
+coefficient list of a polynomial (its denominators cleared and its content
+divided out, a positive scale that keeps every sign).  A Sturm sequence is
+an integer primitive pseudo-remainder sequence, and the one sign primitive
+evaluates an integer polynomial at a rational point n/d by integer Horner
+steps on the homogenised form, so no step pays a gcd.  Sign-variation counts
 (and hence root counts on half-open intervals) carry no rounding error.
 Isolation bisects the requested bracket until each piece holds at most one
 distinct root; it refines nothing, so a solver certifies only the root it
 picks.
 
-Refinement is a hybrid: a fast Newton/bisection loop in extended-precision
-floating point proposes a root, and the result is certified by evaluating the
-polynomial exactly at the two endpoints of a rational enclosure of width at
-most twice the requested tolerance.  If certification fails the code falls
-back to pure rational bisection, so the returned enclosure is always trusted.
+Refinement is plain bisection on a dyadic grid m/2^k, fine enough that
+2^-k is GUARD_BITS bits below the requested width.  Each probe is an exact
+sign, so the last grid cell, whose ends carry opposite signs of p, is the
+enclosure, and an exact root on the grid is found exactly.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from mpmath.ctx_mp import MPContext
-
 from .poly import (
     RationalPoly,
     _from_ints,
     _int_content,
+    _int_divexact,
     _int_prem,
     _primitive_ints,
     as_rational,
@@ -37,6 +38,11 @@ from .poly import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = Fraction(1, 10**13)
+
+# Refinement bisects this many bits below the requested enclosure width, so
+# an enclosure midpoint is about ten digits more accurate than the width
+# promises; residuals at secular roots (tests/test_rayleigh_ritz.py) rely on it.
+GUARD_BITS = 32
 
 Interval = tuple[Fraction, Fraction]
 
@@ -69,43 +75,55 @@ class RootReport:
         return tuple(out)
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _sign_at(a: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial a at x = n/d (d > 0).
 
-
-def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
-    """Signed remainder sequence of (p, p'), primitive-reduced at every step.
-
-    The chain is built on integer coefficients: each member after p' is the
-    pseudo-remainder lc(b)^(delta+1) a mod b of the two before it, divided
-    by its content, with its sign chosen so that it is a positive multiple
-    of -(a mod b).
+    It is the sign of d^deg a(n/d) = sum a_i n^i d^(deg-i), which integer
+    Horner steps compute with no gcd.
     """
-    if p.is_zero:
-        raise ValueError("Sturm sequence of the zero polynomial is undefined")
-    chain = [_primitive_ints(p)]
-    d = p.differentiate()
-    if not d.is_zero:
-        chain.append(_primitive_ints(d))
-        while True:
-            a, b = chain[-2], chain[-1]
-            r = _int_prem(a, b)
-            if not r:
-                break
+    n, d = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(a):
+        acc = acc * n + c * power
+        power *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed primitive remainder sequence a, b, ... of integer lists.
+
+    Needs deg a >= deg b.  Each member after b is the pseudo-remainder
+    lc(b)^(delta+1) a mod b of the two before it, divided by its content,
+    with its sign chosen so that it is a positive multiple of -(a mod b).
+    The last member is a gcd of a and b.
+    """
+    seq = [a]
+    while b:
+        seq.append(b)
+        r = _int_prem(a, b)
+        if r:
             # r is lc(b)^(delta+1) times a mod b, and the member is -(a mod b)
             # made primitive: divide by -content unless that factor is negative
             g = _int_content(r)
             if b[-1] > 0 or (len(a) - len(b)) % 2:
                 g = -g
-            chain.append([c // g for c in r])
-    return [_from_ints(c, p.var) for c in chain]
+            r = [c // g for c in r]
+        a, b = b, r
+    return seq
 
 
-def _counting_chain(p: RationalPoly) -> list[RationalPoly]:
+def sturm_sequence(p: RationalPoly) -> list[list[int]]:
+    """Sturm chain of p: the remainder sequence of (p, p') on integers.
+
+    Every member is a primitive integer coefficient list, ascending powers.
+    """
+    if p.is_zero:
+        raise ValueError("Sturm sequence of the zero polynomial is undefined")
+    return _remainder_sequence(_primitive_ints(p), _primitive_ints(p.differentiate()))
+
+
+def _counting_chain(p: RationalPoly) -> list[list[int]]:
     """Sturm chain of p divided through by its last member, gcd(p, p').
 
     Every member of p's own chain vanishes at a multiple root of p, so sign
@@ -114,14 +132,14 @@ def _counting_chain(p: RationalPoly) -> list[RationalPoly]:
     """
     chain = sturm_sequence(p)
     g = chain[-1]
-    if g.degree < 1:
+    if len(g) < 2:
         return chain
-    return [q.divexact(g) for q in chain]
+    return [_int_divexact(q, g) for q in chain]
 
 
-def sign_variations(chain: Sequence[RationalPoly], x: Fraction) -> int:
-    """Number of sign changes in the chain evaluated at x (zeros skipped)."""
-    signs = [s for s in (_sign(p.eval(x)) for p in chain) if s != 0]
+def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    """Number of sign changes in the integer chain evaluated at x (zeros skipped)."""
+    signs = [s for s in (_sign_at(a, x) for a in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -138,14 +156,11 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     """Monic-free gcd (primitive, positive leading coefficient)."""
     if a.is_zero:
         return b.primitive_part()
-    a = a.primitive_part()
-    b = b.primitive_part()
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, (r.primitive_part() if not r.is_zero else RationalPoly.zero(a.var))
-    if a.leading < 0:
-        a = -a
-    return a
+    x, y = _primitive_ints(a), _primitive_ints(b)
+    if len(x) < len(y):
+        x, y = y, x
+    g = _remainder_sequence(x, y)[-1]
+    return _from_ints(g if g[-1] > 0 else [-c for c in g], a.var)
 
 
 def square_free_decomposition(p: RationalPoly) -> list[RationalPoly]:
@@ -182,12 +197,12 @@ def _multiplicities(p: RationalPoly, intervals: Sequence[Interval]) -> list[int]
         return [factors[0][0]] * len(intervals)
     chains = {m: sturm_sequence(f) for m, f in factors}
 
-    def holds_root(m: int, f: RationalPoly, a: Fraction, b: Fraction) -> bool:
+    def holds_root(m: int, a: Fraction, b: Fraction) -> bool:
         if a == b:
-            return f.eval(a) == 0
+            return _sign_at(chains[m][0], a) == 0
         return sign_variations(chains[m], a) > sign_variations(chains[m], b)
 
-    return [next(m for m, f in factors if holds_root(m, f, a, b)) for a, b in intervals]
+    return [next(m for m, _ in factors if holds_root(m, a, b)) for a, b in intervals]
 
 
 def square_free_part(p: RationalPoly) -> RationalPoly:
@@ -231,17 +246,18 @@ def isolate_real_roots(
 
     intervals: list[Interval] = []
     if p.degree >= 1:
+        a = _primitive_ints(p)
         chain = _counting_chain(p)
-        if p.eval(lo) == 0:
+        if _sign_at(a, lo) == 0:
             intervals.append((lo, lo))
-        _split(p, chain, lo, hi, sign_variations(chain, lo), sign_variations(chain, hi), intervals)
+        _split(a, chain, lo, hi, sign_variations(chain, lo), sign_variations(chain, hi), intervals)
     intervals.sort(key=lambda iv: (iv[0], iv[1]))
     return RootReport(bracket=(lo, hi), isolator_intervals=tuple(intervals), poly=p, tol=tol)
 
 
 def _split(
-    p: RationalPoly,
-    chain: Sequence[RationalPoly],
+    a: list[int],
+    chain: Sequence[Sequence[int]],
     lo: Fraction,
     hi: Fraction,
     vlo: int,
@@ -250,24 +266,25 @@ def _split(
 ) -> None:
     """Recursive bisection until each piece holds at most one distinct root.
 
-    A one-root piece whose excluded end lo is itself a root (reported by
-    the piece to its left) is bisected on, so that refinement, which reads
-    a zero at an endpoint as the root, cannot return lo for it.
+    ``a`` is p as a primitive integer list.  A one-root piece whose excluded
+    end lo is itself a root (reported by the piece to its left) is bisected
+    on, so that refinement, which reads a zero at an endpoint as the root,
+    cannot return lo for it.
     """
     count = vlo - vhi  # roots in (lo, hi]
     if count <= 0:
         return
     if count == 1:
-        if p.eval(hi) == 0:
+        if _sign_at(a, hi) == 0:
             out.append((hi, hi))
             return
-        if p.eval(lo) != 0:
+        if _sign_at(a, lo) != 0:
             out.append((lo, hi))
             return
     mid = (lo + hi) / 2
     vmid = sign_variations(chain, mid)
-    _split(p, chain, lo, mid, vlo, vmid, out)
-    _split(p, chain, mid, hi, vmid, vhi, out)
+    _split(a, chain, lo, mid, vlo, vmid, out)
+    _split(a, chain, mid, hi, vmid, vhi, out)
 
 
 def mpf_to_rational(x) -> Fraction:
@@ -280,13 +297,6 @@ def mpf_to_rational(x) -> Fraction:
     return -v if sign else v
 
 
-def _horner(coeffs, x):
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class _NoSignChange(ValueError):
     """p has the same nonzero sign at both ends of the interval."""
 
@@ -296,14 +306,16 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
 
     Requires an exact sign change (or an exact root at an endpoint, which is
     returned degenerately).  The endpoints of the result carry exactly
-    verified opposite signs of p.
+    verified opposite signs of p, or coincide at an exact root found on the
+    bisection grid.
     """
     lo, hi = _exactify(interval[0]), _exactify(interval[1])
     width = _exactify(width)
     if width <= 0:
         raise ValueError("enclosure width must be positive")
-    slo = _sign(p.eval(lo))
-    shi = _sign(p.eval(hi))
+    a = _primitive_ints(p)
+    slo = _sign_at(a, lo)
+    shi = _sign_at(a, hi)
     if slo == 0:
         return (lo, lo)
     if shi == 0:
@@ -311,74 +323,37 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     if slo == shi:
         raise _NoSignChange("interval endpoints do not bracket a sign change")
 
-    # Fast phase: Newton/bisection in extended precision, inside the bracket.
-    digits = max(20, _digits_needed(width) + 10)
-    guess = _float_phase(p, lo, hi, slo, digits)
-    if guess is not None:
-        half = width / 2
-        a = guess - half
-        b = guess + half
-        if lo < a and b < hi:
-            sa = _sign(p.eval(a))
-            if sa == 0:
-                return (a, a)
-            sb = _sign(p.eval(b))
-            if sb == 0:
-                return (b, b)
-            if sa == slo and sb == shi:
-                return (a, b)
-        logger.debug("floating-point phase not certified; falling back to bisection")
-
-    # Trusted fallback: pure rational bisection on exact signs.
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = _sign(p.eval(mid))
-        if sm == 0:
-            return (mid, mid)
-        if sm == slo:
-            lo = mid
+    # bisect on the grid m / 2^k, for the smallest k with 2^k >= 2^GUARD_BITS / width
+    cells = -(-(width.denominator << GUARD_BITS) // width.numerator)
+    scale = 1 << (cells - 1).bit_length()
+    i = -(-lo.numerator * scale // lo.denominator)  # ceil(lo 2^k)
+    j = hi.numerator * scale // hi.denominator  # floor(hi 2^k)
+    if i > j:
+        return (lo, hi)
+    x = Fraction(i, scale)
+    s = _sign_at(a, x)
+    if s == 0:
+        return (x, x)
+    if s != slo:
+        return (lo, x)
+    x = Fraction(j, scale)
+    s = _sign_at(a, x)
+    if s == 0:
+        return (x, x)
+    if s == slo:
+        return (x, hi)
+    # invariant: p has sign slo at i / 2^k and the opposite sign at j / 2^k
+    while j - i > 1:
+        m = (i + j) >> 1
+        x = Fraction(m, scale)
+        s = _sign_at(a, x)
+        if s == 0:
+            return (x, x)
+        if s == slo:
+            i = m
         else:
-            hi = mid
-    return (lo, hi)
-
-
-def _digits_needed(width: Fraction) -> int:
-    d = 1
-    scale = Fraction(1, 10)
-    while scale > width and d < 1000:
-        d += 1
-        scale /= 10
-    return d
-
-
-def _float_phase(p: RationalPoly, lo: Fraction, hi: Fraction, slo: int, digits: int):
-    """Newton with bisection safeguarding at `digits` decimals; None on failure."""
-    ctx = MPContext()
-    ctx.dps = digits
-    coeffs = [ctx.mpf(c.numerator) / c.denominator for c in p.coeffs]
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    a = ctx.mpf(lo.numerator) / lo.denominator
-    b = ctx.mpf(hi.numerator) / hi.denominator
-    x = (a + b) / 2
-    target = ctx.mpf(10) ** (-digits + 4)
-    for _ in range(200):
-        if b - a < target:
-            break
-        fx = _horner(coeffs, x)
-        if fx == 0:
-            break
-        if (fx > 0) == (slo > 0):
-            a = x
-        else:
-            b = x
-        dfx = _horner(dcoeffs, x)
-        if dfx != 0:
-            nx = x - fx / dfx
-            if a < nx < b:
-                x = nx
-                continue
-        x = (a + b) / 2
-    return mpf_to_rational(x)
+            j = m
+    return (Fraction(i, scale), Fraction(j, scale))
 
 
 def certified_root(p: RationalPoly, interval: Interval, width) -> Interval:

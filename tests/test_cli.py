@@ -46,6 +46,16 @@ def test_solve_missing_roots_exit_two(capsys):
     assert out.count(f" {goldens.NO_ROOT} ") == 2
 
 
+def test_solve_prints_exact_boundary_roots_exactly(capsys):
+    # at lambda=1 the A1 boundary polynomial has the rational roots 13/2
+    # (N=4) and 10 (N=8); refinement finds both on its grid
+    code, out, _ = run(
+        capsys, "solve", "--methods", "a1", "--n", "4,8", "--lambda=1", "--digits", "20"
+    )
+    assert code == 0
+    assert out.strip().splitlines()[2:] == ["| 4 | 6.5 |", "| 8 | 10 |"]
+
+
 def test_solve_csv_and_markdown_same_numbers(capsys):
     args = ["solve", "--methods", "a1,a2,a3", "--n", "9..11", "--digits", "14"]
     code_md, out_md, _ = run(capsys, *args, "--format", "md")
@@ -180,6 +190,9 @@ def test_solve_out_file(tmp_path, capsys):
         ("solve", "--select", "largest"),
         ("solve", "--methods", "a1", "--n", "10", "--select", "min-w"),
         ("solve", "--methods", "rr", "--n", "10", "--select", "min-w"),
+        ("solve", "--methods", "a1", "--n", "10", "--state", "-1"),
+        ("solve", "--methods", "a2", "--n", "10", "--state", "-1"),
+        ("solve", "--methods", "rr", "--n", "10", "--state", "-1"),
         ("exact", "--digits", "4"),
         ("exact", "--lambda=1", "--state", "25", "--digits", "6"),
         ("solve", "--methods", "exact", "--lambda=1", "--state", "25", "--n", "4"),

@@ -16,6 +16,7 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import solve_rr
 from boxeig.series import solve_a1
+from boxeig.variational import solve_a2, solve_a3
 
 
 def test_parse_policies():
@@ -68,6 +69,13 @@ def test_pick_index_empty():
 def test_min_w_refused_without_quotient(solve):
     with pytest.raises(ValueError, match="min-w"):
         solve(PotentialSpec.linear(Fraction(1)), 10, selection=RootSelection.parse("min-w"))
+
+
+@pytest.mark.parametrize("solve", [solve_a1, solve_a2, solve_a3, solve_rr])
+def test_negative_state_refused(solve):
+    # A2 used to answer state -1 with its last root, the others with IndexError
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve(PotentialSpec.linear(Fraction(1)), 10, state=-1)
 
 
 def test_default_bracket_free_box():

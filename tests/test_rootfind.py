@@ -1,5 +1,6 @@
 """Certified real-root isolation and refinement."""
 
+import ast
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from boxeig import rootfind
 from boxeig.model import PotentialSpec
-from boxeig.poly import RationalPoly
+from boxeig.poly import RationalPoly, _primitive_ints
 from boxeig.rayleigh_ritz import solve_rr
 from boxeig.rootfind import (
     count_real_roots,
@@ -74,9 +75,9 @@ def fraction_sturm_chain(p):
         chain.append((-r).primitive_part())
 
 
-def test_sturm_sequence_matches_fraction_reference_chain():
+def seeded_polynomials():
+    """400 seeded sparse rational polynomials of degree 0..10, leading sign +/-."""
     rng = random.Random(20261018)
-    sign_matters = 0  # steps with lc(b) < 0 and an even degree gap deg a - deg b
     for _ in range(400):
         degree = rng.randint(0, 10)
         # sparse coefficients make remainders drop more than one degree
@@ -85,15 +86,35 @@ def test_sturm_sequence_matches_fraction_reference_chain():
             for _ in range(degree)
         ]
         coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 8)))
-        p = RationalPoly.from_coeffs(coeffs)
+        yield RationalPoly.from_coeffs(coeffs)
+
+
+def test_sturm_sequence_matches_fraction_reference_chain():
+    sign_matters = 0  # steps with lc(b) < 0 and an even degree gap deg a - deg b
+    for p in seeded_polynomials():
         expected = fraction_sturm_chain(p)
-        assert sturm_sequence(p) == expected, coeffs
+        assert sturm_sequence(p) == [[int(c) for c in q.coeffs] for q in expected], p
         sign_matters += sum(
             1
             for a, b in zip(expected[1:], expected[2:])
             if b.leading < 0 and (a.degree - b.degree) % 2 == 0
         )
     assert sign_matters >= 10
+
+
+def test_sign_at_matches_rational_evaluation():
+    rng = random.Random(20261019)
+    for p in seeded_polynomials():
+        a = _primitive_ints(p)
+        points = [Fraction(0)] + [
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(6)
+        ]
+        for x in points:
+            value = p.eval(x)
+            assert rootfind._sign_at(a, x) == (value > 0) - (value < 0), (p, x)
+        # an exact root, planted as a linear factor
+        r = points[-1]
+        assert rootfind._sign_at(_primitive_ints(p * RationalPoly.from_coeffs([-r, 1])), r) == 0
 
 
 def grid_scan_count(int_coeffs, lo_num, hi_num, denom, grid_points):
@@ -263,6 +284,44 @@ def test_refine_enclosure_is_certified():
     assert lo * lo < 2 < hi * hi
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [(Fraction(1414213562373, 10**12), Fraction(2)), (Fraction(1), Fraction(1414213562374, 10**12))],
+    ids=["left", "right"],
+)
+def test_refine_enclosure_root_nearer_an_end_than_the_grid_step(interval):
+    # width 1/2 puts the grid at 2^-33; sqrt(2) lies within 1e-12 of one end
+    p = RationalPoly.from_coeffs([-2, 0, 1])
+    lo, hi = refine_enclosure(p, interval, Fraction(1, 2))
+    assert interval[0] <= lo < hi <= interval[1] and hi - lo < Fraction(1, 2**33)
+    assert p.eval(lo) < 0 < p.eval(hi)
+
+
+def test_refine_enclosure_finds_a_rational_root_on_its_grid():
+    # (q - 13/2)(q^2 - 2) changes sign on (6, 7) only at 13/2
+    p = poly_from_roots([Fraction(13, 2)]) * RationalPoly.from_coeffs([-2, 0, 1])
+    assert refine_enclosure(p, (6, 7), Fraction(1, 10**12)) == (Fraction(13, 2),) * 2
+
+
+def test_refine_enclosure_on_every_isolating_interval():
+    width = Fraction(1, 10**12)
+    refined = 0
+    for p in seeded_polynomials():
+        if p.degree < 1:
+            continue
+        sf = square_free_part(p)
+        for a, b in isolate_real_roots(sf, (-100, 100)).isolator_intervals:
+            lo, hi = refine_enclosure(sf, (a, b), width)
+            assert a <= lo <= hi <= b and hi - lo <= width, (p, a, b)
+            if lo == hi:
+                assert sf.eval(lo) == 0, (p, lo)
+            else:
+                assert sf.eval(lo) * sf.eval(hi) < 0, (p, lo, hi)
+                assert count_real_roots(sf, lo, hi) == 1, (p, lo, hi)
+            refined += 1
+    assert refined > 400
+
+
 def test_refine_float_result():
     p = RationalPoly.from_coeffs([-2, 0, 1])
     r = refine(p, (Fraction(1), Fraction(2)), tol=Fraction(1, 10**13))
@@ -364,3 +423,19 @@ def test_mpf_to_rational_is_exact():
     assert ctx.mpf(fr.numerator) / fr.denominator == x
     assert mpf_to_rational(ctx.mpf(0)) == 0
     assert mpf_to_rational(ctx.mpf("-2.5")) == Fraction(-5, 2)
+
+
+# ---------------------------------------------------------------------------
+# one exact arithmetic
+
+
+def test_rootfind_imports_no_mpmath():
+    # counting, isolation and refinement stay on exact integers and rationals
+    tree = ast.parse(open(rootfind.__file__, encoding="utf-8").read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert modules and not [m for m in modules if m.split(".")[0] == "mpmath"]
