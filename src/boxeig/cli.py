@@ -42,6 +42,7 @@ from .estimates import (
     METHOD_RR,
     DEFAULT_SELECTION,
     RootSelection,
+    resolve_bracket,
 )
 from .model import PotentialSpec, load_problem, nondimensionalize, require_unit_interval
 from .oracle import RootScanError, exact_box, exact_linear
@@ -102,6 +103,13 @@ class RunConfig:
         unknown = set(self.methods) - set(METHOD_ORDER)
         if unknown:
             raise UsageError(f"unknown methods: {', '.join(sorted(unknown))}")
+        # estimates carry float views of the bracket and of the point found in it
+        lo, hi = resolve_bracket(self.bracket, self.potential, self.state)
+        if max(-lo, hi) > sys.float_info.max:
+            raise UsageError(
+                "the search bracket has an end beyond the float range;"
+                " give a smaller --lambda or --bracket"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,18 @@ class RootSelection:
 DEFAULT_SELECTION = RootSelection()
 
 
+def saturating_float(x: Fraction) -> float:
+    """float(x), or an infinity of x's sign when |x| is beyond the float range.
+
+    Residuals are reported as float views; at large couplings or orders they
+    can exceed the float range while the certified enclosure is still exact.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction, Fraction]:
     """Search bracket (0, (state+2)^2 pi^2 max(1, 1 + bound)) on the energy axis.
 

@@ -27,6 +27,7 @@ from .estimates import (
     EigenEstimate,
     RootSelection,
     resolve_bracket,
+    saturating_float,
     select_root,
 )
 from .model import PotentialSpec
@@ -241,7 +242,7 @@ def solve_secular(
         n=system.n,
         state=state,
         eps=float(mid),
-        residual=float(residual),
+        residual=saturating_float(residual),
         bracket=(float(bracket[0]), float(bracket[1])),
         enclosure=enclosure,
     )

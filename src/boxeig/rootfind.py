@@ -7,9 +7,17 @@ an integer primitive pseudo-remainder sequence, and the one sign primitive
 evaluates an integer polynomial at a rational point n/d by integer Horner
 steps on the homogenised form, so no step pays a gcd.  Sign-variation counts
 (and hence root counts on half-open intervals) carry no rounding error.
-Isolation bisects the requested bracket until each piece holds at most one
-distinct root; it refines nothing, so a solver certifies only the root it
-picks.
+
+Isolation is Descartes bisection (Collins & Akritas 1976; Rouillier &
+Zimmermann 2004) on the integer polynomial q(t) that carries the bracket
+onto (0, 1).  A piece is dropped when the coefficients of (t + 1)^d q(1/(t + 1))
+show no sign variation and kept when they show one; otherwise it is halved by
+integer Taylor shifts, with an exact root at a midpoint recorded as it is met.
+The pieces are the same dyadic subdivisions of the bracket that Sturm
+bisection would visit, and no Sturm chain is built.  Near a multiple root
+the variations never drop below two, so a depth limit stops the search, and
+it is run again, without a limit, on the square-free part p / gcd(p, p').
+Isolation refines nothing, so a solver certifies only the root it picks.
 
 Refinement is plain bisection on a dyadic grid m/2^k, fine enough that
 2^-k is GUARD_BITS bits below the requested width.  Each probe is an exact
@@ -23,6 +31,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .poly import (
@@ -43,6 +52,12 @@ DEFAULT_TOL = Fraction(1, 10**13)
 # an enclosure midpoint is about ten digits more accurate than the width
 # promises; residuals at secular roots (tests/test_rayleigh_ritz.py) rely on it.
 GUARD_BITS = 32
+
+# Descartes bisection of a bracket of width w gives up below pieces of width
+# w / 2^(DESCARTES_DEPTH_BITS + bit length of floor(w)), about 2^-64 of the
+# bracket or of one unit, whichever is smaller; only a multiple root (or two
+# roots closer than that) keeps a piece alive so deep.
+DESCARTES_DEPTH_BITS = 64
 
 Interval = tuple[Fraction, Fraction]
 
@@ -247,44 +262,83 @@ def isolate_real_roots(
     intervals: list[Interval] = []
     if p.degree >= 1:
         a = _primitive_ints(p)
-        chain = _counting_chain(p)
-        if _sign_at(a, lo) == 0:
-            intervals.append((lo, lo))
-        _split(a, chain, lo, hi, sign_variations(chain, lo), sign_variations(chain, hi), intervals)
-    intervals.sort(key=lambda iv: (iv[0], iv[1]))
+        found = _descartes(a, lo, hi, bounded=True)
+        if found is None:
+            found = _descartes(_counting_chain(p)[0], lo, hi, bounded=False)
+        intervals += found
+        intervals += [(x, x) for x in (lo, hi) if _sign_at(a, x) == 0]
+    intervals.sort()
     return RootReport(bracket=(lo, hi), isolator_intervals=tuple(intervals), poly=p, tol=tol)
 
 
-def _split(
-    a: list[int],
-    chain: Sequence[Sequence[int]],
-    lo: Fraction,
-    hi: Fraction,
-    vlo: int,
-    vhi: int,
-    out: list[Interval],
-) -> None:
-    """Recursive bisection until each piece holds at most one distinct root.
+def _taylor_shift1(a: Sequence[int]) -> list[int]:
+    """Coefficients of a(t + 1), ascending powers, by d(d + 1)/2 additions."""
+    b = list(a)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += b[j + 1]
+    return b
 
-    ``a`` is p as a primitive integer list.  A one-root piece whose excluded
-    end lo is itself a root (reported by the piece to its left) is bisected
-    on, so that refinement, which reads a zero at an endpoint as the root,
-    cannot return lo for it.
+
+def _descartes(
+    a: list[int], lo: Fraction, hi: Fraction, bounded: bool
+) -> list[Interval] | None:
+    """Isolating intervals of the distinct roots of a in the open bracket (lo, hi).
+
+    ``a`` is a primitive integer list.  With lo = A/C and hi - lo = B/C,
+    q(t) = C^d a((A + B t) / C) has the roots of a in (lo, hi) in (0, 1).  A
+    piece lo + (hi - lo) [c/2^k, (c + 1)/2^k] is held as (q_k, k, c), q_k an
+    integer polynomial whose roots in (0, 1) are those of a in the piece.
+    The sign variations of (t + 1)^d q_k(1/(t + 1)) bound the number of those
+    roots and share its parity: none drops the piece, and one keeps it when
+    q_k is nonzero at both ends.  A piece with one root and a root at an end
+    is bisected on, so that refinement, which reads a zero at an endpoint as
+    the root, cannot return that end for it.  An exact root at a midpoint is
+    recorded as (m, m).
+
+    When ``bounded``, returns None instead of bisecting a piece at depth
+    DESCARTES_DEPTH_BITS + bit length of floor(hi - lo): a multiple root
+    keeps two or more variations at every depth.
     """
-    count = vlo - vhi  # roots in (lo, hi]
-    if count <= 0:
-        return
-    if count == 1:
-        if _sign_at(a, hi) == 0:
-            out.append((hi, hi))
-            return
-        if _sign_at(a, lo) != 0:
-            out.append((lo, hi))
-            return
-    mid = (lo + hi) / 2
-    vmid = sign_variations(chain, mid)
-    _split(a, chain, lo, mid, vlo, vmid, out)
-    _split(a, chain, mid, hi, vmid, vhi, out)
+    d = len(a) - 1
+    width = hi - lo
+    den = lcm(lo.denominator, width.denominator)
+    shift = lo.numerator * (den // lo.denominator)
+    scale = width.numerator * (den // width.denominator)
+    # homogeneous Horner: q <- q (shift + scale t) + a_i den^(d - i)
+    q = [a[-1]]
+    power = 1
+    for coeff in reversed(a[:-1]):
+        power *= den
+        q = [shift * x + scale * y for x, y in zip(q + [0], [0] + q)]
+        q[0] += coeff * power
+    g = _int_content(q)
+    q = [x // g for x in q]
+
+    max_depth = DESCARTES_DEPTH_BITS + int(width).bit_length()
+    out: list[Interval] = []
+    stack = [(q, 0, 0)]
+    while stack:
+        q, k, c = stack.pop()
+        # coefficients of (t + 1)^d q(1/(t + 1)): its ends are q(1) and q(0)
+        v = _taylor_shift1(q[::-1])
+        signs = [x > 0 for x in v if x]
+        variations = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        if variations == 0:
+            continue
+        if variations == 1 and v[0] and v[-1]:
+            out.append((lo + width * Fraction(c, 1 << k), lo + width * Fraction(c + 1, 1 << k)))
+            continue
+        if bounded and k == max_depth:
+            return None
+        left = [x << (d - i) for i, x in enumerate(q)]  # 2^d q(t/2)
+        right = _taylor_shift1(left)  # 2^d q((t + 1)/2)
+        if right[0] == 0:
+            m = lo + width * Fraction(2 * c + 1, 2 << k)
+            out.append((m, m))
+        stack.append((right, k + 1, 2 * c + 1))
+        stack.append((left, k + 1, 2 * c))
+    return out
 
 
 def mpf_to_rational(x) -> Fraction:

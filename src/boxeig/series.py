@@ -29,6 +29,7 @@ from .estimates import (
     EigenEstimate,
     RootSelection,
     resolve_bracket,
+    saturating_float,
     select_root,
 )
 from .model import PotentialSpec
@@ -154,7 +155,7 @@ def solve_a1(
         n=n,
         state=state,
         eps=float(mid),
-        residual=abs(float(b.eval(mid))),
+        residual=saturating_float(abs(b.eval(mid))),
         bracket=(float(bracket[0]), float(bracket[1])),
         enclosure=enclosure,
     )

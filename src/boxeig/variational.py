@@ -36,6 +36,7 @@ from .estimates import (
     EigenEstimate,
     RootSelection,
     resolve_bracket,
+    saturating_float,
     select_root,
 )
 from .model import PotentialSpec
@@ -153,7 +154,7 @@ def solve_a2(
         n=n,
         state=state,
         eps=float(mid),
-        residual=float(residual),
+        residual=saturating_float(residual),
         bracket=(float(bracket[0]), float(bracket[1])),
         w=float(w_exact),
         enclosure=enclosure,
@@ -186,7 +187,7 @@ def solve_a3(
         n=n,
         state=state,
         eps=float(mid),
-        residual=float(residual),
+        residual=saturating_float(residual),
         bracket=(float(bracket[0]), float(bracket[1])),
         enclosure=enclosure,
     )

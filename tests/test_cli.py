@@ -197,6 +197,11 @@ def test_solve_out_file(tmp_path, capsys):
         ("exact", "--lambda=1", "--state", "25", "--digits", "6"),
         ("solve", "--methods", "exact", "--lambda=1", "--state", "25", "--n", "4"),
         ("convert", "/nonexistent/file.box"),
+        # search brackets with an end beyond the float range
+        ("solve", "--methods", "a2", "--n", "10", "--lambda=1", "--bracket", "0,1e400"),
+        ("solve", "--methods", "a1", "--n", "10", "--lambda=1", "--bracket", "0,1e400"),
+        ("solve", "--methods", "a3", "--n", "10", "--lambda=1", "--bracket=-1e400,1"),
+        ("solve", "--methods", "a2", "--n", "10", "--lambda=1e400"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

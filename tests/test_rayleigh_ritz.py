@@ -307,6 +307,13 @@ def test_residual_is_small_at_roots():
     assert est.residual == float(abs(system.char_poly.eval(est.eps_rational())) / det_s)
 
 
+def test_residual_beyond_the_float_range_saturates():
+    # at lambda = 1e60 the monic determinant at the midpoint exceeds 1e308
+    est = solve_rr(PotentialSpec.linear(10**60), 10)
+    assert est.residual == math.inf
+    assert 0 < est.eps < 10**61 and est.enclosure[0] <= est.eps_rational() <= est.enclosure[1]
+
+
 def test_state_out_of_range():
     system = build_secular(V0, 4)
     with pytest.raises(ValueError):

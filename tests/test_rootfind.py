@@ -22,7 +22,7 @@ from boxeig.rootfind import (
     square_free_part,
 )
 from boxeig.series import solve_a1
-from boxeig.variational import solve_a3
+from boxeig.variational import solve_a2, solve_a3
 
 
 def poly_from_roots(roots, var="q"):
@@ -225,6 +225,51 @@ def test_isolation_endpoint_root_right():
     assert len(report.isolator_intervals) == 1
 
 
+def test_isolation_agrees_with_sturm_counts():
+    # every seeded polynomial, and it times (x - r)^2 and times (x - r)^3;
+    # r with denominator 1, 2, 4 or 8 lies on the bisection grid of (-20, 20)
+    rng = random.Random(20261020)
+    lo, hi = Fraction(-20), Fraction(20)
+    exact_roots = 0
+    for base in seeded_polynomials():
+        r = Fraction(rng.randint(-150, 150), rng.choice((1, 2, 3, 4, 7, 8)))
+        polys = [base * poly_from_roots([r] * m) for m in (2, 3)]
+        if base.degree >= 1:
+            polys.append(base)
+        for p in polys:
+            intervals = isolate_real_roots(p, (lo, hi)).isolator_intervals
+            assert len(intervals) == count_real_roots(p, lo, hi) + (p.eval(lo) == 0), p
+            ends = [x for iv in intervals for x in iv]
+            assert ends == sorted(ends) and all(lo <= x <= hi for x in ends), p
+            for a, b in intervals:
+                if a == b:
+                    assert p.eval(a) == 0, (p, a)
+                    exact_roots += 1
+                else:
+                    assert p.eval(a) != 0 and p.eval(b) != 0, (p, a, b)
+                    assert count_real_roots(p, a, b) == 1, (p, a, b)
+    assert exact_roots > 100
+
+
+@pytest.mark.parametrize(
+    "roots, multiplicities, chains",
+    [([1, 1, 2], [2, 1], 1), ([1, 2, Fraction(7, 3)], [1, 1, 1], 0)],
+    ids=["double-root", "square-free"],
+)
+def test_isolation_on_a_bracket_wider_than_the_float_range(
+    sturm_calls, roots, multiplicities, chains
+):
+    # separating 1 from 2 in (0, 10^400) takes about 1330 bisections; the
+    # double root keeps two sign variations down to the depth limit, and the
+    # fallback takes the square-free part from one Sturm chain
+    report = isolate_real_roots(poly_from_roots(roots), (0, 10**400))
+    assert len(report.isolator_intervals) == len(multiplicities)
+    assert sturm_calls == {"sturm_sequence": chains}
+    assert [m for _, m in report.roots] == multiplicities
+    for (value, _), root in zip(report.roots, sorted(set(roots))):
+        assert abs(value - root) < 1e-12
+
+
 def test_isolation_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         isolate_real_roots(RationalPoly.zero(), (Fraction(0), Fraction(1)))
@@ -362,10 +407,9 @@ def test_rational_root_detected_exactly():
 # work done per solve: isolate once, certify only the chosen root
 
 
-@pytest.fixture
-def call_counts(monkeypatch):
-    """Count calls of refine_enclosure and poly_gcd made through the module."""
-    counts = {"refine_enclosure": 0, "poly_gcd": 0}
+def _count_calls(monkeypatch, names):
+    """Count calls of the named functions made through the module."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         original = getattr(rootfind, name)
 
@@ -375,6 +419,18 @@ def call_counts(monkeypatch):
 
         monkeypatch.setattr(rootfind, name, counted)
     return counts
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of refine_enclosure and poly_gcd made through the module."""
+    return _count_calls(monkeypatch, ("refine_enclosure", "poly_gcd"))
+
+
+@pytest.fixture
+def sturm_calls(monkeypatch):
+    """Count Sturm chain builds made through the module."""
+    return _count_calls(monkeypatch, ("sturm_sequence",))
 
 
 def test_isolation_refines_nothing_until_roots_is_read(call_counts):
@@ -405,6 +461,30 @@ def test_index_policy_solve_refines_one_root(call_counts, solve):
     est = solve()
     assert est is not None
     assert call_counts == {"refine_enclosure": 1, "poly_gcd": 0}
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_a2(PotentialSpec.linear(1), 20),
+        lambda: solve_a2(PotentialSpec.linear(1), 30),
+        lambda: solve_a1(PotentialSpec.linear(1), 12),
+        lambda: solve_a3(PotentialSpec.linear(1), 10),
+        lambda: solve_rr(PotentialSpec.linear(1), 6),
+    ],
+    ids=["a2-n20", "a2-n30", "a1", "a3", "rr"],
+)
+def test_solver_isolation_builds_no_sturm_chain(sturm_calls, solve):
+    assert solve() is not None
+    assert sturm_calls == {"sturm_sequence": 0}
+
+
+def test_a_multiple_root_builds_one_sturm_chain(sturm_calls):
+    # Descartes bisection cannot separate a double root from itself; the
+    # square-free part comes from the one chain
+    report = isolate_real_roots(poly_from_roots([1, 1, 2]), (0, 10))
+    assert len(report.isolator_intervals) == 2
+    assert sturm_calls == {"sturm_sequence": 1}
 
 
 # ---------------------------------------------------------------------------
