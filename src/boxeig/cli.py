@@ -58,6 +58,14 @@ DEFAULT_DIGITS = 10
 WORKING_DIGITS = 25
 
 METHOD_ORDER = (METHOD_A1, METHOD_A2, METHOD_A3, METHOD_RR, METHOD_EXACT)
+#: The output columns each method fills, in order; A2 reports W after eps.
+METHOD_COLUMNS = {
+    METHOD_A1: ("eps(A1)",),
+    METHOD_A2: ("eps(A2)", "W(A2)"),
+    METHOD_A3: ("eps(A3)",),
+    METHOD_RR: ("eps(RR)",),
+    METHOD_EXACT: ("eps(exact)",),
+}
 FORMATS = ("md", "csv", "json")
 
 # Rows always run sequentially; the flag is still accepted so that existing
@@ -151,6 +159,15 @@ def parse_bracket_flag(text: str) -> tuple[Rational, Rational]:
     if not lo < hi:
         raise UsageError(f"--bracket needs lo < hi, got {text!r}")
     return lo, hi
+
+
+def parse_select_flag(text: str) -> RootSelection:
+    try:
+        return RootSelection.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(
+            f"--select expects default|smallest|nearest:<x>|min-w, got {text!r}: {exc}"
+        ) from None
 
 
 def parse_methods_flag(text: str) -> tuple[str, ...]:
@@ -250,19 +267,7 @@ def emit(text: str, out_path: str | None) -> None:
 
 
 def method_columns(methods: tuple[str, ...]) -> list[str]:
-    columns = []
-    for method in methods:
-        if method == METHOD_A1:
-            columns.append("eps(A1)")
-        elif method == METHOD_A2:
-            columns.extend(["eps(A2)", "W(A2)"])
-        elif method == METHOD_A3:
-            columns.append("eps(A3)")
-        elif method == METHOD_RR:
-            columns.append("eps(RR)")
-        elif method == METHOD_EXACT:
-            columns.append("eps(exact)")
-    return columns
+    return [column for method in methods for column in METHOD_COLUMNS[method]]
 
 
 def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rational:
@@ -281,23 +286,16 @@ def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rati
 def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
     """All requested numbers for one truncation order N."""
     tol = Fraction(1, 10 ** max(WORKING_DIGITS + 1, cfg.digits + 3))
+    # read per call, so that a wrapper bound over a solver's module name sees it
+    solvers = {METHOD_A1: solve_a1, METHOD_A2: solve_a2, METHOD_A3: solve_a3, METHOD_RR: solve_rr}
     cells: dict[str, Rational | None] = {}
     for method in cfg.methods:
-        if method == METHOD_A1:
-            est = solve_a1(cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
-            cells["eps(A1)"] = None if est is None else est.eps_rational()
-        elif method == METHOD_A2:
-            est = solve_a2(cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
-            cells["eps(A2)"] = None if est is None else est.eps_rational()
-            cells["W(A2)"] = None if est is None else est.w_exact
-        elif method == METHOD_A3:
-            est = solve_a3(cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
-            cells["eps(A3)"] = None if est is None else est.eps_rational()
-        elif method == METHOD_RR:
-            est = solve_rr(cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
-            cells["eps(RR)"] = None if est is None else est.eps_rational()
-        elif method == METHOD_EXACT:
-            cells["eps(exact)"] = _exact_eigenvalue(cfg.potential, cfg.state, cfg.digits)
+        if method == METHOD_EXACT:
+            values = (_exact_eigenvalue(cfg.potential, cfg.state, cfg.digits),)
+        else:
+            est = solvers[method](cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
+            values = (None, None) if est is None else (est.eps_rational(), est.w_exact)
+        cells.update(zip(METHOD_COLUMNS[method], values))
     return cells
 
 
@@ -319,7 +317,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         bracket=parse_bracket_flag(args.bracket) if args.bracket else None,
         digits=args.digits,
         format=args.format,
-        selection=RootSelection.parse(args.select),
+        selection=parse_select_flag(args.select),
     )
     columns = method_columns(cfg.methods)
     rows_raw = compute_rows(cfg)
@@ -350,25 +348,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # table
 
 
+def table_values(table: goldens.GoldenTable) -> list[list[Rational | None]]:
+    """Every cell of a golden table, row per N, from one ``compute_rows`` per coupling."""
+    rows = {}
+    for lam in dict.fromkeys(column.lam for column in table.columns):
+        methods = {column.method for column in table.columns if column.lam == lam}
+        ordered = tuple(m for m in METHOD_ORDER if m in methods)
+        rows[lam] = compute_rows(RunConfig(ordered, PotentialSpec.linear(lam), table.n_values))
+    return [[rows[c.lam][i][c.key] for c in table.columns] for i in range(len(table.n_values))]
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     table = goldens.TABLES.get(args.id)
     if table is None:
         raise UsageError(f"no golden table {args.id}; choose from 1..4")
 
-    def row_cells(n: int) -> list[Rational | None]:
-        values: list[Rational | None] = []
-        for column in table.columns:
-            cfg = RunConfig(
-                methods=(column.method,),
-                potential=PotentialSpec.linear(column.lam),
-                n_values=(n,),
-            )
-            cells = compute_cells(cfg, n)
-            key = "W(A2)" if column.quantity == "w" else f"eps({column.method})"
-            values.append(cells[key])
-        return values
-
-    computed = [row_cells(n) for n in table.n_values]
+    computed = table_values(table)
 
     headers = ["N", "column", "golden", "computed", "status"]
     rows = []
@@ -409,8 +404,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if not DIGITS_MIN <= args.digits <= DIGITS_MAX:
         raise UsageError(f"--digits {args.digits} outside [{DIGITS_MIN}, {DIGITS_MAX}]")
     lam = parse_rational_flag(args.lam, "--lambda")
-    potential = PotentialSpec.linear(lam)
-    value = _exact_eigenvalue(potential, args.state, args.digits)
+    if abs(lam) > sys.float_info.max:
+        raise UsageError(f"--lambda {args.lam} is beyond the float range")
+    value = _exact_eigenvalue(PotentialSpec.linear(lam), args.state, args.digits)
     print(format_significant(value, args.digits))
     return 0
 

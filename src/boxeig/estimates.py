@@ -9,7 +9,7 @@ from typing import Callable
 
 from . import rootfind
 from .model import KIND_LINEAR, KIND_ZERO, PotentialSpec
-from .poly import RationalPoly, as_rational
+from .poly import RationalPoly, as_rational, exact_rational
 
 METHOD_A1 = "A1"
 METHOD_A2 = "A2"
@@ -164,4 +164,4 @@ def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Frac
     """The given search bracket as exact rationals, or the default one."""
     if bracket is None:
         return default_bracket(potential, state)
-    return (rootfind._exactify(bracket[0]), rootfind._exactify(bracket[1]))
+    return (exact_rational(bracket[0]), exact_rational(bracket[1]))

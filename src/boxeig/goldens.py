@@ -48,6 +48,11 @@ class GoldenColumn:
         if self.quantity == "w" and self.method != METHOD_A2:
             raise ValueError("w columns only apply to the stationary-quotient method")
 
+    @property
+    def key(self) -> str:
+        """The ``solve`` output column this golden column reads."""
+        return "W(A2)" if self.quantity == "w" else f"eps({self.method})"
+
 
 @dataclass(frozen=True)
 class GoldenTable:

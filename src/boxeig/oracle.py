@@ -31,7 +31,7 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 
 from .model import PotentialSpec
-from .poly import RationalPoly, as_rational
+from .poly import RationalPoly, exact_rational
 
 AIRY_Z_MAX = 30.0
 DEFAULT_DIGITS = 30
@@ -55,6 +55,10 @@ GAMMA_TWO_THIRDS = (
     "607191148114322833434155915620917505682592366523385211910858011502"
 )
 _FROZEN_DIGITS = 200
+
+# a_1, the first zero of Ai, truncated toward zero at 40 digits so that
+# |a_1| lam^(2/3) stays a lower bound; the test suite checks it against mpmath.
+AIRY_AI_FIRST_ZERO = "-2.338107410459767038489197252446735440638"
 
 
 class RootScanError(RuntimeError):
@@ -187,14 +191,17 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     are located by scanning G from eps = 0 in steps of pi^2/4, then refined
     by Anderson-Bjorck regula falsi and certified by a sign change across a
     window of width 10^-(digits+4); bisection finishes the job when that
-    certificate fails (see :func:`_scan_and_refine`).
+    certificate fails (see :func:`_scan_and_refine`).  A state whose lower
+    bound (the box bound, or for lam > 0 the half-line bound |a_1| lam^(2/3))
+    lies past the scan's end is refused with :class:`RootScanError` before
+    any evaluation.
 
     When the scan would push |z| beyond the Airy evaluator's validated range
     (small |lam|), the determinant condition is replaced by the equivalent
     wall condition phi(1; eps) = 0 evaluated with the extended-precision
     Taylor integrator, which has no such range limit.
     """
-    lam = _exact_number(lam)
+    lam = exact_rational(lam)
     if lam == 0:
         raise ValueError("lam must be nonzero; use exact_box for the empty box")
     if state < 0:
@@ -206,6 +213,11 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     # eps_k >= min v + (k+1)^2 pi^2, so a state whose bound lies past the
     # scan's end can never be bracketed.
     bound = _to_mpf(ctx, min(lam, 0)) + (state + 1) ** 2 * ctx.pi**2
+    if lam > 0:
+        # Dirichlet eigenvalues on [0, 1] lie above those of lam*q on the
+        # half-line [0, oo) (min-max), which are |a_(k+1)| lam^(2/3).
+        half_line = -ctx.mpf(AIRY_AI_FIRST_ZERO) * ctx.cbrt(_to_mpf(ctx, lam)) ** 2
+        bound = max(bound, half_line)
     scan_end = _SCAN_LIMIT * ctx.pi**2 / 4
     if bound > scan_end:
         raise RootScanError(
@@ -232,12 +244,6 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     if result is not None:
         return result
     return _linear_by_ode(lam, state, digits)
-
-
-def _exact_number(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)
-    return as_rational(x)
 
 
 def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):

@@ -34,6 +34,13 @@ def as_rational(x: ScalarLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def exact_rational(x: ScalarLike | float) -> Fraction:
+    """:func:`as_rational` that also takes a float, at its exact binary value."""
+    if isinstance(x, float):
+        return Fraction(x)
+    return as_rational(x)
+
+
 def format_rational(x: Fraction) -> str:
     """Render ``p/q``, or just ``p`` when the denominator is 1."""
     x = as_rational(x)

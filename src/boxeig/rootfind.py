@@ -41,7 +41,7 @@ from .poly import (
     _int_divexact,
     _int_prem,
     _primitive_ints,
-    as_rational,
+    exact_rational,
 )
 
 logger = logging.getLogger(__name__)
@@ -160,7 +160,7 @@ def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
 
 def count_real_roots(p: RationalPoly, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
-    lo, hi = as_rational(_exactify(lo)), as_rational(_exactify(hi))
+    lo, hi = exact_rational(lo), exact_rational(hi)
     if lo >= hi:
         raise ValueError("empty interval")
     chain = _counting_chain(p)
@@ -231,13 +231,6 @@ def square_free_part(p: RationalPoly) -> RationalPoly:
     return p.divexact(g).primitive_part()
 
 
-def _exactify(x) -> Fraction:
-    """Exact rational image of an int/Fraction/float/str bound."""
-    if isinstance(x, float):
-        return Fraction(x)
-    return as_rational(x)
-
-
 def isolate_real_roots(
     p: RationalPoly,
     bracket: tuple,
@@ -252,10 +245,10 @@ def isolate_real_roots(
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    lo, hi = _exactify(bracket[0]), _exactify(bracket[1])
+    lo, hi = exact_rational(bracket[0]), exact_rational(bracket[1])
     if lo >= hi:
         raise ValueError("bracket must satisfy lo < hi")
-    tol = _exactify(tol)
+    tol = exact_rational(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 
@@ -363,8 +356,8 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     verified opposite signs of p, or coincide at an exact root found on the
     bisection grid.
     """
-    lo, hi = _exactify(interval[0]), _exactify(interval[1])
-    width = _exactify(width)
+    lo, hi = exact_rational(interval[0]), exact_rational(interval[1])
+    width = exact_rational(width)
     if width <= 0:
         raise ValueError("enclosure width must be positive")
     a = _primitive_ints(p)
@@ -430,8 +423,8 @@ def refine(p: RationalPoly, interval: tuple, tol=DEFAULT_TOL) -> float:
 
     The midpoint of :func:`certified_root`'s enclosure of width 2*tol.
     """
-    tol = _exactify(tol)
+    tol = exact_rational(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    a, b = certified_root(p, (_exactify(interval[0]), _exactify(interval[1])), 2 * tol)
+    a, b = certified_root(p, (exact_rational(interval[0]), exact_rational(interval[1])), 2 * tol)
     return float((a + b) / 2)

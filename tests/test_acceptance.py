@@ -14,7 +14,7 @@ import mpmath
 import conftest
 
 from boxeig import goldens
-from boxeig.cli import RunConfig, compute_cells
+from boxeig.cli import table_values
 from boxeig.model import PotentialSpec
 from boxeig.oracle import exact_box, exact_linear, shoot_root
 from boxeig.poly import RationalPoly
@@ -40,28 +40,14 @@ def reproduce_table(table_id: int):
     """Recompute every cell of a stored golden table; return the tally."""
     table = goldens.TABLES[table_id]
     start = time.perf_counter()
+    computed = table_values(table)
     matched, no_root, mismatches = 0, 0, []
     for i, n in enumerate(table.n_values):
-        by_lam: dict = {}
-        for j, col in enumerate(table.columns):
-            by_lam.setdefault(col.lam, []).append((j, col))
-        values_by_col = {}
-        for lam, cols in by_lam.items():
-            methods = tuple(dict.fromkeys(col.method for _, col in cols))
-            cfg = RunConfig(
-                methods=methods,
-                potential=PotentialSpec.linear(lam),
-                n_values=(n,),
-            )
-            cells = compute_cells(cfg, n)
-            for j, col in cols:
-                key = "W(A2)" if col.quantity == "w" else f"eps({col.method})"
-                values_by_col[j] = cells[key]
         for j, col in enumerate(table.columns):
             golden = table.cells[i][j]
             if golden == goldens.NO_ROOT:
                 no_root += 1
-            if goldens.cell_matches(golden, values_by_col[j]):
+            if goldens.cell_matches(golden, computed[i][j]):
                 matched += 1
             else:
                 mismatches.append(f"N={n} {col.label}")

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from boxeig import cli, goldens
+from boxeig import cli, goldens, rootfind
 from boxeig.cli import main
 
 RAMP_PROBLEM = """\
@@ -202,12 +202,35 @@ def test_solve_out_file(tmp_path, capsys):
         ("solve", "--methods", "a1", "--n", "10", "--lambda=1", "--bracket", "0,1e400"),
         ("solve", "--methods", "a3", "--n", "10", "--lambda=1", "--bracket=-1e400,1"),
         ("solve", "--methods", "a2", "--n", "10", "--lambda=1e400"),
+        ("solve", "--n", "5", "--select", "nearest:1/0"),
+        ("solve", "--n", "5", "--select", "nearest:abc"),
+        # past the half-line bound, or beyond the float range
+        ("exact", "--lambda=30000"),
+        ("exact", "--lambda=1e300"),
+        ("exact", "--lambda=1e400"),
+        ("exact", "--lambda=-1e400"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("solve", "--n", "5", "--select", "nearest:1/0"), "--select"),
+        (("solve", "--n", "5", "--select", "nearest:abc"), "--select"),
+        (("exact", "--lambda=1e400"), "--lambda"),
+        (("exact", "--lambda=-1e400"), "--lambda"),
+    ],
+)
+def test_flag_errors_name_the_flag(capsys, argv, flag):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("boxeig: error: ")
+    assert flag in err
 
 
 def test_argparse_failures_exit_one():
@@ -246,6 +269,42 @@ def test_table_four_all_cells_match(capsys):
     assert code == 0
     assert "table 4: 6/6 cells match" in out
     assert "FAIL" not in out
+
+
+def test_table_one_all_cells_match(capsys):
+    code, out, _ = run(capsys, "table", "1")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "table 1: 40/40 cells match"
+    rows = {
+        (cells[0], cells[1]): cells[2:]
+        for cells in (
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in out.splitlines()
+            if line.startswith("| ")
+        )
+    }
+    w_rows = [key for key in rows if key[1] == "W(A2)"]
+    assert [n for n, _ in w_rows] == [str(n) for n in range(4, 14)]
+    assert all(rows[key][2] == "ok" for key in w_rows)
+    assert rows[("13", "W(A2)")] == ["9.869604401", "9.869604401", "ok"]
+    # the boundary polynomial has no root in the bracket at N=5 and N=6
+    for n in ("5", "6"):
+        assert rows[(n, "eps(A1)")] == [goldens.NO_ROOT, goldens.NO_ROOT, "ok"]
+
+
+@pytest.mark.parametrize("table_id, isolations", [(1, 30), (2, 30), (3, 14), (4, 6)])
+def test_table_solves_each_row_once_per_coupling(capsys, monkeypatch, table_id, isolations):
+    # one isolation per (coupling, N, method): A2's eps and W columns share it
+    calls = []
+    original = rootfind.isolate_real_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rootfind, "isolate_real_roots", counted)
+    assert run(capsys, "table", str(table_id))[0] == 0
+    assert len(calls) == isolations
 
 
 def test_table_unknown_id(capsys):

@@ -12,6 +12,7 @@ from boxeig.cli import _exact_eigenvalue, format_significant
 from boxeig.goldens import BENCHMARK_EPS_FREE, BENCHMARK_EPS_RAMP
 from boxeig.model import PotentialSpec
 from boxeig.oracle import (
+    AIRY_AI_FIRST_ZERO,
     AIRY_Z_MAX,
     GAMMA_ONE_THIRD,
     GAMMA_TWO_THIRDS,
@@ -201,6 +202,35 @@ def test_exact_linear_refuses_unreachable_state_before_evaluating(monkeypatch):
         exact_linear(1, state=25, digits=6)
     with pytest.raises(RootScanError, match="out of reach"):
         exact_linear(-30, state=25, digits=6)
+
+
+def test_frozen_airy_zero_is_a_40_digit_truncation():
+    with mpmath.workdps(60):
+        frozen = mpmath.mpf(AIRY_AI_FIRST_ZERO)
+        exact = mpmath.airyaizero(1)
+        # truncated toward zero: |frozen| <= |a_1| < |frozen| + 10^-39
+        assert exact <= frozen < exact + mpmath.mpf(10) ** -39
+
+
+def test_exact_linear_refuses_past_the_half_line_bound(monkeypatch):
+    # |a_1| lam^(2/3) passes the scan's end 50 pi^2 for every lam > 3066.25
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigencondition was evaluated")
+
+    monkeypatch.setattr(oracle, "airy", forbidden)
+    monkeypatch.setattr(oracle, "series_integrate", forbidden)
+    for lam in (Fraction(30663, 10), 30000, Fraction(10**300), Fraction(10**400)):
+        with pytest.raises(RootScanError, match="out of reach"):
+            exact_linear(lam, 0, digits=20)
+
+
+def test_half_line_bound_keeps_lambda_3000():
+    # the bound 486.3459401055139803926075895 sits just below the eigenvalue
+    value = _exact_eigenvalue(PotentialSpec.linear(Fraction(3000)), 0, 30)
+    assert format_significant(value, 30) == "486.345940105513980392607621154"
+    with mpmath.workdps(40):
+        bound = -mpmath.mpf(AIRY_AI_FIRST_ZERO) * mpmath.cbrt(3000) ** 2
+        assert bound < as_mp(value, 40)
 
 
 @pytest.mark.parametrize(

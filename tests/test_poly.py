@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxeig.poly import RationalPoly, as_rational, format_rational
+from boxeig.poly import RationalPoly, as_rational, exact_rational, format_rational
 
 rationals = st.builds(
     Fraction,
@@ -214,6 +214,16 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 2)) == "-7/2"
     assert as_rational("5/3") == Fraction(5, 3)
+
+
+def test_exact_rational_takes_floats_at_their_binary_value():
+    assert exact_rational(0.1) == Fraction(3602879701896397, 36028797018963968)
+    assert exact_rational("0.1") == Fraction(1, 10)
+    assert exact_rational(3) == Fraction(3)
+    with pytest.raises(TypeError):
+        as_rational(0.1)
+    with pytest.raises(TypeError):
+        exact_rational(None)
 
 
 def test_str_smoke():
