@@ -51,7 +51,6 @@ from .rayleigh_ritz import (
     solve_secular,
 )
 from .rootfind import (
-    RootReport,
     count_real_roots,
     isolate_real_roots,
     refine,
@@ -93,7 +92,6 @@ __all__ = [
     "Rational",
     "RationalPoly",
     "RayleighQuotient",
-    "RootReport",
     "RootScanError",
     "RootSelection",
     "SecularSystem",

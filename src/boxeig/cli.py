@@ -49,7 +49,7 @@ from .oracle import RootScanError, exact_box, exact_linear
 from .poly import Rational, format_rational
 from .rayleigh_ritz import solve_rr
 from .rootfind import mpf_to_rational
-from .series import solve_a1
+from .series import TRIAL_MIN_ORDER, solve_a1
 from .variational import solve_a2, solve_a3
 
 N_MIN, N_MAX = 3, 64
@@ -101,7 +101,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         for n in self.n_values:
             if not N_MIN <= n <= N_MAX:
-                raise UsageError(f"N={n} outside [{N_MIN}, {N_MAX}]")
+                raise UsageError(f"--n {n} outside [{N_MIN}, {N_MAX}]")
         if self.state < 0:
             raise UsageError(f"--state must be nonnegative, got {self.state}")
         if not DIGITS_MIN <= self.digits <= DIGITS_MAX:
@@ -111,6 +111,12 @@ class RunConfig:
         unknown = set(self.methods) - set(METHOD_ORDER)
         if unknown:
             raise UsageError(f"unknown methods: {', '.join(sorted(unknown))}")
+        trial = [m for m in (METHOD_A2, METHOD_A3) if m in self.methods]
+        if trial and min(self.n_values) < TRIAL_MIN_ORDER:
+            raise UsageError(
+                f"--n {min(self.n_values)} is below {TRIAL_MIN_ORDER},"
+                f" the lowest order for {' and '.join(trial)}"
+            )
         # estimates carry float views of the bracket and of the point found in it
         lo, hi = resolve_bracket(self.bracket, self.potential, self.state)
         if max(-lo, hi) > sys.float_info.max:
@@ -403,6 +409,8 @@ def _decimals_of(golden: str) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     if not DIGITS_MIN <= args.digits <= DIGITS_MAX:
         raise UsageError(f"--digits {args.digits} outside [{DIGITS_MIN}, {DIGITS_MAX}]")
+    if args.state < 0:
+        raise UsageError(f"--state must be nonnegative, got {args.state}")
     lam = parse_rational_flag(args.lam, "--lambda")
     if abs(lam) > sys.float_info.max:
         raise UsageError(f"--lambda {args.lam} is beyond the float range")

@@ -71,15 +71,6 @@ class RootSelection:
             return cls("nearest", as_rational(text.split(":", 1)[1]))
         return cls(text)
 
-    def pick_index(self, values: list[Fraction], state: int) -> int:
-        """Index into ascending candidate values under this policy."""
-        if not values:
-            raise ValueError("no candidates to select from")
-        if self.policy == "nearest":
-            return min(range(len(values)), key=lambda i: abs(values[i] - self.target))
-        # smallest / default: the (state+1)-th smallest
-        return state
-
 
 DEFAULT_SELECTION = RootSelection()
 
@@ -142,7 +133,7 @@ def select_root(
         raise ValueError("'min-w' selection ranks by quotient value, which only A2 and A3 have")
     if p.degree < 1:
         return None
-    intervals = rootfind.isolate_real_roots(p, bracket).isolator_intervals
+    intervals = rootfind.isolate_real_roots(p, bracket)
     if rank is None and selection.policy != "nearest":
         if state >= len(intervals):
             return None
@@ -152,7 +143,7 @@ def select_root(
     candidates = [rootfind.certified_root(p, iv, COARSE_WIDTH) for iv in intervals]
     mids = [(a + b) / 2 for a, b in candidates]
     if rank is None:
-        idx = selection.pick_index(mids, state)
+        idx = min(range(len(mids)), key=lambda i: abs(mids[i] - selection.target))
     else:
         if state >= len(mids):
             return None

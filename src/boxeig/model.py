@@ -30,33 +30,36 @@ KIND_GENERAL = "general"
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Dimensionless potential v(q) with a convenience classification."""
+    """Dimensionless potential v(q); its kind and slope are read off v."""
 
     v: RationalPoly
-    kind: str
-    lam: Fraction | None = None  # slope when kind == "linear"
+
+    @property
+    def kind(self) -> str:
+        """``zero``, ``linear`` for a pure ramp lam * q, else ``general``."""
+        if self.v.is_zero:
+            return KIND_ZERO
+        if self.v.degree == 1 and self.v.coeff(0) == 0:
+            return KIND_LINEAR
+        return KIND_GENERAL
+
+    @property
+    def lam(self) -> Fraction | None:
+        """The slope when kind == "linear", else None."""
+        return self.v.coeff(1) if self.kind == KIND_LINEAR else None
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls(RationalPoly.zero("q"), KIND_ZERO)
+        return cls(RationalPoly.zero("q"))
 
     @classmethod
     def linear(cls, lam: ScalarLike) -> "PotentialSpec":
         """The ramp v(q) = lam * q; lam = 0 degenerates to the zero kind."""
-        lam = as_rational(lam)
-        if lam == 0:
-            return cls.zero()
-        return cls(RationalPoly.from_coeffs([0, lam], "q"), KIND_LINEAR, lam)
+        return cls(RationalPoly.from_coeffs([0, as_rational(lam)], "q"))
 
     @classmethod
     def general(cls, v: RationalPoly) -> "PotentialSpec":
-        if v.var != "q":
-            v = v.with_var("q")
-        if v.is_zero:
-            return cls.zero()
-        if v.degree == 1 and v.coeff(0) == 0:
-            return cls(v, KIND_LINEAR, v.coeff(1))
-        return cls(v, KIND_GENERAL)
+        return cls(v if v.var == "q" else v.with_var("q"))
 
     def describe(self) -> str:
         if self.kind == KIND_ZERO:

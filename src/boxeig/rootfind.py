@@ -17,7 +17,10 @@ The pieces are the same dyadic subdivisions of the bracket that Sturm
 bisection would visit, and no Sturm chain is built.  Near a multiple root
 the variations never drop below two, so a depth limit stops the search, and
 it is run again, without a limit, on the square-free part p / gcd(p, p').
-Isolation refines nothing, so a solver certifies only the root it picks.
+That part has one source: the Sturm chain of p, whose last member is
+gcd(p, p'), divided through by that member.  Isolation returns the isolating
+intervals of the distinct roots and nothing more (no multiplicities), and it
+refines nothing, so a solver certifies only the root it picks.
 
 Refinement is plain bisection on a dyadic grid m/2^k, fine enough that
 2^-k is GUARD_BITS bits below the requested width.  Each probe is an exact
@@ -28,9 +31,7 @@ enclosure, and an exact root on the grid is found exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -60,34 +61,6 @@ GUARD_BITS = 32
 DESCARTES_DEPTH_BITS = 64
 
 Interval = tuple[Fraction, Fraction]
-
-
-@dataclass(frozen=True)
-class RootReport:
-    """Isolating intervals of the distinct real roots in a bracket.
-
-    ``roots`` refines every root to within ``refined_to`` and attaches its
-    multiplicity; that work is done only when ``roots`` is first read.
-    """
-
-    bracket: Interval
-    isolator_intervals: tuple[Interval, ...]
-    poly: RationalPoly = field(repr=False, compare=False)
-    tol: Fraction = field(repr=False, compare=False)
-
-    @property
-    def refined_to(self) -> float:
-        return float(self.tol)
-
-    @cached_property
-    def roots(self) -> tuple[tuple[float, int], ...]:
-        """(value, multiplicity) per isolating interval, ascending."""
-        mults = _multiplicities(self.poly, self.isolator_intervals)
-        out = []
-        for (a, b), m in zip(self.isolator_intervals, mults):
-            lo, hi = certified_root(self.poly, (a, b), 2 * self.tol)
-            out.append((float((lo + hi) / 2), m))
-        return tuple(out)
 
 
 def _sign_at(a: Sequence[int], x: Fraction) -> int:
@@ -167,90 +140,27 @@ def count_real_roots(p: RationalPoly, lo, hi) -> int:
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic-free gcd (primitive, positive leading coefficient)."""
-    if a.is_zero:
-        return b.primitive_part()
-    x, y = _primitive_ints(a), _primitive_ints(b)
-    if len(x) < len(y):
-        x, y = y, x
-    g = _remainder_sequence(x, y)[-1]
-    return _from_ints(g if g[-1] > 0 else [-c for c in g], a.var)
-
-
-def square_free_decomposition(p: RationalPoly) -> list[RationalPoly]:
-    """Yun's algorithm: [a_1, a_2, ...] with p = c * a_1 * a_2^2 * a_3^3 ...
-
-    The a_m are square-free and pairwise coprime; a_m is constant when p has
-    no root of multiplicity exactly m.  A square-free p costs one gcd.
-    """
-    if p.degree < 1:
-        return []
-    d = p.differentiate()
-    g = poly_gcd(p, d)
-    b = p.divexact(g)
-    c = d.divexact(g) - b.differentiate()
-    factors = []
-    while b.degree >= 1:
-        a = poly_gcd(b, c)
-        b = b.divexact(a)
-        c = c.divexact(a) - b.differentiate()
-        factors.append(a)
-    return factors
-
-
-def _multiplicities(p: RationalPoly, intervals: Sequence[Interval]) -> list[int]:
-    """Multiplicity of the root in each isolating interval of p.
-
-    One square-free decomposition serves every root: the root in (a, b] has
-    multiplicity m when the factor a_m has a root there.
-    """
-    factors = [
-        (m, f) for m, f in enumerate(square_free_decomposition(p), 1) if f.degree >= 1
-    ]
-    if len(factors) == 1:
-        return [factors[0][0]] * len(intervals)
-    chains = {m: sturm_sequence(f) for m, f in factors}
-
-    def holds_root(m: int, a: Fraction, b: Fraction) -> bool:
-        if a == b:
-            return _sign_at(chains[m][0], a) == 0
-        return sign_variations(chains[m], a) > sign_variations(chains[m], b)
-
-    return [next(m for m, _ in factors if holds_root(m, a, b)) for a, b in intervals]
-
-
 def square_free_part(p: RationalPoly) -> RationalPoly:
-    """p with repeated factors collapsed to multiplicity one."""
-    d = p.differentiate()
-    if d.is_zero:
-        return p.primitive_part()
-    g = poly_gcd(p, d)
-    if g.degree <= 0:
-        return p.primitive_part()
-    return p.divexact(g).primitive_part()
+    """p with repeated factors collapsed to multiplicity one.
+
+    The first member of the counting chain, p / gcd(p, p') as a primitive
+    integer polynomial; its sign may differ from that of p.
+    """
+    return _from_ints(_counting_chain(p)[0], p.var)
 
 
-def isolate_real_roots(
-    p: RationalPoly,
-    bracket: tuple,
-    tol=DEFAULT_TOL,
-) -> RootReport:
+def isolate_real_roots(p: RationalPoly, bracket: tuple) -> tuple[Interval, ...]:
     """Isolating intervals for every distinct real root of p in the bracket.
 
     Roots landing exactly on a bracket endpoint are reported as inside.  The
     intervals are ascending; p is nonzero at both ends of each, except for
-    degenerate intervals (r, r) at exact rational roots r.  ``tol`` only
-    sets the accuracy of the report's lazily computed ``roots``.
+    degenerate intervals (r, r) at exact rational roots r.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = exact_rational(bracket[0]), exact_rational(bracket[1])
     if lo >= hi:
         raise ValueError("bracket must satisfy lo < hi")
-    tol = exact_rational(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
 
     intervals: list[Interval] = []
     if p.degree >= 1:
@@ -261,7 +171,7 @@ def isolate_real_roots(
         intervals += found
         intervals += [(x, x) for x in (lo, hi) if _sign_at(a, x) == 0]
     intervals.sort()
-    return RootReport(bracket=(lo, hi), isolator_intervals=tuple(intervals), poly=p, tol=tol)
+    return tuple(intervals)
 
 
 def _taylor_shift1(a: Sequence[int]) -> list[int]:

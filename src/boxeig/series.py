@@ -41,6 +41,9 @@ logger = logging.getLogger(__name__)
 # renderer can trust 25 significant digits from the midpoint.
 SOLVER_TOL = Fraction(1, 10**26)
 
+# A trial function keeps the terms j = 1..n-1, so it needs n >= 4 (A2, A3).
+TRIAL_MIN_ORDER = 4
+
 
 @dataclass(frozen=True)
 class EnergySeries:
@@ -100,8 +103,8 @@ def boundary_polynomial(series: EnergySeries) -> RationalPoly:
 
 def build_trial(series: EnergySeries) -> TrialFunction:
     """Trial function from a series of order n >= 4 (terms j = 1..n-1)."""
-    if series.n < 4:
-        raise ValueError("trial function needs series order at least 4")
+    if series.n < TRIAL_MIN_ORDER:
+        raise ValueError(f"trial function needs series order at least {TRIAL_MIN_ORDER}")
     terms = tuple(
         (j, series.c[j]) for j in range(1, series.n) if not series.c[j].is_zero
     )

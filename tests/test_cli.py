@@ -224,6 +224,8 @@ def test_usage_errors_exit_one(capsys, argv):
         (("solve", "--n", "5", "--select", "nearest:abc"), "--select"),
         (("exact", "--lambda=1e400"), "--lambda"),
         (("exact", "--lambda=-1e400"), "--lambda"),
+        (("solve", "--n", "3"), "--n"),
+        (("exact", "--state", "-1"), "--state"),
     ],
 )
 def test_flag_errors_name_the_flag(capsys, argv, flag):
@@ -231,6 +233,14 @@ def test_flag_errors_name_the_flag(capsys, argv, flag):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("boxeig: error: ")
     assert flag in err
+
+
+def test_order_three_is_refused_only_for_trial_functions(capsys):
+    # A2 and A3 build a trial function from terms j = 1..N-1; A1 and RR take N = 3
+    code, out, _ = run(capsys, "solve", "--n", "3", "--methods", "rr", "--format", "csv")
+    assert (code, out) == (0, "N,eps(RR)\n3,10\n")
+    code, _, err = run(capsys, "solve", "--n", "3..5", "--methods", "a1,a3")
+    assert code == 1 and "--n 3" in err and "A3" in err and "A2" not in err
 
 
 def test_argparse_failures_exit_one():

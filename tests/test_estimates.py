@@ -11,6 +11,7 @@ from boxeig.estimates import (
     EigenEstimate,
     RootSelection,
     default_bracket,
+    select_root,
 )
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
@@ -46,23 +47,15 @@ def test_default_selection_is_default_policy():
     assert DEFAULT_SELECTION.target is None
 
 
-def test_pick_index_smallest_takes_state():
-    values = [Fraction(1), Fraction(5), Fraction(9)]
-    sel = RootSelection.parse("smallest")
-    assert sel.pick_index(values, 0) == 0
-    assert sel.pick_index(values, 2) == 2
-
-
-def test_pick_index_nearest():
-    values = [Fraction(1), Fraction(5), Fraction(9)]
-    sel = RootSelection.parse("nearest:6")
-    assert sel.pick_index(values, 0) == 1
-    assert RootSelection.parse("nearest:100").pick_index(values, 0) == 2
-
-
-def test_pick_index_empty():
-    with pytest.raises(ValueError):
-        DEFAULT_SELECTION.pick_index([], 0)
+def test_select_root_nearest():
+    # roots 1, 5 and 9: the candidate nearest the target, whatever the state
+    p = RationalPoly.from_coeffs([-45, 59, -15, 1], "eps")
+    tol = Fraction(1, 10**20)
+    for text, root in (("nearest:6", 5), ("nearest:100", 9)):
+        for state in (0, 2):
+            selection = RootSelection.parse(text)
+            lo, hi = select_root(p, (Fraction(0), Fraction(10)), state, selection, tol)
+            assert lo <= root <= hi and hi - lo <= 2 * tol
 
 
 @pytest.mark.parametrize("solve", [solve_a1, solve_rr])

@@ -47,6 +47,15 @@ def test_potential_kinds():
     assert PotentialSpec.general(RationalPoly.from_coeffs([0, 5], "q")).kind == "linear"
 
 
+def test_potential_kind_and_slope_come_from_v():
+    # a spec built from v alone cannot disagree with v
+    ramp = PotentialSpec(RationalPoly.from_coeffs([0, 5], "q"))
+    assert ramp.kind == "linear" and ramp.lam == 5
+    assert ramp.describe() == "v = 5*q"
+    assert ramp == PotentialSpec.linear(5)
+    assert PotentialSpec(RationalPoly.zero("q")) == PotentialSpec.zero()
+
+
 def test_describe():
     assert PotentialSpec.zero().describe() == "v = 0"
     assert "3/2" in PotentialSpec.linear(Fraction(3, 2)).describe()

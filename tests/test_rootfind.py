@@ -18,7 +18,6 @@ from boxeig.rootfind import (
     refine_enclosure,
     sturm_sequence,
     sign_variations,
-    square_free_decomposition,
     square_free_part,
 )
 from boxeig.series import solve_a1
@@ -174,8 +173,7 @@ def test_sturm_matches_grid_scan_on_random_polynomials():
         scan = grid_scan_count(coeffs, -10, 10, 1, 10_000)
         assert sturm_count == scan, (coeffs, sturm_count, scan)
         # the isolator must report exactly the Sturm count of intervals
-        report = isolate_real_roots(p, (lo, hi), tol=Fraction(1, 10**6))
-        assert len(report.isolator_intervals) == sturm_count
+        assert len(isolate_real_roots(p, (lo, hi))) == sturm_count
         checked += 1
     assert checked == 100
 
@@ -186,25 +184,25 @@ def test_sturm_matches_grid_scan_on_random_polynomials():
 
 def test_isolation_separates_close_roots():
     p = poly_from_roots([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**6)])
-    report = isolate_real_roots(p, (Fraction(0), Fraction(1)), tol=Fraction(1, 10**12))
-    assert len(report.isolator_intervals) == 2
-    (a1, b1), (a2, b2) = report.isolator_intervals
+    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    assert len(intervals) == 2
+    (a1, b1), (a2, b2) = intervals
     assert b1 <= a2, "intervals are disjoint and ordered"
 
 
 def test_isolation_bisects_onto_a_multiple_root():
     # the first bisection point of (-2, 2) is the double root 0
     p = poly_from_roots([0, 0, 1, -1])
-    report = isolate_real_roots(p, (Fraction(-2), Fraction(2)), tol=Fraction(1, 10**12))
-    assert report.isolator_intervals[1] == (Fraction(0), Fraction(0))
-    assert [(round(v, 9), m) for v, m in report.roots] == [(-1.0, 1), (0.0, 2), (1.0, 1)]
+    intervals = isolate_real_roots(p, (Fraction(-2), Fraction(2)))
+    assert intervals[1] == (Fraction(0), Fraction(0))
+    assert [round(refine(p, iv), 9) for iv in intervals] == [-1.0, 0.0, 1.0]
 
 
 def test_isolation_endpoint_root_left():
     # root exactly at the left endpoint of the bracket is still reported
     p = poly_from_roots([0, Fraction(1, 2)])
-    report = isolate_real_roots(p, (Fraction(0), Fraction(1)), tol=Fraction(1, 10**9))
-    roots = sorted(float((a + b) / 2) for a, b in report.isolator_intervals)
+    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    roots = sorted(float((a + b) / 2) for a, b in intervals)
     assert len(roots) == 2
     assert abs(roots[0] - 0.0) < 1e-9 and abs(roots[1] - 0.5) < 1e-9
 
@@ -212,17 +210,16 @@ def test_isolation_endpoint_root_left():
 def test_root_beside_a_root_on_the_left_endpoint():
     # (0, 1] holds only 1/3, but p(0) = 0: refinement must not return 0
     p = poly_from_roots([0, Fraction(1, 3)])
-    report = isolate_real_roots(p, (Fraction(0), Fraction(1)), tol=Fraction(1, 10**12))
-    values = [v for v, _ in report.roots]
+    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    values = [refine(p, iv, Fraction(1, 10**12)) for iv in intervals]
     assert values[0] == 0.0 and abs(values[1] - 1 / 3) < 1e-11
-    for a, b in report.isolator_intervals:
+    for a, b in intervals:
         assert a == b or (p.eval(a) != 0 and p.eval(b) != 0)
 
 
 def test_isolation_endpoint_root_right():
     p = poly_from_roots([1])
-    report = isolate_real_roots(p, (Fraction(0), Fraction(1)), tol=Fraction(1, 10**9))
-    assert len(report.isolator_intervals) == 1
+    assert len(isolate_real_roots(p, (Fraction(0), Fraction(1)))) == 1
 
 
 def test_isolation_agrees_with_sturm_counts():
@@ -237,7 +234,7 @@ def test_isolation_agrees_with_sturm_counts():
         if base.degree >= 1:
             polys.append(base)
         for p in polys:
-            intervals = isolate_real_roots(p, (lo, hi)).isolator_intervals
+            intervals = isolate_real_roots(p, (lo, hi))
             assert len(intervals) == count_real_roots(p, lo, hi) + (p.eval(lo) == 0), p
             ends = [x for iv in intervals for x in iv]
             assert ends == sorted(ends) and all(lo <= x <= hi for x in ends), p
@@ -252,22 +249,22 @@ def test_isolation_agrees_with_sturm_counts():
 
 
 @pytest.mark.parametrize(
-    "roots, multiplicities, chains",
-    [([1, 1, 2], [2, 1], 1), ([1, 2, Fraction(7, 3)], [1, 1, 1], 0)],
+    "roots, chains",
+    [([1, 1, 2], 1), ([1, 2, Fraction(7, 3)], 0)],
     ids=["double-root", "square-free"],
 )
-def test_isolation_on_a_bracket_wider_than_the_float_range(
-    sturm_calls, roots, multiplicities, chains
-):
+def test_isolation_on_a_bracket_wider_than_the_float_range(sturm_calls, roots, chains):
     # separating 1 from 2 in (0, 10^400) takes about 1330 bisections; the
     # double root keeps two sign variations down to the depth limit, and the
     # fallback takes the square-free part from one Sturm chain
-    report = isolate_real_roots(poly_from_roots(roots), (0, 10**400))
-    assert len(report.isolator_intervals) == len(multiplicities)
+    p = poly_from_roots(roots)
+    intervals = isolate_real_roots(p, (0, 10**400))
+    assert len(intervals) == len(set(roots))
     assert sturm_calls == {"sturm_sequence": chains}
-    assert [m for _, m in report.roots] == multiplicities
-    for (value, _), root in zip(report.roots, sorted(set(roots))):
-        assert abs(value - root) < 1e-12
+    # the double root shows no sign change: certified_root retries it on
+    # the square-free part
+    for iv, root in zip(intervals, sorted(set(roots))):
+        assert abs(refine(p, iv, Fraction(1, 10**13)) - root) < 1e-12
 
 
 def test_isolation_rejects_zero_polynomial():
@@ -276,34 +273,11 @@ def test_isolation_rejects_zero_polynomial():
 
 
 def test_constant_has_no_roots():
-    report = isolate_real_roots(
-        RationalPoly.constant(5), (Fraction(0), Fraction(1)), tol=Fraction(1, 10**6)
-    )
-    assert report.isolator_intervals == ()
+    assert isolate_real_roots(RationalPoly.constant(5), (Fraction(0), Fraction(1))) == ()
 
 
 # ---------------------------------------------------------------------------
-# multiplicity
-
-
-def test_multiplicity_hints():
-    p = poly_from_roots([1, 1, -2])  # double root at 1, simple at -2
-    report = isolate_real_roots(p, (Fraction(-3), Fraction(3)), tol=Fraction(1, 10**10))
-    roots = sorted(report.roots, key=lambda t: t[0])
-    assert len(roots) == 2
-    (r1, m1), (r2, m2) = roots
-    assert abs(r1 + 2) < 1e-9 and m1 == 1
-    assert abs(r2 - 1) < 1e-9 and m2 == 2
-
-
-def test_square_free_decomposition():
-    p = poly_from_roots([1, 1, 1, 2, 2, -1, Fraction(1, 2)])
-    factors = square_free_decomposition(p)
-    assert [f.degree for f in factors] == [2, 1, 1]
-    assert factors[0] == poly_from_roots([-1, Fraction(1, 2)]).primitive_part()
-    assert factors[1].eval(Fraction(2)) == 0 and factors[2].eval(Fraction(1)) == 0
-    product = factors[0] * factors[1] ** 2 * factors[2] ** 3
-    assert (p.divexact(product)).degree == 0
+# square-free part
 
 
 def test_square_free_part():
@@ -311,6 +285,24 @@ def test_square_free_part():
     sf = square_free_part(p)
     assert sf.degree == 2
     assert sf.eval(Fraction(1)) == 0 and sf.eval(Fraction(2)) == 0
+
+
+def test_square_free_part_agrees_with_sturm_counts():
+    # every seeded polynomial times (x - r)^m, m = 1, 2, 3
+    rng = random.Random(20261021)
+    lo, hi = Fraction(-20), Fraction(20)
+    repeated = 0
+    for base in seeded_polynomials():
+        r = Fraction(rng.randint(-150, 150), rng.choice((1, 2, 3, 4, 7, 8)))
+        for m in (1, 2, 3):
+            p = base * poly_from_roots([r] * m)
+            sf = square_free_part(p)
+            _, rem = p.divmod(sf)
+            assert rem.is_zero, p
+            assert len(sturm_sequence(sf)[-1]) == 1, p
+            assert count_real_roots(sf, lo, hi) == count_real_roots(p, lo, hi), p
+            repeated += sf.degree < p.degree
+    assert repeated >= 800
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +347,7 @@ def test_refine_enclosure_on_every_isolating_interval():
         if p.degree < 1:
             continue
         sf = square_free_part(p)
-        for a, b in isolate_real_roots(sf, (-100, 100)).isolator_intervals:
+        for a, b in isolate_real_roots(sf, (-100, 100)):
             lo, hi = refine_enclosure(sf, (a, b), width)
             assert a <= lo <= hi <= b and hi - lo <= width, (p, a, b)
             if lo == hi:
@@ -381,26 +373,28 @@ def test_refine_rejects_an_interval_without_a_root():
             refine(p, interval)
 
 
-def test_refine_even_multiplicity_root():
+def test_refine_even_multiplicity_root(sturm_calls):
     # (q - 1/3)^2 has no sign change; refinement must fall back to the
     # square-free part and still locate the root
     p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
-    report = isolate_real_roots(p, (Fraction(0), Fraction(1)), tol=Fraction(1, 10**12))
-    assert len(report.isolator_intervals) == 1
-    (r, mult) = report.roots[0]
+    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    assert len(intervals) == 1
+    assert sturm_calls == {"sturm_sequence": 1}
+    r = refine(p, intervals[0], Fraction(1, 10**12))
     assert abs(r - 1 / 3) < 1e-11
-    assert mult == 2
+    # the retry took the square-free part from one more chain
+    assert sturm_calls == {"sturm_sequence": 2}
 
 
 def test_rational_root_detected_exactly():
     p = poly_from_roots([Fraction(6)])  # linear factor, root exactly 6
-    report = isolate_real_roots(p, (Fraction(0), Fraction(10)), tol=Fraction(1, 10**12))
-    assert report.roots == ((6.0, 1),)
+    intervals = isolate_real_roots(p, (Fraction(0), Fraction(10)))
+    assert [refine(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
     # a root sitting exactly on the bracket's left endpoint is reported
     # through a degenerate interval, since (lo, hi] would exclude it
-    report = isolate_real_roots(p, (Fraction(6), Fraction(10)), tol=Fraction(1, 10**12))
-    assert report.isolator_intervals == ((Fraction(6), Fraction(6)),)
-    assert report.roots == ((6.0, 1),)
+    intervals = isolate_real_roots(p, (Fraction(6), Fraction(10)))
+    assert intervals == ((Fraction(6), Fraction(6)),)
+    assert [refine(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,29 +417,14 @@ def _count_calls(monkeypatch, names):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Count calls of refine_enclosure and poly_gcd made through the module."""
-    return _count_calls(monkeypatch, ("refine_enclosure", "poly_gcd"))
+    """Count calls of refine_enclosure and sturm_sequence made through the module."""
+    return _count_calls(monkeypatch, ("refine_enclosure", "sturm_sequence"))
 
 
 @pytest.fixture
 def sturm_calls(monkeypatch):
     """Count Sturm chain builds made through the module."""
     return _count_calls(monkeypatch, ("sturm_sequence",))
-
-
-def test_isolation_refines_nothing_until_roots_is_read(call_counts):
-    p = poly_from_roots([1, 1, -2, Fraction(7, 3)])  # double root at 1
-    report = isolate_real_roots(p, (Fraction(-3), Fraction(3)), tol=Fraction(1, 10**12))
-    assert len(report.isolator_intervals) == 3
-    assert call_counts == {"refine_enclosure": 0, "poly_gcd": 0}
-    values = [v for v, _ in report.roots]
-    assert [m for _, m in report.roots] == [1, 2, 1]
-    for got, want in zip(values, (-2, 1, 7 / 3)):
-        assert abs(got - want) < 1e-11
-    # one square-free decomposition serves every multiplicity
-    gcds = call_counts["poly_gcd"]
-    assert report.roots is report.roots
-    assert call_counts["poly_gcd"] == gcds
 
 
 @pytest.mark.parametrize(
@@ -460,7 +439,7 @@ def test_isolation_refines_nothing_until_roots_is_read(call_counts):
 def test_index_policy_solve_refines_one_root(call_counts, solve):
     est = solve()
     assert est is not None
-    assert call_counts == {"refine_enclosure": 1, "poly_gcd": 0}
+    assert call_counts == {"refine_enclosure": 1, "sturm_sequence": 0}
 
 
 @pytest.mark.parametrize(
@@ -482,8 +461,7 @@ def test_solver_isolation_builds_no_sturm_chain(sturm_calls, solve):
 def test_a_multiple_root_builds_one_sturm_chain(sturm_calls):
     # Descartes bisection cannot separate a double root from itself; the
     # square-free part comes from the one chain
-    report = isolate_real_roots(poly_from_roots([1, 1, 2]), (0, 10))
-    assert len(report.isolator_intervals) == 2
+    assert len(isolate_real_roots(poly_from_roots([1, 1, 2]), (0, 10))) == 2
     assert sturm_calls == {"sturm_sequence": 1}
 
 
