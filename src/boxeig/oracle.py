@@ -17,9 +17,22 @@ Two closed-form references and two numerical integrators live here:
 
 Airy functions are evaluated from their everywhere-convergent Maclaurin
 series with explicit guard digits; asymptotic expansions are deliberately
-out of scope, which limits the validated range to |z| <= 30.  All extended
-precision arithmetic happens in per-call mpmath contexts passed explicitly,
-so concurrent evaluations at different precisions cannot interfere.
+out of scope, which limits the validated range to |z| <= 30.
+
+Both series kernels run in fixed point on Python ints, with 32 guard bits
+(``_GUARD_BITS``) below the last bit they must resolve:
+
+* the Airy Maclaurin sums are integers over 2^bits, where 2^bits is the
+  first power of two above 10^(wp+5) times 2^32 (wp the working digits of
+  the guard rule in :func:`airy`); terms are summed until they fall below
+  10^-(wp+5).
+* the Taylor integrator holds the coefficients of its recurrence over
+  2^(prec+32), prec the context's precision in bits, and the solution over
+  a power of two that gives the initial (phi, h phi') prec+32 bits, so tiny
+  or huge initial data keep their full relative precision.
+
+mpmath contexts are built once per top-level call and passed explicitly;
+values enter and leave the kernels through them.
 """
 
 from __future__ import annotations
@@ -55,6 +68,9 @@ GAMMA_TWO_THIRDS = (
     "607191148114322833434155915620917505682592366523385211910858011502"
 )
 _FROZEN_DIGITS = 200
+
+# Bits the fixed-point kernels keep below the last bit they must resolve.
+_GUARD_BITS = 32
 
 # a_1, the first zero of Ai, truncated toward zero at 40 digits so that
 # |a_1| lam^(2/3) stays a lower bound; the test suite checks it against mpmath.
@@ -111,15 +127,12 @@ def spouge_gamma(num: int, den: int, digits: int):
     return gamma_x_plus_1 / x
 
 
-def airy(z, precision: int = DEFAULT_DIGITS) -> AiryValue:
-    """Ai(z), Bi(z), Ai'(z), Bi'(z) from the Maclaurin series.
+def _airy_working_digits(z, precision: int) -> int:
+    """Digits the Maclaurin series needs at z for `precision` correct digits.
 
-    Valid for |z| <= 30; the series converges everywhere but the guard-digit
-    budget (and the frozen constants) are sized for that range only, so
-    larger arguments raise rather than silently degrade.
+    Raises ValueError outside the validated range |z| <= 30 or past the
+    frozen-constant budget.
     """
-    if precision < 2:
-        raise ValueError("precision must be at least 2 digits")
     az = abs(float(z))
     if not az <= AIRY_Z_MAX:
         raise ValueError(
@@ -133,30 +146,55 @@ def airy(z, precision: int = DEFAULT_DIGITS) -> AiryValue:
     wp = precision + guard
     if wp > _FROZEN_DIGITS - 5:
         raise ValueError("requested precision exceeds the frozen-constant budget")
-    ctx = _context(wp)
-    zz = _to_mpf(ctx, z)
-    z3 = zz**3
+    return wp
 
-    # f, g solve y'' = z y with (f, f')(0) = (1, 0) and (g, g')(0) = (0, 1).
-    fa = ctx.mpf(1)
-    ga = zz
-    fpa = zz**2 / 2
-    gpa = ctx.mpf(1)
-    f, g, fp, gp = fa, ga, fpa, gpa
-    cutoff = ctx.mpf(10) ** (-(wp + 5))
+
+def _airy_series(z: int, bits: int, cutoff: int, derivatives: bool) -> list[int]:
+    """Maclaurin sums [f, g] (with f', g' appended if asked) in fixed point.
+
+    f and g solve y'' = z y with (f, f')(0) = (1, 0) and (g, g')(0) = (0, 1).
+    Every integer here stands for itself times 2^-bits, z included.  Each
+    series is a sum of terms t_(k+1) = t_k z^3 / ((3k+p)(3k+q)); terms are
+    added until all of them fall below cutoff.
+    """
+    one = 1 << bits
+    z3 = z * z * z >> 2 * bits
+    seeds = [(one, 2, 3), (z, 3, 4)]
+    if derivatives:
+        seeds += [(z * z >> bits + 1, 3, 5), (one, 1, 3)]
+    terms = [t for t, _, _ in seeds]
+    sums = list(terms)
     for k in range(4000):
-        fa = fa * z3 / ((3 * k + 2) * (3 * k + 3))
-        ga = ga * z3 / ((3 * k + 3) * (3 * k + 4))
-        fpa = fpa * z3 / ((3 * k + 3) * (3 * k + 5))
-        gpa = gpa * z3 / ((3 * k + 1) * (3 * k + 3))
-        f += fa
-        g += ga
-        fp += fpa
-        gp += gpa
-        if max(abs(fa), abs(ga), abs(fpa), abs(gpa)) < cutoff:
-            break
-    else:
-        raise RuntimeError("airy series failed to converge within the term budget")
+        for i, (_, p, q) in enumerate(seeds):
+            t = (terms[i] * z3 >> bits) // ((3 * k + p) * (3 * k + q))
+            terms[i] = t
+            sums[i] += t
+        if max(map(abs, terms)) < cutoff:
+            return sums
+    raise RuntimeError("airy series failed to converge within the term budget")
+
+
+def _airy_fixed(ctx: MPContext, z, wp: int, derivatives: bool) -> tuple[list[int], int]:
+    """:func:`_airy_series` at the mpf z, resolved to 10^-(wp+5): (sums, bits)."""
+    resolution = 10 ** (wp + 5)
+    bits = resolution.bit_length() + _GUARD_BITS
+    sums = _airy_series(int(ctx.ldexp(z, bits)), bits, (1 << bits) // resolution, derivatives)
+    return sums, bits
+
+
+def airy(z, precision: int = DEFAULT_DIGITS) -> AiryValue:
+    """Ai(z), Bi(z), Ai'(z), Bi'(z) from the Maclaurin series.
+
+    Valid for |z| <= 30; the series converges everywhere but the guard-digit
+    budget (and the frozen constants) are sized for that range only, so
+    larger arguments raise rather than silently degrade.
+    """
+    if precision < 2:
+        raise ValueError("precision must be at least 2 digits")
+    wp = _airy_working_digits(z, precision)
+    ctx = _context(wp)
+    sums, bits = _airy_fixed(ctx, _to_mpf(ctx, z), wp, derivatives=True)
+    f, g, fp, gp = (ctx.ldexp(s, -bits) for s in sums)
 
     g13 = ctx.mpf(GAMMA_ONE_THIRD)
     g23 = ctx.mpf(GAMMA_TWO_THIRDS)
@@ -232,18 +270,26 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     airy_digits = digits + 5
 
     def determinant(eps):
+        # With Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g), where
+        # c1 = Ai(0) > 0 and c2 = -Ai'(0) > 0, the Airy determinant is
+        # 2 sqrt(3) c1 c2 (f0 g1 - g0 f1).  The positive factor changes no
+        # sign, no regula falsi iterate and no Anderson-Bjorck factor.
         z0 = -eps * lam_m23
         z1 = lam13 + z0
         if max(abs(z0), abs(z1)) > AIRY_Z_MAX:
             return None
-        a0 = airy(z0, airy_digits)
-        a1 = airy(z1, airy_digits)
-        return a0.ai * a1.bi - a1.ai * a0.bi
+        (f0, g0), bits0 = _airy_fixed(
+            ctx, z0, _airy_working_digits(z0, airy_digits), derivatives=False
+        )
+        (f1, g1), bits1 = _airy_fixed(
+            ctx, z1, _airy_working_digits(z1, airy_digits), derivatives=False
+        )
+        return ctx.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
 
     result = _scan_and_refine(determinant, ctx, state, digits)
     if result is not None:
         return result
-    return _linear_by_ode(lam, state, digits)
+    return _linear_by_ode(lam, ctx, state, digits)
 
 
 def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
@@ -333,9 +379,8 @@ def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
     return (a + b) / 2
 
 
-def _linear_by_ode(lam: Fraction, state: int, digits: int):
+def _linear_by_ode(lam: Fraction, ctx: MPContext, state: int, digits: int):
     """Wall condition phi(1; eps) = 0 via the Taylor integrator."""
-    ctx = _context(digits + 10)
     v = RationalPoly.from_coeffs([0, lam], "q")
 
     def wall_value(eps):
@@ -357,7 +402,8 @@ def series_integrate(v: RationalPoly, eps, x0, x1, y0, yp0, ctx: MPContext,
 
     Each step expands the solution in a local Taylor series whose
     coefficients follow from the differential equation; the order is sized
-    so the truncation sits below the context's resolution.
+    so the truncation sits below the context's resolution.  The steps run in
+    fixed point on Python ints (see the module docstring).
     """
     eps_f = _to_mpf(ctx, eps)
     x0f = _to_mpf(ctx, x0)
@@ -376,40 +422,50 @@ def series_integrate(v: RationalPoly, eps, x0, x1, y0, yp0, ctx: MPContext,
         steps = max(8, int(2 * scale * abs(span)) + 1)
     order = max(24, int(1.2 * ctx.dps) + 16)
     h = span / steps
-    x = x0f
+    p = yp * h
+    if not y and not p:
+        return y, yp
+
+    # In the step variable s = t/h, phi(x + t) = sum_m b_m s^m with
+    # b_m = a_m h^m, and phi'' = (v - eps) phi becomes
+    # b_(m+2) = sum_k u_k b_(m-k) / ((m+1)(m+2)), where u_k is the s^k
+    # coefficient of (v(x + h s) - eps) h^2.  The u_k are fixed point at
+    # 2^-bits; the b_m are fixed point at 2^-shift, where shift gives the
+    # initial (phi, h phi') about `bits` bits whatever their size.
+    bits = ctx.prec + _GUARD_BITS
+
+    def fixed(value):
+        return int(ctx.ldexp(value, bits))
+
+    hf = fixed(h)
+    h2 = hf * hf >> bits
+    eps_fixed = fixed(eps_f)
+    coeffs = [fixed(c) for c in vc] or [0]
+    shift = bits - ctx.mag(max(abs(y), abs(p)))
+    y_fix, p_fix = int(ctx.ldexp(y, shift)), int(ctx.ldexp(p, shift))
+    x = fixed(x0f)
     for _ in range(steps):
-        w = _shift_poly(vc, x, ctx)
-        a = [y, yp]
+        w: list[int] = []
+        for c in reversed(coeffs):
+            # Horner step: w(s) <- w(s) (x + h s) + c
+            new = [0] * (len(w) + 1)
+            for i, a in enumerate(w):
+                new[i] += a * x >> bits
+                new[i + 1] += a * hf >> bits
+            new[0] += c
+            w = new
+        w[0] -= eps_fixed
+        u = [wk * h2 >> bits for wk in w]
+        b = [y_fix, p_fix]
         for m in range(order - 1):
-            s = -eps_f * a[m]
-            for k in range(min(len(w) - 1, m) + 1):
-                s += w[k] * a[m - k]
-            a.append(s / ((m + 1) * (m + 2)))
-        y = _poly_at(a, h)
-        yp = _poly_at([(m + 1) * c for m, c in enumerate(a[1:])], h)
-        x += h
-    return y, yp
-
-
-def _shift_poly(coeffs, x0, ctx):
-    """Coefficients of p(x0 + t) given those of p(x), in mpf arithmetic."""
-    out: list = []
-    for c in reversed(coeffs):
-        # Horner step: out(t) <- out(t) * (t + x0) + c
-        new = [ctx.mpf(0)] * (len(out) + 1)
-        for i, a in enumerate(out):
-            new[i + 1] += a
-            new[i] += a * x0
-        new[0] += c
-        out = new
-    return out or [ctx.mpf(0)]
-
-
-def _poly_at(coeffs, x):
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+            s = 0
+            for k, uk in enumerate(u[: m + 1]):
+                s += uk * b[m - k]
+            b.append((s >> bits) // ((m + 1) * (m + 2)))
+        y_fix = sum(b)
+        p_fix = sum(m * bm for m, bm in enumerate(b))
+        x += hf
+    return ctx.ldexp(y_fix, -shift), ctx.ldexp(p_fix, -shift) / h
 
 
 # ----------------------------------------------------------------------

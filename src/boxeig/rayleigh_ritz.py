@@ -221,12 +221,12 @@ def solve_secular(
 ) -> EigenEstimate | None:
     """The root of det(H - eps S) in the bracket that ``selection`` picks.
 
-    By default that is the (state+1)-th smallest.
+    By default that is the (state+1)-th smallest.  A basis of size n has n
+    roots, so a state at or past n has none: the result is None, as for
+    every solver that finds no root.
     """
     if state >= system.size:
-        raise ValueError(
-            f"state {state} out of range for a basis of size {system.size}"
-        )
+        return None
     bracket = resolve_bracket(bracket, system.potential, state)
     enclosure = select_root(system.char_poly, bracket, state, selection, tol)
     if enclosure is None:

@@ -46,6 +46,19 @@ def test_solve_missing_roots_exit_two(capsys):
     assert out.count(f" {goldens.NO_ROOT} ") == 2
 
 
+def test_rr_state_past_the_basis_size_has_no_root(capsys):
+    # the N=4 basis has size 3, so RR has no state 3 there: that cell shows
+    # no root and the larger N still print theirs
+    code, out, err = run(capsys, "solve", "--n", "4..6", "--methods", "a1,rr", "--state", "3")
+    assert code == 2
+    assert out.strip().splitlines()[2:] == [
+        "| 4 | -- | -- |",
+        "| 5 | -- | 200.4984472 |",
+        "| 6 | -- | 200.4984472 |",
+    ]
+    assert err == ""
+
+
 def test_solve_prints_exact_boundary_roots_exactly(capsys):
     # at lambda=1 the A1 boundary polynomial has the rational roots 13/2
     # (N=4) and 10 (N=8); refinement finds both on its grid

@@ -197,6 +197,7 @@ def test_exact_linear_refuses_unreachable_state_before_evaluating(monkeypatch):
         raise AssertionError("the eigencondition was evaluated")
 
     monkeypatch.setattr(oracle, "airy", forbidden)
+    monkeypatch.setattr(oracle, "_airy_series", forbidden)
     monkeypatch.setattr(oracle, "series_integrate", forbidden)
     with pytest.raises(RootScanError, match="out of reach"):
         exact_linear(1, state=25, digits=6)
@@ -218,6 +219,7 @@ def test_exact_linear_refuses_past_the_half_line_bound(monkeypatch):
         raise AssertionError("the eigencondition was evaluated")
 
     monkeypatch.setattr(oracle, "airy", forbidden)
+    monkeypatch.setattr(oracle, "_airy_series", forbidden)
     monkeypatch.setattr(oracle, "series_integrate", forbidden)
     for lam in (Fraction(30663, 10), 30000, Fraction(10**300), Fraction(10**400)):
         with pytest.raises(RootScanError, match="out of reach"):
@@ -252,18 +254,63 @@ def test_exact_linear_30_digit_values(lam, state, expected):
 
 
 def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
-    # 11 scan points need 22 Airy evaluations; bisecting to 10^-39 would add
-    # about 250 more, the certified regula falsi about 10
+    # the determinant sums the f, g series once per wall: 11 scan points need
+    # 22 evaluations; bisecting to 10^-39 would add about 250 more, the
+    # certified regula falsi about 10
     calls = []
-    real_airy = oracle.airy
+    real_series = oracle._airy_series
 
-    def counting_airy(*args, **kwargs):
+    def counting_series(*args, **kwargs):
         calls.append(args)
-        return real_airy(*args, **kwargs)
+        return real_series(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "airy", counting_airy)
+    monkeypatch.setattr(oracle, "_airy_series", counting_series)
     exact_linear(-7, 0, digits=35)
-    assert len(calls) <= 40
+    assert 22 <= len(calls) <= 40
+
+
+def test_airy_determinant_from_f_and_g():
+    # Ai(z0) Bi(z1) - Ai(z1) Bi(z0) = 2 sqrt(3) c1 c2 (f0 g1 - g0 f1), with
+    # c1 = Ai(0) and c2 = -Ai'(0), for arguments of both signs up to |z| = 30
+    precision = 30
+    ctx = oracle._context(precision + 10)
+    points = (-30, -17.25, -2.5, 0, 0.75, 11.5, 29.5, 30)
+
+    def fg(z):
+        zz = ctx.mpf(z)
+        wp = oracle._airy_working_digits(zz, precision)
+        (f, g), bits = oracle._airy_fixed(ctx, zz, wp, derivatives=False)
+        return f, g, bits
+
+    with mpmath.workdps(80):
+        factor = 2 * mpmath.sqrt(3) * mpmath.airyai(0) * -mpmath.airyai(0, derivative=1)
+        for i, z0 in enumerate(points):
+            f0, g0, bits0 = fg(z0)
+            for z1 in points[i + 1 :]:
+                f1, g1, bits1 = fg(z1)
+                ours = factor * mpmath.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
+                ai0, bi0 = mpmath.airyai(z0), mpmath.airybi(z0)
+                ai1, bi1 = mpmath.airyai(z1), mpmath.airybi(z1)
+                exact = ai0 * bi1 - ai1 * bi0
+                assert abs(ours - exact) <= mpmath.mpf(10) ** -precision * abs(exact), (z0, z1)
+
+
+class _CountingContext(oracle.MPContext):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("lam", [-7, Fraction(1, 10)])  # Airy path, Taylor-ODE path
+def test_exact_linear_builds_one_context(monkeypatch, lam):
+    # the outer context is the only one: neither the determinant nor the
+    # Taylor integrator builds one per evaluation
+    monkeypatch.setattr(oracle, "MPContext", _CountingContext)
+    monkeypatch.setattr(_CountingContext, "built", 0)
+    exact_linear(lam, 0, 30)
+    assert _CountingContext.built == 1
 
 
 def _recording(func, points):
@@ -404,6 +451,38 @@ def test_series_integrate_free_particle_sine():
     y, yp = series_integrate(RationalPoly.zero("q"), ctx.pi**2, 0, 1, 0, 1, ctx)
     assert abs(float(y)) < 1e-28
     assert abs(float(yp) + 1) < 1e-27  # phi'(1) = cos(pi) = -1
+
+
+def _cubic():
+    # negative on all of [0, 1]: -20 + 5q - 40q^2 + 10q^3
+    return RationalPoly.from_coeffs([-20, 5, -40, 10], "q")
+
+
+@pytest.mark.parametrize("power", [30, -30])
+def test_series_integrate_scales_with_its_initial_data(power):
+    # the equation is linear: scaling (y0, y0') by 10^power scales (y, y') by
+    # the same factor, at full relative precision whatever the data's size
+    ctx = oracle._context(30)
+    v, eps = _cubic(), Fraction(7, 3)
+    y, yp = series_integrate(v, eps, 0, 1, Fraction(1, 3), -2, ctx)
+    factor = Fraction(10) ** power
+    ys, yps = series_integrate(v, eps, 0, 1, factor / 3, -2 * factor, ctx)
+    scale = ctx.mpf(10) ** power
+    tol = ctx.mpf(10) ** -28
+    assert abs(ys / (scale * y) - 1) < tol
+    assert abs(yps / (scale * yp) - 1) < tol
+
+
+def test_series_integrate_negative_cubic_matches_odefun():
+    ctx = oracle._context(30)
+    v, eps = _cubic(), 2
+    y, yp = series_integrate(v, eps, 0, 1, 0, 1, ctx)
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in v.coeffs]
+        rhs = lambda x, u: [u[1], (mpmath.polyval(coeffs[::-1], x) - eps) * u[0]]
+        ref_y, ref_yp = mpmath.odefun(rhs, 0, [0, 1])(1)
+        assert abs(mpmath.mpf(str(y)) / ref_y - 1) < mpmath.mpf(10) ** -25
+        assert abs(mpmath.mpf(str(yp)) / ref_yp - 1) < mpmath.mpf(10) ** -25
 
 
 # ---------------------------------------------------------------------------
