@@ -4,8 +4,9 @@ The package implements three power-series estimates (boundary roots,
 stationary Rayleigh quotients, and quotient fixed points), a Rayleigh-Ritz
 reference on the same polynomial basis, and independent high-precision
 benchmarks (box eigenvalues, Airy quantization for a linear ramp, and an RK4
-shooting integrator).  All symbolic work is exact rational arithmetic;
-floating point appears only at root refinement and in the benchmarks.
+shooting integrator).  All symbolic work and root finding are exact rational
+and integer arithmetic; floating point appears only in the benchmarks and in
+the float views of reported values.
 """
 
 from .estimates import (
@@ -32,14 +33,11 @@ from .model import (
     serialize_problem,
 )
 from .oracle import (
-    AiryValue,
     RootScanError,
-    airy,
     exact_box,
     exact_linear,
     series_integrate,
     shoot,
-    shoot_richardson,
     shoot_root,
 )
 from .poly import Rational, RationalPoly, as_rational, format_rational
@@ -53,7 +51,6 @@ from .rayleigh_ritz import (
 from .rootfind import (
     count_real_roots,
     isolate_real_roots,
-    refine,
     refine_enclosure,
     sturm_sequence,
 )
@@ -78,7 +75,6 @@ from .variational import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryValue",
     "BoxProblem",
     "DimensionlessProblem",
     "EigenEstimate",
@@ -96,7 +92,6 @@ __all__ = [
     "RootSelection",
     "SecularSystem",
     "TrialFunction",
-    "airy",
     "as_rational",
     "bareiss_determinant",
     "boundary_polynomial",
@@ -118,13 +113,11 @@ __all__ = [
     "nondimensionalize",
     "parse_problem",
     "quotient_for",
-    "refine",
     "refine_enclosure",
     "require_unit_interval",
     "serialize_problem",
     "series_integrate",
     "shoot",
-    "shoot_richardson",
     "shoot_root",
     "solve_a1",
     "solve_a2",

@@ -45,7 +45,7 @@ from .estimates import (
     resolve_bracket,
 )
 from .model import PotentialSpec, load_problem, nondimensionalize, require_unit_interval
-from .oracle import RootScanError, exact_box, exact_linear
+from .oracle import DEFAULT_DIGITS as ORACLE_DIGITS, RootScanError, exact_box, exact_linear
 from .poly import Rational, format_rational
 from .rayleigh_ritz import solve_rr
 from .rootfind import mpf_to_rational
@@ -67,10 +67,6 @@ METHOD_COLUMNS = {
     METHOD_EXACT: ("eps(exact)",),
 }
 FORMATS = ("md", "csv", "json")
-
-# Rows always run sequentially; the flag is still accepted so that existing
-# scripts keep working.
-SERIAL_HELP = "no effect (rows always run sequentially); kept for compatibility"
 
 
 class UsageError(Exception):
@@ -277,8 +273,6 @@ def method_columns(methods: tuple[str, ...]) -> list[str]:
 
 
 def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rational:
-    from .oracle import DEFAULT_DIGITS as ORACLE_DIGITS  # local alias, keeps one source
-
     working = max(ORACLE_DIGITS, digits + 5)
     if potential.kind == "zero":
         value = exact_box(state, digits=working)
@@ -463,14 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--digits", type=int, default=DEFAULT_DIGITS, help="significant digits to print")
     solve.add_argument("--format", choices=FORMATS, default="md")
     solve.add_argument("--select", default="default", help="root policy: default|smallest|nearest:<x>|min-w")
-    solve.add_argument("--serial", action="store_true", help=SERIAL_HELP)
     solve.add_argument("--out", help="write the rendered table to a file")
     solve.set_defaults(func=cmd_solve)
 
     table = sub.add_parser("table", help="recompute a stored golden table and diff per cell")
     table.add_argument("id", type=int, help="golden table id (1-4)")
     table.add_argument("--format", choices=FORMATS, default="md")
-    table.add_argument("--serial", action="store_true", help=SERIAL_HELP)
     table.add_argument("--out", help="write the diff report to a file")
     table.set_defaults(func=cmd_table)
 

@@ -9,23 +9,23 @@ Two closed-form references and two numerical integrators live here:
   and bisection takes over only when the fast phase cannot certify.
 * ``series_integrate``: a stepping Taylor-series integrator in extended
   precision, used to evaluate the eigencondition when the Airy arguments
-  would leave the series evaluator's validated range, and as a second,
-  structurally different route to Airy values in the test suite.
+  would leave the series' validated range.
 * ``shoot``: a plain fixed-step RK4 integrator in ordinary floats, so the
   high-precision machinery can be checked against something that shares no
   code with it.
 
-Airy functions are evaluated from their everywhere-convergent Maclaurin
-series with explicit guard digits; asymptotic expansions are deliberately
-out of scope, which limits the validated range to |z| <= 30.
+The Airy determinant is summed from the everywhere-convergent Maclaurin
+series of the two solutions f and g of y'' = z y, with explicit guard
+digits; asymptotic expansions are deliberately out of scope, which limits
+the validated range to |z| <= 30 (``AIRY_Z_MAX``).
 
 Both series kernels run in fixed point on Python ints, with 32 guard bits
 (``_GUARD_BITS``) below the last bit they must resolve:
 
 * the Airy Maclaurin sums are integers over 2^bits, where 2^bits is the
   first power of two above 10^(wp+5) times 2^32 (wp the working digits of
-  the guard rule in :func:`airy`); terms are summed until they fall below
-  10^-(wp+5).
+  the guard rule in :func:`_airy_working_digits`); terms are summed until
+  they fall below 10^-(wp+5).
 * the Taylor integrator holds the coefficients of its recurrence over
   2^(prec+32), prec the context's precision in bits, and the solution over
   a power of two that gives the initial (phi, h phi') prec+32 bits, so tiny
@@ -38,7 +38,6 @@ values enter and leave the kernels through them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
@@ -54,21 +53,6 @@ _SCAN_LIMIT = 200
 # a multiple root converges only linearly and is left to bisection.
 _REFINE_LIMIT = 30
 
-# Gamma(1/3) and Gamma(2/3), frozen at 200+ digits.  Derived once with
-# spouge_gamma below (rigorous error bound); the test suite re-derives them
-# and the Wronskian identity keeps them honest at every use site.
-GAMMA_ONE_THIRD = (
-    "2.67893853470774763365569294097467764412868937795730110095042832759041"
-    "7610167743819540982889041188789419159049200072263335719084569504472259"
-    "977713367708469768167289823050003218342550322247156941817555449953"
-)
-GAMMA_TWO_THIRDS = (
-    "1.35411793942640041694528802815451378551932726605679369839402246796378"
-    "2965401742541675834147952972911106434823610033058854142261552586211826"
-    "607191148114322833434155915620917505682592366523385211910858011502"
-)
-_FROZEN_DIGITS = 200
-
 # Bits the fixed-point kernels keep below the last bit they must resolve.
 _GUARD_BITS = 32
 
@@ -79,17 +63,6 @@ AIRY_AI_FIRST_ZERO = "-2.338107410459767038489197252446735440638"
 
 class RootScanError(RuntimeError):
     """The eigencondition scan exhausted its step budget without bracketing."""
-
-
-@dataclass(frozen=True)
-class AiryValue:
-    """Ai, Bi and their derivatives at one point, at a stated precision."""
-
-    ai: object
-    bi: object
-    aip: object
-    bip: object
-    working_precision: int
 
 
 def _context(digits: int) -> MPContext:
@@ -104,110 +77,43 @@ def _to_mpf(ctx: MPContext, x):
     return ctx.convert(x)
 
 
-def spouge_gamma(num: int, den: int, digits: int):
-    """Gamma(num/den) by Spouge's convergent approximation.
-
-    The truncation error is rigorously below a^(-1/2) (2 pi)^(-(a+1/2)) in
-    relative terms, so `a` is chosen from the digit request.  This is the
-    documented derivation of the frozen constants above.
-    """
-    ctx = _context(digits + 20)
-    a = int(digits * 1.30103) + 8
-    x = ctx.mpf(num) / den
-    s = ctx.sqrt(2 * ctx.pi)
-    for k in range(1, a):
-        ck = (
-            ((-1) ** (k - 1))
-            * ctx.mpf(a - k) ** k
-            / (ctx.sqrt(ctx.mpf(a - k)) * math.factorial(k - 1))
-            * ctx.exp(ctx.mpf(a - k))
-        )
-        s += ck / (x + k)
-    gamma_x_plus_1 = ctx.exp((x + ctx.mpf(1) / 2) * ctx.ln(x + a)) * ctx.exp(-(x + a)) * s
-    return gamma_x_plus_1 / x
-
-
 def _airy_working_digits(z, precision: int) -> int:
-    """Digits the Maclaurin series needs at z for `precision` correct digits.
-
-    Raises ValueError outside the validated range |z| <= 30 or past the
-    frozen-constant budget.
-    """
+    """Digits the Maclaurin series needs at z for `precision` correct digits."""
     az = abs(float(z))
-    if not az <= AIRY_Z_MAX:
-        raise ValueError(
-            f"|z| = {az:.3g} is outside the validated range |z| <= {AIRY_Z_MAX:g} "
-            "(asymptotic regime not implemented)"
-        )
     guard = math.ceil(0.3 * az**1.5) + 10
     if float(z) > 0:
         # Ai decays while the series terms grow, doubling the cancellation.
         guard = 2 * math.ceil(0.3 * az**1.5) + 10
-    wp = precision + guard
-    if wp > _FROZEN_DIGITS - 5:
-        raise ValueError("requested precision exceeds the frozen-constant budget")
-    return wp
+    return precision + guard
 
 
-def _airy_series(z: int, bits: int, cutoff: int, derivatives: bool) -> list[int]:
-    """Maclaurin sums [f, g] (with f', g' appended if asked) in fixed point.
+def _airy_series(z: int, bits: int, cutoff: int) -> tuple[int, int]:
+    """Maclaurin sums (f, g) in fixed point.
 
     f and g solve y'' = z y with (f, f')(0) = (1, 0) and (g, g')(0) = (0, 1).
     Every integer here stands for itself times 2^-bits, z included.  Each
-    series is a sum of terms t_(k+1) = t_k z^3 / ((3k+p)(3k+q)); terms are
-    added until all of them fall below cutoff.
+    series is a sum of terms t_(k+1) = t_k z^3 / ((3k+p)(3k+q)), with
+    (p, q) = (2, 3) for f and (3, 4) for g; terms are added until both fall
+    below cutoff.
     """
-    one = 1 << bits
     z3 = z * z * z >> 2 * bits
-    seeds = [(one, 2, 3), (z, 3, 4)]
-    if derivatives:
-        seeds += [(z * z >> bits + 1, 3, 5), (one, 1, 3)]
-    terms = [t for t, _, _ in seeds]
-    sums = list(terms)
+    tf, tg = 1 << bits, z
+    f, g = tf, tg
     for k in range(4000):
-        for i, (_, p, q) in enumerate(seeds):
-            t = (terms[i] * z3 >> bits) // ((3 * k + p) * (3 * k + q))
-            terms[i] = t
-            sums[i] += t
-        if max(map(abs, terms)) < cutoff:
-            return sums
-    raise RuntimeError("airy series failed to converge within the term budget")
+        tf = (tf * z3 >> bits) // ((3 * k + 2) * (3 * k + 3))
+        tg = (tg * z3 >> bits) // ((3 * k + 3) * (3 * k + 4))
+        f += tf
+        g += tg
+        if abs(tf) < cutoff and abs(tg) < cutoff:
+            return f, g
+    raise RuntimeError("Airy series failed to converge within the term budget")
 
 
-def _airy_fixed(ctx: MPContext, z, wp: int, derivatives: bool) -> tuple[list[int], int]:
-    """:func:`_airy_series` at the mpf z, resolved to 10^-(wp+5): (sums, bits)."""
+def _airy_fixed(ctx: MPContext, z, wp: int) -> tuple[tuple[int, int], int]:
+    """:func:`_airy_series` at the mpf z, resolved to 10^-(wp+5): ((f, g), bits)."""
     resolution = 10 ** (wp + 5)
     bits = resolution.bit_length() + _GUARD_BITS
-    sums = _airy_series(int(ctx.ldexp(z, bits)), bits, (1 << bits) // resolution, derivatives)
-    return sums, bits
-
-
-def airy(z, precision: int = DEFAULT_DIGITS) -> AiryValue:
-    """Ai(z), Bi(z), Ai'(z), Bi'(z) from the Maclaurin series.
-
-    Valid for |z| <= 30; the series converges everywhere but the guard-digit
-    budget (and the frozen constants) are sized for that range only, so
-    larger arguments raise rather than silently degrade.
-    """
-    if precision < 2:
-        raise ValueError("precision must be at least 2 digits")
-    wp = _airy_working_digits(z, precision)
-    ctx = _context(wp)
-    sums, bits = _airy_fixed(ctx, _to_mpf(ctx, z), wp, derivatives=True)
-    f, g, fp, gp = (ctx.ldexp(s, -bits) for s in sums)
-
-    g13 = ctx.mpf(GAMMA_ONE_THIRD)
-    g23 = ctx.mpf(GAMMA_TWO_THIRDS)
-    c1 = 1 / (ctx.cbrt(9) * g23)  # Ai(0)
-    c2 = 1 / (ctx.cbrt(3) * g13)  # -Ai'(0)
-    sqrt3 = ctx.sqrt(3)
-    return AiryValue(
-        ai=c1 * f - c2 * g,
-        bi=sqrt3 * (c1 * f + c2 * g),
-        aip=c1 * fp - c2 * gp,
-        bip=sqrt3 * (c1 * fp + c2 * gp),
-        working_precision=precision,
-    )
+    return _airy_series(int(ctx.ldexp(z, bits)), bits, (1 << bits) // resolution), bits
 
 
 def exact_box(state: int = 0, digits: int = DEFAULT_DIGITS):
@@ -234,7 +140,7 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     lies past the scan's end is refused with :class:`RootScanError` before
     any evaluation.
 
-    When the scan would push |z| beyond the Airy evaluator's validated range
+    When the scan would push |z| beyond the Airy series' validated range
     (small |lam|), the determinant condition is replaced by the equivalent
     wall condition phi(1; eps) = 0 evaluated with the extended-precision
     Taylor integrator, which has no such range limit.
@@ -278,12 +184,8 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
         z1 = lam13 + z0
         if max(abs(z0), abs(z1)) > AIRY_Z_MAX:
             return None
-        (f0, g0), bits0 = _airy_fixed(
-            ctx, z0, _airy_working_digits(z0, airy_digits), derivatives=False
-        )
-        (f1, g1), bits1 = _airy_fixed(
-            ctx, z1, _airy_working_digits(z1, airy_digits), derivatives=False
-        )
+        (f0, g0), bits0 = _airy_fixed(ctx, z0, _airy_working_digits(z0, airy_digits))
+        (f1, g1), bits1 = _airy_fixed(ctx, z1, _airy_working_digits(z1, airy_digits))
         return ctx.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
 
     result = _scan_and_refine(determinant, ctx, state, digits)
@@ -396,8 +298,7 @@ def _linear_by_ode(lam: Fraction, ctx: MPContext, state: int, digits: int):
 # ----------------------------------------------------------------------
 # extended-precision Taylor-series ODE integration of phi'' = (v(x) - eps) phi
 
-def series_integrate(v: RationalPoly, eps, x0, x1, y0, yp0, ctx: MPContext,
-                     steps: int | None = None):
+def series_integrate(v: RationalPoly, eps, x0, x1, y0, yp0, ctx: MPContext):
     """Propagate (phi, phi') from x0 to x1 at the context's precision.
 
     Each step expands the solution in a local Taylor series whose
@@ -415,11 +316,10 @@ def series_integrate(v: RationalPoly, eps, x0, x1, y0, yp0, ctx: MPContext,
     vc = [_to_mpf(ctx, c) for c in v.coeffs]
     span = x1f - x0f
     vmax = sum(abs(c) for c in vc) * max(1, abs(x0f), abs(x1f)) ** max(v.degree, 0)
-    if steps is None:
-        # keep |eps - v| h^2 comfortably below 1 so the local series
-        # converges like a cosine series
-        scale = math.sqrt(float(abs(eps_f) + vmax) + 1.0)
-        steps = max(8, int(2 * scale * abs(span)) + 1)
+    # keep |eps - v| h^2 comfortably below 1 so the local series converges
+    # like a cosine series
+    scale = math.sqrt(float(abs(eps_f) + vmax) + 1.0)
+    steps = max(8, int(2 * scale * abs(span)) + 1)
     order = max(24, int(1.2 * ctx.dps) + 16)
     h = span / steps
     p = yp * h
@@ -510,13 +410,6 @@ def shoot(potential, eps: float, steps: int = 10000) -> float:
         y = ynew
         q += h
     return y
-
-
-def shoot_richardson(potential, eps: float, steps: int = 10000) -> tuple[float, float]:
-    """(extrapolated phi(1), error estimate) from steps and steps//2 runs."""
-    coarse = shoot(potential, eps, steps // 2)
-    fine = shoot(potential, eps, steps)
-    return fine + (fine - coarse) / 15, abs(fine - coarse) / 15
 
 
 def shoot_root(potential, bracket=None, state: int = 0, steps: int = 10000) -> float:

@@ -4,7 +4,7 @@ A polynomial is stored as a tuple of `fractions.Fraction` coefficients in
 ascending powers (``coeffs[k]`` multiplies ``x**k``) with no trailing zeros,
 so the zero polynomial is the empty tuple and has degree -1.  Every ring
 operation is exact; floating point enters only through :meth:`RationalPoly.eval`
-when the caller passes an inexact point.
+when the caller passes a float.
 
 Each polynomial carries an advisory variable tag (``"q"`` for the spatial
 coordinate, ``"eps"`` for the energy).  Binary operations insist that the tags
@@ -169,18 +169,6 @@ class RationalPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RationalPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = RationalPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPoly):
             return self.coeffs == other.coeffs and self.var == other.var
@@ -198,13 +186,6 @@ class RationalPoly:
             tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var
         )
 
-    def antiderivative(self) -> "RationalPoly":
-        """Antiderivative with zero constant term."""
-        return RationalPoly(
-            (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)),
-            self.var,
-        )
-
     def integrate_01(self) -> Fraction:
         """Exact integral over [0, 1]: sum of coeffs[k] / (k+1)."""
         return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), Fraction(0))
@@ -217,9 +198,7 @@ class RationalPoly:
 
         Exact (Fraction) for int/Fraction arguments.  A float argument is
         converted to its exact rational value, evaluated exactly, and rounded
-        once at the end, so the result is correctly rounded.  Any other
-        numeric type (e.g. an mpmath float) is evaluated by Horner's rule in
-        that type's own arithmetic.
+        once at the end, so the result is correctly rounded.
         """
         if isinstance(x, (int, Fraction)):
             acc = Fraction(0)
@@ -228,11 +207,7 @@ class RationalPoly:
             return acc
         if isinstance(x, float):
             return float(self.eval(Fraction(x)))
-        zero = x * 0
-        acc = zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + (zero + c.numerator) / c.denominator
-        return acc
+        raise TypeError(f"cannot evaluate at {x!r}: pass an int, Fraction or float")
 
     def __call__(self, x):
         return self.eval(x)
@@ -273,13 +248,6 @@ class RationalPoly:
             RationalPoly(tuple(quo), self.var),
             RationalPoly(tuple(rem[:d] if d > 0 else []), self.var),
         )
-
-    def divexact(self, other: "RationalPoly") -> "RationalPoly":
-        """Division that must be remainder-free (used by fraction-free elimination)."""
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("inexact polynomial division")
-        return q
 
     # ------------------------------------------------------------------
     # normalization helpers for root finding

@@ -164,54 +164,6 @@ def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
     return _from_ints([sign * c for c in det], var, den**size)
 
 
-def leading_principal_minors(matrix) -> list[Fraction]:
-    """Exact leading principal minors det(M[:k][:k]), k = 1..size.
-
-    Gaussian elimination without row exchanges: while the pivots are
-    nonzero, the k-th minor is the product of the first k pivots.  A zero
-    pivot makes its minor zero and leaves the later minors to be computed
-    one by one, each with row exchanges inside its own leading block.
-    """
-    size = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    minors = []
-    det = Fraction(1)
-    for k in range(size):
-        if a[k][k] == 0:
-            minors.append(Fraction(0))
-            minors.extend(
-                _determinant([row[:m] for row in matrix[:m]]) for m in range(k + 2, size + 1)
-            )
-            return minors
-        for i in range(k + 1, size):
-            factor = a[i][k] / a[k][k]
-            for j in range(k, size):
-                a[i][j] -= factor * a[k][j]
-        det *= a[k][k]
-        minors.append(det)
-    return minors
-
-
-def _determinant(matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with row exchanges."""
-    size = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(size):
-        pivot = next((i for i in range(k, size) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        for i in range(k + 1, size):
-            factor = a[i][k] / a[k][k]
-            for j in range(k, size):
-                a[i][j] -= factor * a[k][j]
-        det *= a[k][k]
-    return det
-
-
 def solve_secular(
     system: SecularSystem,
     state: int = 0,

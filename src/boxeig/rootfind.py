@@ -47,8 +47,6 @@ from .poly import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TOL = Fraction(1, 10**13)
-
 # Refinement bisects this many bits below the requested enclosure width, so
 # an enclosure midpoint is about ten digits more accurate than the width
 # promises; residuals at secular roots (tests/test_rayleigh_ritz.py) rely on it.
@@ -326,15 +324,3 @@ def certified_root(p: RationalPoly, interval: Interval, width) -> Interval:
     except _NoSignChange:
         logger.debug("refining an even-multiplicity root via the square-free part")
         return refine_enclosure(square_free_part(p), interval, width)
-
-
-def refine(p: RationalPoly, interval: tuple, tol=DEFAULT_TOL) -> float:
-    """Refine the single root in the interval to within tol (absolute).
-
-    The midpoint of :func:`certified_root`'s enclosure of width 2*tol.
-    """
-    tol = exact_rational(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    a, b = certified_root(p, (exact_rational(interval[0]), exact_rational(interval[1])), 2 * tol)
-    return float((a + b) / 2)

@@ -1,5 +1,6 @@
 """High-precision reference values: Airy machinery, scans, and shooting."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,18 +14,12 @@ from boxeig.goldens import BENCHMARK_EPS_FREE, BENCHMARK_EPS_RAMP
 from boxeig.model import PotentialSpec
 from boxeig.oracle import (
     AIRY_AI_FIRST_ZERO,
-    AIRY_Z_MAX,
-    GAMMA_ONE_THIRD,
-    GAMMA_TWO_THIRDS,
     RootScanError,
-    airy,
     exact_box,
     exact_linear,
     series_integrate,
     shoot,
-    shoot_richardson,
     shoot_root,
-    spouge_gamma,
 )
 from boxeig.poly import RationalPoly
 from boxeig.rootfind import mpf_to_rational
@@ -35,108 +30,6 @@ V0 = PotentialSpec.zero()
 def as_mp(x, dps=50):
     with mpmath.workdps(dps):
         return mpmath.mpf(str(x)) if not isinstance(x, str) else mpmath.mpf(x)
-
-
-# ---------------------------------------------------------------------------
-# gamma constants
-
-
-def test_frozen_gamma_constants_rederive():
-    for text, (num, den) in ((GAMMA_ONE_THIRD, (1, 3)), (GAMMA_TWO_THIRDS, (2, 3))):
-        value = spouge_gamma(num, den, 120)
-        with mpmath.workdps(140):
-            diff = abs(mpmath.mpf(str(value)) - mpmath.mpf(text))
-            assert diff < mpmath.mpf(10) ** -115
-
-
-def test_spouge_gamma_against_mpmath():
-    with mpmath.workdps(60):
-        ours = mpmath.mpf(str(spouge_gamma(1, 3, 50)))
-        theirs = mpmath.gamma(mpmath.mpf(1) / 3)
-        assert abs(ours - theirs) < mpmath.mpf(10) ** -48
-
-
-def test_spouge_gamma_half_is_sqrt_pi():
-    with mpmath.workdps(50):
-        ours = mpmath.mpf(str(spouge_gamma(1, 2, 40)))
-        assert abs(ours - mpmath.sqrt(mpmath.pi)) < mpmath.mpf(10) ** -38
-
-
-# ---------------------------------------------------------------------------
-# Airy evaluation
-
-
-def test_airy_against_mpmath_on_seeded_points():
-    rng = random.Random(20260816)
-    points = [rng.uniform(-12.0, 2.0) for _ in range(100)]
-    with mpmath.workdps(45):
-        for z in points:
-            ours = airy(z, 30)
-            zz = mpmath.mpf(z)
-            assert abs(mpmath.mpf(str(ours.ai)) - mpmath.airyai(zz)) < mpmath.mpf(10) ** -26
-            assert abs(mpmath.mpf(str(ours.bi)) - mpmath.airybi(zz)) < mpmath.mpf(10) ** -26
-            assert abs(
-                mpmath.mpf(str(ours.aip)) - mpmath.airyai(zz, derivative=1)
-            ) < mpmath.mpf(10) ** -26
-            assert abs(
-                mpmath.mpf(str(ours.bip)) - mpmath.airybi(zz, derivative=1)
-            ) < mpmath.mpf(10) ** -26
-
-
-@pytest.mark.parametrize("z", [25.0, 29.5, -29.5])
-def test_airy_relative_accuracy_near_range_edge(z):
-    # positive z: Ai is ~1e-38 at z=25 while Bi is ~1e36; both must come out
-    # relatively accurate despite the cancellation in the series
-    ours = airy(z, 30)
-    with mpmath.workdps(60):
-        zz = mpmath.mpf(z)
-        for mine, ref in (
-            (ours.ai, mpmath.airyai(zz)),
-            (ours.bi, mpmath.airybi(zz)),
-            (ours.aip, mpmath.airyai(zz, derivative=1)),
-            (ours.bip, mpmath.airybi(zz, derivative=1)),
-        ):
-            assert abs(mpmath.mpf(str(mine)) / ref - 1) < mpmath.mpf(10) ** -25
-
-
-def test_airy_wronskian_identity():
-    # Ai(z) Bi'(z) - Ai'(z) Bi(z) = 1/pi for every z
-    for z in (-11.0, -2.5, 0.0, Fraction(3, 2), 8.0, 22.0):
-        value = airy(z, 35)
-        wronskian = value.ai * value.bip - value.aip * value.bi
-        with mpmath.workdps(45):
-            assert abs(mpmath.mpf(str(wronskian)) - 1 / mpmath.pi) < mpmath.mpf(10) ** -32
-
-
-def test_airy_range_guard():
-    with pytest.raises(ValueError, match="validated range"):
-        airy(AIRY_Z_MAX + 0.5, 30)
-    with pytest.raises(ValueError, match="validated range"):
-        airy(-1000.0, 30)
-    with pytest.raises(ValueError):
-        airy(float("nan"), 30)
-
-
-def test_airy_precision_guards():
-    with pytest.raises(ValueError):
-        airy(1.0, 1)
-    with pytest.raises(ValueError, match="frozen-constant budget"):
-        airy(1.0, 400)
-
-
-def test_airy_reports_requested_precision():
-    assert airy(0.5, 27).working_precision == 27
-
-
-def test_airy_at_zero_matches_closed_form():
-    value = airy(0, 40)
-    with mpmath.workdps(50):
-        g13 = mpmath.mpf(GAMMA_ONE_THIRD)
-        g23 = mpmath.mpf(GAMMA_TWO_THIRDS)
-        ai0 = 1 / (mpmath.cbrt(9) * g23)
-        aip0 = -1 / (mpmath.cbrt(3) * g13)
-        assert abs(mpmath.mpf(str(value.ai)) - ai0) < mpmath.mpf(10) ** -38
-        assert abs(mpmath.mpf(str(value.aip)) - aip0) < mpmath.mpf(10) ** -38
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +89,6 @@ def test_exact_linear_refuses_unreachable_state_before_evaluating(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the eigencondition was evaluated")
 
-    monkeypatch.setattr(oracle, "airy", forbidden)
     monkeypatch.setattr(oracle, "_airy_series", forbidden)
     monkeypatch.setattr(oracle, "series_integrate", forbidden)
     with pytest.raises(RootScanError, match="out of reach"):
@@ -218,7 +110,6 @@ def test_exact_linear_refuses_past_the_half_line_bound(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the eigencondition was evaluated")
 
-    monkeypatch.setattr(oracle, "airy", forbidden)
     monkeypatch.setattr(oracle, "_airy_series", forbidden)
     monkeypatch.setattr(oracle, "series_integrate", forbidden)
     for lam in (Fraction(30663, 10), 30000, Fraction(10**300), Fraction(10**400)):
@@ -253,6 +144,26 @@ def test_exact_linear_30_digit_values(lam, state, expected):
     assert format_significant(value, 30) == expected
 
 
+@pytest.mark.parametrize("lam, digits", [(-7, 190), (1, 185), (-7, 300)])
+def test_exact_linear_past_200_digits_matches_mpmath(lam, digits):
+    # the determinant takes no constant of limited precision, so no digit
+    # request is refused; the reference is the root of mpmath's
+    # Ai(z0) Bi(z1) - Ai(z1) Bi(z0) next to ours
+    ours = exact_linear(lam, 0, digits)
+    with mpmath.workdps(digits + 20):
+        cbrt = mpmath.cbrt(abs(mpmath.mpf(lam)))
+        lam13 = cbrt if lam > 0 else -cbrt
+
+        def determinant(eps):
+            z0 = -eps / cbrt**2
+            z1 = lam13 + z0
+            return mpmath.airyai(z0) * mpmath.airybi(z1) - mpmath.airyai(z1) * mpmath.airybi(z0)
+
+        ours = mpmath.mpf(ours)
+        reference = mpmath.findroot(determinant, ours)
+        assert abs(ours - reference) < mpmath.mpf(10) ** -(digits + 3)
+
+
 def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
     # the determinant sums the f, g series once per wall: 11 scan points need
     # 22 evaluations; bisecting to 10^-39 would add about 250 more, the
@@ -271,28 +182,31 @@ def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
 
 def test_airy_determinant_from_f_and_g():
     # Ai(z0) Bi(z1) - Ai(z1) Bi(z0) = 2 sqrt(3) c1 c2 (f0 g1 - g0 f1), with
-    # c1 = Ai(0) and c2 = -Ai'(0), for arguments of both signs up to |z| = 30
+    # c1 = Ai(0) and c2 = -Ai'(0): every pair of 8 arguments of both signs up
+    # to |z| = 30, and 100 seeded arguments in [-12, 2] taken as consecutive
+    # pairs
     precision = 30
     ctx = oracle._context(precision + 10)
-    points = (-30, -17.25, -2.5, 0, 0.75, 11.5, 29.5, 30)
+    edge = (-30, -17.25, -2.5, 0, 0.75, 11.5, 29.5, 30)
+    rng = random.Random(20260816)
+    seeded = [rng.uniform(-12.0, 2.0) for _ in range(100)]
+    pairs = list(itertools.combinations(edge, 2)) + list(zip(seeded, seeded[1:]))
 
     def fg(z):
         zz = ctx.mpf(z)
-        wp = oracle._airy_working_digits(zz, precision)
-        (f, g), bits = oracle._airy_fixed(ctx, zz, wp, derivatives=False)
+        (f, g), bits = oracle._airy_fixed(ctx, zz, oracle._airy_working_digits(zz, precision))
         return f, g, bits
 
     with mpmath.workdps(80):
         factor = 2 * mpmath.sqrt(3) * mpmath.airyai(0) * -mpmath.airyai(0, derivative=1)
-        for i, z0 in enumerate(points):
+        for z0, z1 in pairs:
             f0, g0, bits0 = fg(z0)
-            for z1 in points[i + 1 :]:
-                f1, g1, bits1 = fg(z1)
-                ours = factor * mpmath.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
-                ai0, bi0 = mpmath.airyai(z0), mpmath.airybi(z0)
-                ai1, bi1 = mpmath.airyai(z1), mpmath.airybi(z1)
-                exact = ai0 * bi1 - ai1 * bi0
-                assert abs(ours - exact) <= mpmath.mpf(10) ** -precision * abs(exact), (z0, z1)
+            f1, g1, bits1 = fg(z1)
+            ours = factor * mpmath.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
+            ai0, bi0 = mpmath.airyai(z0), mpmath.airybi(z0)
+            ai1, bi1 = mpmath.airyai(z1), mpmath.airybi(z1)
+            exact = ai0 * bi1 - ai1 * bi0
+            assert abs(ours - exact) <= mpmath.mpf(10) ** -precision * abs(exact), (z0, z1)
 
 
 class _CountingContext(oracle.MPContext):
@@ -402,35 +316,25 @@ def test_exact_linear_excited_state():
 def test_series_integrate_reproduces_airy_values():
     # integrating y'' = q y from 0 with Ai's initial data is a second,
     # structurally different route to Ai(z)
-    import boxeig.oracle as oracle
-
     ctx = oracle._context(35)
     v = RationalPoly.from_coeffs([0, 1], "q")
     with mpmath.workdps(45):
-        g13 = mpmath.mpf(GAMMA_ONE_THIRD)
-        g23 = mpmath.mpf(GAMMA_TWO_THIRDS)
-        ai0 = 1 / (mpmath.cbrt(9) * g23)
-        aip0 = -1 / (mpmath.cbrt(3) * g13)
+        ai0 = ctx.mpf(str(mpmath.airyai(0)))
+        aip0 = ctx.mpf(str(mpmath.airyai(0, derivative=1)))
         for z in (-5.0, -1.0, 1.5):
-            y, yp = series_integrate(
-                v, 0, 0, z, ctx.mpf(str(ai0)), ctx.mpf(str(aip0)), ctx
-            )
-            ref = airy(z, 30)
-            assert abs(mpmath.mpf(str(y)) - mpmath.mpf(str(ref.ai))) < mpmath.mpf(10) ** -27
-            assert abs(mpmath.mpf(str(yp)) - mpmath.mpf(str(ref.aip))) < mpmath.mpf(10) ** -27
+            y, yp = series_integrate(v, 0, 0, z, ai0, aip0, ctx)
+            assert abs(mpmath.mpf(str(y)) - mpmath.airyai(z)) < mpmath.mpf(10) ** -27
+            assert abs(mpmath.mpf(str(yp)) - mpmath.airyai(z, derivative=1)) < mpmath.mpf(10) ** -27
 
 
 def test_series_integrate_hits_first_airy_zero():
-    import boxeig.oracle as oracle
-
     ctx = oracle._context(30)
     v = RationalPoly.from_coeffs([0, 1], "q")
     with mpmath.workdps(40):
-        ai0 = str(1 / (mpmath.cbrt(9) * mpmath.mpf(GAMMA_TWO_THIRDS)))
-        aip0 = str(-1 / (mpmath.cbrt(3) * mpmath.mpf(GAMMA_ONE_THIRD)))
-    # first zero of Ai, from bisecting our own airy() at 35 digits
-    zero = ctx.mpf("-2.3381074104597670384891972524467")
-    y, _ = series_integrate(v, 0, 0, zero, ctx.mpf(ai0), ctx.mpf(aip0), ctx)
+        ai0 = ctx.mpf(str(mpmath.airyai(0)))
+        aip0 = ctx.mpf(str(mpmath.airyai(0, derivative=1)))
+        zero = ctx.mpf(str(mpmath.airyaizero(1)))
+    y, _ = series_integrate(v, 0, 0, zero, ai0, aip0, ctx)
     assert abs(float(y)) < 1e-25
 
 
@@ -502,15 +406,6 @@ def test_shoot_accepts_raw_polynomial():
         shoot("not a potential", 10.0)
     with pytest.raises(ValueError):
         shoot(V0, 10.0, steps=1)
-
-
-def test_shoot_richardson_improves_and_bounds():
-    exact = math.sin(math.sqrt(6)) / math.sqrt(6)
-    extrapolated, err_est = shoot_richardson(V0, 6.0, steps=200)
-    plain = shoot(V0, 6.0, steps=200)
-    assert abs(extrapolated - exact) < abs(plain - exact)
-    assert abs(plain - exact) < 20 * err_est
-    assert err_est < 1e-9
 
 
 def test_shoot_root_free_box():

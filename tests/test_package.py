@@ -1,6 +1,7 @@
 """The package's public surface: what ``import boxeig`` exports."""
 
 import ast
+import pathlib
 
 import boxeig
 
@@ -22,3 +23,24 @@ def test_all_lists_exactly_the_imported_public_names():
 def test_every_exported_name_resolves():
     missing = [name for name in boxeig.__all__ if not hasattr(boxeig, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a prune must take the imports it leaves behind with it
+    package = pathlib.Path(boxeig.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

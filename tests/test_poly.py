@@ -1,5 +1,6 @@
 """Exact-arithmetic properties of the rational polynomial layer."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -80,39 +81,14 @@ def zero_like(a):
     return RationalPoly.zero(a.var)
 
 
-@settings(max_examples=40, derandomize=True)
-@given(polys, st.integers(min_value=0, max_value=4))
-def test_power_matches_repeated_multiplication(a, k):
-    expected = RationalPoly.one(a.var)
-    for _ in range(k):
-        expected = expected * a
-    assert a**k == expected
-
-
 # ---------------------------------------------------------------------------
 # calculus
 
 
 @settings(max_examples=60, derandomize=True)
 @given(polys)
-def test_derivative_antiderivative_roundtrip(p):
-    assert p.antiderivative().differentiate() == p
-    # differentiate -> antiderivative recovers p minus its constant term
-    q = p.differentiate().antiderivative()
-    assert q == p - p.coeff(0)
-
-
-@settings(max_examples=60, derandomize=True)
-@given(polys)
 def test_integral_of_derivative_is_boundary_difference(p):
     assert p.differentiate().integrate_01() == p.eval(Fraction(1)) - p.eval(Fraction(0))
-
-
-@settings(max_examples=60, derandomize=True)
-@given(polys)
-def test_integrate_01_matches_antiderivative(p):
-    f = p.antiderivative()
-    assert p.integrate_01() == f.eval(Fraction(1)) - f.eval(Fraction(0))
 
 
 def test_integrate_01_closed_form():
@@ -139,6 +115,13 @@ def test_eval_float_is_correctly_rounded(p, x):
     # float evaluation must equal the float of the exact rational value
     exact = p.eval(Fraction(x))
     assert p.eval(x) == float(exact)
+
+
+def test_eval_refuses_other_number_types():
+    p = RationalPoly.from_coeffs([1, 2, 3])
+    for x in (Decimal("0.5"), complex(1, 1), "1/2"):
+        with pytest.raises(TypeError):
+            p.eval(x)
 
 
 @settings(max_examples=40, derandomize=True)
@@ -168,22 +151,6 @@ def test_divmod_identity(a, b):
     q, r = a.divmod(b)
     assert a == q * b + r
     assert r.is_zero or r.degree < b.degree
-
-
-@settings(max_examples=40, derandomize=True)
-@given(polys, polys)
-def test_divexact_roundtrip(a, b):
-    if b.is_zero:
-        return
-    product = a * b
-    assert product.divexact(b) == a
-
-
-def test_divexact_rejects_remainder():
-    a = RationalPoly.from_coeffs([1, 1])  # 1 + q
-    b = RationalPoly.from_coeffs([0, 1])  # q
-    with pytest.raises(ValueError):
-        a.divexact(b)
 
 
 @settings(max_examples=40, derandomize=True)

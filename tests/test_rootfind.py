@@ -11,10 +11,10 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly, _primitive_ints
 from boxeig.rayleigh_ritz import solve_rr
 from boxeig.rootfind import (
+    certified_root,
     count_real_roots,
     isolate_real_roots,
     mpf_to_rational,
-    refine,
     refine_enclosure,
     sturm_sequence,
     sign_variations,
@@ -29,6 +29,12 @@ def poly_from_roots(roots, var="q"):
     for r in roots:
         p = p * RationalPoly.from_coeffs([-Fraction(r), 1], var)
     return p
+
+
+def certified_midpoint(p, interval, tol=Fraction(1, 10**13)):
+    """Float midpoint of the root's certified enclosure of width 2*tol."""
+    a, b = certified_root(p, interval, 2 * tol)
+    return float((a + b) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,7 @@ def test_isolation_bisects_onto_a_multiple_root():
     p = poly_from_roots([0, 0, 1, -1])
     intervals = isolate_real_roots(p, (Fraction(-2), Fraction(2)))
     assert intervals[1] == (Fraction(0), Fraction(0))
-    assert [round(refine(p, iv), 9) for iv in intervals] == [-1.0, 0.0, 1.0]
+    assert [round(certified_midpoint(p, iv), 9) for iv in intervals] == [-1.0, 0.0, 1.0]
 
 
 def test_isolation_endpoint_root_left():
@@ -211,7 +217,7 @@ def test_root_beside_a_root_on_the_left_endpoint():
     # (0, 1] holds only 1/3, but p(0) = 0: refinement must not return 0
     p = poly_from_roots([0, Fraction(1, 3)])
     intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
-    values = [refine(p, iv, Fraction(1, 10**12)) for iv in intervals]
+    values = [certified_midpoint(p, iv, Fraction(1, 10**12)) for iv in intervals]
     assert values[0] == 0.0 and abs(values[1] - 1 / 3) < 1e-11
     for a, b in intervals:
         assert a == b or (p.eval(a) != 0 and p.eval(b) != 0)
@@ -264,7 +270,7 @@ def test_isolation_on_a_bracket_wider_than_the_float_range(sturm_calls, roots, c
     # the double root shows no sign change: certified_root retries it on
     # the square-free part
     for iv, root in zip(intervals, sorted(set(roots))):
-        assert abs(refine(p, iv, Fraction(1, 10**13)) - root) < 1e-12
+        assert abs(certified_midpoint(p, iv, Fraction(1, 10**13)) - root) < 1e-12
 
 
 def test_isolation_rejects_zero_polynomial():
@@ -361,16 +367,16 @@ def test_refine_enclosure_on_every_isolating_interval():
 
 def test_refine_float_result():
     p = RationalPoly.from_coeffs([-2, 0, 1])
-    r = refine(p, (Fraction(1), Fraction(2)), tol=Fraction(1, 10**13))
+    r = certified_midpoint(p, (Fraction(1), Fraction(2)), Fraction(1, 10**13))
     assert abs(r - 2**0.5) < 1e-12
 
 
 def test_refine_rejects_an_interval_without_a_root():
     p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
-    assert refine(p, (Fraction(1, 3), Fraction(1, 3))) == 1 / 3
+    assert certified_midpoint(p, (Fraction(1, 3), Fraction(1, 3))) == 1 / 3
     for interval in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))):
         with pytest.raises(ValueError):
-            refine(p, interval)
+            certified_midpoint(p, interval)
 
 
 def test_refine_even_multiplicity_root(sturm_calls):
@@ -380,7 +386,7 @@ def test_refine_even_multiplicity_root(sturm_calls):
     intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
     assert len(intervals) == 1
     assert sturm_calls == {"sturm_sequence": 1}
-    r = refine(p, intervals[0], Fraction(1, 10**12))
+    r = certified_midpoint(p, intervals[0], Fraction(1, 10**12))
     assert abs(r - 1 / 3) < 1e-11
     # the retry took the square-free part from one more chain
     assert sturm_calls == {"sturm_sequence": 2}
@@ -389,12 +395,12 @@ def test_refine_even_multiplicity_root(sturm_calls):
 def test_rational_root_detected_exactly():
     p = poly_from_roots([Fraction(6)])  # linear factor, root exactly 6
     intervals = isolate_real_roots(p, (Fraction(0), Fraction(10)))
-    assert [refine(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
+    assert [certified_midpoint(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
     # a root sitting exactly on the bracket's left endpoint is reported
     # through a degenerate interval, since (lo, hi] would exclude it
     intervals = isolate_real_roots(p, (Fraction(6), Fraction(10)))
     assert intervals == ((Fraction(6), Fraction(6)),)
-    assert [refine(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
+    assert [certified_midpoint(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
 
 
 # ---------------------------------------------------------------------------
