@@ -180,33 +180,49 @@ def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
     assert 22 <= len(calls) <= 40
 
 
+def _airy_fg(ctx, z, precision):
+    zz = ctx.mpf(z)
+    (f, g), bits = oracle._airy_fixed(ctx, zz, oracle._airy_working_digits(zz, precision))
+    return f, g, bits
+
+
 def test_airy_determinant_from_f_and_g():
     # Ai(z0) Bi(z1) - Ai(z1) Bi(z0) = 2 sqrt(3) c1 c2 (f0 g1 - g0 f1), with
-    # c1 = Ai(0) and c2 = -Ai'(0): every pair of 8 arguments of both signs up
-    # to |z| = 30, and 100 seeded arguments in [-12, 2] taken as consecutive
-    # pairs
+    # c1 = Ai(0) and c2 = -Ai'(0), for arguments of both signs up to |z| = 30
     precision = 30
     ctx = oracle._context(precision + 10)
-    edge = (-30, -17.25, -2.5, 0, 0.75, 11.5, 29.5, 30)
-    rng = random.Random(20260816)
-    seeded = [rng.uniform(-12.0, 2.0) for _ in range(100)]
-    pairs = list(itertools.combinations(edge, 2)) + list(zip(seeded, seeded[1:]))
-
-    def fg(z):
-        zz = ctx.mpf(z)
-        (f, g), bits = oracle._airy_fixed(ctx, zz, oracle._airy_working_digits(zz, precision))
-        return f, g, bits
+    points = (-30, -17.25, -2.5, 0, 0.75, 11.5, 29.5, 30)
 
     with mpmath.workdps(80):
         factor = 2 * mpmath.sqrt(3) * mpmath.airyai(0) * -mpmath.airyai(0, derivative=1)
-        for z0, z1 in pairs:
-            f0, g0, bits0 = fg(z0)
-            f1, g1, bits1 = fg(z1)
+        for z0, z1 in itertools.combinations(points, 2):
+            f0, g0, bits0 = _airy_fg(ctx, z0, precision)
+            f1, g1, bits1 = _airy_fg(ctx, z1, precision)
             ours = factor * mpmath.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
             ai0, bi0 = mpmath.airyai(z0), mpmath.airybi(z0)
             ai1, bi1 = mpmath.airyai(z1), mpmath.airybi(z1)
             exact = ai0 * bi1 - ai1 * bi0
             assert abs(ours - exact) <= mpmath.mpf(10) ** -precision * abs(exact), (z0, z1)
+
+
+def test_airy_against_mpmath_on_seeded_points():
+    # Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g) from the fixed-point
+    # f, g kernel at 100 seeded arguments in [-12, 2]
+    precision = 30
+    ctx = oracle._context(precision + 10)
+    rng = random.Random(20260816)
+    points = [rng.uniform(-12.0, 2.0) for _ in range(100)]
+    with mpmath.workdps(45):
+        c1 = mpmath.airyai(0)
+        c2 = -mpmath.airyai(0, derivative=1)
+        for z in points:
+            f, g, bits = _airy_fg(ctx, z, precision)
+            f, g = mpmath.ldexp(f, -bits), mpmath.ldexp(g, -bits)
+            zz = mpmath.mpf(z)
+            assert abs(c1 * f - c2 * g - mpmath.airyai(zz)) < mpmath.mpf(10) ** -26, z
+            assert abs(
+                mpmath.sqrt(3) * (c1 * f + c2 * g) - mpmath.airybi(zz)
+            ) < mpmath.mpf(10) ** -26, z
 
 
 class _CountingContext(oracle.MPContext):
