@@ -108,6 +108,10 @@ def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction,
 # compared; the chosen one is then refined on to the solver's tolerance.
 COARSE_WIDTH = Fraction(1, 10**12)
 
+# Enclosure half-width used by the solver entry points; tight enough that a
+# renderer can trust 25 significant digits from the midpoint.
+SOLVER_TOL = Fraction(1, 10**26)
+
 
 def select_root(
     p: RationalPoly,

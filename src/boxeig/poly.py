@@ -1,10 +1,17 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A polynomial is stored as a tuple of `fractions.Fraction` coefficients in
-ascending powers (``coeffs[k]`` multiplies ``x**k``) with no trailing zeros,
-so the zero polynomial is the empty tuple and has degree -1.  Every ring
-operation is exact; floating point enters only through :meth:`RationalPoly.eval`
-when the caller passes a float.
+A polynomial is stored as one positive rational ``scale`` times an integer
+polynomial, ``scale * sum(ints[k] * x**k)``.  The tuple ``ints`` runs over
+ascending powers with no trailing zeros, its entries are coprime, and it
+carries the sign; the zero polynomial has ``ints == ()``, scale 1 and degree
+-1.  This is the content-times-primitive-part form (Gauss's lemma; Knuth,
+TAOCP Vol. 2, 4.6.1).  It is canonical, so equal polynomials have equal
+fields, and the ring operations run on integers: a scalar product changes
+only the scale, a product multiplies the integer tuples (a product of
+primitive polynomials is primitive), and a sum clears two denominators.
+Root finding reads the stored integers directly.  ``coeffs`` gives the
+rational coefficients.  Every operation is exact; floating point enters only
+through :meth:`RationalPoly.eval` when the caller passes a float.
 
 Each polynomial carries an advisory variable tag (``"q"`` for the spatial
 coordinate, ``"eps"`` for the energy).  Binary operations insist that the tags
@@ -14,11 +21,11 @@ energy polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 
@@ -49,71 +56,86 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _normalize(coeffs: Iterable[ScalarLike]) -> tuple[Fraction, ...]:
-    out = [as_rational(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RationalPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs: tuple[Fraction, ...] = field(default=())
+    The fields hold the canonical form ``scale * sum(ints[k] x**k)``; build a
+    polynomial through :meth:`from_coeffs` or the other constructors, which
+    bring it to that form.
+    """
+
+    ints: tuple[int, ...] = ()
+    scale: Fraction = Fraction(1)
     var: str = "q"
-
-    def __post_init__(self) -> None:
-        normalized = _normalize(self.coeffs)
-        object.__setattr__(self, "coeffs", normalized)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
+    def _canonical(cls, ints: list[int], scale: Fraction, var: str) -> "RationalPoly":
+        """scale * ints in canonical form, for any int list and a nonzero scale."""
+        while ints and ints[-1] == 0:
+            ints.pop()
+        if not ints:
+            return cls.zero(var)
+        g = gcd(*ints)
+        if scale < 0:
+            g = -g
+        return cls(tuple(c // g for c in ints), scale * g, var)
+
+    @classmethod
     def from_coeffs(cls, coeffs: Sequence[ScalarLike], var: str = "q") -> "RationalPoly":
-        return cls(tuple(as_rational(c) for c in coeffs), var)
+        fracs = [as_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        ints = [c.numerator * (den // c.denominator) for c in fracs]
+        return cls._canonical(ints, Fraction(1, den), var)
 
     @classmethod
     def zero(cls, var: str = "q") -> "RationalPoly":
-        return cls((), var)
+        return cls((), Fraction(1), var)
 
     @classmethod
     def one(cls, var: str = "q") -> "RationalPoly":
-        return cls((Fraction(1),), var)
+        return cls((1,), Fraction(1), var)
 
     @classmethod
     def constant(cls, c: ScalarLike, var: str = "q") -> "RationalPoly":
-        return cls((as_rational(c),), var)
+        return cls.from_coeffs([c], var)
 
     @classmethod
     def monomial(cls, power: int, c: ScalarLike = 1, var: str = "q") -> "RationalPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return cls((Fraction(0),) * power + (as_rational(c),), var)
+        return cls.from_coeffs([0] * power + [c], var)
 
     # ------------------------------------------------------------------
     # structure
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients, ascending powers, no trailing zeros."""
+        return tuple(self.scale * c for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.scale * self.ints[-1]
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (zero beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return self.scale * self.ints[k]
         return Fraction(0)
 
     def _check_var(self, other: "RationalPoly") -> None:
@@ -123,7 +145,7 @@ class RationalPoly:
             )
 
     def with_var(self, var: str) -> "RationalPoly":
-        return RationalPoly(self.coeffs, var)
+        return RationalPoly(self.ints, self.scale, var)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -132,19 +154,27 @@ class RationalPoly:
         if isinstance(other, RationalPoly):
             self._check_var(other)
             return other
-        return RationalPoly.constant(as_rational(other), self.var)
+        return RationalPoly.constant(other, self.var)
 
     def __add__(self, other) -> "RationalPoly":
         o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return RationalPoly(
-            tuple(self.coeff(k) + o.coeff(k) for k in range(n)), self.var
-        )
+        if not o.ints:
+            return self
+        if not self.ints:
+            return o
+        # a A + b B = (g / den) (x A + y B) with integer x, y
+        a, b = self.scale, o.scale
+        g = gcd(a.numerator, b.numerator)
+        den = lcm(a.denominator, b.denominator)
+        x = a.numerator // g * (den // a.denominator)
+        y = b.numerator // g * (den // b.denominator)
+        ints = [x * u + y * w for u, w in zip_longest(self.ints, o.ints, fillvalue=0)]
+        return RationalPoly._canonical(ints, Fraction(g, den), self.var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs), self.var)
+        return RationalPoly(tuple(-c for c in self.ints), self.scale, self.var)
 
     def __sub__(self, other) -> "RationalPoly":
         return self + (-self._coerce(other))
@@ -155,40 +185,33 @@ class RationalPoly:
     def __mul__(self, other) -> "RationalPoly":
         if not isinstance(other, RationalPoly):
             c = as_rational(other)
-            return RationalPoly(tuple(c * a for a in self.coeffs), self.var)
+            if not c or not self.ints:
+                return RationalPoly.zero(self.var)
+            ints = self.ints if c > 0 else tuple(-v for v in self.ints)
+            return RationalPoly(ints, self.scale * abs(c), self.var)
         self._check_var(other)
-        if self.is_zero or other.is_zero:
+        if not self.ints or not other.ints:
             return RationalPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(tuple(out), self.var)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        ints = tuple(_int_mul(self.ints, other.ints))
+        return RationalPoly(ints, self.scale * other.scale, self.var)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalPoly):
-            return self.coeffs == other.coeffs and self.var == other.var
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.var))
 
     # ------------------------------------------------------------------
     # calculus
 
     def differentiate(self) -> "RationalPoly":
         """Exact derivative."""
-        return RationalPoly(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1), self.var
+        return RationalPoly._canonical(
+            [k * c for k, c in enumerate(self.ints)][1:], self.scale, self.var
         )
 
     def integrate_01(self) -> Fraction:
         """Exact integral over [0, 1]: sum of coeffs[k] / (k+1)."""
-        return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), Fraction(0))
+        return self.scale * sum(
+            (Fraction(c, k + 1) for k, c in enumerate(self.ints)), Fraction(0)
+        )
 
     # ------------------------------------------------------------------
     # evaluation
@@ -201,10 +224,11 @@ class RationalPoly:
         once at the end, so the result is correctly rounded.
         """
         if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            if not self.ints:
+                return Fraction(0)
+            d = x.denominator
+            value = self.scale.numerator * _horner(self.ints, x.numerator, d)
+            return Fraction(value, self.scale.denominator * d**self.degree)
         if isinstance(x, float):
             return float(self.eval(Fraction(x)))
         raise TypeError(f"cannot evaluate at {x!r}: pass an int, Fraction or float")
@@ -227,40 +251,43 @@ class RationalPoly:
         return acc
 
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        """Exact polynomial division: self = q*other + r with deg r < deg other."""
+        """Exact polynomial division: self = q*other + r with deg r < deg other.
+
+        A plain Fraction loop, kept apart from the integer kernels below so
+        that the tests can check those against it.
+        """
         self._check_var(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
+        dq = self.degree - other.degree
         if dq < 0:
             return RationalPoly.zero(self.var), self
+        rem = list(self.coeffs)
+        divisor = other.coeffs
         quo = [Fraction(0)] * (dq + 1)
         d = other.degree
-        lead = other.coeffs[-1]
+        lead = divisor[-1]
         for k in range(dq, -1, -1):
             c = rem[d + k] / lead
             quo[k] = c
             if c:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(divisor):
                     rem[j + k] -= c * b
         return (
-            RationalPoly(tuple(quo), self.var),
-            RationalPoly(tuple(rem[:d] if d > 0 else []), self.var),
+            RationalPoly.from_coeffs(quo, self.var),
+            RationalPoly.from_coeffs(rem[:d], self.var),
         )
 
     # ------------------------------------------------------------------
-    # normalization helpers for root finding
+    # normalization
 
     def primitive_part(self) -> "RationalPoly":
-        """Scale by a positive rational so coefficients are coprime integers.
+        """The polynomial divided by its positive scale: coprime integer coefficients.
 
         The sign of the polynomial is preserved, so sign-based root counting
         on the primitive part agrees with the original.
         """
-        if self.is_zero:
-            return self
-        return _from_ints(_primitive_ints(self), self.var)
+        return RationalPoly(self.ints, Fraction(1), self.var)
 
     # ------------------------------------------------------------------
     # rendering
@@ -288,37 +315,23 @@ class RationalPoly:
 # ----------------------------------------------------------------------
 # integer coefficient lists
 #
-# The fraction-free kernels (the Bareiss determinant and the Sturm chain)
-# clear denominators once and then work on plain lists of ints, ascending
-# powers with no trailing zeros, so that no ring operation pays the gcd a
-# Fraction takes.  RationalPoly stays the type at their boundaries.
+# Plain lists (or tuples) of ints, ascending powers with no trailing zeros,
+# as RationalPoly stores them: the ring operations above, the fraction-free
+# Bareiss determinant and root finding run on these kernels, so that no
+# coefficient operation pays the gcd a Fraction takes.
 
 
-def _denominator(polys: Iterable[RationalPoly]) -> int:
-    """Least common multiple of every coefficient denominator."""
-    return lcm(*(c.denominator for p in polys for c in p.coeffs))
+def _horner(a: Sequence[int], n: int, d: int) -> int:
+    """d^deg a(n/d) = sum a_i n^i d^(deg-i) by integer Horner steps, for d > 0.
 
-
-def _scaled_ints(p: RationalPoly, den: int) -> list[int]:
-    """Coefficients of den * p, where den is a multiple of every denominator."""
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
-def _primitive_ints(p: RationalPoly) -> list[int]:
-    """p scaled by a positive rational to coprime integer coefficients."""
-    ints = _scaled_ints(p, _denominator((p,)))
-    g = _int_content(ints)
-    return [v // g for v in ints]
-
-
-def _from_ints(a: Sequence[int], var: str, den: int = 1) -> RationalPoly:
-    """The polynomial a / den."""
-    return RationalPoly(tuple(Fraction(v, den) for v in a), var)
-
-
-def _int_content(a: Sequence[int]) -> int:
-    """gcd of the coefficients, nonnegative."""
-    return gcd(*a)
+    Its sign is the sign of a at n/d.
+    """
+    acc = 0
+    power = 1
+    for c in reversed(a):
+        acc = acc * n + c * power
+        power *= d
+    return acc
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

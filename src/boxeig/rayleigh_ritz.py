@@ -10,20 +10,23 @@ both exact rationals with closed forms (see :func:`basis_matrices`).  The
 same matrices give the quotient of the power-series trial function, which
 is a combination of this basis.  Eigenvalue estimates are the roots of
 det(H - eps S) = 0; the determinant is expanded into an exact polynomial in
-eps by fraction-free (Bareiss) elimination over Z[eps], after the
-denominators of H and S are cleared once, then handed to the shared root
-machinery.  For a symmetric positive-definite S all n-1 roots are real and
-they bound the true spectrum from above.
+eps by fraction-free (Bareiss) elimination over Z[eps], on integer lists
+after the denominators of H and S are cleared once, then handed to the
+shared root machinery.  For a symmetric positive-definite S all n-1 roots
+are real and they bound the true spectrum from above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .estimates import (
     DEFAULT_SELECTION,
     METHOD_RR,
+    SOLVER_TOL,
     EigenEstimate,
     RootSelection,
     resolve_bracket,
@@ -31,16 +34,7 @@ from .estimates import (
     select_root,
 )
 from .model import PotentialSpec
-from .poly import (
-    RationalPoly,
-    _denominator,
-    _from_ints,
-    _int_divexact,
-    _int_mul,
-    _int_sub,
-    _scaled_ints,
-)
-from .series import SOLVER_TOL
+from .poly import RationalPoly, _int_divexact, _int_mul, _int_sub
 
 
 @dataclass(frozen=True)
@@ -114,17 +108,24 @@ def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
     Requires n >= 3.
     """
     s, h = basis_matrices(potential, n)
-    size = n - 1
-    pencil = [
-        [RationalPoly.from_coeffs([h[i][j], -s[i][j]], "eps") for j in range(size)]
-        for i in range(size)
-    ]
-    char_poly = bareiss_determinant(pencil)
+    # S_ij integrates the positive f_i f_j, so each entry has degree one in eps
+    pencil = [[(hij, -sij) for hij, sij in zip(hrow, srow)] for hrow, srow in zip(h, s)]
+    char_poly = _determinant(pencil, "eps")
     return SecularSystem(n=n, potential=potential, h=h, s=s, char_poly=char_poly)
 
 
 def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
-    """Exact determinant of a square polynomial matrix, fraction-free.
+    """Exact determinant of a square polynomial matrix, fraction-free."""
+    size = len(matrix)
+    if size == 0:
+        raise ValueError("empty matrix")
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix must be square")
+    return _determinant([[p.coeffs for p in row] for row in matrix], matrix[0][0].var)
+
+
+def _determinant(matrix: list[list[Sequence[Fraction]]], var: str) -> RationalPoly:
+    """Determinant of a square matrix of coefficient lists (no trailing zeros).
 
     The denominators are cleared once: with D the lcm of every coefficient
     denominator, the Bareiss recurrence runs on the integer polynomials
@@ -133,13 +134,8 @@ def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
     elimination step instead of exponential and needs no gcd.
     """
     size = len(matrix)
-    if size == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix must be square")
-    var = matrix[0][0].var
-    den = _denominator(p for row in matrix for p in row)
-    a = [[_scaled_ints(p, den) for p in row] for row in matrix]
+    den = lcm(*(c.denominator for row in matrix for e in row for c in e))
+    a = [[[c.numerator * (den // c.denominator) for c in e] for e in row] for row in matrix]
     sign = 1
     prev = [1]
     for k in range(size - 1):
@@ -160,8 +156,7 @@ def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
                 row[j] = _int_divexact(num, prev)
             row[k] = []
         prev = pivot
-    det = a[size - 1][size - 1]
-    return _from_ints([sign * c for c in det], var, den**size)
+    return RationalPoly.from_coeffs(a[size - 1][size - 1], var) * Fraction(sign, den**size)
 
 
 def solve_secular(

@@ -1,11 +1,11 @@
 """Certified real-root location for polynomials with rational coefficients.
 
-Every computation works on one exact representation, the primitive integer
-coefficient list of a polynomial (its denominators cleared and its content
-divided out, a positive scale that keeps every sign).  A Sturm sequence is
-an integer primitive pseudo-remainder sequence, and the one sign primitive
-evaluates an integer polynomial at a rational point n/d by integer Horner
-steps on the homogenised form, so no step pays a gcd.  Sign-variation counts
+Every computation works on the coprime integer coefficients that
+:class:`~boxeig.poly.RationalPoly` stores (the polynomial divided by its
+positive scale, so every sign is kept).  A Sturm sequence is an integer
+primitive pseudo-remainder sequence, and the one sign primitive evaluates an
+integer polynomial at a rational point n/d by the integer Horner kernel of
+``poly`` on the homogenised form, so no step pays a gcd.  Sign-variation counts
 (and hence root counts on half-open intervals) carry no rounding error.
 
 Isolation is Descartes bisection (Collins & Akritas 1976; Rouillier &
@@ -32,18 +32,10 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
-from .poly import (
-    RationalPoly,
-    _from_ints,
-    _int_content,
-    _int_divexact,
-    _int_prem,
-    _primitive_ints,
-    exact_rational,
-)
+from .poly import RationalPoly, _horner, _int_divexact, _int_prem, exact_rational
 
 logger = logging.getLogger(__name__)
 
@@ -62,18 +54,9 @@ Interval = tuple[Fraction, Fraction]
 
 
 def _sign_at(a: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial a at x = n/d (d > 0).
-
-    It is the sign of d^deg a(n/d) = sum a_i n^i d^(deg-i), which integer
-    Horner steps compute with no gcd.
-    """
-    n, d = x.numerator, x.denominator
-    acc = 0
-    power = 1
-    for c in reversed(a):
-        acc = acc * n + c * power
-        power *= d
-    return (acc > 0) - (acc < 0)
+    """Sign of the integer polynomial a at x = n/d (d > 0), read off d^deg a(n/d)."""
+    value = _horner(a, x.numerator, x.denominator)
+    return (value > 0) - (value < 0)
 
 
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -91,7 +74,7 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
         if r:
             # r is lc(b)^(delta+1) times a mod b, and the member is -(a mod b)
             # made primitive: divide by -content unless that factor is negative
-            g = _int_content(r)
+            g = gcd(*r)
             if b[-1] > 0 or (len(a) - len(b)) % 2:
                 g = -g
             r = [c // g for c in r]
@@ -106,7 +89,7 @@ def sturm_sequence(p: RationalPoly) -> list[list[int]]:
     """
     if p.is_zero:
         raise ValueError("Sturm sequence of the zero polynomial is undefined")
-    return _remainder_sequence(_primitive_ints(p), _primitive_ints(p.differentiate()))
+    return _remainder_sequence(list(p.ints), list(p.differentiate().ints))
 
 
 def _counting_chain(p: RationalPoly) -> list[list[int]]:
@@ -144,7 +127,7 @@ def square_free_part(p: RationalPoly) -> RationalPoly:
     The first member of the counting chain, p / gcd(p, p') as a primitive
     integer polynomial; its sign may differ from that of p.
     """
-    return _from_ints(_counting_chain(p)[0], p.var)
+    return RationalPoly.from_coeffs(_counting_chain(p)[0], p.var)
 
 
 def isolate_real_roots(p: RationalPoly, bracket: tuple) -> tuple[Interval, ...]:
@@ -162,7 +145,7 @@ def isolate_real_roots(p: RationalPoly, bracket: tuple) -> tuple[Interval, ...]:
 
     intervals: list[Interval] = []
     if p.degree >= 1:
-        a = _primitive_ints(p)
+        a = p.ints
         found = _descartes(a, lo, hi, bounded=True)
         if found is None:
             found = _descartes(_counting_chain(p)[0], lo, hi, bounded=False)
@@ -182,12 +165,13 @@ def _taylor_shift1(a: Sequence[int]) -> list[int]:
 
 
 def _descartes(
-    a: list[int], lo: Fraction, hi: Fraction, bounded: bool
+    a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool
 ) -> list[Interval] | None:
     """Isolating intervals of the distinct roots of a in the open bracket (lo, hi).
 
-    ``a`` is a primitive integer list.  With lo = A/C and hi - lo = B/C,
-    q(t) = C^d a((A + B t) / C) has the roots of a in (lo, hi) in (0, 1).  A
+    ``a`` is a primitive integer coefficient sequence.  With lo = A/C and
+    hi - lo = B/C, q(t) = C^d a((A + B t) / C) has the roots of a in (lo, hi)
+    in (0, 1).  A
     piece lo + (hi - lo) [c/2^k, (c + 1)/2^k] is held as (q_k, k, c), q_k an
     integer polynomial whose roots in (0, 1) are those of a in the piece.
     The sign variations of (t + 1)^d q_k(1/(t + 1)) bound the number of those
@@ -213,7 +197,7 @@ def _descartes(
         power *= den
         q = [shift * x + scale * y for x, y in zip(q + [0], [0] + q)]
         q[0] += coeff * power
-    g = _int_content(q)
+    g = gcd(*q)
     q = [x // g for x in q]
 
     max_depth = DESCARTES_DEPTH_BITS + int(width).bit_length()
@@ -268,7 +252,7 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     width = exact_rational(width)
     if width <= 0:
         raise ValueError("enclosure width must be positive")
-    a = _primitive_ints(p)
+    a = p.ints
     slo = _sign_at(a, lo)
     shi = _sign_at(a, hi)
     if slo == 0:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .estimates import (
     DEFAULT_SELECTION,
     METHOD_A1,
+    SOLVER_TOL,
     EigenEstimate,
     RootSelection,
     resolve_bracket,
@@ -36,10 +37,6 @@ from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
 
 logger = logging.getLogger(__name__)
-
-# Enclosure half-width used by the solver entry points; tight enough that a
-# renderer can trust 25 significant digits from the midpoint.
-SOLVER_TOL = Fraction(1, 10**26)
 
 # A trial function keeps the terms j = 1..n-1, so it needs n >= 4 (A2, A3).
 TRIAL_MIN_ORDER = 4

@@ -33,6 +33,7 @@ from .estimates import (
     DEFAULT_SELECTION,
     METHOD_A2,
     METHOD_A3,
+    SOLVER_TOL,
     EigenEstimate,
     RootSelection,
     resolve_bracket,
@@ -42,7 +43,7 @@ from .estimates import (
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
 from .rayleigh_ritz import basis_function, basis_matrices
-from .series import SOLVER_TOL, TrialFunction, build_series, build_trial
+from .series import TrialFunction, build_series, build_trial
 
 logger = logging.getLogger(__name__)
 

@@ -19,7 +19,7 @@ from boxeig.model import PotentialSpec
 from boxeig.oracle import exact_box, exact_linear, shoot_root
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular, solve_rr
-from boxeig.rootfind import count_real_roots, isolate_real_roots, mpf_to_rational
+from boxeig.rootfind import count_real_roots, mpf_to_rational
 from boxeig.series import build_series, build_trial
 from boxeig.variational import kinetic_energy_forms, solve_a2
 

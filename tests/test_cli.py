@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from boxeig import cli, goldens, rootfind
+from boxeig import goldens, rootfind
 from boxeig.cli import main
 
 RAMP_PROBLEM = """\

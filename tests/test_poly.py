@@ -2,6 +2,8 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,66 @@ def test_scalar_operations_match_poly_operations(a, s):
 
 def zero_like(a):
     return RationalPoly.zero(a.var)
+
+
+# ---------------------------------------------------------------------------
+# the integer storage against plain Fraction-list arithmetic
+
+coeff_lists = st.lists(rationals, min_size=0, max_size=8)
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def list_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=80, derandomize=True)
+@given(coeff_lists, coeff_lists, rationals, rationals)
+def test_operations_match_fraction_list_arithmetic(a, b, s, x):
+    p, q = RationalPoly.from_coeffs(a), RationalPoly.from_coeffs(b)
+    assert p.coeffs == trimmed(a)
+    assert all(isinstance(c, Fraction) for c in p.coeffs)
+    assert (p + q).coeffs == trimmed(u + w for u, w in zip_longest(a, b, fillvalue=0))
+    assert (p - q).coeffs == trimmed(u - w for u, w in zip_longest(a, b, fillvalue=0))
+    assert (p * q).coeffs == trimmed(list_mul(a, b))
+    assert (p * s).coeffs == trimmed(s * c for c in a)
+    assert p.differentiate().coeffs == trimmed(k * c for k, c in enumerate(a) if k)
+    assert p.eval(x) == sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(coeff_lists, coeff_lists, rationals.filter(bool))
+def test_storage_is_canonical_and_equal_polys_hash_equal(a, b, s):
+    p, q = RationalPoly.from_coeffs(a), RationalPoly.from_coeffs(b)
+    for r in (p, q, -p, p + q, p - q, p * q, p * s, p.differentiate(), p.primitive_part()):
+        assert isinstance(r.scale, Fraction) and r.scale > 0
+        if r.is_zero:
+            assert r.ints == () and r.scale == 1
+        else:
+            assert r.ints[-1] != 0 and gcd(*r.ints) == 1
+        assert r.coeffs == tuple(r.scale * c for c in r.ints)
+    routes = [
+        p * q,
+        q * p,
+        RationalPoly.from_coeffs(list_mul(a, b)),
+        (p * s) * (q * (1 / s)),
+        (p + q) * q - q * q,
+        RationalPoly.from_coeffs(list_mul(a, b) + [0, 0]).with_var("eps").with_var("q"),
+    ]
+    assert all(r == routes[0] for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    assert p + q - q == p and (p * s) * (1 / s) == p
+    assert hash(p + q - q) == hash(p)
 
 
 # ---------------------------------------------------------------------------

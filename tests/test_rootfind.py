@@ -8,7 +8,7 @@ import pytest
 
 from boxeig import rootfind
 from boxeig.model import PotentialSpec
-from boxeig.poly import RationalPoly, _primitive_ints
+from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import solve_rr
 from boxeig.rootfind import (
     certified_root,
@@ -110,7 +110,7 @@ def test_sturm_sequence_matches_fraction_reference_chain():
 def test_sign_at_matches_rational_evaluation():
     rng = random.Random(20261019)
     for p in seeded_polynomials():
-        a = _primitive_ints(p)
+        a = p.ints
         points = [Fraction(0)] + [
             Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(6)
         ]
@@ -119,7 +119,7 @@ def test_sign_at_matches_rational_evaluation():
             assert rootfind._sign_at(a, x) == (value > 0) - (value < 0), (p, x)
         # an exact root, planted as a linear factor
         r = points[-1]
-        assert rootfind._sign_at(_primitive_ints(p * RationalPoly.from_coeffs([-r, 1])), r) == 0
+        assert rootfind._sign_at((p * RationalPoly.from_coeffs([-r, 1])).ints, r) == 0
 
 
 def grid_scan_count(int_coeffs, lo_num, hi_num, denom, grid_points):

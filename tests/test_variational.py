@@ -1,5 +1,6 @@
 """Rayleigh quotient forms, stationary points, and fixed points."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,14 +13,9 @@ from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
+from boxeig.rayleigh_ritz import build_secular
 from boxeig.series import build_series, build_trial, specialize
-from boxeig.variational import (
-    build_quotient,
-    kinetic_energy_forms,
-    quotient_for,
-    solve_a2,
-    solve_a3,
-)
+from boxeig.variational import kinetic_energy_forms, quotient_for, solve_a2, solve_a3
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
@@ -265,3 +261,38 @@ def test_a2_and_a3_share_one_quotient_build(monkeypatch):
     assert solve_a2(potential, 9) is not None
     assert solve_a3(potential, 9) is not None
     assert builds == [9]
+
+
+# ---------------------------------------------------------------------------
+# pinned exact polynomials of the whole pipeline
+
+# sha256 (first 24 hex digits) of the coefficient strings of quotient_for(v, N)
+# .num and .den for N = 4..20 and of build_secular(v, N).char_poly for
+# N = 4..12, recorded from the earlier implementation that stored each
+# coefficient as a Fraction.  A change of representation or of kernel that
+# moves any coefficient of any of them fails here.
+PIPELINE_DIGESTS = {
+    "0": ("5fc7310babb8a45c8e4e485e", "940207058090e7c17866a9fd", "e34389208d5085ff23d38afc"),
+    "q": ("1cc5c3daaccaa8818a7e3f4b", "f3cb7e5e8e51aad1b1a5d998", "6b032910efe0bafa7389baf7"),
+    "-7q": ("d58abaafdadd54f7a6df1c4c", "9b42b8cf89a7b61d57f48eda", "62c48826b5b71d82613c8a46"),
+    "cubic": ("68b6a176a26084fa3d1b89c0", "5bc2de2669bf59a8e751290e", "e487bf86cc7873e156549845"),
+}
+PIPELINE_POTENTIALS = {"0": V0, "q": V1, "-7q": PotentialSpec.linear(-7), "cubic": CUBIC}
+
+
+def coefficient_digest(polys) -> str:
+    digest = hashlib.sha256()
+    for p in polys:
+        digest.update((",".join(p.coeff_strings()) + ";").encode())
+    return digest.hexdigest()[:24]
+
+
+@pytest.mark.parametrize("name", list(PIPELINE_DIGESTS))
+def test_pipeline_polynomials_match_pinned_digests(name):
+    v = PIPELINE_POTENTIALS[name]
+    quotients = [quotient_for(v, n) for n in range(4, 21)]
+    assert (
+        coefficient_digest(q.num for q in quotients),
+        coefficient_digest(q.den for q in quotients),
+        coefficient_digest(build_secular(v, n).char_poly for n in range(4, 13)),
+    ) == PIPELINE_DIGESTS[name]
