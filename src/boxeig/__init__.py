@@ -5,8 +5,9 @@ stationary Rayleigh quotients, and quotient fixed points), a Rayleigh-Ritz
 reference on the same polynomial basis, and independent high-precision
 benchmarks (box eigenvalues, Airy quantization for a linear ramp, and an RK4
 shooting integrator).  All symbolic work and root finding are exact rational
-and integer arithmetic; floating point appears only in the benchmarks and in
-the float views of reported values.
+and integer arithmetic, and every estimate is an exact enclosure with its
+rational midpoint; floating point appears only in the benchmarks and in the
+value of pi that scales the default search bracket.
 """
 
 from .estimates import (
@@ -45,7 +46,6 @@ from .rayleigh_ritz import (
     SecularSystem,
     bareiss_determinant,
     build_secular,
-    solve_rr,
     solve_secular,
 )
 from .rootfind import (
@@ -67,7 +67,6 @@ from .variational import (
     RayleighQuotient,
     build_quotient,
     kinetic_energy_forms,
-    quotient_for,
     solve_a2,
     solve_a3,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "load_problem",
     "nondimensionalize",
     "parse_problem",
-    "quotient_for",
     "refine_enclosure",
     "require_unit_interval",
     "serialize_problem",
@@ -122,7 +120,6 @@ __all__ = [
     "solve_a1",
     "solve_a2",
     "solve_a3",
-    "solve_rr",
     "solve_secular",
     "specialize",
     "sturm_sequence",

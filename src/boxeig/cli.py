@@ -47,10 +47,10 @@ from .estimates import (
 from .model import PotentialSpec, load_problem, nondimensionalize, require_unit_interval
 from .oracle import DEFAULT_DIGITS as ORACLE_DIGITS, RootScanError, exact_box, exact_linear
 from .poly import Rational, format_rational
-from .rayleigh_ritz import solve_rr
+from .rayleigh_ritz import build_secular, solve_secular
 from .rootfind import mpf_to_rational
-from .series import TRIAL_MIN_ORDER, solve_a1
-from .variational import solve_a2, solve_a3
+from .series import TRIAL_MIN_ORDER, build_series, build_trial, solve_a1
+from .variational import build_quotient, solve_a2, solve_a3
 
 N_MIN, N_MAX = 3, 64
 DIGITS_MIN, DIGITS_MAX = 6, 40
@@ -113,7 +113,9 @@ class RunConfig:
                 f"--n {min(self.n_values)} is below {TRIAL_MIN_ORDER},"
                 f" the lowest order for {' and '.join(trial)}"
             )
-        # estimates carry float views of the bracket and of the point found in it
+        # root finding is exact at any size; the check keeps solve to the
+        # brackets that the float-bracket cross-checks can take as well (the
+        # oracle, whose --lambda has the same limit, and shoot_root)
         lo, hi = resolve_bracket(self.bracket, self.potential, self.state)
         if max(-lo, hi) > sys.float_info.max:
             raise UsageError(
@@ -284,17 +286,33 @@ def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rati
 
 
 def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
-    """All requested numbers for one truncation order N."""
+    """All requested numbers for one truncation order N.
+
+    The row builds its series, quotient and secular system at most once each
+    and hands every solver the one it solves: A1 the series, A2 and A3 the
+    quotient of its trial function, RR the secular system.
+    """
     tol = Fraction(1, 10 ** max(WORKING_DIGITS + 1, cfg.digits + 3))
-    # read per call, so that a wrapper bound over a solver's module name sees it
-    solvers = {METHOD_A1: solve_a1, METHOD_A2: solve_a2, METHOD_A3: solve_a3, METHOD_RR: solve_rr}
+    options = (cfg.bracket, cfg.state, cfg.selection, tol)
+    series = quotient = None
     cells: dict[str, Rational | None] = {}
     for method in cfg.methods:
         if method == METHOD_EXACT:
             values = (_exact_eigenvalue(cfg.potential, cfg.state, cfg.digits),)
         else:
-            est = solvers[method](cfg.potential, n, cfg.bracket, cfg.state, cfg.selection, tol)
-            values = (None, None) if est is None else (est.eps_rational(), est.w_exact)
+            if method == METHOD_RR:
+                est = solve_secular(build_secular(cfg.potential, n), *options)
+            else:
+                if series is None:
+                    series = build_series(cfg.potential, n)
+                if method == METHOD_A1:
+                    est = solve_a1(series, *options)
+                else:
+                    if quotient is None:
+                        quotient = build_quotient(build_trial(series))
+                    solve = solve_a2 if method == METHOD_A2 else solve_a3
+                    est = solve(quotient, *options)
+            values = (None, None) if est is None else (est.eps, est.w)
         cells.update(zip(METHOD_COLUMNS[method], values))
     return cells
 

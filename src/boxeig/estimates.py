@@ -22,27 +22,20 @@ METHOD_EXACT = "EXACT"
 class EigenEstimate:
     """One eigenvalue estimate produced by a single method at one order N.
 
-    ``eps`` is a float convenience view; when a certified rational enclosure
-    is available it is kept in ``enclosure`` so renderers can extract more
-    digits than a float carries.  For the stationary-point method, ``w`` holds
-    the quotient value at the reported point (its exact value in ``w_exact``).
+    ``enclosure`` is the certified rational enclosure of the selected root
+    and ``eps`` its exact midpoint.  For the stationary-point method, ``w``
+    holds the exact quotient value at eps.
     """
 
     method: str
     n: int
     state: int
-    eps: float
-    residual: float
-    bracket: tuple[float, float]
-    w: float | None = None
-    enclosure: tuple[Fraction, Fraction] | None = None
-    w_exact: Fraction | None = None
+    enclosure: tuple[Fraction, Fraction]
+    w: Fraction | None = None
 
-    def eps_rational(self) -> Fraction:
-        """Best available rational image of eps (enclosure midpoint)."""
-        if self.enclosure is not None:
-            return (self.enclosure[0] + self.enclosure[1]) / 2
-        return Fraction(self.eps)
+    @property
+    def eps(self) -> Fraction:
+        return (self.enclosure[0] + self.enclosure[1]) / 2
 
 
 @dataclass(frozen=True)
@@ -73,18 +66,6 @@ class RootSelection:
 
 
 DEFAULT_SELECTION = RootSelection()
-
-
-def saturating_float(x: Fraction) -> float:
-    """float(x), or an infinity of x's sign when |x| is beyond the float range.
-
-    Residuals are reported as float views; at large couplings or orders they
-    can exceed the float range while the certified enclosure is still exact.
-    """
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction, Fraction]:
@@ -137,7 +118,9 @@ def select_root(
         raise ValueError("'min-w' selection ranks by quotient value, which only A2 and A3 have")
     if p.degree < 1:
         return None
-    intervals = rootfind.isolate_real_roots(p, bracket)
+    # refine on the polynomial isolation used: at a multiple root that is the
+    # square-free part, which changes sign there
+    p, intervals = rootfind.isolate_real_roots(p, bracket)
     if rank is None and selection.policy != "nearest":
         if state >= len(intervals):
             return None

@@ -42,6 +42,7 @@ from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
 
+from .estimates import default_bracket
 from .model import PotentialSpec
 from .poly import RationalPoly, exact_rational
 
@@ -419,8 +420,6 @@ def shoot_root(potential, bracket=None, state: int = 0, steps: int = 10000) -> f
     O(h^4) discretization bias.
     """
     if bracket is None:
-        from .estimates import default_bracket
-
         spec = (
             potential
             if isinstance(potential, PotentialSpec)

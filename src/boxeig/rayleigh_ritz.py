@@ -30,7 +30,6 @@ from .estimates import (
     EigenEstimate,
     RootSelection,
     resolve_bracket,
-    saturating_float,
     select_root,
 )
 from .model import PotentialSpec
@@ -161,8 +160,8 @@ def _determinant(matrix: list[list[Sequence[Fraction]]], var: str) -> RationalPo
 
 def solve_secular(
     system: SecularSystem,
-    state: int = 0,
     bracket=None,
+    state: int = 0,
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
@@ -178,30 +177,4 @@ def solve_secular(
     enclosure = select_root(system.char_poly, bracket, state, selection, tol)
     if enclosure is None:
         return None
-    mid = (enclosure[0] + enclosure[1]) / 2
-    # The leading eps-coefficient of det(H - eps S) is (-1)^size det(S), and
-    # det(S) > 0; dividing by it makes the determinant monic in eps, so the
-    # residual is the value of prod_k (eps_k - eps) at the midpoint.
-    det_s = abs(system.char_poly.leading)
-    residual = abs(system.char_poly.eval(mid)) / det_s
-    return EigenEstimate(
-        method=METHOD_RR,
-        n=system.n,
-        state=state,
-        eps=float(mid),
-        residual=saturating_float(residual),
-        bracket=(float(bracket[0]), float(bracket[1])),
-        enclosure=enclosure,
-    )
-
-
-def solve_rr(
-    potential: PotentialSpec,
-    n: int,
-    bracket=None,
-    state: int = 0,
-    selection: RootSelection = DEFAULT_SELECTION,
-    tol: Fraction = SOLVER_TOL,
-) -> EigenEstimate | None:
-    """Convenience: build the secular system at order n and solve."""
-    return solve_secular(build_secular(potential, n), state, bracket, selection, tol)
+    return EigenEstimate(METHOD_RR, system.n, state, enclosure)

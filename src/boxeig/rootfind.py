@@ -19,8 +19,10 @@ the variations never drop below two, so a depth limit stops the search, and
 it is run again, without a limit, on the square-free part p / gcd(p, p').
 That part has one source: the Sturm chain of p, whose last member is
 gcd(p, p'), divided through by that member.  Isolation returns the isolating
-intervals of the distinct roots and nothing more (no multiplicities), and it
-refines nothing, so a solver certifies only the root it picks.
+intervals of the distinct roots (no multiplicities) with the polynomial it
+isolated them on, p or that square-free part.  The latter changes sign across
+every nondegenerate interval, so refinement on it builds no second chain.
+Isolation refines nothing, so a solver certifies only the root it picks.
 
 Refinement is plain bisection on a dyadic grid m/2^k, fine enough that
 2^-k is GUARD_BITS bits below the requested width.  Each probe is an exact
@@ -130,12 +132,18 @@ def square_free_part(p: RationalPoly) -> RationalPoly:
     return RationalPoly.from_coeffs(_counting_chain(p)[0], p.var)
 
 
-def isolate_real_roots(p: RationalPoly, bracket: tuple) -> tuple[Interval, ...]:
+def isolate_real_roots(
+    p: RationalPoly, bracket: tuple
+) -> tuple[RationalPoly, tuple[Interval, ...]]:
     """Isolating intervals for every distinct real root of p in the bracket.
 
+    Returns them with the polynomial they were isolated on: p, or its
+    square-free part when p has a multiple root in the bracket.  That
+    polynomial changes sign across each interval, except for degenerate
+    intervals (r, r) at exact rational roots r; it is the one to refine.
     Roots landing exactly on a bracket endpoint are reported as inside.  The
-    intervals are ascending; p is nonzero at both ends of each, except for
-    degenerate intervals (r, r) at exact rational roots r.
+    intervals are ascending and p is nonzero at both ends of each
+    nondegenerate one.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -144,15 +152,17 @@ def isolate_real_roots(p: RationalPoly, bracket: tuple) -> tuple[Interval, ...]:
         raise ValueError("bracket must satisfy lo < hi")
 
     intervals: list[Interval] = []
+    isolated = p
     if p.degree >= 1:
         a = p.ints
         found = _descartes(a, lo, hi, bounded=True)
         if found is None:
-            found = _descartes(_counting_chain(p)[0], lo, hi, bounded=False)
+            isolated = square_free_part(p)
+            found = _descartes(isolated.ints, lo, hi, bounded=False)
         intervals += found
         intervals += [(x, x) for x in (lo, hi) if _sign_at(a, x) == 0]
     intervals.sort()
-    return tuple(intervals)
+    return isolated, tuple(intervals)
 
 
 def _taylor_shift1(a: Sequence[int]) -> list[int]:

@@ -30,7 +30,6 @@ from .estimates import (
     EigenEstimate,
     RootSelection,
     resolve_bracket,
-    saturating_float,
     select_root,
 )
 from .model import PotentialSpec
@@ -135,27 +134,15 @@ def specialize(s, eps) -> RationalPoly:
 # A1: roots of the boundary polynomial
 
 def solve_a1(
-    potential: PotentialSpec,
-    n: int,
+    series: EnergySeries,
     bracket=None,
     state: int = 0,
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
     """Eigenvalue estimate from B(eps) = 0; None when no suitable root exists."""
-    series = build_series(potential, n)
-    b = boundary_polynomial(series)
-    bracket = resolve_bracket(bracket, potential, state)
-    enclosure = select_root(b, bracket, state, selection, tol)
+    bracket = resolve_bracket(bracket, series.potential, state)
+    enclosure = select_root(boundary_polynomial(series), bracket, state, selection, tol)
     if enclosure is None:
         return None
-    mid = (enclosure[0] + enclosure[1]) / 2
-    return EigenEstimate(
-        method=METHOD_A1,
-        n=n,
-        state=state,
-        eps=float(mid),
-        residual=saturating_float(abs(b.eval(mid))),
-        bracket=(float(bracket[0]), float(bracket[1])),
-        enclosure=enclosure,
-    )
+    return EigenEstimate(METHOD_A1, series.n, state, enclosure)

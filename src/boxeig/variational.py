@@ -16,10 +16,13 @@ the trial function" are implemented:
 
 The trial function is sum_j c_j(eps) f_j in the Rayleigh-Ritz basis
 f_j = q^j - q^N, so num and den are the quadratic forms c^T H c and c^T S c
-with that method's matrices.  Everything up to root refinement is exact
+with that method's matrices.  All of it, root refinement included, is exact
 rational arithmetic; the kinetic term uses the integrated-by-parts form
 (phi' squared), which equals the literal -phi phi'' form identically because
 the trial function vanishes at both walls.
+
+Both solvers take the quotient they solve, so a caller that wants A2 and A3
+at one order builds it once and hands it to each.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .estimates import (
     DEFAULT_SELECTION,
@@ -37,13 +39,12 @@ from .estimates import (
     EigenEstimate,
     RootSelection,
     resolve_bracket,
-    saturating_float,
     select_root,
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
 from .rayleigh_ritz import basis_function, basis_matrices
-from .series import TrialFunction, build_series, build_trial
+from .series import TrialFunction
 
 logger = logging.getLogger(__name__)
 
@@ -113,19 +114,8 @@ def kinetic_energy_forms(trial: TrialFunction) -> tuple[RationalPoly, RationalPo
     return by_parts, _quadratic_form(minus_f_ddf, trial.terms)
 
 
-@lru_cache(maxsize=8)
-def quotient_for(potential: PotentialSpec, n: int) -> RayleighQuotient:
-    """Convenience: series -> trial -> quotient at order n (n >= 4).
-
-    Cached for the last few (potential, n), so that A2 and A3 on one row
-    share a single build.
-    """
-    return build_quotient(build_trial(build_series(potential, n)))
-
-
 def solve_a2(
-    potential: PotentialSpec,
-    n: int,
+    quotient: RayleighQuotient,
     bracket=None,
     state: int = 0,
     selection: RootSelection = DEFAULT_SELECTION,
@@ -139,33 +129,19 @@ def solve_a2(
     """
     if state > 0:
         logger.warning("excited-state selection for the stationary method is heuristic")
-    quotient = quotient_for(potential, n)
-    bracket = resolve_bracket(bracket, potential, state)
-    s_poly = quotient.stationarity_polynomial()
+    bracket = resolve_bracket(bracket, quotient.potential, state)
     rank = quotient.value if selection.policy in ("default", "min-w") else None
-    enclosure = select_root(s_poly, bracket, state, selection, tol, rank)
+    enclosure = select_root(
+        quotient.stationarity_polynomial(), bracket, state, selection, tol, rank
+    )
     if enclosure is None:
         return None
-    mid = (enclosure[0] + enclosure[1]) / 2
-    w_exact = quotient.value(mid)
-    den_mid = quotient.den.eval(mid)
-    residual = abs(s_poly.eval(mid) / den_mid**2)  # |W'(eps)| at the report point
-    return EigenEstimate(
-        method=METHOD_A2,
-        n=n,
-        state=state,
-        eps=float(mid),
-        residual=saturating_float(residual),
-        bracket=(float(bracket[0]), float(bracket[1])),
-        w=float(w_exact),
-        enclosure=enclosure,
-        w_exact=w_exact,
-    )
+    w = quotient.value((enclosure[0] + enclosure[1]) / 2)
+    return EigenEstimate(METHOD_A2, quotient.n, state, enclosure, w)
 
 
 def solve_a3(
-    potential: PotentialSpec,
-    n: int,
+    quotient: RayleighQuotient,
     bracket=None,
     state: int = 0,
     selection: RootSelection = DEFAULT_SELECTION,
@@ -174,22 +150,11 @@ def solve_a3(
     """Self-consistent point eps = W(eps); smallest root by default."""
     if state > 0:
         logger.warning("excited-state selection for the fixed-point method is heuristic")
-    quotient = quotient_for(potential, n)
-    bracket = resolve_bracket(bracket, potential, state)
-    f_poly = quotient.fixed_point_polynomial()
+    bracket = resolve_bracket(bracket, quotient.potential, state)
     rank = quotient.value if selection.policy == "min-w" else None
-    enclosure = select_root(f_poly, bracket, state, selection, tol, rank)
+    enclosure = select_root(
+        quotient.fixed_point_polynomial(), bracket, state, selection, tol, rank
+    )
     if enclosure is None:
         return None
-    mid = (enclosure[0] + enclosure[1]) / 2
-    residual = abs(mid - quotient.value(mid))
-    return EigenEstimate(
-        method=METHOD_A3,
-        n=n,
-        state=state,
-        eps=float(mid),
-        residual=saturating_float(residual),
-        bracket=(float(bracket[0]), float(bracket[1])),
-        enclosure=enclosure,
-    )
-
+    return EigenEstimate(METHOD_A3, quotient.n, state, enclosure)

@@ -1,13 +1,19 @@
 """End-to-end command-line behaviour, run in-process through main()."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import logging
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from boxeig import goldens, rootfind
+from boxeig import cli, goldens, rootfind
 from boxeig.cli import main
+from boxeig.model import PotentialSpec
 
 RAMP_PROBLEM = """\
 # a ramp potential in physical units
@@ -156,6 +162,32 @@ def test_solve_problem_file(tmp_path, capsys):
     )
     assert code == code_direct == 0
     assert out.splitlines()[-1] == out_direct.splitlines()[-1]
+
+
+def test_compute_cells_builds_each_object_once(monkeypatch):
+    # A1 takes the row's series, A2 and A3 share the quotient of its trial
+    # function, and RR takes the secular system; each is built once
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("build_series", "build_quotient", "build_secular"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    potential = PotentialSpec.linear(Fraction(3, 7))
+    for methods, built in (
+        ("a1,a2,a3", ["build_series", "build_quotient"]),
+        ("a1,a2,a3,rr", ["build_series", "build_quotient", "build_secular"]),
+    ):
+        calls.clear()
+        cfg = cli.RunConfig(cli.parse_methods_flag(methods), potential, (9,))
+        cells = cli.compute_cells(cfg, 9)
+        assert calls == built
+        assert None not in cells.values()
 
 
 def test_solve_out_file(tmp_path, capsys):
@@ -416,3 +448,79 @@ def test_convert_interior_reference_is_reported_not_fatal(tmp_path, capsys):
     assert code == 0
     assert "q in [-1/2, 1/2]" in out
     assert "applicable: no" in out
+
+
+# ---------------------------------------------------------------------------
+# pinned output of a fixed command list
+
+PINNED_COUPLINGS = ("0", "1", "3/7", "-7", "10", "-30")
+PINNED_MIXES = (
+    ("--methods", "a1,a2,a3,rr", "--n", "4..9"),
+    ("--methods", "a1,a2,a3", "--n", "6,9,12", "--digits", "20"),
+    ("--methods", "a2,a3", "--n", "5..7", "--select", "min-w", "--state", "1"),
+    ("--methods", "a1,a3,rr", "--n", "8,9", "--select", "nearest:40"),
+    ("--methods", "a1,rr", "--n", "6,8", "--state", "2", "--format", "csv"),
+    ("--methods", "a2,rr", "--n", "4,7", "--select", "smallest", "--bracket", "0,300",
+     "--format", "json"),
+)
+PINNED_COMMANDS = (
+    [("solve", f"--lambda={lam}", *mix) for lam in PINNED_COUPLINGS for mix in PINNED_MIXES]
+    + [("table", table_id, "--format", fmt) for table_id in "1234" for fmt in ("md", "json")]
+    + [
+        ("solve", "--state", "-1"),
+        ("solve", "--methods", "a2", "--n", "3"),
+        ("solve", "--methods", "a1", "--select", "min-w"),
+        ("solve", "--lambda=1e400"),
+    ]
+)
+# sha256 (first 24 hex digits) of repr((exit status, stdout, stderr)) for each
+# command of PINNED_COMMANDS, in order, recorded from the implementation in
+# which every estimate still carried float views and a residual.  stderr
+# includes the package's warnings as the command line shows them.
+PINNED_DIGESTS = (
+    "114772f415be509784e337f5", "5cc8dfb246234827af2a09c9", "2e0433ec9fc0b43d8e952d7d",
+    "7634a5658661b59ae34ecdc5", "2c8560c5bb586c048b1e4c02", "e96d916ee4cbac10a4ea66b3",
+    "24b407857ac27a98d794a05f", "ad0d45f92574ad25b478eae1", "8f903df73583186fb76d4984",
+    "214312138a467c0486c1b74e", "e36e9e335f75ce63f000c91f", "de51dbac511d9963cd274e9b",
+    "590362415624c908b264b7d5", "1355197f421edd780e0fce7d", "f660e02391c7d1d74fe4da0c",
+    "b874d55ddaf437fbaa7631b3", "26ab47d008019b756f75a139", "c0af87b75e6a55a201943196",
+    "70109b53dcccb6158b9e4f56", "4273cdb7b64ff6c819cafcd7", "bf2b8ce1a65c276f3798adf0",
+    "16eb5d5fbc751fd33d80cf8e", "6844c716110c83998b55e5d5", "032b8b25c36133d2a17f4672",
+    "a5ddb6ac589db9de7b1731be", "03ba6879cf6860ea157f5056", "20a2de2a99c9687ed313e04a",
+    "e215a1b57e32ebde9fc1dd61", "1138cb52a914e840bcb46523", "c2333af3bcd2eac9dff41ed3",
+    "f531d9a95ddb7f84ef38c85f", "70a64e973a3bcca3abec33de", "f7610acc149b8ccfbbcff17f",
+    "e97790d9b59b1bc8d95b82ff", "8e05debd82a77723d1073f7b", "84651e5767a5f291aab1b241",
+    "eb4aaf9282159c32454c2d7a", "72780740373e4441229bebd2", "890d5796982692f5b96fb7cb",
+    "0583e5b53ad4c70722e94437", "c8f342f2f180eae6a5948789", "60195ce1c81024a5755e1f5c",
+    "35529e12d8285c34e6ef63e7", "ba9ebe0c317761d65e17597e", "a331fa12487fd6ea8daded5c",
+    "27b15d727a98ec29b6d298bd", "99af421c56450bd0c155e91d", "0f17bc6b8021df8d62105cae",
+)
+
+
+def cli_digest(argv) -> str:
+    """Digest of one in-process run; warnings reach stderr as on the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setLevel(logging.WARNING)
+    logger = logging.getLogger("boxeig")
+    propagate = logger.propagate
+    logger.addHandler(handler)
+    logger.propagate = False
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        logger.removeHandler(handler)
+        logger.propagate = propagate
+    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()[:24]
+
+
+def test_cli_output_matches_pinned_digests():
+    digests = [cli_digest(argv) for argv in PINNED_COMMANDS]
+    mismatched = [
+        " ".join(argv)
+        for argv, got, want in zip(PINNED_COMMANDS, digests, PINNED_DIGESTS)
+        if got != want
+    ]
+    assert not mismatched
+    assert len(digests) == len(PINNED_DIGESTS) == 48

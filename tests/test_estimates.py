@@ -15,9 +15,20 @@ from boxeig.estimates import (
 )
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import solve_rr
-from boxeig.series import solve_a1
+from boxeig.rayleigh_ritz import build_secular, solve_secular
+from boxeig.series import build_series, solve_a1
 from boxeig.variational import solve_a2, solve_a3
+
+from test_variational import quotient_at
+
+
+# each method's solver with a builder of the object it solves
+SOLVERS = {
+    "solve_a1": (solve_a1, build_series),
+    "solve_a2": (solve_a2, quotient_at),
+    "solve_a3": (solve_a3, quotient_at),
+    "solve_rr": (solve_secular, build_secular),
+}
 
 
 def test_parse_policies():
@@ -58,17 +69,21 @@ def test_select_root_nearest():
             assert lo <= root <= hi and hi - lo <= 2 * tol
 
 
-@pytest.mark.parametrize("solve", [solve_a1, solve_rr])
+@pytest.mark.parametrize("solve", ["solve_a1", "solve_rr"])
 def test_min_w_refused_without_quotient(solve):
+    solver, build = SOLVERS[solve]
+    operand = build(PotentialSpec.linear(Fraction(1)), 10)
     with pytest.raises(ValueError, match="min-w"):
-        solve(PotentialSpec.linear(Fraction(1)), 10, selection=RootSelection.parse("min-w"))
+        solver(operand, selection=RootSelection.parse("min-w"))
 
 
-@pytest.mark.parametrize("solve", [solve_a1, solve_a2, solve_a3, solve_rr])
+@pytest.mark.parametrize("solve", list(SOLVERS))
 def test_negative_state_refused(solve):
     # A2 used to answer state -1 with its last root, the others with IndexError
+    solver, build = SOLVERS[solve]
+    operand = build(PotentialSpec.linear(Fraction(1)), 10)
     with pytest.raises(ValueError, match="nonnegative"):
-        solve(PotentialSpec.linear(Fraction(1)), 10, state=-1)
+        solver(operand, state=-1)
 
 
 def test_default_bracket_free_box():
@@ -94,18 +109,6 @@ def test_default_bracket_general_potential_uses_coefficient_sum():
     assert float(hi) == pytest.approx(6 * 4 * math.pi**2)
 
 
-def test_eps_rational_prefers_enclosure():
-    est = EigenEstimate(
-        method=METHOD_A1,
-        n=5,
-        state=0,
-        eps=3.0,
-        residual=0.0,
-        bracket=(0.0, 40.0),
-        enclosure=(Fraction(29, 10), Fraction(31, 10)),
-    )
-    assert est.eps_rational() == Fraction(3)
-    bare = EigenEstimate(
-        method=METHOD_A1, n=5, state=0, eps=0.5, residual=0.0, bracket=(0.0, 40.0)
-    )
-    assert bare.eps_rational() == Fraction(1, 2)
+def test_eps_is_the_enclosure_midpoint():
+    est = EigenEstimate(METHOD_A1, 5, 0, (Fraction(29, 10), Fraction(31, 10)))
+    assert est.eps == Fraction(3)

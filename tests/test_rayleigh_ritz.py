@@ -16,7 +16,6 @@ from boxeig.rayleigh_ritz import (
     basis_function,
     basis_matrices,
     build_secular,
-    solve_rr,
     solve_secular,
 )
 from boxeig.rootfind import count_real_roots
@@ -143,9 +142,9 @@ def test_secular_polynomial_n3_exact():
 
 
 def test_secular_roots_n3_exact():
-    ground = solve_rr(V0, 3)
+    ground = solve_secular(build_secular(V0, 3))
     assert abs(ground.eps - 10.0) < 1e-20
-    excited = solve_rr(V0, 3, state=1, bracket=(Fraction(0), Fraction(100)))
+    excited = solve_secular(build_secular(V0, 3), (Fraction(0), Fraction(100)), state=1)
     assert abs(excited.eps - 42.0) < 1e-18
 
 
@@ -288,7 +287,7 @@ def test_ground_state_nonincreasing_and_above_exact(lam, eps0):
     potential = PotentialSpec.linear(Fraction(lam))
     previous = None
     for n in range(3, 11):
-        est = solve_rr(potential, n)
+        est = solve_secular(build_secular(potential, n))
         assert est.eps >= eps0 - 1e-12
         if previous is not None:
             assert est.eps <= previous + 1e-15
@@ -298,8 +297,9 @@ def test_ground_state_nonincreasing_and_above_exact(lam, eps0):
 def test_excited_states_interlace():
     # adding a basis function can only lower each variational level
     for state in (0, 1, 2):
-        coarse = solve_rr(V0, 6, state=state, bracket=(Fraction(0), Fraction(10**4)))
-        fine = solve_rr(V0, 7, state=state, bracket=(Fraction(0), Fraction(10**4)))
+        bracket = (Fraction(0), Fraction(10**4))
+        coarse = solve_secular(build_secular(V0, 6), bracket, state)
+        fine = solve_secular(build_secular(V0, 7), bracket, state)
         assert fine.eps <= coarse.eps + 1e-12
         exact = math.pi**2 * (state + 1) ** 2
         assert fine.eps >= exact - 1e-12
@@ -308,17 +308,16 @@ def test_excited_states_interlace():
 def test_residual_is_small_at_roots():
     system = build_secular(V0, 8)
     est = solve_secular(system)
-    assert est.residual < 1e-20
     # the residual is the monic determinant prod_k (eps_k - eps) at the midpoint
     det_s = gaussian_determinant(system.s)
-    assert est.residual == float(abs(system.char_poly.eval(est.eps_rational())) / det_s)
+    assert abs(system.char_poly.eval(est.eps)) / det_s < 1e-20
 
 
-def test_residual_beyond_the_float_range_saturates():
-    # at lambda = 1e60 the monic determinant at the midpoint exceeds 1e308
-    est = solve_rr(PotentialSpec.linear(10**60), 10)
-    assert est.residual == math.inf
-    assert 0 < est.eps < 10**61 and est.enclosure[0] <= est.eps_rational() <= est.enclosure[1]
+def test_estimate_beyond_the_float_range_is_exact():
+    # at lambda = 1e60 the monic determinant at the midpoint exceeds 1e308;
+    # the estimate is the exact enclosure and its midpoint all the same
+    est = solve_secular(build_secular(PotentialSpec.linear(10**60), 10))
+    assert 0 < est.eps < 10**61 and est.enclosure[0] <= est.eps <= est.enclosure[1]
 
 
 def test_state_out_of_range():

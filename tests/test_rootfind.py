@@ -9,7 +9,8 @@ import pytest
 from boxeig import rootfind
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import solve_rr
+from boxeig.estimates import DEFAULT_SELECTION, select_root
+from boxeig.rayleigh_ritz import build_secular, solve_secular
 from boxeig.rootfind import (
     certified_root,
     count_real_roots,
@@ -20,8 +21,10 @@ from boxeig.rootfind import (
     sign_variations,
     square_free_part,
 )
-from boxeig.series import solve_a1
+from boxeig.series import build_series, solve_a1
 from boxeig.variational import solve_a2, solve_a3
+
+from test_variational import quotient_at
 
 
 def poly_from_roots(roots, var="q"):
@@ -179,7 +182,7 @@ def test_sturm_matches_grid_scan_on_random_polynomials():
         scan = grid_scan_count(coeffs, -10, 10, 1, 10_000)
         assert sturm_count == scan, (coeffs, sturm_count, scan)
         # the isolator must report exactly the Sturm count of intervals
-        assert len(isolate_real_roots(p, (lo, hi))) == sturm_count
+        assert len(isolate_real_roots(p, (lo, hi))[1]) == sturm_count
         checked += 1
     assert checked == 100
 
@@ -190,7 +193,7 @@ def test_sturm_matches_grid_scan_on_random_polynomials():
 
 def test_isolation_separates_close_roots():
     p = poly_from_roots([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**6)])
-    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    _, intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
     assert len(intervals) == 2
     (a1, b1), (a2, b2) = intervals
     assert b1 <= a2, "intervals are disjoint and ordered"
@@ -199,7 +202,7 @@ def test_isolation_separates_close_roots():
 def test_isolation_bisects_onto_a_multiple_root():
     # the first bisection point of (-2, 2) is the double root 0
     p = poly_from_roots([0, 0, 1, -1])
-    intervals = isolate_real_roots(p, (Fraction(-2), Fraction(2)))
+    _, intervals = isolate_real_roots(p, (Fraction(-2), Fraction(2)))
     assert intervals[1] == (Fraction(0), Fraction(0))
     assert [round(certified_midpoint(p, iv), 9) for iv in intervals] == [-1.0, 0.0, 1.0]
 
@@ -207,7 +210,7 @@ def test_isolation_bisects_onto_a_multiple_root():
 def test_isolation_endpoint_root_left():
     # root exactly at the left endpoint of the bracket is still reported
     p = poly_from_roots([0, Fraction(1, 2)])
-    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    _, intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
     roots = sorted(float((a + b) / 2) for a, b in intervals)
     assert len(roots) == 2
     assert abs(roots[0] - 0.0) < 1e-9 and abs(roots[1] - 0.5) < 1e-9
@@ -216,7 +219,7 @@ def test_isolation_endpoint_root_left():
 def test_root_beside_a_root_on_the_left_endpoint():
     # (0, 1] holds only 1/3, but p(0) = 0: refinement must not return 0
     p = poly_from_roots([0, Fraction(1, 3)])
-    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    _, intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
     values = [certified_midpoint(p, iv, Fraction(1, 10**12)) for iv in intervals]
     assert values[0] == 0.0 and abs(values[1] - 1 / 3) < 1e-11
     for a, b in intervals:
@@ -225,7 +228,7 @@ def test_root_beside_a_root_on_the_left_endpoint():
 
 def test_isolation_endpoint_root_right():
     p = poly_from_roots([1])
-    assert len(isolate_real_roots(p, (Fraction(0), Fraction(1)))) == 1
+    assert len(isolate_real_roots(p, (Fraction(0), Fraction(1)))[1]) == 1
 
 
 def test_isolation_agrees_with_sturm_counts():
@@ -240,7 +243,7 @@ def test_isolation_agrees_with_sturm_counts():
         if base.degree >= 1:
             polys.append(base)
         for p in polys:
-            intervals = isolate_real_roots(p, (lo, hi))
+            _, intervals = isolate_real_roots(p, (lo, hi))
             assert len(intervals) == count_real_roots(p, lo, hi) + (p.eval(lo) == 0), p
             ends = [x for iv in intervals for x in iv]
             assert ends == sorted(ends) and all(lo <= x <= hi for x in ends), p
@@ -264,7 +267,7 @@ def test_isolation_on_a_bracket_wider_than_the_float_range(sturm_calls, roots, c
     # double root keeps two sign variations down to the depth limit, and the
     # fallback takes the square-free part from one Sturm chain
     p = poly_from_roots(roots)
-    intervals = isolate_real_roots(p, (0, 10**400))
+    _, intervals = isolate_real_roots(p, (0, 10**400))
     assert len(intervals) == len(set(roots))
     assert sturm_calls == {"sturm_sequence": chains}
     # the double root shows no sign change: certified_root retries it on
@@ -279,7 +282,7 @@ def test_isolation_rejects_zero_polynomial():
 
 
 def test_constant_has_no_roots():
-    assert isolate_real_roots(RationalPoly.constant(5), (Fraction(0), Fraction(1))) == ()
+    assert isolate_real_roots(RationalPoly.constant(5), (Fraction(0), Fraction(1)))[1] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def test_refine_enclosure_on_every_isolating_interval():
         if p.degree < 1:
             continue
         sf = square_free_part(p)
-        for a, b in isolate_real_roots(sf, (-100, 100)):
+        for a, b in isolate_real_roots(sf, (-100, 100))[1]:
             lo, hi = refine_enclosure(sf, (a, b), width)
             assert a <= lo <= hi <= b and hi - lo <= width, (p, a, b)
             if lo == hi:
@@ -383,7 +386,7 @@ def test_refine_even_multiplicity_root(sturm_calls):
     # (q - 1/3)^2 has no sign change; refinement must fall back to the
     # square-free part and still locate the root
     p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
-    intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    _, intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
     assert len(intervals) == 1
     assert sturm_calls == {"sturm_sequence": 1}
     r = certified_midpoint(p, intervals[0], Fraction(1, 10**12))
@@ -392,13 +395,23 @@ def test_refine_even_multiplicity_root(sturm_calls):
     assert sturm_calls == {"sturm_sequence": 2}
 
 
+def test_select_root_builds_one_sturm_chain_for_an_even_multiplicity_root(sturm_calls):
+    # isolation takes the square-free part of (q - 1/3)^2 from one chain and
+    # refinement runs on that part, so no retry builds a second one
+    p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
+    tol = Fraction(1, 10**12)
+    lo, hi = select_root(p, (Fraction(0), Fraction(1)), 0, DEFAULT_SELECTION, tol)
+    assert lo <= Fraction(1, 3) <= hi and hi - lo <= 2 * tol
+    assert sturm_calls == {"sturm_sequence": 1}
+
+
 def test_rational_root_detected_exactly():
     p = poly_from_roots([Fraction(6)])  # linear factor, root exactly 6
-    intervals = isolate_real_roots(p, (Fraction(0), Fraction(10)))
+    _, intervals = isolate_real_roots(p, (Fraction(0), Fraction(10)))
     assert [certified_midpoint(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
     # a root sitting exactly on the bracket's left endpoint is reported
     # through a degenerate interval, since (lo, hi] would exclude it
-    intervals = isolate_real_roots(p, (Fraction(6), Fraction(10)))
+    _, intervals = isolate_real_roots(p, (Fraction(6), Fraction(10)))
     assert intervals == ((Fraction(6), Fraction(6)),)
     assert [certified_midpoint(p, iv, Fraction(1, 10**12)) for iv in intervals] == [6.0]
 
@@ -436,9 +449,9 @@ def sturm_calls(monkeypatch):
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: solve_a1(PotentialSpec.linear(1), 12),
-        lambda: solve_a3(PotentialSpec.linear(1), 10),
-        lambda: solve_rr(PotentialSpec.linear(1), 6),
+        lambda: solve_a1(build_series(PotentialSpec.linear(1), 12)),
+        lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10)),
+        lambda: solve_secular(build_secular(PotentialSpec.linear(1), 6)),
     ],
     ids=["a1", "a3", "rr"],
 )
@@ -451,11 +464,11 @@ def test_index_policy_solve_refines_one_root(call_counts, solve):
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: solve_a2(PotentialSpec.linear(1), 20),
-        lambda: solve_a2(PotentialSpec.linear(1), 30),
-        lambda: solve_a1(PotentialSpec.linear(1), 12),
-        lambda: solve_a3(PotentialSpec.linear(1), 10),
-        lambda: solve_rr(PotentialSpec.linear(1), 6),
+        lambda: solve_a2(quotient_at(PotentialSpec.linear(1), 20)),
+        lambda: solve_a2(quotient_at(PotentialSpec.linear(1), 30)),
+        lambda: solve_a1(build_series(PotentialSpec.linear(1), 12)),
+        lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10)),
+        lambda: solve_secular(build_secular(PotentialSpec.linear(1), 6)),
     ],
     ids=["a2-n20", "a2-n30", "a1", "a3", "rr"],
 )
@@ -467,8 +480,11 @@ def test_solver_isolation_builds_no_sturm_chain(sturm_calls, solve):
 def test_a_multiple_root_builds_one_sturm_chain(sturm_calls):
     # Descartes bisection cannot separate a double root from itself; the
     # square-free part comes from the one chain
-    assert len(isolate_real_roots(poly_from_roots([1, 1, 2]), (0, 10))) == 2
+    isolated, intervals = isolate_real_roots(poly_from_roots([1, 1, 2]), (0, 10))
+    assert len(intervals) == 2
     assert sturm_calls == {"sturm_sequence": 1}
+    # the intervals come with the square-free part they were isolated on
+    assert isolated.degree == 2 and isolated.eval(1) == isolated.eval(2) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -202,16 +202,16 @@ def test_trial_terms_match_series():
 
 
 def test_solve_a1_known_roots():
-    est = solve_a1(V0, 4)
+    est = solve_a1(build_series(V0, 4))
     assert est is not None and est.eps == 6.0
-    est = solve_a1(V1, 4)
+    est = solve_a1(build_series(V1, 4))
     assert est is not None and abs(est.eps - 6.5) < 1e-24
 
 
 def test_solve_a1_no_real_root_cases():
     for potential in (V0, V1):
-        assert solve_a1(potential, 5) is None
-        assert solve_a1(potential, 6) is None
+        assert solve_a1(build_series(potential, 5)) is None
+        assert solve_a1(build_series(potential, 6)) is None
 
 
 def test_solve_a1_pairs_coincide_for_free_box():
@@ -224,9 +224,10 @@ def test_solve_a1_pairs_coincide_for_free_box():
 
 
 def test_solve_a1_enclosure_certificate():
-    est = solve_a1(V0, 13)
+    series = build_series(V0, 13)
+    est = solve_a1(series)
     lo, hi = est.enclosure
-    b = boundary_polynomial(build_series(V0, 13))
+    b = boundary_polynomial(series)
     assert b.eval(lo) * b.eval(hi) < 0
     assert hi - lo <= Fraction(2, 10**26)
-    assert lo <= est.eps_rational() <= hi
+    assert lo <= est.eps <= hi

@@ -15,7 +15,7 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular
 from boxeig.series import build_series, build_trial, specialize
-from boxeig.variational import kinetic_energy_forms, quotient_for, solve_a2, solve_a3
+from boxeig.variational import build_quotient, kinetic_energy_forms, solve_a2, solve_a3
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
@@ -26,6 +26,13 @@ CUBIC = PotentialSpec.general(
 small_rationals = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
 )
+
+
+
+def quotient_at(potential, n):
+    """The quotient of the order-n trial function: series, trial, quotient."""
+    return build_quotient(build_trial(build_series(potential, n)))
+
 
 potentials = st.one_of(
     st.just(V0),
@@ -45,7 +52,7 @@ potentials = st.one_of(
 
 
 def test_hand_derived_quotient_n4():
-    rq = quotient_for(V0, 4)
+    rq = quotient_at(V0, 4)
     assert rq.num == RationalPoly.from_coeffs(
         [Fraction(9, 7), Fraction(-2, 21), Fraction(1, 420)], "eps"
     )
@@ -56,7 +63,7 @@ def test_hand_derived_quotient_n4():
 
 def test_quotient_value_at_zero_energy():
     # W(0) = (9/7)/(1/9) = 81/7 for the N=4 free box
-    rq = quotient_for(V0, 4)
+    rq = quotient_at(V0, 4)
     assert rq.value(Fraction(0)) == Fraction(81, 7)
 
 
@@ -74,7 +81,7 @@ def test_kinetic_forms_agree_exactly(potential, n):
 @pytest.mark.parametrize("n", range(4, 10))
 def test_quotient_matches_direct_integration(n):
     # reference: integrate the specialized trial polynomial in q
-    rq = quotient_for(CUBIC, n)
+    rq = quotient_at(CUBIC, n)
     trial = build_trial(build_series(CUBIC, n))
     for eps in (Fraction(0), Fraction(7, 2), Fraction(-13, 3), Fraction(50)):
         phi = specialize(trial, eps)
@@ -89,7 +96,7 @@ def test_quotient_matches_direct_integration(n):
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(potentials, st.integers(min_value=4, max_value=9))
 def test_denominator_positive_on_random_rationals(potential, n):
-    rq = quotient_for(potential, n)
+    rq = quotient_at(potential, n)
     rng = random.Random(n * 1000 + 17)
     for _ in range(70):
         eps = Fraction(rng.randint(-20000, 20000), rng.randint(1, 100))
@@ -100,8 +107,8 @@ def test_denominator_positive_dense_sample():
     # den(eps) is the norm of a nonzero trial function, so it must stay
     # positive; hammer it at 1000 random rational points
     rng = random.Random(20260816)
-    rq0 = quotient_for(V0, 8)
-    rq1 = quotient_for(V1, 9)
+    rq0 = quotient_at(V0, 8)
+    rq1 = quotient_at(V1, 9)
     for _ in range(500):
         eps = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
         assert rq0.den.eval(eps) > 0
@@ -111,7 +118,7 @@ def test_denominator_positive_dense_sample():
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(potentials, st.integers(min_value=4, max_value=9))
 def test_float_value_matches_exact_within_ulps(potential, n):
-    rq = quotient_for(potential, n)
+    rq = quotient_at(potential, n)
     rng = random.Random(n)
     for _ in range(20):
         eps = rng.uniform(-30.0, 120.0)
@@ -128,7 +135,7 @@ def test_float_value_matches_exact_within_ulps(potential, n):
 def test_stationarity_polynomial_n4_exact():
     # S = num' den - num den'; the cubic terms cancel, leaving the
     # hand-derived quadratic with these ascending coefficients
-    s = quotient_for(V0, 4).stationarity_polynomial()
+    s = quotient_at(V0, 4).stationarity_polynomial()
     assert s == RationalPoly.from_coeffs(
         [Fraction(-17, 7560), Fraction(13, 52920), Fraction(-47, 9525600)], "eps"
     )
@@ -138,34 +145,35 @@ def test_second_stationary_point_n4():
     # the larger root of the quadratic above, with W there (hand-derived,
     # 20 digits: 46.069091972022616650); it is a local maximum of W, not
     # a bound improvement, so min-W selection must skip it
-    est = solve_a2(V0, 4, state=1)
+    est = solve_a2(quotient_at(V0, 4), state=1)
     assert abs(est.eps - 37.697815065313875) < 1e-12
     assert abs(est.w - 46.06909197202262) < 1e-11
-    assert abs(est.w_exact - Fraction("46.069091972022616650")) < Fraction(1, 10**15)
+    assert abs(est.w - Fraction("46.069091972022616650")) < Fraction(1, 10**15)
 
 
 def test_solve_a2_free_box_n4():
-    est = solve_a2(V0, 4)
+    est = solve_a2(quotient_at(V0, 4))
     assert est is not None
     assert abs(est.eps - 12.089418977239319) < 1e-12
     # W at the stationary point, exact: 9.8707576520375337...
     assert abs(est.w - 9.870757652037534) < 1e-12
-    assert est.w_exact is not None
-    assert abs(est.w_exact - Fraction("9.8707576520375337")) < Fraction(1, 10**15)
+    assert est.w is not None
+    assert abs(est.w - Fraction("9.8707576520375337")) < Fraction(1, 10**15)
 
 
 def test_solve_a2_reports_quotient_consistency():
     for potential, n in ((V0, 7), (V1, 8), (V1, 5)):
-        est = solve_a2(potential, n)
-        rq = quotient_for(potential, n)
-        assert est.w_exact == rq.value(est.eps_rational())
+        rq = quotient_at(potential, n)
+        est = solve_a2(rq)
+        assert est.w == rq.value(est.eps)
 
 
 def test_solve_a2_selects_minimal_w():
     # N=4 free box has stationary points near 12.09 and 37.7; min-W wins
-    est = solve_a2(V0, 4)
+    rq = quotient_at(V0, 4)
+    est = solve_a2(rq)
     assert est.eps < 20
-    smallest = solve_a2(V0, 4, selection=RootSelection.parse("smallest"))
+    smallest = solve_a2(rq, selection=RootSelection.parse("smallest"))
     assert smallest.eps == est.eps  # here the smallest is also the min-W point
 
 
@@ -173,11 +181,11 @@ def test_solve_a2_upper_bound_property():
     # any Rayleigh-quotient value bounds the ground state from above
     pi2 = math.pi**2
     for n in range(4, 14):
-        est = solve_a2(V0, n)
+        est = solve_a2(quotient_at(V0, n))
         assert est.w >= pi2 - 1e-12
     eps0_ramp = 10.368507161836337127
     for n in range(4, 14):
-        est = solve_a2(V1, n)
+        est = solve_a2(quotient_at(V1, n))
         assert est.w >= eps0_ramp - 1e-12
 
 
@@ -188,31 +196,32 @@ def test_solve_a2_upper_bound_property():
 def test_fixed_point_polynomial_n4_exact():
     # eps*den - num, scaled by 45360, is the integer cubic
     # 5 eps^3 - 402 eps^2 + 9360 eps - 58320 (hand-derived)
-    f = quotient_for(V0, 4).fixed_point_polynomial()
+    f = quotient_at(V0, 4).fixed_point_polynomial()
     assert f * 45360 == RationalPoly.from_coeffs([-58320, 9360, -402, 5], "eps")
 
 
 def test_solve_a3_free_box_n4():
-    est = solve_a3(V0, 4)
+    rq = quotient_at(V0, 4)
+    est = solve_a3(rq)
     assert est is not None
     # smallest root of the hand cubic, bisected independently to 40 digits
     assert abs(est.eps - 9.97170280057768470646) < 1e-13
-    # residual is |eps - W(eps)| at the refined midpoint
-    assert est.residual < 1e-24
+    # the residual |eps - W(eps)| at the refined midpoint
+    assert abs(est.eps - rq.value(est.eps)) < 1e-24
 
 
 def test_solve_a3_fixed_point_property():
     for potential, n in ((V0, 9), (V1, 10)):
-        est = solve_a3(potential, n)
-        rq = quotient_for(potential, n)
-        assert abs(rq.value(est.eps_rational()) - est.eps_rational()) < Fraction(1, 10**24)
+        rq = quotient_at(potential, n)
+        est = solve_a3(rq)
+        assert abs(rq.value(est.eps) - est.eps) < Fraction(1, 10**24)
 
 
 def test_fixed_point_polynomial_roots_are_fixed_points():
-    rq = quotient_for(V1, 6)
+    rq = quotient_at(V1, 6)
     f = rq.fixed_point_polynomial()
-    est = solve_a3(V1, 6)
-    assert abs(f.eval(est.eps_rational())) < Fraction(1, 10**20)
+    est = solve_a3(rq)
+    assert abs(f.eval(est.eps)) < Fraction(1, 10**20)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +232,12 @@ def test_state_selection_warns(caplog):
     import logging
 
     with caplog.at_level(logging.WARNING):
-        solve_a3(V0, 9, state=1)
+        solve_a3(quotient_at(V0, 9), state=1)
     assert any("heuristic" in rec.message for rec in caplog.records)
 
 
 # ---------------------------------------------------------------------------
-# value-comparing selection and the shared quotient
+# value-comparing selection
 
 # lam=1, N=10, bracket (0, 200): S has six roots and F five, so each policy
 # below chooses among several candidates.  Values pinned at 20 digits.
@@ -242,31 +251,17 @@ PINNED_SELECTIONS = [
 
 @pytest.mark.parametrize("solve, policy, state, eps, w", PINNED_SELECTIONS)
 def test_value_comparing_selection_is_pinned(solve, policy, state, eps, w):
-    est = solve(V1, 10, (Fraction(0), Fraction(200)), state, RootSelection.parse(policy))
-    assert format_significant(est.eps_rational(), 20) == eps
+    bracket = (Fraction(0), Fraction(200))
+    est = solve(quotient_at(V1, 10), bracket, state, RootSelection.parse(policy))
+    assert format_significant(est.eps, 20) == eps
     if w is not None:
-        assert format_significant(est.w_exact, 20) == w
-
-
-def test_a2_and_a3_share_one_quotient_build(monkeypatch):
-    import boxeig.variational as variational
-
-    builds = []
-    original = variational.build_quotient
-    monkeypatch.setattr(
-        variational, "build_quotient", lambda trial: builds.append(trial.n) or original(trial)
-    )
-    variational.quotient_for.cache_clear()
-    potential = PotentialSpec.linear(Fraction(3, 7))
-    assert solve_a2(potential, 9) is not None
-    assert solve_a3(potential, 9) is not None
-    assert builds == [9]
+        assert format_significant(est.w, 20) == w
 
 
 # ---------------------------------------------------------------------------
 # pinned exact polynomials of the whole pipeline
 
-# sha256 (first 24 hex digits) of the coefficient strings of quotient_for(v, N)
+# sha256 (first 24 hex digits) of the coefficient strings of quotient_at(v, N)
 # .num and .den for N = 4..20 and of build_secular(v, N).char_poly for
 # N = 4..12, recorded from the earlier implementation that stored each
 # coefficient as a Fraction.  A change of representation or of kernel that
@@ -290,7 +285,7 @@ def coefficient_digest(polys) -> str:
 @pytest.mark.parametrize("name", list(PIPELINE_DIGESTS))
 def test_pipeline_polynomials_match_pinned_digests(name):
     v = PIPELINE_POTENTIALS[name]
-    quotients = [quotient_for(v, n) for n in range(4, 21)]
+    quotients = [quotient_at(v, n) for n in range(4, 21)]
     assert (
         coefficient_digest(q.num for q in quotients),
         coefficient_digest(q.den for q in quotients),
