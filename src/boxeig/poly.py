@@ -334,6 +334,20 @@ def _horner(a: Sequence[int], n: int, d: int) -> int:
     return acc
 
 
+def _horner_dyadic(a: Sequence[int], m: int, k: int) -> int:
+    """2^(k deg) a(m/2^k), equal to ``_horner(a, m, 1 << k)``, by shift-Horner steps.
+
+    At a dyadic point the powers of the denominator are shifts, so no step
+    multiplies by a power of two.
+    """
+    acc = 0
+    shift = 0
+    for c in reversed(a):
+        acc = acc * m + (c << shift)
+        shift += k
+    return acc
+
+
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []

@@ -24,26 +24,44 @@ isolated them on, p or that square-free part.  The latter changes sign across
 every nondegenerate interval, so refinement on it builds no second chain.
 Isolation refines nothing, so a solver certifies only the root it picks.
 
-Refinement is plain bisection on a dyadic grid m/2^k, fine enough that
-2^-k is GUARD_BITS bits below the requested width.  Each probe is an exact
-sign, so the last grid cell, whose ends carry opposite signs of p, is the
-enclosure, and an exact root on the grid is found exactly.
+Refinement returns one cell of the dyadic grid m/2^k, 2^-k the first power
+of two GUARD_BITS bits below the requested width: the cell that holds the
+root, clipped to the isolating interval, or (r, r) for a root r on the grid.
+It searches the grid indices m and reads the exact integer values
+V(m) = 2^(k deg) p(m/2^k), which the shift-Horner kernel of ``poly`` computes
+without a Fraction; an interval end off the grid takes one general sign.
+The search is quadratic interval refinement (J. Abbott, ACM Commun. Comput.
+Algebra 48, 2014; Kerber & Sagraloff, ISSAC 2011).  From the values at the
+two ends of the index range it takes the secant guess and tests a window of
+1/n of the range beside it, on the side that the sign at the guess points
+to.  A sign change in the window squares n; otherwise n falls to its square
+root and the range is halved once.  Near a simple root the window keeps
+catching it, so the correct bits double per step.  Every step keeps opposite
+signs at the two ends, so any such search ends on the same cell.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .poly import RationalPoly, _horner, _int_divexact, _int_prem, exact_rational
+from .poly import (
+    RationalPoly,
+    _horner,
+    _horner_dyadic,
+    _int_divexact,
+    _int_prem,
+    exact_rational,
+)
 
 logger = logging.getLogger(__name__)
 
-# Refinement bisects this many bits below the requested enclosure width, so
-# an enclosure midpoint is about ten digits more accurate than the width
-# promises; residuals at secular roots (tests/test_rayleigh_ritz.py) rely on it.
+# Refinement searches a grid this many bits below the requested enclosure
+# width, so an enclosure midpoint is about ten digits more accurate than the
+# width promises; residuals at secular roots (tests/test_rayleigh_ritz.py)
+# rely on it.
 GUARD_BITS = 32
 
 # Descartes bisection of a bracket of width w gives up below pieces of width
@@ -254,54 +272,89 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     """Shrink an isolating interval to a certified enclosure of width <= width.
 
     Requires an exact sign change (or an exact root at an endpoint, which is
-    returned degenerately).  The endpoints of the result carry exactly
-    verified opposite signs of p, or coincide at an exact root found on the
-    bisection grid.
+    returned degenerately).  The result is the one cell of the grid m/2^k,
+    2^-k the first power of two GUARD_BITS bits below ``width``, that holds
+    the root, clipped to the interval; or (r, r) for a root r on the grid.
+    Its endpoints carry exactly verified opposite signs of p.  The cell is
+    found by quadratic interval refinement on the grid indices, reading the
+    exact integer values 2^(k deg) p(m/2^k) (see the module docstring).
     """
     lo, hi = exact_rational(interval[0]), exact_rational(interval[1])
     width = exact_rational(width)
     if width <= 0:
         raise ValueError("enclosure width must be positive")
     a = p.ints
-    slo = _sign_at(a, lo)
-    shi = _sign_at(a, hi)
+    # the grid m / 2^k, for the smallest k with 2^k >= 2^GUARD_BITS / width
+    cells = -(-(width.denominator << GUARD_BITS) // width.numerator)
+    k = (cells - 1).bit_length()
+    scale = 1 << k
+    i = -(-(lo.numerator << k) // lo.denominator)  # ceil(lo 2^k)
+    j = (hi.numerator << k) // hi.denominator  # floor(hi 2^k)
+    # an end on the grid is read once, as the value at its index
+    vi = _horner_dyadic(a, i, k) if not scale % lo.denominator else None
+    vj = _horner_dyadic(a, j, k) if not scale % hi.denominator else None
+    slo = _sign_at(a, lo) if vi is None else (vi > 0) - (vi < 0)
+    shi = _sign_at(a, hi) if vj is None else (vj > 0) - (vj < 0)
     if slo == 0:
         return (lo, lo)
     if shi == 0:
         return (hi, hi)
     if slo == shi:
         raise _NoSignChange("interval endpoints do not bracket a sign change")
-
-    # bisect on the grid m / 2^k, for the smallest k with 2^k >= 2^GUARD_BITS / width
-    cells = -(-(width.denominator << GUARD_BITS) // width.numerator)
-    scale = 1 << (cells - 1).bit_length()
-    i = -(-lo.numerator * scale // lo.denominator)  # ceil(lo 2^k)
-    j = hi.numerator * scale // hi.denominator  # floor(hi 2^k)
     if i > j:
         return (lo, hi)
-    x = Fraction(i, scale)
-    s = _sign_at(a, x)
-    if s == 0:
-        return (x, x)
-    if s != slo:
-        return (lo, x)
-    x = Fraction(j, scale)
-    s = _sign_at(a, x)
-    if s == 0:
-        return (x, x)
-    if s == slo:
-        return (x, hi)
-    # invariant: p has sign slo at i / 2^k and the opposite sign at j / 2^k
+    up = slo > 0
+    if vi is None:
+        vi = _horner_dyadic(a, i, k)
+        if not vi:
+            return (Fraction(i, scale),) * 2
+        if (vi > 0) != up:
+            return (lo, Fraction(i, scale))
+    if vj is None:
+        vj = vi if j == i else _horner_dyadic(a, j, k)
+        if not vj:
+            return (Fraction(j, scale),) * 2
+        if (vj > 0) == up:
+            return (Fraction(j, scale), hi)
+
+    # invariant: vi has sign slo and vj the opposite sign
+    n = 4
     while j - i > 1:
-        m = (i + j) >> 1
-        x = Fraction(m, scale)
-        s = _sign_at(a, x)
-        if s == 0:
-            return (x, x)
-        if s == slo:
-            i = m
+        # the secant guess, rounded to the grid and kept inside (i, j)
+        num, den = (j - i) * vi, vi - vj
+        if den < 0:
+            num, den = -num, -den
+        m = min(max(i + (2 * num + den) // (2 * den), i + 1), j - 1)
+        w = max((j - i) // n, 1)
+        vm = _horner_dyadic(a, m, k)
+        if not vm:
+            return (Fraction(m, scale),) * 2
+        # then the far end of a window of w cells beside it, on the root's side
+        if (vm > 0) == up:
+            i, vi, m = m, vm, m + w
         else:
-            j = m
+            j, vj, m = m, vm, m - w
+        if i < m < j:
+            vm = _horner_dyadic(a, m, k)
+            if not vm:
+                return (Fraction(m, scale),) * 2
+            if (vm > 0) == up:
+                i, vi = m, vm
+            else:
+                j, vj = m, vm
+        if j - i <= w:
+            n *= n
+            continue
+        # the window missed: halve the range once
+        n = max(isqrt(n), 4)
+        m = (i + j) >> 1
+        vm = _horner_dyadic(a, m, k)
+        if not vm:
+            return (Fraction(m, scale),) * 2
+        if (vm > 0) == up:
+            i, vi = m, vm
+        else:
+            j, vj = m, vm
     return (Fraction(i, scale), Fraction(j, scale))
 
 

@@ -59,9 +59,7 @@ class RayleighQuotient:
     den: RationalPoly
 
     def value(self, eps):
-        """W(eps); exact Fraction for rational eps, float for float eps."""
-        if isinstance(eps, float):
-            return float(self.value(Fraction(eps)))
+        """W(eps) = num(eps) / den(eps), an exact Fraction, for a rational eps."""
         eps = as_rational(eps)
         return self.num.eval(eps) / self.den.eval(eps)
 

@@ -515,12 +515,47 @@ def cli_digest(argv) -> str:
     return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()[:24]
 
 
-def test_cli_output_matches_pinned_digests():
-    digests = [cli_digest(argv) for argv in PINNED_COMMANDS]
-    mismatched = [
+def mismatched_commands(commands, digests) -> list[str]:
+    """The commands whose output digest differs from the pinned one."""
+    return [
         " ".join(argv)
-        for argv, got, want in zip(PINNED_COMMANDS, digests, PINNED_DIGESTS)
-        if got != want
+        for argv, want in zip(commands, digests, strict=True)
+        if cli_digest(argv) != want
     ]
-    assert not mismatched
-    assert len(digests) == len(PINNED_DIGESTS) == 48
+
+
+def test_cli_output_matches_pinned_digests():
+    assert not mismatched_commands(PINNED_COMMANDS, PINNED_DIGESTS)
+    assert len(PINNED_COMMANDS) == 48
+
+
+# Refinement paths that the list above does not reach: degree-34 polynomials
+# on the finest grid (--digits 40), bracket ends off every dyadic grid
+# (1/3, 0.1, 777.7), non-dyadic nearest targets, an A1 root on the grid
+# (lambda = 1, N = 8 prints 10) and RR at 40 digits.
+REFINEMENT_COMMANDS = (
+    ("solve", "--methods", "a1,a2,a3", "--n", "20", "--lambda=1", "--digits", "40"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=3/7", "--bracket", "1/3,100"),
+    ("solve", "--methods", "a2,a3", "--n", "12", "--lambda=-7", "--select", "nearest:1/3",
+     "--digits", "30"),
+    ("solve", "--methods", "a1,a2,a3", "--n", "14..18", "--lambda=10", "--digits", "40",
+     "--format", "json"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "6,10", "--lambda=2", "--state", "2",
+     "--bracket", "0.1,777.7", "--digits", "25"),
+    ("solve", "--methods", "a1,a3,rr", "--n", "8,12", "--lambda=1/1000", "--select",
+     "nearest:88.8", "--digits", "35", "--format", "csv"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1", "--digits", "40"),
+    ("solve", "--methods", "rr", "--n", "12", "--lambda=-30", "--state", "3", "--digits", "40"),
+)
+# digests as for PINNED_DIGESTS, recorded from the implementation that
+# refined by plain bisection with one Fraction probe per grid point
+REFINEMENT_DIGESTS = (
+    "fd496292f084d34f2cc57ec1", "dbe87c5a4e90b3f4bf9388f9", "aca119d63d2e7d16623328ad",
+    "542f2daa89dd7b9e80c78272", "b6ee496abfa4c4bb870f39da", "f14e7df8adb072ffd9d58d25",
+    "47a9fda7acc8d8fcdfb2d0ba", "e814d71d507b3f2090acd46d",
+)
+
+
+def test_cli_refinement_output_matches_pinned_digests():
+    assert not mismatched_commands(REFINEMENT_COMMANDS, REFINEMENT_DIGESTS)
+    assert len(REFINEMENT_COMMANDS) == 8

@@ -1,5 +1,6 @@
 """Exact-arithmetic properties of the rational polynomial layer."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxeig.poly import RationalPoly, as_rational, exact_rational, format_rational
+from boxeig.poly import (
+    RationalPoly,
+    _horner,
+    _horner_dyadic,
+    as_rational,
+    exact_rational,
+    format_rational,
+)
 
 rationals = st.builds(
     Fraction,
@@ -177,6 +185,22 @@ def test_eval_float_is_correctly_rounded(p, x):
     # float evaluation must equal the float of the exact rational value
     exact = p.eval(Fraction(x))
     assert p.eval(x) == float(exact)
+
+
+def test_dyadic_kernel_matches_integer_horner():
+    # 2^(k deg) a(m/2^k) by shifts equals the general kernel at n/d = m/2^k,
+    # bit for bit, on seeded integer lists of degree 0..34
+    rng = random.Random(20261019)
+    cases = [((), 5, 3), ((7,), -3, 40), ((-7,), 0, 0), ((0, 0, 1), 0, 9), ((1, -2, 1), 1, 0)]
+    for _ in range(300):
+        a = [rng.randint(-(10**30), 10**30) for _ in range(rng.randint(1, 35))]
+        a[-1] = a[-1] or 1
+        k = rng.choice((0, 1, 52, 118, rng.randint(2, 200)))
+        m = rng.choice((0, 1, -1, rng.randint(-(1 << (k + 8)), 1 << (k + 8))))
+        cases.append((tuple(a), m, k))
+    for a, m, k in cases:
+        assert _horner_dyadic(a, m, k) == _horner(a, m, 1 << k), (a, m, k)
+    assert sum(m < 0 for _, m, _ in cases) > 50 and sum(m > 0 for _, m, _ in cases) > 50
 
 
 def test_eval_refuses_other_number_types():

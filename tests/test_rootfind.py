@@ -1,6 +1,7 @@
 """Certified real-root isolation and refinement."""
 
 import ast
+import functools
 import random
 from fractions import Fraction
 
@@ -349,23 +350,139 @@ def test_refine_enclosure_finds_a_rational_root_on_its_grid():
     assert refine_enclosure(p, (6, 7), Fraction(1, 10**12)) == (Fraction(13, 2),) * 2
 
 
+@functools.cache
+def seeded_isolating_intervals(shift):
+    """(square-free part, isolating interval) pairs of the seeded polynomials.
+
+    Isolation runs on the bracket (-100, 100) + shift; a shift of 1/3 gives
+    interval ends that lie on no dyadic grid.
+    """
+    pairs = []
+    for p in seeded_polynomials():
+        if p.degree >= 1:
+            sf = square_free_part(p)
+            _, intervals = isolate_real_roots(sf, (-100 + shift, 100 + shift))
+            pairs += [(sf, iv) for iv in intervals]
+    return tuple(pairs)
+
+
 def test_refine_enclosure_on_every_isolating_interval():
     width = Fraction(1, 10**12)
-    refined = 0
-    for p in seeded_polynomials():
-        if p.degree < 1:
-            continue
-        sf = square_free_part(p)
-        for a, b in isolate_real_roots(sf, (-100, 100))[1]:
-            lo, hi = refine_enclosure(sf, (a, b), width)
-            assert a <= lo <= hi <= b and hi - lo <= width, (p, a, b)
-            if lo == hi:
-                assert sf.eval(lo) == 0, (p, lo)
-            else:
-                assert sf.eval(lo) * sf.eval(hi) < 0, (p, lo, hi)
-                assert count_real_roots(sf, lo, hi) == 1, (p, lo, hi)
-            refined += 1
-    assert refined > 400
+    intervals = seeded_isolating_intervals(0)
+    for sf, (a, b) in intervals:
+        lo, hi = refine_enclosure(sf, (a, b), width)
+        assert a <= lo <= hi <= b and hi - lo <= width, (sf, a, b)
+        if lo == hi:
+            assert sf.eval(lo) == 0, (sf, lo)
+        else:
+            assert sf.eval(lo) * sf.eval(hi) < 0, (sf, lo, hi)
+            assert count_real_roots(sf, lo, hi) == 1, (sf, lo, hi)
+    assert len(intervals) > 400
+
+
+# ---------------------------------------------------------------------------
+# refinement against plain bisection on the same grid
+
+
+def bisection_enclosure(p, interval, width):
+    """Reference refinement: plain bisection on the grid m/2^k.
+
+    Probes one Fraction point at a time with the general sign primitive and
+    returns (enclosure, number of grid probes).
+    """
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    a = p.ints
+    slo, shi = rootfind._sign_at(a, lo), rootfind._sign_at(a, hi)
+    if slo == 0:
+        return (lo, lo), 0
+    if shi == 0:
+        return (hi, hi), 0
+    assert slo != shi
+    cells = -(-(width.denominator << rootfind.GUARD_BITS) // width.numerator)
+    scale = 1 << (cells - 1).bit_length()
+    i = -(-lo.numerator * scale // lo.denominator)
+    j = hi.numerator * scale // hi.denominator
+    if i > j:
+        return (lo, hi), 0
+    x = Fraction(i, scale)
+    s = rootfind._sign_at(a, x)
+    if s == 0:
+        return (x, x), 1
+    if s != slo:
+        return (lo, x), 1
+    x = Fraction(j, scale)
+    s = rootfind._sign_at(a, x)
+    if s == 0:
+        return (x, x), 2
+    if s == slo:
+        return (x, hi), 2
+    probes = 2
+    while j - i > 1:
+        m = (i + j) >> 1
+        x = Fraction(m, scale)
+        s = rootfind._sign_at(a, x)
+        probes += 1
+        if s == 0:
+            return (x, x), probes
+        if s == slo:
+            i = m
+        else:
+            j = m
+    return (Fraction(i, scale), Fraction(j, scale)), probes
+
+
+def test_refinement_returns_the_bisection_cell():
+    # every seeded isolating interval, with dyadic ends and with ends shifted
+    # by 1/3, at a coarse and at the finest width the CLI asks for
+    widths = (Fraction(1, 10**12), Fraction(2, 10**26))
+    on_grid = 0  # exact roots that the search meets on the grid
+    for shift in (0, Fraction(1, 3)):
+        for p, interval in seeded_isolating_intervals(shift):
+            for width in widths:
+                cell, _ = bisection_enclosure(p, interval, width)
+                assert refine_enclosure(p, interval, width) == cell, (p, interval, width)
+                on_grid += cell[0] == cell[1] != interval[0]
+    assert len(seeded_isolating_intervals(0)) == 685 and on_grid > 100
+
+    # a root on the grid end i or j (the grid is 2^-52 at width 2^-20), the
+    # root sqrt(2) within one cell of an end, and an interval inside one cell
+    width = Fraction(1, 2**20)
+    r, below_a_cell = Fraction(5, 8), Fraction(1, 3 * 2**52)
+    linear = poly_from_roots([r]) * RationalPoly.from_coeffs([-2, 0, 1])
+    sqrt2 = RationalPoly.from_coeffs([-2, 0, 1])
+    cases = [
+        (linear, (r - below_a_cell, r + Fraction(1, 2)), (r, r)),
+        (linear, (r - 1, r + below_a_cell), (r, r)),
+        (sqrt2, (Fraction(14142135623730950, 10**16), 2), None),
+        (sqrt2, (1, Fraction(14142135623730951, 10**16)), None),
+    ]
+    third = (Fraction(1, 3) - below_a_cell, Fraction(1, 3) + below_a_cell)
+    cases.append((poly_from_roots([Fraction(1, 3)]), third, third))
+    for p, interval, expected in cases:
+        cell, _ = bisection_enclosure(p, interval, width)
+        assert refine_enclosure(p, interval, width) == cell, (p, interval)
+        assert expected is None or cell == expected
+
+    # a degree-34 stationarity polynomial of A2 (lambda = 1, N = 20)
+    p = quotient_at(PotentialSpec.linear(1), 20).stationarity_polynomial()
+    isolated, intervals = isolate_real_roots(p, (0, 300))
+    assert p.degree == 34 and intervals
+    for interval in intervals:
+        for width in widths:
+            cell, _ = bisection_enclosure(isolated, interval, width)
+            assert refine_enclosure(isolated, interval, width) == cell, interval
+
+
+def test_refinement_probes_at_most_half_the_bisection_count(monkeypatch):
+    # bisection takes about 93 probes per call here
+    width = Fraction(2, 10**26)
+    intervals = seeded_isolating_intervals(0)
+    bisection = sum(bisection_enclosure(p, iv, width)[1] for p, iv in intervals)
+    calls = _count_calls(monkeypatch, ("_horner_dyadic",))
+    for p, interval in intervals:
+        refine_enclosure(p, interval, width)
+    assert bisection > 80 * len(intervals)
+    assert 2 * calls["_horner_dyadic"] <= bisection
 
 
 def test_refine_float_result():
