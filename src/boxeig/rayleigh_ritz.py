@@ -6,14 +6,13 @@ are plain integrals over [0, 1]:
     S_ij = integral f_i f_j,
     H_ij = integral (f_i' f_j' + v f_i f_j),
 
-both exact rationals with closed forms (see :func:`basis_matrices`).  The
-same matrices give the quotient of the power-series trial function, which
-is a combination of this basis.  Eigenvalue estimates are the roots of
-det(H - eps S) = 0; the determinant is expanded into an exact polynomial in
-eps by fraction-free (Bareiss) elimination over Z[eps], on integer lists
-after the denominators of H and S are cleared once, then handed to the
-shared root machinery.  For a symmetric positive-definite S all n-1 roots
-are real and they bound the true spectrum from above.
+both exact rationals with closed forms (see :func:`basis_matrices`).
+Eigenvalue estimates are the roots of det(H - eps S) = 0; the determinant
+is expanded into an exact polynomial in eps by fraction-free (Bareiss)
+elimination over Z[eps], on integer lists after the denominators of H and
+S are cleared once, then handed to the shared root machinery.  For a
+symmetric positive-definite S all n-1 roots are real and they bound the
+true spectrum from above.
 """
 
 from __future__ import annotations

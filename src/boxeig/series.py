@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .estimates import (
     DEFAULT_SELECTION,
@@ -63,7 +64,9 @@ def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeri
     """Run the recurrence up to c_n.  Requires n >= 3.
 
     ``c1`` rescales the (arbitrary) normalization of the interior solution;
-    every c_j is homogeneous of degree one in it.
+    every c_j is homogeneous of degree one in it.  The recurrence runs on
+    integer lists, each c_j over one positive denominator, and each c_j
+    becomes a polynomial once at the end.
     """
     if n < 3:
         raise ValueError("series order must be at least 3")
@@ -75,17 +78,33 @@ def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeri
             n - 3,
             n,
         )
-    zero = RationalPoly.zero("eps")
-    c: list[RationalPoly] = [zero, RationalPoly.constant(as_rational(c1), "eps"), zero]
-    eps = RationalPoly.monomial(1, 1, "eps")
+    # c_j = ints[j] / dens[j]: an integer list over one positive denominator,
+    # reduced by their common gcd at each order
+    c1 = as_rational(c1)
+    vn, vd = v.scale.numerator, v.scale.denominator
+    ints: list[list[int]] = [[], [c1.numerator] if c1 else [], []]
+    dens = [1, c1.denominator, 1]
     for j in range(3, n + 1):
-        acc = zero
-        for i in range(1, j - 1):  # c_0 = 0 contributes nothing
-            vk = v.coeff(j - i - 2)
-            if vk:
-                acc = acc + c[i] * vk
-        acc = acc - eps * c[j - 2]
-        c.append(acc * Fraction(1, j * (j - 1)))
+        # c_0 = 0 contributes nothing to the potential sum
+        terms = [
+            (v.ints[j - i - 2] * vn, vd * dens[i], ints[i])
+            for i in range(max(1, j - 1 - len(v.ints)), j - 1)
+            if v.ints[j - i - 2] and ints[i]
+        ]
+        terms.append((-1, dens[j - 2], [0] + ints[j - 2]))  # -eps c_{j-2}
+        den = lcm(*(t[1] for t in terms))
+        acc = [0] * max(len(t[2]) for t in terms)
+        for m, d, p in terms:
+            m *= den // d
+            for k, x in enumerate(p):
+                acc[k] += m * x
+        while acc and acc[-1] == 0:
+            acc.pop()
+        den *= j * (j - 1)
+        g = gcd(den, *acc)
+        ints.append([x // g for x in acc])
+        dens.append(den // g)
+    c = [RationalPoly._canonical(p, Fraction(1, d), "eps") for p, d in zip(ints, dens)]
     return EnergySeries(n=n, potential=potential, c=tuple(c))
 
 

@@ -14,12 +14,22 @@ the trial function" are implemented:
   a true upper bound on the ground state;
 * self-consistent points eps = W(eps) (roots of F = eps den - num).
 
-The trial function is sum_j c_j(eps) f_j in the Rayleigh-Ritz basis
-f_j = q^j - q^N, so num and den are the quadratic forms c^T H c and c^T S c
-with that method's matrices.  All of it, root refinement included, is exact
-rational arithmetic; the kinetic term uses the integrated-by-parts form
-(phi' squared), which equals the literal -phi phi'' form identically because
-the trial function vanishes at both walls.
+The trial function sum_j c_j(eps) (q^j - q^N) is, in powers of q,
+
+    phi = sum_{a=1..N} Phi_a q^a,   Phi_j = c_j (j < N),   Phi_N = -sum_j c_j,
+
+so num and den are double sums over a and b of Phi_a Phi_b times a closed-form
+weight, the integral of the corresponding q-monomials:
+
+    den = sum_{a,b} Phi_a Phi_b / (a+b+1),
+    num = sum_{a,b} Phi_a Phi_b [ab/(a+b-1) + sum_k v_k/(a+b+k+1)].
+
+The Phi_a are brought to integer lists over one common denominator and each
+weight table to integers over one common multiple of its denominators, so a
+form is summed on integers and made a polynomial once.  All of it, root
+refinement included, is exact rational arithmetic; the kinetic term uses the
+integrated-by-parts form (phi' squared), which equals the literal -phi phi''
+form identically because the trial function vanishes at both walls.
 
 Both solvers take the quotient they solve, so a caller that wants A2 and A3
 at one order builds it once and hands it to each.
@@ -30,6 +40,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .estimates import (
     DEFAULT_SELECTION,
@@ -42,8 +53,8 @@ from .estimates import (
     select_root,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, as_rational
-from .rayleigh_ritz import basis_function, basis_matrices
+from .poly import RationalPoly, _int_mul, _int_sub, as_rational
+from .rayleigh_ritz import basis_function
 from .series import TrialFunction
 
 logger = logging.getLogger(__name__)
@@ -76,40 +87,94 @@ class RayleighQuotient:
         return eps * self.den - self.num
 
 
-def _quadratic_form(matrix, terms) -> RationalPoly:
-    """sum_i c_i sum_j matrix[i-1][j-1] c_j over the terms (j, c_j)."""
-    acc = RationalPoly.zero("eps")
-    for i, ci in terms:
-        row = matrix[i - 1]
-        acc = acc + ci * sum((cj * row[j - 1] for j, cj in terms), RationalPoly.zero("eps"))
-    return acc
+def _q_coefficients(trial: TrialFunction) -> tuple[list[list[int]], int]:
+    """Integer lists P_1..P_n and one denominator d with Phi_a = P_a / d."""
+    d = lcm(*(c.scale.denominator for _, c in trial.terms))
+    phi: list[list[int]] = [[] for _ in range(trial.n)]
+    wall: list[int] = []
+    for j, c in trial.terms:
+        m = c.scale.numerator * (d // c.scale.denominator)
+        phi[j - 1] = [m * x for x in c.ints]
+        wall = _int_sub(wall, phi[j - 1])
+    phi[trial.n - 1] = wall
+    return phi, d
+
+
+def _norm_weight(n: int):
+    """l and the integer l/(a+b+1): l times the integral of q^a q^b."""
+    l = lcm(*range(1, 2 * n + 2))
+    return l, lambda a, b: l // (a + b + 1)
+
+
+def _energy_weight(v: RationalPoly, n: int):
+    """l and l [ab/(a+b-1) + sum_k v_k/(a+b+k+1)] as integers.
+
+    That is l times the integral of (q^a)' (q^b)' + v q^a q^b; the potential
+    part depends on a+b alone and is tabulated once.
+    """
+    top = lcm(*range(1, 2 * n + len(v.ints) + 1))
+    l = top * v.scale.denominator
+    vk = [x * v.scale.numerator * top for x in v.ints]
+    pot = [sum(x // (s + k + 1) for k, x in enumerate(vk)) for s in range(2 * n + 1)]
+    return l, lambda a, b: l * a * b // (a + b - 1) + pot[a + b]
+
+
+def _form(phi: list[list[int]], d: int, l: int, weight) -> RationalPoly:
+    """sum_{a,b} Phi_a Phi_b w_ab as an eps-polynomial, for Phi_a = phi[a-1] / d.
+
+    ``weight(a, b)`` is the integer l w_ab of a weight symmetric in a and b.
+    Row a accumulates r_a = l w_aa P_a + 2 sum_{b>a} l w_ab P_b by integer
+    axpy, and the form is sum_a P_a r_a / (l d^2), reduced once.
+    """
+    live = [(a, p) for a, p in enumerate(phi, 1) if p]
+    width = max((len(p) for _, p in live), default=0)
+    out = [0] * (2 * width - 1)
+    for i, (a, pa) in enumerate(live):
+        row = [0] * width
+        for b, pb in live[i:]:
+            w = weight(a, b) if b == a else 2 * weight(a, b)
+            for k, x in enumerate(pb):
+                row[k] += w * x
+        for k, x in enumerate(_int_mul(pa, row)):
+            out[k] += x
+    return RationalPoly._canonical(out, Fraction(1, l * d * d), "eps")
 
 
 def build_quotient(trial: TrialFunction) -> RayleighQuotient:
-    """num = c^T H c and den = c^T S c over the trial function's terms."""
-    s, h = basis_matrices(trial.potential, trial.n)
+    """num and den as double sums over the q-coefficients Phi_a of phi.
+
+    Both forms share the integer lists of the Phi_a over one denominator and
+    differ only in their weight tables (see the module docstring).
+    """
+    phi, d = _q_coefficients(trial)
     return RayleighQuotient(
         n=trial.n,
         potential=trial.potential,
-        num=_quadratic_form(h, trial.terms),
-        den=_quadratic_form(s, trial.terms),
+        num=_form(phi, d, *_energy_weight(trial.potential.v, trial.n)),
+        den=_form(phi, d, *_norm_weight(trial.n)),
     )
 
 
 def kinetic_energy_forms(trial: TrialFunction) -> tuple[RationalPoly, RationalPoly]:
     """(integral of phi'^2, integral of -phi phi'') as eps-polynomials.
 
-    The first is the kinetic part of the quotient, from the closed-form
-    matrix; the second integrates -f_i f_j'' of the basis polynomials
-    directly.  The two agree identically for functions vanishing at both
-    walls; the test suite checks the equality exactly.
+    The first is the kinetic part of the quotient, from the kernel that
+    :func:`build_quotient` runs with the potential left out; the second
+    integrates -f_i f_j'' of the basis polynomials f_j = q^j - q^n directly.
+    The two agree identically for functions vanishing at both walls; the test
+    suite checks the equality exactly.
     """
-    n = trial.n
-    by_parts = _quadratic_form(basis_matrices(PotentialSpec.zero(), n)[1], trial.terms)
-    f = [basis_function(j, n) for j in range(1, n)]
+    phi, d = _q_coefficients(trial)
+    by_parts = _form(phi, d, *_energy_weight(RationalPoly.zero(), trial.n))
+    f = [basis_function(j, trial.n) for j, _ in trial.terms]
     ddf = [fj.differentiate().differentiate() for fj in f]
-    minus_f_ddf = [[-(fi * ddfj).integrate_01() for ddfj in ddf] for fi in f]
-    return by_parts, _quadratic_form(minus_f_ddf, trial.terms)
+    literal = RationalPoly.zero("eps")
+    for (_, ci), fi in zip(trial.terms, f):
+        row = RationalPoly.zero("eps")
+        for (_, cj), ddfj in zip(trial.terms, ddf):
+            row = row + cj * -(fi * ddfj).integrate_01()
+        literal = literal + ci * row
+    return by_parts, literal
 
 
 def solve_a2(

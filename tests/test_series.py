@@ -57,6 +57,43 @@ def test_hand_evaluated_low_orders():
     assert s1.c[4].coeff(0) == Fraction(1, 12)
 
 
+def recurrence_reference(potential, n, c1):
+    """The recurrence on RationalPoly sums, one per potential term and order."""
+    v = potential.v
+    zero = RationalPoly.zero("eps")
+    c = [zero, RationalPoly.constant(c1, "eps"), zero]
+    eps = RationalPoly.monomial(1, 1, "eps")
+    for j in range(3, n + 1):
+        acc = zero
+        for i in range(1, j - 1):
+            vk = v.coeff(j - i - 2)
+            if vk:
+                acc = acc + c[i] * vk
+        acc = acc - eps * c[j - 2]
+        c.append(acc * Fraction(1, j * (j - 1)))
+    return tuple(c)
+
+
+def test_series_equals_the_polynomial_recurrence():
+    # the integer recurrence against the RationalPoly one: the sweep rows,
+    # lam = 3/7 and 1/1000, seeded cubics and a sextic with rational
+    # coefficients, and normalizations c1 of either sign and zero
+    rng = random.Random(20261019)
+    pots = [PotentialSpec.linear(Fraction(lam)) for lam in ("0", "1", "3/7", "-7", "-30", "1/1000")]
+    pots += [
+        PotentialSpec.general(
+            RationalPoly.from_coeffs(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(degree + 1)], "q"
+            )
+        )
+        for degree in (3, 3, 6)
+    ]
+    for potential in pots:
+        for n in range(3, 23):
+            for c1 in (Fraction(1), Fraction(-3, 5), Fraction(0)):
+                assert build_series(potential, n, c1).c == recurrence_reference(potential, n, c1)
+
+
 def test_requires_order_three():
     with pytest.raises(ValueError):
         build_series(V0, 2)

@@ -13,7 +13,7 @@ from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import build_secular
+from boxeig.rayleigh_ritz import basis_matrices, build_secular
 from boxeig.series import build_series, build_trial, specialize
 from boxeig.variational import build_quotient, kinetic_energy_forms, solve_a2, solve_a3
 
@@ -76,6 +76,50 @@ def test_quotient_value_at_zero_energy():
 def test_kinetic_forms_agree_exactly(potential, n):
     by_parts, literal = kinetic_energy_forms(build_trial(build_series(potential, n)))
     assert by_parts == literal
+
+
+def _quadratic_form(matrix, terms) -> RationalPoly:
+    """sum_i c_i sum_j matrix[i-1][j-1] c_j over the terms (j, c_j)."""
+    acc = RationalPoly.zero("eps")
+    for i, ci in terms:
+        row = matrix[i - 1]
+        acc = acc + ci * sum((cj * row[j - 1] for j, cj in terms), RationalPoly.zero("eps"))
+    return acc
+
+
+def matrix_quotient(trial):
+    """(c^T H c, c^T S c) with the Rayleigh-Ritz matrices: the reference quotient."""
+    s, h = basis_matrices(trial.potential, trial.n)
+    return _quadratic_form(h, trial.terms), _quadratic_form(s, trial.terms)
+
+
+def _random_cubic(seed):
+    rng = random.Random(seed)
+    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(4)]
+    return PotentialSpec.general(RationalPoly.from_coeffs(coeffs, "q"))
+
+
+DIFFERENTIAL_POTENTIALS = {
+    **{f"lam={lam}": PotentialSpec.linear(Fraction(lam)) for lam in ("0", "1", "3/7", "-7", "-30")},
+    **{f"cubic-{seed}": _random_cubic(seed) for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_POTENTIALS))
+def test_quotient_equals_the_matrix_quotient(name):
+    # the q-coefficient kernel against c^T H c / c^T S c; at lam = 0 every
+    # even c_j vanishes, so the kernel skips those rows and columns
+    potential = DIFFERENTIAL_POTENTIALS[name]
+    for n in range(4, 21):
+        trial = build_trial(build_series(potential, n))
+        if potential.v.is_zero:
+            assert len(trial.terms) == n // 2
+        rq = build_quotient(trial)
+        assert (rq.num, rq.den) == matrix_quotient(trial)
+    # the normalization c1 = 0 leaves no term: both forms are zero
+    trial = build_trial(build_series(potential, 6, c1=0))
+    rq = build_quotient(trial)
+    assert (rq.num, rq.den) == matrix_quotient(trial) == (RationalPoly.zero("eps"),) * 2
 
 
 @pytest.mark.parametrize("n", range(4, 10))
