@@ -2,7 +2,7 @@
 
 The package implements three power-series estimates (boundary roots,
 stationary Rayleigh quotients, and quotient fixed points), a Rayleigh-Ritz
-reference on the same polynomial basis, and independent high-precision
+reference on the same polynomial space, and independent high-precision
 benchmarks (box eigenvalues, Airy quantization for a linear ramp, and an RK4
 shooting integrator).  All symbolic work and root finding are exact rational
 and integer arithmetic, and every estimate is an exact enclosure with its
@@ -44,7 +44,6 @@ from .oracle import (
 from .poly import Rational, RationalPoly, as_rational, format_rational
 from .rayleigh_ritz import (
     SecularSystem,
-    bareiss_determinant,
     build_secular,
     solve_secular,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SecularSystem",
     "TrialFunction",
     "as_rational",
-    "bareiss_determinant",
     "boundary_polynomial",
     "build_quotient",
     "build_secular",

@@ -316,9 +316,9 @@ class RationalPoly:
 # integer coefficient lists
 #
 # Plain lists (or tuples) of ints, ascending powers with no trailing zeros,
-# as RationalPoly stores them: the ring operations above, the fraction-free
-# Bareiss determinant and root finding run on these kernels, so that no
-# coefficient operation pays the gcd a Fraction takes.
+# as RationalPoly stores them: the ring operations above, the A2/A3 quotient
+# and root finding run on these kernels, so that no coefficient operation
+# pays the gcd a Fraction takes.
 
 
 def _horner(a: Sequence[int], n: int, d: int) -> int:

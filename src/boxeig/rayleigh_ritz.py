@@ -1,16 +1,29 @@
-"""Rayleigh-Ritz reference method on the polynomial basis f_j = q^j - q^n.
+"""Rayleigh-Ritz reference method on the integrated-Legendre basis.
 
-The basis functions (j = 1..n-1) vanish at both walls, so matrix elements
-are plain integrals over [0, 1]:
+The trial space, the polynomials of degree <= n that vanish at both walls,
+is spanned by q^j - q^n (j = 1..n-1) and equally by Shen's Legendre-Galerkin
+basis (J. Shen, SIAM J. Sci. Comput. 15 (1994) 1489-1505)
 
-    S_ij = integral f_i f_j,
-    H_ij = integral (f_i' f_j' + v f_i f_j),
+    phi_k = (P_k - P_{k-2}) / (2(2k-1)),   k = 2..n,   so phi_k' = P_{k-1},
 
-both exact rationals with closed forms (see :func:`basis_matrices`).
-Eigenvalue estimates are the roots of det(H - eps S) = 0; the determinant
-is expanded into an exact polynomial in eps by fraction-free (Bareiss)
-elimination over Z[eps], on integer lists after the denominators of H and
-S are cleared once, then handed to the shared root machinery.  For a
+with P_k the shifted Legendre polynomial on [0, 1].  S_ij = integral
+phi_i phi_j and H_ij = integral (phi_i' phi_j' + v phi_i phi_j) follow in
+closed form from integral P_a P_b = delta_ab / (2a+1) and from
+x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1) with q = (1+x)/2.  The kinetic
+part is diagonal, 1/(2i-1); S is pentadiagonal; a potential of degree d
+gives H a half-bandwidth of 2 + max(d, 0).
+
+Eigenvalue estimates are the roots of det(H - eps S).  With R the diagonal
+of the lcms r_i of the denominators in row i of H and S, det(R(H - eS)) is
+evaluated at n integer points e <= floor(v_0 + sum_{k>=1} min(0, v_k)) - 1,
+below min v on [0, 1].  There <phi, (H - eS) phi> = integral phi'^2 +
+(v - e) phi^2 > 0, so every leading minor of R(H - eS) is positive and a
+banded fraction-free (Bareiss) elimination on integers needs no pivoting.
+Newton interpolation recovers det(R(H - eps S)), which is divided by
+det(R) det(T)^2 for the change of basis T from q^j - q^n to the phi_k.  T is
+triangular against q^j (1 - q), so |det T| = prod_k C(2k, k) / (2(2k-1)),
+the product of the leading coefficients of the phi_k.  ``char_poly`` is
+therefore det(H - eps S) of the basis q^j - q^n, sign included.  For a
 symmetric positive-definite S all n-1 roots are real and they bound the
 true spectrum from above.
 """
@@ -19,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import comb, floor, lcm, prod
 
 from .estimates import (
     DEFAULT_SELECTION,
@@ -32,17 +44,25 @@ from .estimates import (
     select_root,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, _int_divexact, _int_mul, _int_sub
+from .poly import RationalPoly
+
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
 class SecularSystem:
-    """Matrices and characteristic polynomial of det(H - eps S) for one n."""
+    """The pencil (H, S) for one n and its characteristic polynomial.
+
+    ``h`` and ``s`` are the matrices in the integrated-Legendre basis
+    phi_2..phi_n of :func:`galerkin_matrices`.  ``char_poly`` is
+    det(H - eps S) in the basis q^j - q^n, which is det(h - eps s) / det(T)^2
+    (see the module docstring).
+    """
 
     n: int
     potential: PotentialSpec
-    h: tuple[tuple[Fraction, ...], ...]
-    s: tuple[tuple[Fraction, ...], ...]
+    h: Matrix
+    s: Matrix
     char_poly: RationalPoly
 
     @property
@@ -55,106 +75,116 @@ def basis_function(j: int, n: int) -> RationalPoly:
     return RationalPoly.monomial(j, 1, "q") - RationalPoly.monomial(n, 1, "q")
 
 
-def basis_matrices(
-    potential: PotentialSpec, n: int
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    """(S, H) of the basis f_j = q^j - q^n, j = 1..n-1, in closed form.
+def _times_q(u: list[Fraction]) -> list[Fraction]:
+    """Legendre coefficients of q p from those of p."""
+    out = [Fraction(0)] * (len(u) + 1)
+    for m, c in enumerate(u):
+        if c:
+            half = c / (2 * (2 * m + 1))
+            out[m] += c / 2
+            out[m + 1] += (m + 1) * half
+            if m:
+                out[m - 1] += m * half
+    return out
 
-    With M(p) = integral of q^p = 1/(p+1), the q^a moment of f_i f_j is
-    M(a+i+j) - M(a+i+n) - M(a+j+n) + M(a+2n), and the kinetic element
-    integral f_i' f_j' is ij M(i+j-2) - in M(i+n-2) - jn M(j+n-2) + n^2 M(2n-2).
-    S is the q^0 moment; H adds v_k times the q^k moment to the kinetic part.
+
+def galerkin_matrices(potential: PotentialSpec, n: int) -> tuple[Matrix, Matrix]:
+    """(S, H) of the basis phi_k, k = 2..n, in closed form.
+
+    Entry [i-2][j-2] belongs to phi_i and phi_j.  H takes the Legendre
+    coefficients of v phi_i by Horner steps of multiplication by q and
+    projects them onto phi_j.
     """
     if n < 3:
         raise ValueError("basis order must be at least 3")
-
-    def moment(a: int, i: int, j: int) -> Fraction:
-        return (
-            Fraction(1, a + i + j + 1)
-            - Fraction(1, a + i + n + 1)
-            - Fraction(1, a + j + n + 1)
-            + Fraction(1, a + 2 * n + 1)
-        )
-
-    def kinetic(i: int, j: int) -> Fraction:
-        return (
-            Fraction(i * j, i + j - 1)
-            - Fraction(i * n, i + n - 1)
-            - Fraction(j * n, j + n - 1)
-            + Fraction(n * n, 2 * n - 1)
-        )
-
-    def symmetric(element) -> tuple[tuple[Fraction, ...], ...]:
-        # Both integrands are symmetric in i and j: build the upper triangle
-        # and mirror it.
-        upper = {(i, j): element(i, j) for i in range(1, n) for j in range(i, n)}
-        return tuple(
-            tuple(upper[min(i, j), max(i, j)] for j in range(1, n)) for i in range(1, n)
-        )
-
-    v_terms = [(k, vk) for k, vk in enumerate(potential.v.coeffs) if vk]
-    s = symmetric(lambda i, j: moment(0, i, j))
-    h = symmetric(
-        lambda i, j: kinetic(i, j) + sum(vk * moment(k, i, j) for k, vk in v_terms)
-    )
-    return s, h
+    size = n - 1
+    scale = [Fraction(1, 2 * (2 * k - 1)) for k in range(n + 1)]
+    s = [[Fraction(0)] * size for _ in range(size)]
+    h = [[Fraction(0)] * size for _ in range(size)]
+    band = 2 + max(potential.v.degree, 0)
+    for i in range(2, n + 1):
+        r = i - 2
+        s[r][r] = scale[i] ** 2 * (Fraction(1, 2 * i + 1) + Fraction(1, 2 * i - 3))
+        if i + 2 <= n:
+            s[r][r + 2] = s[r + 2][r] = -scale[i] * scale[i + 2] / (2 * i + 1)
+        h[r][r] = Fraction(1, 2 * i - 1)
+        w = [Fraction(0)] * (i + 1)
+        for vk in reversed(potential.v.coeffs):
+            w = _times_q(w)
+            w[i] += vk * scale[i]
+            w[i - 2] -= vk * scale[i]
+        for j in range(i, min(n, i + band) + 1):
+            top = w[j] / (2 * j + 1) if j < len(w) else 0
+            h[r][j - 2] += scale[j] * (top - w[j - 2] / (2 * j - 3))
+            h[j - 2][r] = h[r][j - 2]
+    return tuple(map(tuple, s)), tuple(map(tuple, h))
 
 
 def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
-    """Take S and H from :func:`basis_matrices` and expand det(H - eps S).
+    """Take S and H from :func:`galerkin_matrices` and expand det(H - eps S).
 
     Requires n >= 3.
     """
-    s, h = basis_matrices(potential, n)
-    # S_ij integrates the positive f_i f_j, so each entry has degree one in eps
-    pencil = [[(hij, -sij) for hij, sij in zip(hrow, srow)] for hrow, srow in zip(h, s)]
-    char_poly = _determinant(pencil, "eps")
+    s, h = galerkin_matrices(potential, n)
+    v = potential.v
+    band = 2 + max(v.degree, 0)
+    dens = [lcm(*(x.denominator for x in hrow + srow)) for hrow, srow in zip(h, s)]
+    a = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(h, dens)]
+    b = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(s, dens)]
+    low = v.coeff(0) + sum(min(vk, 0) for vk in v.coeffs[1:])
+    nodes = [floor(low) - 1 - m for m in range(n)]
+    values = [
+        _band_determinant([[x - e * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], band)
+        for e in nodes
+    ]
+    lead = prod(Fraction(comb(2 * k, k), 2 * (2 * k - 1)) for k in range(2, n + 1))
+    char_poly = RationalPoly._canonical(
+        _interpolate(nodes, values), 1 / (prod(dens) * lead**2), "eps"
+    )
     return SecularSystem(n=n, potential=potential, h=h, s=s, char_poly=char_poly)
 
 
-def bareiss_determinant(matrix: list[list[RationalPoly]]) -> RationalPoly:
-    """Exact determinant of a square polynomial matrix, fraction-free."""
-    size = len(matrix)
-    if size == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix must be square")
-    return _determinant([[p.coeffs for p in row] for row in matrix], matrix[0][0].var)
+def _band_determinant(m: list[list[int]], band: int) -> int:
+    """Determinant of an integer matrix of half-bandwidth ``band`` >= 1.
 
-
-def _determinant(matrix: list[list[Sequence[Fraction]]], var: str) -> RationalPoly:
-    """Determinant of a square matrix of coefficient lists (no trailing zeros).
-
-    The denominators are cleared once: with D the lcm of every coefficient
-    denominator, the Bareiss recurrence runs on the integer polynomials
-    D a_ij, and det = det(D A) / D^size.  Every division in the recurrence is
-    exact in Z[eps], which keeps intermediate degrees linear in the
-    elimination step instead of exponential and needs no gcd.
+    Bareiss elimination without pivoting, so every leading minor must be
+    nonzero.  Each step is confined to the band, and every division is
+    exact.  A row below the band is untouched by a step, where Bareiss would
+    scale it by the pivot over the previous pivot; those factors telescope,
+    so the row is scaled by the previous pivot once, as it enters the band.
     """
-    size = len(matrix)
-    den = lcm(*(c.denominator for row in matrix for e in row for c in e))
-    a = [[[c.numerator * (den // c.denominator) for c in e] for e in row] for row in matrix]
-    sign = 1
-    prev = [1]
+    size = len(m)
+    prev = 1
     for k in range(size - 1):
-        if not a[k][k]:
-            for i in range(k + 1, size):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return RationalPoly.zero(var)
-        pivot, pivot_row = a[k][k], a[k]
-        for i in range(k + 1, size):
-            row = a[i]
+        pivot, pivot_row = m[k][k], m[k]
+        if k + band < size:
+            row = m[k + band]
+            for j in range(k, min(size, k + 2 * band + 1)):
+                row[j] *= prev
+        for i in range(k + 1, min(size, k + band + 1)):
+            row = m[i]
             lead = row[k]
-            for j in range(k + 1, size):
-                num = _int_sub(_int_mul(pivot, row[j]), _int_mul(lead, pivot_row[j]))
-                row[j] = _int_divexact(num, prev)
-            row[k] = []
+            for j in range(k + 1, min(size, i + band + 1)):
+                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
         prev = pivot
-    return RationalPoly.from_coeffs(a[size - 1][size - 1], var) * Fraction(sign, den**size)
+    return m[-1][-1]
+
+
+def _interpolate(nodes: list[int], values: list[int]) -> list[int]:
+    """Coefficients of the integer polynomial through (nodes[m], values[m]).
+
+    The nodes are consecutive descending integers, so x_m - x_{m-k} = -k and
+    every divided difference of an integer polynomial is an integer.
+    """
+    d = list(values)
+    for k in range(1, len(d)):
+        for m in range(len(d) - 1, k - 1, -1):
+            d[m] = (d[m - 1] - d[m]) // k
+    out = [d[-1]]
+    for k in range(len(d) - 2, -1, -1):
+        x = nodes[k]
+        out = [d[k] - x * out[0]] + [lo - x * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
+    return out
 
 
 def solve_secular(

@@ -559,3 +559,29 @@ REFINEMENT_DIGESTS = (
 def test_cli_refinement_output_matches_pinned_digests():
     assert not mismatched_commands(REFINEMENT_COMMANDS, REFINEMENT_DIGESTS)
     assert len(REFINEMENT_COMMANDS) == 8
+
+
+# RR where the secular determinant is largest: N = 20, 24 and 30 on ramps,
+# an excited state, and a general cubic potential from a problem file
+RR_COMMANDS = (
+    ("solve", "--methods", "rr", "--n", "20,24,30", "--lambda=1", "--digits", "30"),
+    ("solve", "--methods", "rr", "--n", "20,24,30", "--lambda=-7"),
+    ("solve", "--methods", "rr", "--n", "20,24", "--lambda=1", "--state", "2", "--digits", "25"),
+    ("solve", "--methods", "rr", "--n", "20,24", "--potential", "{cubic}", "--state", "1",
+     "--digits", "30", "--format", "json"),
+)
+# v = 1/3 + 2q - 5/2 q^2 + q^3 on the unit box
+CUBIC_PROBLEM = "m=1/2\nhbar=1\nL1=0\nL2=1\n0 1/3\n1 2\n2 -5/2\n3 1\n"
+# digests as for PINNED_DIGESTS, recorded from the implementation that
+# expanded det(H - eps S) by dense Bareiss elimination over Z[eps]
+RR_DIGESTS = (
+    "45677e2773ca6c5661dd8f3f", "8170d269dd1ed711572a5b20", "03a9a83c8015fc2f76587a79",
+    "66e90f8e9f97c60cbf618bbc",
+)
+
+
+def test_cli_rr_output_matches_pinned_digests(tmp_path):
+    path = tmp_path / "cubic.box"
+    path.write_text(CUBIC_PROBLEM)
+    commands = [[arg.format(cubic=path) for arg in argv] for argv in RR_COMMANDS]
+    assert not mismatched_commands(commands, RR_DIGESTS)

@@ -1,4 +1,9 @@
-"""Secular-determinant reference method on the q^j - q^n basis."""
+"""Secular-determinant reference method on the integrated-Legendre basis.
+
+The dense reference is the method this module replaced: the closed-form
+matrices of the basis q^j - q^n and fraction-free Bareiss elimination over
+Z[eps].  ``build_secular`` must give exactly its characteristic polynomial.
+"""
 
 import itertools
 import math
@@ -10,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxeig.model import PotentialSpec
-from boxeig.poly import RationalPoly
+from boxeig.poly import RationalPoly, _int_divexact, _int_mul, _int_sub
 from boxeig.rayleigh_ritz import (
-    bareiss_determinant,
+    _band_determinant,
+    _interpolate,
     basis_function,
-    basis_matrices,
     build_secular,
+    galerkin_matrices,
     solve_secular,
 )
 from boxeig.rootfind import count_real_roots
@@ -29,147 +35,124 @@ CUBIC = PotentialSpec.general(
 )
 
 
-# ---------------------------------------------------------------------------
-# matrix elements, exactly
+def _seeded_potential(seed, degree):
+    rng = random.Random(seed)
+    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(degree + 1)]
+    return PotentialSpec.general(RationalPoly.from_coeffs(coeffs, "q"))
 
 
-def test_basis_function_vanishes_at_walls():
-    for n in (3, 5, 9):
-        for j in range(1, n):
-            f = basis_function(j, n)
-            assert f.eval(Fraction(0)) == 0
-            assert f.eval(Fraction(1)) == 0
-
-
-def test_hand_computed_elements_n3():
-    sys3 = build_secular(V0, 3)
-    assert sys3.s[0][0] == Fraction(8, 105)
-    assert sys3.s[1][1] == Fraction(1, 105)
-    assert sys3.s[0][1] == Fraction(11, 420)
-    assert sys3.h[0][0] == Fraction(4, 5)
-    assert sys3.h[1][1] == Fraction(2, 15)
-    assert sys3.h[0][1] == Fraction(3, 10)
-
-
-def closed_form_s(i, j, n):
-    return (
-        Fraction(1, i + j + 1)
-        - Fraction(1, i + n + 1)
-        - Fraction(1, j + n + 1)
-        + Fraction(1, 2 * n + 1)
-    )
-
-
-def closed_form_h_free(i, j, n):
-    return (
-        Fraction(i * j, i + j - 1)
-        - Fraction(i * n, i + n - 1)
-        - Fraction(j * n, j + n - 1)
-        + Fraction(n * n, 2 * n - 1)
-    )
-
-
-@pytest.mark.parametrize("n", [3, 4, 7, 10])
-def test_closed_form_matrix_elements(n):
-    sys_n = build_secular(V0, n)
-    for i in range(1, n):
-        for j in range(1, n):
-            assert sys_n.s[i - 1][j - 1] == closed_form_s(i, j, n)
-            assert sys_n.h[i - 1][j - 1] == closed_form_h_free(i, j, n)
-
-
-@pytest.mark.parametrize("n", range(3, 10))
-def test_basis_matrices_match_direct_integration(n):
-    # reference: integrate the products of the basis polynomials term by term
-    s, h = basis_matrices(CUBIC, n)
-    f = [basis_function(j, n) for j in range(1, n)]
-    for i, fi in enumerate(f):
-        for j, fj in enumerate(f):
-            fifj = fi * fj
-            assert s[i][j] == fifj.integrate_01()
-            kinetic = fi.differentiate() * fj.differentiate()
-            assert h[i][j] == (kinetic + CUBIC.v * fifj).integrate_01()
-
-
-@pytest.mark.parametrize("n", [4, 6, 9])
-def test_linear_potential_shifts_h_by_moment(n):
-    # v = lam*q adds lam * integral(q f_i f_j), which is the S-type sum
-    # with every index shifted by one
-    lam = Fraction(3, 2)
-    sys_v = build_secular(PotentialSpec.linear(lam), n)
-    sys_0 = build_secular(V0, n)
-    for i in range(1, n):
-        for j in range(1, n):
-            moment = (
-                Fraction(1, i + j + 2)
-                - Fraction(1, i + n + 2)
-                - Fraction(1, j + n + 2)
-                + Fraction(1, 2 * n + 2)
-            )
-            assert sys_v.h[i - 1][j - 1] == sys_0.h[i - 1][j - 1] + lam * moment
-            assert sys_v.s[i - 1][j - 1] == sys_0.s[i - 1][j - 1]
-
-
-@pytest.mark.parametrize("n", [3, 5, 8, 12])
-def test_matrices_symmetric_exactly(n):
-    sys_n = build_secular(V1, n)
-    for i in range(sys_n.size):
-        for j in range(sys_n.size):
-            assert sys_n.s[i][j] == sys_n.s[j][i]
-            assert sys_n.h[i][j] == sys_n.h[j][i]
-
-
-@pytest.mark.parametrize("n", [3, 4, 6, 9, 12])
-def test_overlap_matrix_positive_definite(n):
-    s = build_secular(V1, n).s
-    minors = [gaussian_determinant([row[:k] for row in s[:k]]) for k in range(1, n)]
-    assert len(minors) == n - 1
-    assert all(m > 0 for m in minors)
+# v = 0 and a constant (the narrowest band), ramps of both signs, and
+# rational cubics and a sextic
+POTENTIALS = {
+    "0": V0,
+    "5": PotentialSpec.general(RationalPoly.from_coeffs([5], "q")),
+    **{
+        f"lam={lam}": PotentialSpec.linear(Fraction(lam))
+        for lam in ("1", "3/7", "-7", "-30", "-3000")
+    },
+    "cubic": CUBIC,
+    **{f"cubic-{seed}": _seeded_potential(seed, 3) for seed in (1, 2, 3)},
+    "sextic": _seeded_potential(7, 6),
+}
 
 
 # ---------------------------------------------------------------------------
-# the n = 3 secular problem is solvable by hand: det(H - eps S) has
-# roots exactly 10 and 42
+# the dense reference: the basis f_j = q^j - q^n, j = 1..n-1
 
 
-def test_secular_polynomial_n3_exact():
-    sys3 = build_secular(V0, 3)
-    assert sys3.char_poly == RationalPoly.from_coeffs(
-        [Fraction(1, 60), Fraction(-13, 6300), Fraction(1, 25200)], "eps"
+def monomial_matrices(potential, n):
+    """(S, H) of the basis f_j = q^j - q^n, j = 1..n-1, in closed form.
+
+    With M(p) = integral of q^p = 1/(p+1), the q^a moment of f_i f_j is
+    M(a+i+j) - M(a+i+n) - M(a+j+n) + M(a+2n), and the kinetic element
+    integral f_i' f_j' is ij M(i+j-2) - in M(i+n-2) - jn M(j+n-2) + n^2 M(2n-2).
+    S is the q^0 moment; H adds v_k times the q^k moment to the kinetic part.
+    """
+
+    def moment(a, i, j):
+        return (
+            Fraction(1, a + i + j + 1)
+            - Fraction(1, a + i + n + 1)
+            - Fraction(1, a + j + n + 1)
+            + Fraction(1, a + 2 * n + 1)
+        )
+
+    def kinetic(i, j):
+        return (
+            Fraction(i * j, i + j - 1)
+            - Fraction(i * n, i + n - 1)
+            - Fraction(j * n, j + n - 1)
+            + Fraction(n * n, 2 * n - 1)
+        )
+
+    v_terms = [(k, vk) for k, vk in enumerate(potential.v.coeffs) if vk]
+    s = [[moment(0, i, j) for j in range(1, n)] for i in range(1, n)]
+    h = [
+        [kinetic(i, j) + sum(vk * moment(k, i, j) for k, vk in v_terms) for j in range(1, n)]
+        for i in range(1, n)
+    ]
+    return s, h
+
+
+def bareiss_determinant(matrix):
+    """Exact determinant of a square matrix of RationalPoly, fraction-free.
+
+    The denominators are cleared once: with D the lcm of every coefficient
+    denominator, the Bareiss recurrence runs on the integer polynomials
+    D a_ij, and det = det(D A) / D^size.  Every division is exact in Z[eps].
+    """
+    size = len(matrix)
+    var = matrix[0][0].var
+    den = math.lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
+    a = [[[int(c * den) for c in e.coeffs] for e in row] for row in matrix]
+    sign = 1
+    prev = [1]
+    for k in range(size - 1):
+        if not a[k][k]:
+            for i in range(k + 1, size):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return RationalPoly.zero(var)
+        pivot, pivot_row = a[k][k], a[k]
+        for i in range(k + 1, size):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, size):
+                num = _int_sub(_int_mul(pivot, row[j]), _int_mul(lead, pivot_row[j]))
+                row[j] = _int_divexact(num, prev)
+            row[k] = []
+        prev = pivot
+    return RationalPoly.from_coeffs(a[size - 1][size - 1], var) * Fraction(sign, den**size)
+
+
+def dense_char_poly(potential, n):
+    """det(H - eps S) of the basis q^j - q^n by the dense Bareiss loop."""
+    s, h = monomial_matrices(potential, n)
+    pencil = [
+        [RationalPoly.from_coeffs([hij, -sij], "eps") for hij, sij in zip(hrow, srow)]
+        for hrow, srow in zip(h, s)
+    ]
+    return bareiss_determinant(pencil)
+
+
+def det_t_squared(n):
+    """det(T)^2 for T from the basis q^j - q^n to phi_2..phi_n, in closed form."""
+    return math.prod(Fraction(math.comb(2 * k, k), 2 * (2 * k - 1)) for k in range(2, n + 1)) ** 2
+
+
+def shifted_legendre(k):
+    """P_k(2q - 1) = sum_j (-1)^(k-j) C(k, j) C(k+j, j) q^j."""
+    return RationalPoly.from_coeffs(
+        [(-1) ** (k - j) * math.comb(k, j) * math.comb(k + j, j) for j in range(k + 1)], "q"
     )
-    # scaled: eps^2 - 52 eps + 420 = (eps - 10)(eps - 42)
-    assert sys3.char_poly * 25200 == RationalPoly.from_coeffs([420, -52, 1], "eps")
 
 
-def test_secular_roots_n3_exact():
-    ground = solve_secular(build_secular(V0, 3))
-    assert abs(ground.eps - 10.0) < 1e-20
-    excited = solve_secular(build_secular(V0, 3), (Fraction(0), Fraction(100)), state=1)
-    assert abs(excited.eps - 42.0) < 1e-18
-
-
-# ---------------------------------------------------------------------------
-# determinant structure
-
-
-@pytest.mark.parametrize("n", [3, 4, 6, 9])
-def test_char_poly_degree_and_leading_coeff(n):
-    sys_n = build_secular(V1, n)
-    size = n - 1
-    assert sys_n.char_poly.degree == size
-    # leading eps-coefficient of det(H - eps S) is (-1)^size det(S)
-    det_s = gaussian_determinant(sys_n.s)
-    assert sys_n.char_poly.coeff(size) == (-1) ** size * det_s
-
-
-@pytest.mark.parametrize("n", [3, 4, 6, 8, 10])
-@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1)])
-def test_all_roots_real(n, lam):
-    sys_n = build_secular(PotentialSpec.linear(lam), n)
-    # a symmetric pencil with positive definite S has a full set of real
-    # eigenvalues; they all lie in (0, hi) for a wide enough hi
-    hi = Fraction(10**6)
-    assert count_real_roots(sys_n.char_poly, Fraction(0), hi) == sys_n.size
+def phi(k):
+    """The integrated-Legendre basis function (P_k - P_{k-2}) / (2(2k-1))."""
+    return (shifted_legendre(k) - shifted_legendre(k - 2)) * Fraction(1, 2 * (2 * k - 1))
 
 
 def gaussian_determinant(matrix) -> Fraction:
@@ -210,6 +193,42 @@ def leibniz_determinant(matrix):
     return total
 
 
+# ---------------------------------------------------------------------------
+# the reference itself: its matrices and its determinant
+
+
+def test_basis_function_vanishes_at_walls():
+    for n in (3, 5, 9):
+        for j in range(1, n):
+            f = basis_function(j, n)
+            assert f.eval(Fraction(0)) == 0
+            assert f.eval(Fraction(1)) == 0
+
+
+def test_hand_computed_elements_n3():
+    s, h = monomial_matrices(V0, 3)
+    assert s[0][0] == Fraction(8, 105)
+    assert s[1][1] == Fraction(1, 105)
+    assert s[0][1] == s[1][0] == Fraction(11, 420)
+    assert h[0][0] == Fraction(4, 5)
+    assert h[1][1] == Fraction(2, 15)
+    assert h[0][1] == h[1][0] == Fraction(3, 10)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_basis_matrices_match_direct_integration(n):
+    # the reference's closed forms against the products of the basis
+    # polynomials, integrated term by term
+    s, h = monomial_matrices(CUBIC, n)
+    f = [basis_function(j, n) for j in range(1, n)]
+    for i, fi in enumerate(f):
+        for j, fj in enumerate(f):
+            fifj = fi * fj
+            assert s[i][j] == fifj.integrate_01()
+            kinetic = fi.differentiate() * fj.differentiate()
+            assert h[i][j] == (kinetic + CUBIC.v * fifj).integrate_01()
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
 def test_bareiss_matches_leibniz(size, rng):
@@ -245,6 +264,180 @@ def test_bareiss_matches_gaussian_on_constants():
         assert det_poly.coeff(0) == det_gauss
 
 
+def test_bareiss_singular_matrix_is_zero_poly():
+    row = [RationalPoly.from_coeffs([1, 2], "eps"), RationalPoly.from_coeffs([3], "eps")]
+    det = bareiss_determinant([row, list(row)])
+    assert det.is_zero
+
+
+# ---------------------------------------------------------------------------
+# the integrated-Legendre matrices, exactly
+
+
+def test_legendre_basis_vanishes_at_walls_and_integrates_p():
+    for k in range(2, 12):
+        assert phi(k).eval(Fraction(0)) == phi(k).eval(Fraction(1)) == 0
+        assert phi(k).differentiate() == shifted_legendre(k - 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+def test_closed_form_matrix_elements(n):
+    # Shen's entries for v = 0: a diagonal kinetic part 1/(2k-1) and
+    # S_kk = 1/(2(2k-3)(2k-1)(2k+1)), S_k,k+2 = -1/(4(2k-1)(2k+1)(2k+3))
+    s, h = galerkin_matrices(V0, n)
+    for i in range(2, n + 1):
+        for j in range(2, n + 1):
+            k = min(i, j)
+            want_s = {
+                0: Fraction(1, 2 * (2 * k - 3) * (2 * k - 1) * (2 * k + 1)),
+                2: Fraction(-1, 4 * (2 * k - 1) * (2 * k + 1) * (2 * k + 3)),
+            }.get(abs(i - j), 0)
+            assert s[i - 2][j - 2] == want_s
+            assert h[i - 2][j - 2] == (Fraction(1, 2 * i - 1) if i == j else 0)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_galerkin_matrices_match_direct_integration(n):
+    s, h = galerkin_matrices(CUBIC, n)
+    basis = [phi(k) for k in range(2, n + 1)]
+    for i, pi in enumerate(basis):
+        for j, pj in enumerate(basis):
+            pipj = pi * pj
+            assert s[i][j] == pipj.integrate_01()
+            kinetic = pi.differentiate() * pj.differentiate()
+            assert kinetic.integrate_01() == (Fraction(1, 2 * i + 3) if i == j else 0)
+            assert h[i][j] == (kinetic + CUBIC.v * pipj).integrate_01()
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_linear_potential_shifts_h_by_moment(n):
+    # v = lam*q adds lam * integral(q phi_i phi_j) and leaves S alone
+    lam = Fraction(3, 2)
+    s_v, h_v = galerkin_matrices(PotentialSpec.linear(lam), n)
+    s_0, h_0 = galerkin_matrices(V0, n)
+    q = RationalPoly.monomial(1, 1, "q")
+    for i in range(2, n + 1):
+        for j in range(2, n + 1):
+            moment = (q * phi(i) * phi(j)).integrate_01()
+            assert h_v[i - 2][j - 2] == h_0[i - 2][j - 2] + lam * moment
+            assert s_v[i - 2][j - 2] == s_0[i - 2][j - 2]
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+def test_matrices_are_banded(name):
+    # S is pentadiagonal with a zero first off-diagonal, and a degree-d
+    # potential gives H a half-bandwidth of 2 + max(d, 0)
+    potential = POTENTIALS[name]
+    band = 2 + max(potential.v.degree, 0)
+    s, h = galerkin_matrices(potential, 13)
+    for i in range(12):
+        for j in range(12):
+            assert (s[i][j] != 0) == (abs(i - j) in (0, 2))
+            if abs(i - j) > band:
+                assert h[i][j] == 0
+    if not potential.v.is_zero:
+        assert any(h[i][i + band] for i in range(12 - band))
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+def test_matrices_nest(name):
+    # the basis of order n is the first n - 1 functions of order n + 1
+    potential = POTENTIALS[name]
+    for n in range(3, 12):
+        small, large = galerkin_matrices(potential, n), galerkin_matrices(potential, n + 1)
+        for m_small, m_large in zip(small, large):
+            assert m_small == tuple(row[: n - 1] for row in m_large[: n - 1])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_change_of_basis_determinant(n):
+    # phi_k = sum_m T_km f_m; the pencil transforms as T H T^t, T S T^t, and
+    # det(T)^2 is the square of the product of the leading coefficients
+    rows = []
+    for k in range(2, n + 1):
+        a = phi(k).coeffs  # a_0 = 0 and sum a_m = 0, so phi_k = sum_{m<n} a_m f_m
+        rows.append([a[m] if m < len(a) else Fraction(0) for m in range(1, n)])
+    assert sum(rows[-1]) + phi(n).leading == 0
+    assert gaussian_determinant(rows) ** 2 == det_t_squared(n)
+    s_old, h_old = monomial_matrices(CUBIC, n)
+    s, h = galerkin_matrices(CUBIC, n)
+    for new, old in ((s, s_old), (h, h_old)):
+        for i, ti in enumerate(rows):
+            for j, tj in enumerate(rows):
+                assert new[i][j] == sum(
+                    ti[a] * old[a][b] * tj[b] for a in range(n - 1) for b in range(n - 1)
+                )
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_matrices_symmetric_exactly(n):
+    sys_n = build_secular(V1, n)
+    for i in range(sys_n.size):
+        for j in range(sys_n.size):
+            assert sys_n.s[i][j] == sys_n.s[j][i]
+            assert sys_n.h[i][j] == sys_n.h[j][i]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9, 12])
+def test_overlap_matrix_positive_definite(n):
+    s = build_secular(V1, n).s
+    minors = [gaussian_determinant([row[:k] for row in s[:k]]) for k in range(1, n)]
+    assert len(minors) == n - 1
+    assert all(m > 0 for m in minors)
+
+
+# ---------------------------------------------------------------------------
+# the banded determinant and the interpolation
+
+
+def test_band_determinant_matches_gaussian():
+    # L L^t with L lower triangular of bandwidth b and a positive diagonal is
+    # positive definite of half-bandwidth b; scaling its rows by positive
+    # integers, as build_secular clears each row's denominators, keeps every
+    # leading minor positive
+    rng = random.Random(20261019)
+    for _ in range(60):
+        size, band = rng.randint(1, 12), rng.randint(1, 4)
+        lower = [
+            [
+                rng.randint(1, 9) if i == j else rng.randint(-9, 9) if 0 < i - j <= band else 0
+                for j in range(size)
+            ]
+            for i in range(size)
+        ]
+        m = [
+            [sum(lower[i][k] * lower[j][k] for k in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        want = gaussian_determinant(m)
+        assert _band_determinant([list(row) for row in m], band) == want
+        assert want == math.prod(lower[i][i] for i in range(size)) ** 2
+        rows = [rng.randint(1, 10**6) for _ in range(size)]
+        scaled = [[r * x for x in row] for r, row in zip(rows, m)]
+        assert _band_determinant(scaled, band) == math.prod(rows) * want
+
+
+def test_interpolation_recovers_integer_polynomials():
+    rng = random.Random(20261020)
+    for _ in range(40):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 25))]
+        top = rng.randint(-50, 50)
+        nodes = [top - m for m in range(len(coeffs))]
+        values = [sum(c * e**k for k, c in enumerate(coeffs)) for e in nodes]
+        assert _interpolate(nodes, values) == coeffs
+
+
+# ---------------------------------------------------------------------------
+# the characteristic polynomial equals the dense reference's exactly
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+def test_char_poly_equals_the_dense_reference(name):
+    potential = POTENTIALS[name]
+    orders = list(range(3, 17)) + ([20, 24] if name in ("lam=1", "cubic") else [])
+    for n in orders:
+        assert build_secular(potential, n).char_poly == dense_char_poly(potential, n), n
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 @pytest.mark.parametrize(
     "potential",
@@ -252,8 +445,8 @@ def test_bareiss_matches_gaussian_on_constants():
     ids=["0", "q", "-7q", "-30q", "cubic"],
 )
 def test_char_poly_is_the_pencil_determinant(potential, n):
-    # a polynomial of degree n - 1 that agrees with det(H - eps S) at n
-    # distinct points is det(H - eps S)
+    # a polynomial of degree n - 1 that agrees with det(h - eps s) / det(T)^2
+    # at n distinct points is that polynomial
     system = build_secular(potential, n)
     assert system.char_poly.degree == n - 1
     for k in range(n):
@@ -262,20 +455,53 @@ def test_char_poly_is_the_pencil_determinant(potential, n):
             [system.h[i][j] - eps * system.s[i][j] for j in range(system.size)]
             for i in range(system.size)
         ]
-        assert system.char_poly.eval(eps) == gaussian_determinant(pencil)
+        assert system.char_poly.eval(eps) * det_t_squared(n) == gaussian_determinant(pencil)
 
 
-def test_bareiss_singular_matrix_is_zero_poly():
-    row = [RationalPoly.from_coeffs([1, 2], "eps"), RationalPoly.from_coeffs([3], "eps")]
-    det = bareiss_determinant([row, list(row)])
-    assert det.is_zero
+# ---------------------------------------------------------------------------
+# the n = 3 secular problem is solvable by hand: det(H - eps S) has
+# roots exactly 10 and 42
 
 
-def test_bareiss_rejects_non_square():
-    with pytest.raises(ValueError):
-        bareiss_determinant([[RationalPoly.one("eps")], [RationalPoly.one("eps")]])
-    with pytest.raises(ValueError):
-        bareiss_determinant([])
+def test_secular_polynomial_n3_exact():
+    sys3 = build_secular(V0, 3)
+    assert sys3.char_poly == RationalPoly.from_coeffs(
+        [Fraction(1, 60), Fraction(-13, 6300), Fraction(1, 25200)], "eps"
+    )
+    # scaled: eps^2 - 52 eps + 420 = (eps - 10)(eps - 42)
+    assert sys3.char_poly * 25200 == RationalPoly.from_coeffs([420, -52, 1], "eps")
+
+
+def test_secular_roots_n3_exact():
+    ground = solve_secular(build_secular(V0, 3))
+    assert abs(ground.eps - 10.0) < 1e-20
+    excited = solve_secular(build_secular(V0, 3), (Fraction(0), Fraction(100)), state=1)
+    assert abs(excited.eps - 42.0) < 1e-18
+
+
+# ---------------------------------------------------------------------------
+# determinant structure
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_char_poly_degree_and_leading_coeff(n):
+    sys_n = build_secular(V1, n)
+    size = n - 1
+    assert sys_n.char_poly.degree == size
+    # leading eps-coefficient of det(H - eps S) in the basis q^j - q^n is
+    # (-1)^size det(S) of that basis, det(s) / det(T)^2
+    det_s = gaussian_determinant(sys_n.s) / det_t_squared(n)
+    assert sys_n.char_poly.coeff(size) == (-1) ** size * det_s
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 10])
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1)])
+def test_all_roots_real(n, lam):
+    sys_n = build_secular(PotentialSpec.linear(lam), n)
+    # a symmetric pencil with positive definite S has a full set of real
+    # eigenvalues; they all lie in (0, hi) for a wide enough hi
+    hi = Fraction(10**6)
+    assert count_real_roots(sys_n.char_poly, Fraction(0), hi) == sys_n.size
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +534,9 @@ def test_excited_states_interlace():
 def test_residual_is_small_at_roots():
     system = build_secular(V0, 8)
     est = solve_secular(system)
-    # the residual is the monic determinant prod_k (eps_k - eps) at the midpoint
-    det_s = gaussian_determinant(system.s)
+    # the residual is the monic determinant prod_k (eps_k - eps) at the
+    # midpoint: char_poly over the leading coefficient det(s) / det(T)^2
+    det_s = gaussian_determinant(system.s) / det_t_squared(8)
     assert abs(system.char_poly.eval(est.eps)) / det_s < 1e-20
 
 

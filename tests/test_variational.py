@@ -13,9 +13,11 @@ from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import basis_matrices, build_secular
+from boxeig.rayleigh_ritz import build_secular
 from boxeig.series import build_series, build_trial, specialize
 from boxeig.variational import build_quotient, kinetic_energy_forms, solve_a2, solve_a3
+
+from test_rayleigh_ritz import monomial_matrices
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
@@ -88,8 +90,8 @@ def _quadratic_form(matrix, terms) -> RationalPoly:
 
 
 def matrix_quotient(trial):
-    """(c^T H c, c^T S c) with the Rayleigh-Ritz matrices: the reference quotient."""
-    s, h = basis_matrices(trial.potential, trial.n)
+    """(c^T H c, c^T S c) with the matrices of the basis q^j - q^n: the reference quotient."""
+    s, h = monomial_matrices(trial.potential, trial.n)
     return _quadratic_form(h, trial.terms), _quadratic_form(s, trial.terms)
 
 
