@@ -3,11 +3,12 @@
 The package implements three power-series estimates (boundary roots,
 stationary Rayleigh quotients, and quotient fixed points), a Rayleigh-Ritz
 reference on the same polynomial space, and independent high-precision
-benchmarks (box eigenvalues, Airy quantization for a linear ramp, and an RK4
-shooting integrator).  All symbolic work and root finding are exact rational
-and integer arithmetic, and every estimate is an exact enclosure with its
-rational midpoint; floating point appears only in the benchmarks and in the
-value of pi that scales the default search bracket.
+benchmarks (box eigenvalues, the linear ramp's wall condition summed as the
+series at N -> oo in fixed point, and an RK4 shooting integrator).  All
+symbolic work and root finding are exact rational and integer arithmetic,
+and every estimate is an exact enclosure with its rational midpoint;
+floating point appears only in the benchmarks and in the value of pi that
+scales the default search bracket.
 """
 
 from .estimates import (
@@ -37,7 +38,6 @@ from .oracle import (
     RootScanError,
     exact_box,
     exact_linear,
-    series_integrate,
     shoot,
     shoot_root,
 )
@@ -112,7 +112,6 @@ __all__ = [
     "refine_enclosure",
     "require_unit_interval",
     "serialize_problem",
-    "series_integrate",
     "shoot",
     "shoot_root",
     "solve_a1",

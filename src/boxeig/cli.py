@@ -45,10 +45,15 @@ from .estimates import (
     resolve_bracket,
 )
 from .model import PotentialSpec, load_problem, nondimensionalize, require_unit_interval
-from .oracle import DEFAULT_DIGITS as ORACLE_DIGITS, RootScanError, exact_box, exact_linear
+from .oracle import (
+    DEFAULT_DIGITS as ORACLE_DIGITS,
+    RootScanError,
+    exact_box,
+    exact_linear,
+    mpf_to_rational,
+)
 from .poly import Rational, format_rational
 from .rayleigh_ritz import build_secular, solve_secular
-from .rootfind import mpf_to_rational
 from .series import TRIAL_MIN_ORDER, build_series, build_trial, solve_a1
 from .variational import build_quotient, solve_a2, solve_a3
 

@@ -124,10 +124,10 @@ def select_root(
     if rank is None and selection.policy != "nearest":
         if state >= len(intervals):
             return None
-        return rootfind.certified_root(p, intervals[state], 2 * tol)
+        return rootfind.refine_enclosure(p, intervals[state], 2 * tol)
     if not intervals:
         return None
-    candidates = [rootfind.certified_root(p, iv, COARSE_WIDTH) for iv in intervals]
+    candidates = [rootfind.refine_enclosure(p, iv, COARSE_WIDTH) for iv in intervals]
     mids = [(a + b) / 2 for a, b in candidates]
     if rank is None:
         idx = min(range(len(mids)), key=lambda i: abs(mids[i] - selection.target))
@@ -135,7 +135,7 @@ def select_root(
         if state >= len(mids):
             return None
         idx = sorted(range(len(mids)), key=lambda i: rank(mids[i]))[state]
-    return rootfind.certified_root(p, candidates[idx], 2 * tol)
+    return rootfind.refine_enclosure(p, candidates[idx], 2 * tol)
 
 
 def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Fraction, Fraction]:

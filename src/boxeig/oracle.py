@@ -1,38 +1,27 @@
 """Independent high-precision benchmarks for the confined eigenproblem.
 
-Two closed-form references and two numerical integrators live here:
+Two high-precision references and a float integrator live here:
 
 * ``exact_box``: the empty box has eigenvalues (n+1)^2 pi^2.
-* ``exact_linear``: for the ramp v = lam*q the eigenvalues are roots of a
-  2x2 determinant of Airy functions evaluated at the walls.  A scan in
-  pi^2/4 steps brackets the wanted root, certified regula falsi refines it,
-  and bisection takes over only when the fast phase cannot certify.
-* ``series_integrate``: a stepping Taylor-series integrator in extended
-  precision, used to evaluate the eigencondition when the Airy arguments
-  would leave the series' validated range.
+* ``exact_linear``: the ramp v = lam*q, the paper's exactly solvable
+  model.  Its eigenvalues are the roots of the wall condition
+  phi(1; eps) = 0, which equals pi (Ai(z0) Bi(z1) - Ai(z1) Bi(z0)) / lam^(1/3)
+  but is summed here as the paper's own power series at N -> oo, one number
+  per eps.  A scan in pi^2/4 steps brackets the wanted root, certified regula
+  falsi refines it, and bisection takes over only when the fast phase cannot
+  certify.
 * ``shoot``: a plain fixed-step RK4 integrator in ordinary floats, so the
   high-precision machinery can be checked against something that shares no
   code with it.
 
-The Airy determinant is summed from the everywhere-convergent Maclaurin
-series of the two solutions f and g of y'' = z y, with explicit guard
-digits; asymptotic expansions are deliberately out of scope, which limits
-the validated range to |z| <= 30 (``AIRY_Z_MAX``).
-
-Both series kernels run in fixed point on Python ints, with 32 guard bits
-(``_GUARD_BITS``) below the last bit they must resolve:
-
-* the Airy Maclaurin sums are integers over 2^bits, where 2^bits is the
-  first power of two above 10^(wp+5) times 2^32 (wp the working digits of
-  the guard rule in :func:`_airy_working_digits`); terms are summed until
-  they fall below 10^-(wp+5).
-* the Taylor integrator holds the coefficients of its recurrence over
-  2^(prec+32), prec the context's precision in bits, and the solution over
-  a power of two that gives the initial (phi, h phi') prec+32 bits, so tiny
-  or huge initial data keep their full relative precision.
+The wall series runs in fixed point on Python ints (:func:`_ramp_wall`),
+with 32 guard bits (``_GUARD_BITS``) below the context's precision and
+log2(e) sqrt(|eps| + |lam|) more for the cancellation between its terms; it
+has no range limit short of its bit budget (``_CANCELLATION_BITS``).
 
 mpmath contexts are built once per top-level call and passed explicitly;
-values enter and leave the kernels through them.
+values enter and leave the kernel through them, and :func:`mpf_to_rational`
+turns a result into an exact Fraction.
 """
 
 from __future__ import annotations
@@ -46,7 +35,6 @@ from .estimates import default_bracket
 from .model import PotentialSpec
 from .poly import RationalPoly, exact_rational
 
-AIRY_Z_MAX = 30.0
 DEFAULT_DIGITS = 30
 _SCAN_LIMIT = 200
 # Regula falsi steps before bisection takes over.  Simple roots certify
@@ -54,8 +42,13 @@ _SCAN_LIMIT = 200
 # a multiple root converges only linearly and is left to bisection.
 _REFINE_LIMIT = 30
 
-# Bits the fixed-point kernels keep below the last bit they must resolve.
+# Bits the wall kernel keeps below the last bit it must resolve.
 _GUARD_BITS = 32
+_LOG2_E = 1.4426950408889634
+# Most bits the wall kernel may keep for cancellation, log2(e) sqrt(|eps| + |lam|)
+# at the scan's end: this admits every |lam| up to about 8 10^6 and refuses a
+# stronger coupling before it asks for astronomically long integers.
+_CANCELLATION_BITS = 4096
 
 # a_1, the first zero of Ai, truncated toward zero at 40 digits so that
 # |a_1| lam^(2/3) stays a lower bound; the test suite checks it against mpmath.
@@ -78,43 +71,14 @@ def _to_mpf(ctx: MPContext, x):
     return ctx.convert(x)
 
 
-def _airy_working_digits(z, precision: int) -> int:
-    """Digits the Maclaurin series needs at z for `precision` correct digits."""
-    az = abs(float(z))
-    guard = math.ceil(0.3 * az**1.5) + 10
-    if float(z) > 0:
-        # Ai decays while the series terms grow, doubling the cancellation.
-        guard = 2 * math.ceil(0.3 * az**1.5) + 10
-    return precision + guard
-
-
-def _airy_series(z: int, bits: int, cutoff: int) -> tuple[int, int]:
-    """Maclaurin sums (f, g) in fixed point.
-
-    f and g solve y'' = z y with (f, f')(0) = (1, 0) and (g, g')(0) = (0, 1).
-    Every integer here stands for itself times 2^-bits, z included.  Each
-    series is a sum of terms t_(k+1) = t_k z^3 / ((3k+p)(3k+q)), with
-    (p, q) = (2, 3) for f and (3, 4) for g; terms are added until both fall
-    below cutoff.
-    """
-    z3 = z * z * z >> 2 * bits
-    tf, tg = 1 << bits, z
-    f, g = tf, tg
-    for k in range(4000):
-        tf = (tf * z3 >> bits) // ((3 * k + 2) * (3 * k + 3))
-        tg = (tg * z3 >> bits) // ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        if abs(tf) < cutoff and abs(tg) < cutoff:
-            return f, g
-    raise RuntimeError("Airy series failed to converge within the term budget")
-
-
-def _airy_fixed(ctx: MPContext, z, wp: int) -> tuple[tuple[int, int], int]:
-    """:func:`_airy_series` at the mpf z, resolved to 10^-(wp+5): ((f, g), bits)."""
-    resolution = 10 ** (wp + 5)
-    bits = resolution.bit_length() + _GUARD_BITS
-    return _airy_series(int(ctx.ldexp(z, bits)), bits, (1 << bits) // resolution), bits
+def mpf_to_rational(x) -> Fraction:
+    """Exact Fraction equal to an mpmath float (sign * mantissa * 2**exp)."""
+    sign, man, exp, _ = x._mpf_
+    man = int(man)
+    if man == 0:
+        return Fraction(0)
+    v = Fraction(man) * (Fraction(2) ** exp)
+    return -v if sign else v
 
 
 def exact_box(state: int = 0, digits: int = DEFAULT_DIGITS):
@@ -130,21 +94,19 @@ def exact_box(state: int = 0, digits: int = DEFAULT_DIGITS):
 def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     """Eigenvalue of -phi'' + lam q phi = eps phi on [0,1], walls at 0 and 1.
 
-    The general solution is a combination of Airy functions of
-    z = lam^(1/3) q - eps lam^(-2/3); vanishing at both walls makes the 2x2
-    determinant G(eps) = Ai(z0) Bi(z1) - Ai(z1) Bi(z0) vanish.  Eigenvalues
-    are located by scanning G from eps = 0 in steps of pi^2/4, then refined
-    by Anderson-Bjorck regula falsi and certified by a sign change across a
+    The eigenvalues are the roots of the wall condition phi(1; eps) = 0,
+    where phi solves the equation with phi(0) = 0 and phi'(0) = 1; in Airy
+    functions, phi(1; eps) = pi (Ai(z0) Bi(z1) - Ai(z1) Bi(z0)) / lam^(1/3)
+    with z = lam^(1/3) q - eps lam^(-2/3).  :func:`_ramp_wall` sums it as
+    the power series of the paper.  Eigenvalues are located by scanning
+    phi(1; eps) from eps = 0 in steps of pi^2/4, then refined by
+    Anderson-Bjorck regula falsi and certified by a sign change across a
     window of width 10^-(digits+4); bisection finishes the job when that
-    certificate fails (see :func:`_scan_and_refine`).  A state whose lower
-    bound (the box bound, or for lam > 0 the half-line bound |a_1| lam^(2/3))
-    lies past the scan's end is refused with :class:`RootScanError` before
-    any evaluation.
-
-    When the scan would push |z| beyond the Airy series' validated range
-    (small |lam|), the determinant condition is replaced by the equivalent
-    wall condition phi(1; eps) = 0 evaluated with the extended-precision
-    Taylor integrator, which has no such range limit.
+    certificate fails (see :func:`_scan_and_refine`).  Refused with
+    :class:`RootScanError` before any evaluation: a state whose lower bound
+    (the box bound, or for lam > 0 the half-line bound |a_1| lam^(2/3)) lies
+    past the scan's end, and a coupling so strong that the series would need
+    more than ``_CANCELLATION_BITS`` bits for cancellation inside the scan.
     """
     lam = exact_rational(lam)
     if lam == 0:
@@ -155,13 +117,14 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
         raise ValueError("digits must be at least 2")
 
     ctx = _context(digits + 10)
+    lam_f = _to_mpf(ctx, lam)
     # eps_k >= min v + (k+1)^2 pi^2, so a state whose bound lies past the
     # scan's end can never be bracketed.
-    bound = _to_mpf(ctx, min(lam, 0)) + (state + 1) ** 2 * ctx.pi**2
+    bound = min(lam_f, 0) + (state + 1) ** 2 * ctx.pi**2
     if lam > 0:
         # Dirichlet eigenvalues on [0, 1] lie above those of lam*q on the
         # half-line [0, oo) (min-max), which are |a_(k+1)| lam^(2/3).
-        half_line = -ctx.mpf(AIRY_AI_FIRST_ZERO) * ctx.cbrt(_to_mpf(ctx, lam)) ** 2
+        half_line = -ctx.mpf(AIRY_AI_FIRST_ZERO) * ctx.cbrt(lam_f) ** 2
         bound = max(bound, half_line)
     scan_end = _SCAN_LIMIT * ctx.pi**2 / 4
     if bound > scan_end:
@@ -169,30 +132,62 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
             f"state {state} is out of reach: its eigenvalue is at least "
             f"{ctx.nstr(bound, 6)}, beyond the scan's end {ctx.nstr(scan_end, 6)}"
         )
-    lam_f = _to_mpf(ctx, lam)
-    cbrt_abs = ctx.cbrt(abs(lam_f))
-    lam13 = cbrt_abs if lam > 0 else -cbrt_abs  # real cube root
-    lam_m23 = 1 / cbrt_abs**2  # (lam^(1/3))^(-2), positive either way
+    need = _LOG2_E * ctx.sqrt(abs(lam_f) + scan_end)
+    if need > _CANCELLATION_BITS:
+        raise RootScanError(
+            f"lam = {ctx.nstr(lam_f, 6)} is out of reach: its wall series needs "
+            f"{ctx.nstr(need, 6)} bits for cancellation inside the scan, beyond "
+            f"the budget of {_CANCELLATION_BITS}"
+        )
 
-    airy_digits = digits + 5
+    lam_abs = float(abs(lam))
 
-    def determinant(eps):
-        # With Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g), where
-        # c1 = Ai(0) > 0 and c2 = -Ai'(0) > 0, the Airy determinant is
-        # 2 sqrt(3) c1 c2 (f0 g1 - g0 f1).  The positive factor changes no
-        # sign, no regula falsi iterate and no Anderson-Bjorck factor.
-        z0 = -eps * lam_m23
-        z1 = lam13 + z0
-        if max(abs(z0), abs(z1)) > AIRY_Z_MAX:
-            return None
-        (f0, g0), bits0 = _airy_fixed(ctx, z0, _airy_working_digits(z0, airy_digits))
-        (f1, g1), bits1 = _airy_fixed(ctx, z1, _airy_working_digits(z1, airy_digits))
-        return ctx.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
+    def wall_value(eps):
+        # the context's bits and the guard bits, plus the cancellation bits
+        bits = ctx.prec + _GUARD_BITS + math.ceil(_LOG2_E * math.sqrt(abs(float(eps)) + lam_abs))
+        fixed_lam = (lam.numerator << bits) // lam.denominator
+        return ctx.ldexp(_ramp_wall(fixed_lam, int(ctx.ldexp(eps, bits)), bits), -bits)
 
-    result = _scan_and_refine(determinant, ctx, state, digits)
-    if result is not None:
-        return result
-    return _linear_by_ode(lam, ctx, state, digits)
+    return _scan_and_refine(wall_value, ctx, state, digits)
+
+
+def _ramp_wall(lam: int, eps: int, bits: int) -> int:
+    """2^bits phi(1; eps) for phi'' = (lam q - eps) phi, phi(0) = 0, phi'(0) = 1.
+
+    lam and eps are fixed point: integers standing for themselves times
+    2^-bits.  phi(1) is the sum of the c_j, with c_1 = 1 and
+    c_j = (lam c_(j-3) - eps c_(j-2)) / (j (j-1)): the recurrence of
+    :func:`boxeig.series.build_series` for v = lam q, run on numbers.  Each
+    c_j is floored once to the grid 2^-bits.
+
+    Why the caller's bits suffice.  Let M = |eps| + |lam|, so |v - eps| <= M
+    on [0, 1].  The floor at step j makes the summed polynomial solve the
+    equation with an added source of integral under j units over [0, 1].
+    Comparison with y'' = M y bounds the effect of a unit source on phi(1)
+    by sinh(sqrt M)/sqrt M < cosh(sqrt M): each step's floor error grows at
+    most like cosh sqrt(M) < e^sqrt(M), and the J steps add under J^2/2 of
+    them, which the guard bits absorb while J < 2^16.  The terms themselves
+    reach that size while phi(1) may be of order one, so the
+    log2(e) sqrt(M) bits above the context's precision and the guard bits
+    hold both the error growth and the cancellation.  Flooring lam and eps
+    to the grid moves every eigenvalue (|d eps_k / d lam| = <q> <= 1) and
+    the point of evaluation by under one unit.
+
+    Why it may stop.  Once j > 2 sqrt(M), every later term is at most
+    r = M/(j (j+1)) < 1/4 times the largest of the three before it, so the
+    tail after three terms within one unit is at most 3 r/(1 - r) < 1 unit.
+    """
+    first = math.isqrt(4 * (abs(lam) + abs(eps)) >> bits) + 1  # the first j > 2 sqrt(M)
+    c3, c2, c1 = 0, 0, 1 << bits  # c_(j-3), c_(j-2), c_(j-1) at j = 2
+    total = c1
+    j = 2
+    while True:
+        c = ((lam * c3 - eps * c2) >> bits) // (j * (j - 1))  # one floor, in two steps
+        total += c
+        c3, c2, c1 = c2, c1, c
+        if j >= first and -1 <= c <= 1 and -1 <= c2 <= 1 and -1 <= c3 <= 1:
+            return total
+        j += 1
 
 
 def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
@@ -205,21 +200,16 @@ def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
     func between c - target/2 and c + target/2: the same certificate as a
     bisection bracket of width target.  If the certificate fails or the
     iteration budget runs out, plain bisection finishes from the current
-    bracket, which always holds a sign change.  Returns None as soon as
-    func reports out-of-range (None value).
+    bracket, which always holds a sign change.
     """
     step = ctx.pi**2 / 4
     prev_x = ctx.mpf(0)
     prev_v = func(prev_x)
-    if prev_v is None:
-        return None
     changes = 0
     lo = hi = None
     for i in range(1, _SCAN_LIMIT + 1):
         x = i * step
         v = func(x)
-        if v is None:
-            return None
         if v == 0 or (v > 0) != (prev_v > 0):
             changes += 1
             if changes == state + 1:
@@ -243,8 +233,6 @@ def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
     for _ in range(_REFINE_LIMIT):
         c = b - fb * (b - a) / (fb - fa)
         fc = func(c)
-        if fc is None:
-            return None
         if fc == 0:
             return c
         if (fc > 0) == (fb > 0):
@@ -256,8 +244,6 @@ def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
         if prev_c is not None and abs(c - prev_c) < half:
             if lo <= c - half and c + half <= hi:
                 below, above = func(c - half), func(c + half)
-                if below is None or above is None:
-                    return None
                 if below == 0:
                     return c - half
                 if above == 0:
@@ -271,8 +257,6 @@ def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
     while abs(b - a) > target:
         mid = (a + b) / 2
         v = func(mid)
-        if v is None:
-            return None
         if v == 0:
             return mid
         if (v > 0) == (fa > 0):
@@ -280,93 +264,6 @@ def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
         else:
             b = mid
     return (a + b) / 2
-
-
-def _linear_by_ode(lam: Fraction, ctx: MPContext, state: int, digits: int):
-    """Wall condition phi(1; eps) = 0 via the Taylor integrator."""
-    v = RationalPoly.from_coeffs([0, lam], "q")
-
-    def wall_value(eps):
-        y, _ = series_integrate(v, eps, 0, 1, 0, 1, ctx)
-        return y
-
-    result = _scan_and_refine(wall_value, ctx, state, digits)
-    if result is None:  # pragma: no cover - wall_value never returns None
-        raise RootScanError("taylor path failed")
-    return result
-
-
-# ----------------------------------------------------------------------
-# extended-precision Taylor-series ODE integration of phi'' = (v(x) - eps) phi
-
-def series_integrate(v: RationalPoly, eps, x0, x1, y0, yp0, ctx: MPContext):
-    """Propagate (phi, phi') from x0 to x1 at the context's precision.
-
-    Each step expands the solution in a local Taylor series whose
-    coefficients follow from the differential equation; the order is sized
-    so the truncation sits below the context's resolution.  The steps run in
-    fixed point on Python ints (see the module docstring).
-    """
-    eps_f = _to_mpf(ctx, eps)
-    x0f = _to_mpf(ctx, x0)
-    x1f = _to_mpf(ctx, x1)
-    y = _to_mpf(ctx, y0)
-    yp = _to_mpf(ctx, yp0)
-    if x0f == x1f:
-        return y, yp
-    vc = [_to_mpf(ctx, c) for c in v.coeffs]
-    span = x1f - x0f
-    vmax = sum(abs(c) for c in vc) * max(1, abs(x0f), abs(x1f)) ** max(v.degree, 0)
-    # keep |eps - v| h^2 comfortably below 1 so the local series converges
-    # like a cosine series
-    scale = math.sqrt(float(abs(eps_f) + vmax) + 1.0)
-    steps = max(8, int(2 * scale * abs(span)) + 1)
-    order = max(24, int(1.2 * ctx.dps) + 16)
-    h = span / steps
-    p = yp * h
-    if not y and not p:
-        return y, yp
-
-    # In the step variable s = t/h, phi(x + t) = sum_m b_m s^m with
-    # b_m = a_m h^m, and phi'' = (v - eps) phi becomes
-    # b_(m+2) = sum_k u_k b_(m-k) / ((m+1)(m+2)), where u_k is the s^k
-    # coefficient of (v(x + h s) - eps) h^2.  The u_k are fixed point at
-    # 2^-bits; the b_m are fixed point at 2^-shift, where shift gives the
-    # initial (phi, h phi') about `bits` bits whatever their size.
-    bits = ctx.prec + _GUARD_BITS
-
-    def fixed(value):
-        return int(ctx.ldexp(value, bits))
-
-    hf = fixed(h)
-    h2 = hf * hf >> bits
-    eps_fixed = fixed(eps_f)
-    coeffs = [fixed(c) for c in vc] or [0]
-    shift = bits - ctx.mag(max(abs(y), abs(p)))
-    y_fix, p_fix = int(ctx.ldexp(y, shift)), int(ctx.ldexp(p, shift))
-    x = fixed(x0f)
-    for _ in range(steps):
-        w: list[int] = []
-        for c in reversed(coeffs):
-            # Horner step: w(s) <- w(s) (x + h s) + c
-            new = [0] * (len(w) + 1)
-            for i, a in enumerate(w):
-                new[i] += a * x >> bits
-                new[i + 1] += a * hf >> bits
-            new[0] += c
-            w = new
-        w[0] -= eps_fixed
-        u = [wk * h2 >> bits for wk in w]
-        b = [y_fix, p_fix]
-        for m in range(order - 1):
-            s = 0
-            for k, uk in enumerate(u[: m + 1]):
-                s += uk * b[m - k]
-            b.append((s >> bits) // ((m + 1) * (m + 2)))
-        y_fix = sum(b)
-        p_fix = sum(m * bm for m, bm in enumerate(b))
-        x += hf
-    return ctx.ldexp(y_fix, -shift), ctx.ldexp(p_fix, -shift) / h
 
 
 # ----------------------------------------------------------------------

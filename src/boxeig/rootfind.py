@@ -42,7 +42,6 @@ signs at the two ends, so any such search ends on the same cell.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -55,8 +54,6 @@ from .poly import (
     _int_prem,
     exact_rational,
 )
-
-logger = logging.getLogger(__name__)
 
 # Refinement searches a grid this many bits below the requested enclosure
 # width, so an enclosure midpoint is about ten digits more accurate than the
@@ -254,30 +251,17 @@ def _descartes(
     return out
 
 
-def mpf_to_rational(x) -> Fraction:
-    """Exact Fraction equal to an mpmath float (sign * mantissa * 2**exp)."""
-    sign, man, exp, _ = x._mpf_
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
-
-
-class _NoSignChange(ValueError):
-    """p has the same nonzero sign at both ends of the interval."""
-
-
 def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     """Shrink an isolating interval to a certified enclosure of width <= width.
 
     Requires an exact sign change (or an exact root at an endpoint, which is
-    returned degenerately).  The result is the one cell of the grid m/2^k,
-    2^-k the first power of two GUARD_BITS bits below ``width``, that holds
-    the root, clipped to the interval; or (r, r) for a root r on the grid.
-    Its endpoints carry exactly verified opposite signs of p.  The cell is
-    found by quadratic interval refinement on the grid indices, reading the
-    exact integer values 2^(k deg) p(m/2^k) (see the module docstring).
+    returned degenerately) and raises ValueError without one.  The result is
+    the one cell of the grid m/2^k, 2^-k the first power of two GUARD_BITS
+    bits below ``width``, that holds the root, clipped to the interval; or
+    (r, r) for a root r on the grid.  Its endpoints carry exactly verified
+    opposite signs of p.  The cell is found by quadratic interval refinement
+    on the grid indices, reading the exact integer values 2^(k deg) p(m/2^k)
+    (see the module docstring).
     """
     lo, hi = exact_rational(interval[0]), exact_rational(interval[1])
     width = exact_rational(width)
@@ -300,7 +284,7 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     if shi == 0:
         return (hi, hi)
     if slo == shi:
-        raise _NoSignChange("interval endpoints do not bracket a sign change")
+        raise ValueError("interval endpoints do not bracket a sign change")
     if i > j:
         return (lo, hi)
     up = slo > 0
@@ -358,16 +342,11 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     return (Fraction(i, scale), Fraction(j, scale))
 
 
-def certified_root(p: RationalPoly, interval: Interval, width) -> Interval:
-    """Certified enclosure of width <= width for the root in an isolating interval.
+def __getattr__(name: str):
+    # mpf_to_rational lives in oracle, the one module that makes an mpf;
+    # perfbench/derive_reference.py still imports it from here
+    if name == "mpf_to_rational":
+        from .oracle import mpf_to_rational
 
-    Degenerate intervals at exact rational roots pass through; intervals
-    whose endpoints have equal signs (even-multiplicity roots) are retried on
-    the square-free part, which shares the root but crosses zero there.
-    Raises ValueError when neither vanishes or crosses zero in the interval.
-    """
-    try:
-        return refine_enclosure(p, interval, width)
-    except _NoSignChange:
-        logger.debug("refining an even-multiplicity root via the square-free part")
-        return refine_enclosure(square_free_part(p), interval, width)
+        return mpf_to_rational
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

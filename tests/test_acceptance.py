@@ -16,10 +16,10 @@ import conftest
 from boxeig import goldens
 from boxeig.cli import table_values
 from boxeig.model import PotentialSpec
-from boxeig.oracle import exact_box, exact_linear, shoot_root
+from boxeig.oracle import exact_box, exact_linear, mpf_to_rational, shoot_root
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular, solve_secular
-from boxeig.rootfind import count_real_roots, mpf_to_rational
+from boxeig.rootfind import count_real_roots
 from boxeig.series import build_series, build_trial
 from boxeig.variational import kinetic_energy_forms, solve_a2
 
@@ -160,7 +160,7 @@ def test_criterion_7_independent_oracles_agree():
     announce(
         7,
         ok,
-        "Airy quantization vs shooting roots for lam=1/2,1,2: max diff "
+        "wall-series quantization vs shooting roots for lam=1/2,1,2: max diff "
         f"{max(diffs):.2e} (tolerance 1e-10)",
     )
 

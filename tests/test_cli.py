@@ -412,6 +412,15 @@ def test_exact_excited_state(capsys):
     assert abs(float(out.strip()) - 4 * 9.869604401089358) < 1e-9
 
 
+def test_exact_refuses_a_huge_negative_coupling(capsys):
+    # the wall series would need about 10^150 bits: refused at once, with the
+    # coupling named, instead of running without end
+    code, out, err = run(capsys, "exact", "--lambda=-1e300")
+    assert code == 1
+    assert out == ""
+    assert "lam = -1.0e+300 is out of reach" in err
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -559,6 +568,36 @@ REFINEMENT_DIGESTS = (
 def test_cli_refinement_output_matches_pinned_digests():
     assert not mismatched_commands(REFINEMENT_COMMANDS, REFINEMENT_DIGESTS)
     assert len(REFINEMENT_COMMANDS) == 8
+
+
+# the ramp oracle on both sides of zero, for ground and excited states,
+# at 20 and 40 digits
+EXACT_COMMANDS = tuple(
+    ("exact", *args, "--digits", digits)
+    for args in (
+        ("--lambda=1/10",),
+        ("--lambda=-5", "--state", "1"),
+        ("--lambda=-3000",),
+        ("--lambda=50", "--state", "1"),
+        ("--lambda=1", "--state", "3"),
+        ("--lambda=-1", "--state", "5"),
+    )
+    for digits in ("20", "40")
+)
+# digests as for PINNED_DIGESTS, recorded from the implementation that
+# evaluated the eigencondition as an Airy determinant, or by a stepping
+# Taylor integrator where the Airy arguments passed 30
+EXACT_DIGESTS = (
+    "763859fdee9efa59a2c8124a", "a3e3b8f248baad3cf51728bd", "b8fba73ddb765872cc4e9213",
+    "ce70621b51ed2365c7e78afb", "e4f1ecf61e8c73a66846891a", "4b0dee2e7e2c0e3e1d63fc3b",
+    "c8191cdad99056d96fe34593", "321d11875a4eada41c1075f0", "ab66f4e477f2a53865b1341c",
+    "407c979b610b548433d08bd2", "9b7ef935d7475873b54d400e", "a1310c7a0fe0fb15ec614a89",
+)
+
+
+def test_cli_exact_output_matches_pinned_digests():
+    assert not mismatched_commands(EXACT_COMMANDS, EXACT_DIGESTS)
+    assert len(EXACT_COMMANDS) == 12
 
 
 # RR where the secular determinant is largest: N = 20, 24 and 30 on ramps,

@@ -1,8 +1,8 @@
-"""High-precision reference values: Airy machinery, scans, and shooting."""
+"""High-precision reference values: the ramp's wall series, scans, and shooting."""
 
-import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -17,12 +17,11 @@ from boxeig.oracle import (
     RootScanError,
     exact_box,
     exact_linear,
-    series_integrate,
+    mpf_to_rational,
     shoot,
     shoot_root,
 )
 from boxeig.poly import RationalPoly
-from boxeig.rootfind import mpf_to_rational
 
 V0 = PotentialSpec.zero()
 
@@ -89,8 +88,7 @@ def test_exact_linear_refuses_unreachable_state_before_evaluating(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the eigencondition was evaluated")
 
-    monkeypatch.setattr(oracle, "_airy_series", forbidden)
-    monkeypatch.setattr(oracle, "series_integrate", forbidden)
+    monkeypatch.setattr(oracle, "_ramp_wall", forbidden)
     with pytest.raises(RootScanError, match="out of reach"):
         exact_linear(1, state=25, digits=6)
     with pytest.raises(RootScanError, match="out of reach"):
@@ -110,8 +108,7 @@ def test_exact_linear_refuses_past_the_half_line_bound(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the eigencondition was evaluated")
 
-    monkeypatch.setattr(oracle, "_airy_series", forbidden)
-    monkeypatch.setattr(oracle, "series_integrate", forbidden)
+    monkeypatch.setattr(oracle, "_ramp_wall", forbidden)
     for lam in (Fraction(30663, 10), 30000, Fraction(10**300), Fraction(10**400)):
         with pytest.raises(RootScanError, match="out of reach"):
             exact_linear(lam, 0, digits=20)
@@ -131,8 +128,8 @@ def test_half_line_bound_keeps_lambda_3000():
     [
         ("-5", 1, "36.9865843553024270247325023851"),
         ("-7", 0, "6.31589178782760084046640821182"),
-        ("1/10", 0, "9.91959342847695922730902101789"),  # Taylor-ODE path
-        ("1", 2, "89.3266345424787460796047063396"),  # Taylor-ODE path
+        ("1/10", 0, "9.91959342847695922730902101789"),
+        ("1", 2, "89.3266345424787460796047063396"),
         ("50", 1, "65.1770031601952269144534814783"),
         ("-30", 1, "74.0013110428896249460192406034"),
     ],
@@ -146,7 +143,7 @@ def test_exact_linear_30_digit_values(lam, state, expected):
 
 @pytest.mark.parametrize("lam, digits", [(-7, 190), (1, 185), (-7, 300)])
 def test_exact_linear_past_200_digits_matches_mpmath(lam, digits):
-    # the determinant takes no constant of limited precision, so no digit
+    # the wall series takes no constant of limited precision, so no digit
     # request is refused; the reference is the root of mpmath's
     # Ai(z0) Bi(z1) - Ai(z1) Bi(z0) next to ours
     ours = exact_linear(lam, 0, digits)
@@ -165,64 +162,86 @@ def test_exact_linear_past_200_digits_matches_mpmath(lam, digits):
 
 
 def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
-    # the determinant sums the f, g series once per wall: 11 scan points need
-    # 22 evaluations; bisecting to 10^-39 would add about 250 more, the
-    # certified regula falsi about 10
+    # the wall series is summed once per evaluation: the scan brackets the
+    # root at its 4th point (3 pi^2/4 > 6.3); bisecting to 10^-39 would add
+    # about 130 more evaluations, the certified regula falsi about 10
     calls = []
-    real_series = oracle._airy_series
+    real_wall = oracle._ramp_wall
 
-    def counting_series(*args, **kwargs):
+    def counting_wall(*args):
         calls.append(args)
-        return real_series(*args, **kwargs)
+        return real_wall(*args)
 
-    monkeypatch.setattr(oracle, "_airy_series", counting_series)
+    monkeypatch.setattr(oracle, "_ramp_wall", counting_wall)
     exact_linear(-7, 0, digits=35)
-    assert 22 <= len(calls) <= 40
+    assert 4 < len(calls) <= 20
 
 
-def _airy_fg(ctx, z, precision):
-    zz = ctx.mpf(z)
-    (f, g), bits = oracle._airy_fixed(ctx, zz, oracle._airy_working_digits(zz, precision))
-    return f, g, bits
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
-def test_airy_determinant_from_f_and_g():
-    # Ai(z0) Bi(z1) - Ai(z1) Bi(z0) = 2 sqrt(3) c1 c2 (f0 g1 - g0 f1), with
-    # c1 = Ai(0) and c2 = -Ai'(0), for arguments of both signs up to |z| = 30
-    precision = 30
-    ctx = oracle._context(precision + 10)
-    points = (-30, -17.25, -2.5, 0, 0.75, 11.5, 29.5, 30)
+def _wall_value(lam, eps, bits=160):
+    """phi(1; eps) for v = lam q from the fixed-point wall kernel, exactly."""
+    lam, eps = Fraction(lam), Fraction(eps)
+    bits += math.ceil(math.log2(math.e) * math.sqrt(abs(lam) + abs(eps)))
+    fixed_lam = (lam.numerator << bits) // lam.denominator
+    fixed_eps = (eps.numerator << bits) // eps.denominator
+    return Fraction(oracle._ramp_wall(fixed_lam, fixed_eps, bits), 1 << bits)
 
-    with mpmath.workdps(80):
-        factor = 2 * mpmath.sqrt(3) * mpmath.airyai(0) * -mpmath.airyai(0, derivative=1)
-        for z0, z1 in itertools.combinations(points, 2):
-            f0, g0, bits0 = _airy_fg(ctx, z0, precision)
-            f1, g1, bits1 = _airy_fg(ctx, z1, precision)
-            ours = factor * mpmath.ldexp(f0 * g1 - g0 * f1, -(bits0 + bits1))
-            ai0, bi0 = mpmath.airyai(z0), mpmath.airybi(z0)
-            ai1, bi1 = mpmath.airyai(z1), mpmath.airybi(z1)
-            exact = ai0 * bi1 - ai1 * bi0
-            assert abs(ours - exact) <= mpmath.mpf(10) ** -precision * abs(exact), (z0, z1)
+
+def _airy_wall(lam, eps):
+    """pi (Ai(z0) Bi(z1) - Ai(z1) Bi(z0)) / lam^(1/3) from mpmath, and max |z|."""
+    cbrt = mpmath.cbrt(abs(_mp(lam)))
+    lam13 = cbrt if lam > 0 else -cbrt
+    z0 = -_mp(eps) / cbrt**2
+    z1 = lam13 + z0
+    g = mpmath.airyai(z0) * mpmath.airybi(z1) - mpmath.airyai(z1) * mpmath.airybi(z0)
+    return mpmath.pi * g / lam13, max(abs(z0), abs(z1))
 
 
 def test_airy_against_mpmath_on_seeded_points():
-    # Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g) from the fixed-point
-    # f, g kernel at 100 seeded arguments in [-12, 2]
-    precision = 30
-    ctx = oracle._context(precision + 10)
-    rng = random.Random(20260816)
-    points = [rng.uniform(-12.0, 2.0) for _ in range(100)]
-    with mpmath.workdps(45):
-        c1 = mpmath.airyai(0)
-        c2 = -mpmath.airyai(0, derivative=1)
-        for z in points:
-            f, g, bits = _airy_fg(ctx, z, precision)
-            f, g = mpmath.ldexp(f, -bits), mpmath.ldexp(g, -bits)
-            zz = mpmath.mpf(z)
-            assert abs(c1 * f - c2 * g - mpmath.airyai(zz)) < mpmath.mpf(10) ** -26, z
-            assert abs(
-                mpmath.sqrt(3) * (c1 * f + c2 * g) - mpmath.airybi(zz)
-            ) < mpmath.mpf(10) ** -26, z
+    # the wall series against the Airy form of phi(1; eps) at 62 seeded
+    # (lam, eps); small couplings put |z| far past 30
+    rng = random.Random(20261019)
+    points = []
+    for _ in range(60):
+        lam = Fraction(rng.randint(-3000, 3000), rng.choice([1, 7, 1000]))
+        points.append((lam, Fraction(rng.randint(0, 5000), 10)))
+    points += [(Fraction(1, 10), Fraction(500)), (Fraction(-1, 1000), Fraction(50))]
+    far = 0
+    with mpmath.workdps(80):
+        for lam, eps in points:
+            reference, z = _airy_wall(lam, eps)
+            far += z > 30
+            error = abs(_mp(_wall_value(lam, eps)) - reference)
+            assert error < mpmath.mpf(10) ** -40 * max(1, abs(reference)), (lam, eps)
+    assert far >= 10
+
+
+@pytest.mark.parametrize("eps", [-40, Fraction(1, 3), Fraction(9869604401, 10**9), 100, 480])
+def test_wall_series_of_the_free_box_is_a_sine(eps):
+    # v = 0: phi(1; eps) = sin(sqrt eps)/sqrt eps, or sinh for eps < 0
+    eps = Fraction(eps)
+    with mpmath.workdps(60):
+        root = mpmath.sqrt(abs(_mp(eps)))
+        exact = mpmath.sin(root) / root if eps > 0 else mpmath.sinh(root) / root
+        assert abs(_mp(_wall_value(0, eps)) - exact) < mpmath.mpf(10) ** -40
+
+
+@pytest.mark.parametrize(
+    "lam, shown",
+    [(-(10**300), "-1.0e+300"), (-(10**400), "-1.0e+400"), (-81 * 10**5, "-8.1e+6")],
+)
+def test_exact_linear_refuses_a_coupling_past_the_bit_budget(monkeypatch, lam, shown):
+    # the wall series at lam = -10^300 would need about 10^150 bits; the
+    # refusal names the coupling and comes before any evaluation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigencondition was evaluated")
+
+    monkeypatch.setattr(oracle, "_ramp_wall", forbidden)
+    with pytest.raises(RootScanError, match=f"lam = {re.escape(shown)} is out of reach"):
+        exact_linear(lam, 0, digits=20)
 
 
 class _CountingContext(oracle.MPContext):
@@ -233,10 +252,10 @@ class _CountingContext(oracle.MPContext):
         super().__init__(*args, **kwargs)
 
 
-@pytest.mark.parametrize("lam", [-7, Fraction(1, 10)])  # Airy path, Taylor-ODE path
+@pytest.mark.parametrize("lam", [-7, Fraction(1, 10)])
 def test_exact_linear_builds_one_context(monkeypatch, lam):
-    # the outer context is the only one: neither the determinant nor the
-    # Taylor integrator builds one per evaluation
+    # the outer context is the only one: the wall series builds none per
+    # evaluation
     monkeypatch.setattr(oracle, "MPContext", _CountingContext)
     monkeypatch.setattr(_CountingContext, "built", 0)
     exact_linear(lam, 0, 30)
@@ -310,9 +329,7 @@ def test_exact_linear_perturbative_slope():
 
 
 def test_exact_linear_monotone_in_coupling():
-    # stronger ramp -> higher ground state; the set straddles the internal
-    # switch between the Airy-determinant and integrator routes, so this is
-    # also a continuity check across that boundary
+    # stronger ramp -> higher ground state
     couplings = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
     values = [float(exact_linear(lam, 0, digits=20)) for lam in couplings]
     assert values == sorted(values)
@@ -323,86 +340,6 @@ def test_exact_linear_excited_state():
     # second level of the ramp: slightly above 4 pi^2, below the next box level
     eps1 = float(exact_linear(1, 1, digits=20))
     assert 4 * math.pi**2 < eps1 < 4 * math.pi**2 + 1
-
-
-# ---------------------------------------------------------------------------
-# extended-precision integrator
-
-
-def test_series_integrate_reproduces_airy_values():
-    # integrating y'' = q y from 0 with Ai's initial data is a second,
-    # structurally different route to Ai(z)
-    ctx = oracle._context(35)
-    v = RationalPoly.from_coeffs([0, 1], "q")
-    with mpmath.workdps(45):
-        ai0 = ctx.mpf(str(mpmath.airyai(0)))
-        aip0 = ctx.mpf(str(mpmath.airyai(0, derivative=1)))
-        for z in (-5.0, -1.0, 1.5):
-            y, yp = series_integrate(v, 0, 0, z, ai0, aip0, ctx)
-            assert abs(mpmath.mpf(str(y)) - mpmath.airyai(z)) < mpmath.mpf(10) ** -27
-            assert abs(mpmath.mpf(str(yp)) - mpmath.airyai(z, derivative=1)) < mpmath.mpf(10) ** -27
-
-
-def test_series_integrate_hits_first_airy_zero():
-    ctx = oracle._context(30)
-    v = RationalPoly.from_coeffs([0, 1], "q")
-    with mpmath.workdps(40):
-        ai0 = ctx.mpf(str(mpmath.airyai(0)))
-        aip0 = ctx.mpf(str(mpmath.airyai(0, derivative=1)))
-        zero = ctx.mpf(str(mpmath.airyaizero(1)))
-    y, _ = series_integrate(v, 0, 0, zero, ai0, aip0, ctx)
-    assert abs(float(y)) < 1e-25
-
-
-def test_series_integrate_zero_span():
-    import boxeig.oracle as oracle
-
-    ctx = oracle._context(20)
-    v = RationalPoly.zero("q")
-    y, yp = series_integrate(v, 10, Fraction(1, 2), Fraction(1, 2), 3, 4, ctx)
-    assert y == 3 and yp == 4
-
-
-def test_series_integrate_free_particle_sine():
-    # v = 0, eps = pi^2: phi = sin(pi q)/pi vanishes at q = 1
-    import boxeig.oracle as oracle
-
-    ctx = oracle._context(30)
-    y, yp = series_integrate(RationalPoly.zero("q"), ctx.pi**2, 0, 1, 0, 1, ctx)
-    assert abs(float(y)) < 1e-28
-    assert abs(float(yp) + 1) < 1e-27  # phi'(1) = cos(pi) = -1
-
-
-def _cubic():
-    # negative on all of [0, 1]: -20 + 5q - 40q^2 + 10q^3
-    return RationalPoly.from_coeffs([-20, 5, -40, 10], "q")
-
-
-@pytest.mark.parametrize("power", [30, -30])
-def test_series_integrate_scales_with_its_initial_data(power):
-    # the equation is linear: scaling (y0, y0') by 10^power scales (y, y') by
-    # the same factor, at full relative precision whatever the data's size
-    ctx = oracle._context(30)
-    v, eps = _cubic(), Fraction(7, 3)
-    y, yp = series_integrate(v, eps, 0, 1, Fraction(1, 3), -2, ctx)
-    factor = Fraction(10) ** power
-    ys, yps = series_integrate(v, eps, 0, 1, factor / 3, -2 * factor, ctx)
-    scale = ctx.mpf(10) ** power
-    tol = ctx.mpf(10) ** -28
-    assert abs(ys / (scale * y) - 1) < tol
-    assert abs(yps / (scale * yp) - 1) < tol
-
-
-def test_series_integrate_negative_cubic_matches_odefun():
-    ctx = oracle._context(30)
-    v, eps = _cubic(), 2
-    y, yp = series_integrate(v, eps, 0, 1, 0, 1, ctx)
-    with mpmath.workdps(40):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in v.coeffs]
-        rhs = lambda x, u: [u[1], (mpmath.polyval(coeffs[::-1], x) - eps) * u[0]]
-        ref_y, ref_yp = mpmath.odefun(rhs, 0, [0, 1])(1)
-        assert abs(mpmath.mpf(str(y)) / ref_y - 1) < mpmath.mpf(10) ** -25
-        assert abs(mpmath.mpf(str(yp)) / ref_yp - 1) < mpmath.mpf(10) ** -25
 
 
 # ---------------------------------------------------------------------------

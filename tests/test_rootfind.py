@@ -9,14 +9,13 @@ import pytest
 
 from boxeig import rootfind
 from boxeig.model import PotentialSpec
+from boxeig.oracle import mpf_to_rational
 from boxeig.poly import RationalPoly
 from boxeig.estimates import DEFAULT_SELECTION, select_root
 from boxeig.rayleigh_ritz import build_secular, solve_secular
 from boxeig.rootfind import (
-    certified_root,
     count_real_roots,
     isolate_real_roots,
-    mpf_to_rational,
     refine_enclosure,
     sturm_sequence,
     sign_variations,
@@ -37,7 +36,7 @@ def poly_from_roots(roots, var="q"):
 
 def certified_midpoint(p, interval, tol=Fraction(1, 10**13)):
     """Float midpoint of the root's certified enclosure of width 2*tol."""
-    a, b = certified_root(p, interval, 2 * tol)
+    a, b = refine_enclosure(p, interval, 2 * tol)
     return float((a + b) / 2)
 
 
@@ -203,9 +202,9 @@ def test_isolation_separates_close_roots():
 def test_isolation_bisects_onto_a_multiple_root():
     # the first bisection point of (-2, 2) is the double root 0
     p = poly_from_roots([0, 0, 1, -1])
-    _, intervals = isolate_real_roots(p, (Fraction(-2), Fraction(2)))
+    isolated, intervals = isolate_real_roots(p, (Fraction(-2), Fraction(2)))
     assert intervals[1] == (Fraction(0), Fraction(0))
-    assert [round(certified_midpoint(p, iv), 9) for iv in intervals] == [-1.0, 0.0, 1.0]
+    assert [round(certified_midpoint(isolated, iv), 9) for iv in intervals] == [-1.0, 0.0, 1.0]
 
 
 def test_isolation_endpoint_root_left():
@@ -268,13 +267,14 @@ def test_isolation_on_a_bracket_wider_than_the_float_range(sturm_calls, roots, c
     # double root keeps two sign variations down to the depth limit, and the
     # fallback takes the square-free part from one Sturm chain
     p = poly_from_roots(roots)
-    _, intervals = isolate_real_roots(p, (0, 10**400))
+    isolated, intervals = isolate_real_roots(p, (0, 10**400))
     assert len(intervals) == len(set(roots))
     assert sturm_calls == {"sturm_sequence": chains}
-    # the double root shows no sign change: certified_root retries it on
-    # the square-free part
+    # p shows no sign change at the double root; the square-free part that
+    # isolation returns does, and refining on it builds no further chain
     for iv, root in zip(intervals, sorted(set(roots))):
-        assert abs(certified_midpoint(p, iv, Fraction(1, 10**13)) - root) < 1e-12
+        assert abs(certified_midpoint(isolated, iv, Fraction(1, 10**13)) - root) < 1e-12
+    assert sturm_calls == {"sturm_sequence": chains}
 
 
 def test_isolation_rejects_zero_polynomial():
@@ -500,16 +500,17 @@ def test_refine_rejects_an_interval_without_a_root():
 
 
 def test_refine_even_multiplicity_root(sturm_calls):
-    # (q - 1/3)^2 has no sign change; refinement must fall back to the
-    # square-free part and still locate the root
+    # (q - 1/3)^2 has no sign change, so refinement on it is refused; the
+    # square-free part that isolation returns crosses zero at the root
     p = poly_from_roots([Fraction(1, 3), Fraction(1, 3)])
-    _, intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
+    isolated, intervals = isolate_real_roots(p, (Fraction(0), Fraction(1)))
     assert len(intervals) == 1
     assert sturm_calls == {"sturm_sequence": 1}
-    r = certified_midpoint(p, intervals[0], Fraction(1, 10**12))
+    with pytest.raises(ValueError, match="sign change"):
+        certified_midpoint(p, intervals[0], Fraction(1, 10**12))
+    r = certified_midpoint(isolated, intervals[0], Fraction(1, 10**12))
     assert abs(r - 1 / 3) < 1e-11
-    # the retry took the square-free part from one more chain
-    assert sturm_calls == {"sturm_sequence": 2}
+    assert sturm_calls == {"sturm_sequence": 1}
 
 
 def test_select_root_builds_one_sturm_chain_for_an_even_multiplicity_root(sturm_calls):
@@ -605,7 +606,7 @@ def test_a_multiple_root_builds_one_sturm_chain(sturm_calls):
 
 
 # ---------------------------------------------------------------------------
-# exact float conversion
+# exact float conversion (the oracle's mpf results, as renderers take them)
 
 
 def test_mpf_to_rational_is_exact():
