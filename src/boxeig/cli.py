@@ -53,7 +53,7 @@ from .oracle import (
     mpf_to_rational,
 )
 from .poly import Rational, format_rational
-from .rayleigh_ritz import build_secular, solve_secular
+from .rayleigh_ritz import SecularSystem, build_secular_systems, solve_secular
 from .series import TRIAL_MIN_ORDER, build_series, build_trial, solve_a1
 from .variational import build_quotient, solve_a2, solve_a3
 
@@ -290,12 +290,15 @@ def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rati
     return mpf_to_rational(value)
 
 
-def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
+def compute_cells(
+    cfg: RunConfig, n: int, system: SecularSystem | None
+) -> dict[str, Rational | None]:
     """All requested numbers for one truncation order N.
 
-    The row builds its series, quotient and secular system at most once each
-    and hands every solver the one it solves: A1 the series, A2 and A3 the
-    quotient of its trial function, RR the secular system.
+    The row builds its series and quotient at most once each and hands every
+    solver the one it solves: A1 the series, A2 and A3 the quotient of its
+    trial function, RR ``system``, the row's secular system (None when RR is
+    not requested).
     """
     tol = Fraction(1, 10 ** max(WORKING_DIGITS + 1, cfg.digits + 3))
     options = (cfg.bracket, cfg.state, cfg.selection, tol)
@@ -306,7 +309,7 @@ def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
             values = (_exact_eigenvalue(cfg.potential, cfg.state, cfg.digits),)
         else:
             if method == METHOD_RR:
-                est = solve_secular(build_secular(cfg.potential, n), *options)
+                est = solve_secular(system, *options)
             else:
                 if series is None:
                     series = build_series(cfg.potential, n)
@@ -325,10 +328,15 @@ def compute_cells(cfg: RunConfig, n: int) -> dict[str, Rational | None]:
 def compute_rows(cfg: RunConfig) -> list[dict[str, Rational | None]]:
     """One cell mapping per N, in order.
 
-    Rows run one after another: the work is pure-Python exact arithmetic,
-    which threads cannot run in parallel under the interpreter lock.
+    RR's secular systems come from one pencil for the whole command, built
+    at the largest N (see :mod:`boxeig.rayleigh_ritz`).  Rows run one after
+    another: the work is pure-Python exact arithmetic, which threads cannot
+    run in parallel under the interpreter lock.
     """
-    return [compute_cells(cfg, n) for n in cfg.n_values]
+    systems = {}
+    if METHOD_RR in cfg.methods:
+        systems = build_secular_systems(cfg.potential, cfg.n_values)
+    return [compute_cells(cfg, n, systems.get(n)) for n in cfg.n_values]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

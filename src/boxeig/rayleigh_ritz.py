@@ -8,31 +8,46 @@ basis (J. Shen, SIAM J. Sci. Comput. 15 (1994) 1489-1505)
 
 with P_k the shifted Legendre polynomial on [0, 1].  S_ij = integral
 phi_i phi_j and H_ij = integral (phi_i' phi_j' + v phi_i phi_j) follow in
-closed form from integral P_a P_b = delta_ab / (2a+1) and from
-x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1) with q = (1+x)/2.  The kinetic
-part is diagonal, 1/(2i-1); S is pentadiagonal; a potential of degree d
-gives H a half-bandwidth of 2 + max(d, 0).
+closed form from integral P_a P_b = delta_ab / (2a+1): the kinetic part is
+diagonal, 1/(2i-1); S_ii = 1/(2(2i-3)(2i-1)(2i+1)) and
+S_i,i+2 = -1/(4(2i-1)(2i+1)(2i+3)) are its only nonzero entries; and the
+potential part comes from the Legendre coefficients of v (P_i - P_{i-2}),
+formed on integers by Horner steps of multiplication by q = (1+x)/2 with
+x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1).  A potential of degree d
+gives H a half-bandwidth of 2 + max(d, 0).  Each row is stored as integer
+band entries over r_i, the lcm of the denominators of row i of H and S.
 
-Eigenvalue estimates are the roots of det(H - eps S).  With R the diagonal
-of the lcms r_i of the denominators in row i of H and S, det(R(H - eS)) is
-evaluated at n integer points e <= floor(v_0 + sum_{k>=1} min(0, v_k)) - 1,
-below min v on [0, 1].  There <phi, (H - eS) phi> = integral phi'^2 +
-(v - e) phi^2 > 0, so every leading minor of R(H - eS) is positive and a
-banded fraction-free (Bareiss) elimination on integers needs no pivoting.
-Newton interpolation recovers det(R(H - eps S)), which is divided by
-det(R) det(T)^2 for the change of basis T from q^j - q^n to the phi_k.  T is
-triangular against q^j (1 - q), so |det T| = prod_k C(2k, k) / (2(2k-1)),
-the product of the leading coefficients of the phi_k.  ``char_poly`` is
-therefore det(H - eps S) of the basis q^j - q^n, sign included.  For a
-symmetric positive-definite S all n-1 roots are real and they bound the
-true spectrum from above.
+Eigenvalue estimates are the roots of det(H - eps S).  det(R(H - eS)), with
+R = diag(r_i), is evaluated at n integer points
+e <= floor(v_0 + sum_{k>=1} min(0, v_k)) - 1, below min v on [0, 1].  There
+<phi, (H - eS) phi> = integral phi'^2 + (v - e) phi^2 > 0, so every leading
+minor of R(H - eS) is positive and a banded fraction-free (Bareiss)
+elimination on integers needs no pivoting.  Newton interpolation recovers
+det(R(H - eps S)), which is divided by det(R) det(T)^2 for the change of
+basis T from q^j - q^n to the phi_k.  T is triangular against q^j (1 - q),
+so |det T| = prod_k C(2k, k) / (2(2k-1)), the product of the leading
+coefficients of the phi_k.  ``char_poly`` is therefore det(H - eps S) of the
+basis q^j - q^n, sign included.  For a symmetric positive-definite S all
+n-1 roots are real and they bound the true spectrum from above.
+
+The basis does not depend on n, so the pencil of order n is the leading
+(n-1) x (n-1) block of the pencil of any larger order, and so are its row
+lcms up to the last rows, whose band reaches past column n.  The k-th
+pivot of a Bareiss elimination is the k-th leading principal minor
+(E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  So one elimination per
+node of the largest requested order gives every order's determinant: order
+n takes the minor of order n - 1 at the first n nodes, which are the nodes
+it would use alone, and divides by the product of the first n - 1 of the
+largest pencil's row lcms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, lcm, prod
+from functools import cached_property
+from math import comb, floor, gcd, lcm
+from typing import Iterable
 
 from .estimates import (
     DEFAULT_SELECTION,
@@ -53,21 +68,29 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 class SecularSystem:
     """The pencil (H, S) for one n and its characteristic polynomial.
 
-    ``h`` and ``s`` are the matrices in the integrated-Legendre basis
-    phi_2..phi_n of :func:`galerkin_matrices`.  ``char_poly`` is
-    det(H - eps S) in the basis q^j - q^n, which is det(h - eps s) / det(T)^2
-    (see the module docstring).
+    ``char_poly`` is det(H - eps S) in the basis q^j - q^n, which is
+    det(h - eps s) / det(T)^2 (see the module docstring).  ``h`` and ``s``
+    are the matrices in the integrated-Legendre basis phi_2..phi_n as exact
+    fractions; they are formed on first use and the solver never reads them.
     """
 
     n: int
     potential: PotentialSpec
-    h: Matrix
-    s: Matrix
     char_poly: RationalPoly
 
     @property
     def size(self) -> int:
         return self.n - 1
+
+    @cached_property
+    def h(self) -> Matrix:
+        a, _, r = _pencil(self.potential, self.n)
+        return _dense(a, r)
+
+    @cached_property
+    def s(self) -> Matrix:
+        _, b, r = _pencil(self.potential, self.n)
+        return _dense(b, r)
 
 
 def basis_function(j: int, n: int) -> RationalPoly:
@@ -75,99 +98,157 @@ def basis_function(j: int, n: int) -> RationalPoly:
     return RationalPoly.monomial(j, 1, "q") - RationalPoly.monomial(n, 1, "q")
 
 
-def _times_q(u: list[Fraction]) -> list[Fraction]:
-    """Legendre coefficients of q p from those of p."""
-    out = [Fraction(0)] * (len(u) + 1)
-    for m, c in enumerate(u):
-        if c:
-            half = c / (2 * (2 * m + 1))
-            out[m] += c / 2
-            out[m + 1] += (m + 1) * half
-            if m:
-                out[m - 1] += m * half
-    return out
+def _legendre_horner(ints: tuple[int, ...], i: int) -> tuple[list[int], int]:
+    """(w, den): the Legendre coefficients w[m] / den of sum_k ints[k] q^k (P_i - P_{i-2}).
 
-
-def galerkin_matrices(potential: PotentialSpec, n: int) -> tuple[Matrix, Matrix]:
-    """(S, H) of the basis phi_k, k = 2..n, in closed form.
-
-    Entry [i-2][j-2] belongs to phi_i and phi_j.  H takes the Legendre
-    coefficients of v phi_i by Horner steps of multiplication by q and
-    projects them onto phi_j.
+    Each Horner step multiplies by q, which sends the coefficient w_m to
+    w_m (2m+1, m+1, m) / (2(2m+1)) at P_m, P_{m+1}, P_{m-1}; the common
+    denominator takes 2 lcm(2m+1) over the step's support.
     """
-    if n < 3:
-        raise ValueError("basis order must be at least 3")
-    size = n - 1
-    scale = [Fraction(1, 2 * (2 * k - 1)) for k in range(n + 1)]
-    s = [[Fraction(0)] * size for _ in range(size)]
-    h = [[Fraction(0)] * size for _ in range(size)]
-    band = 2 + max(potential.v.degree, 0)
+    w = [0] * (i + len(ints) + 2)  # room up to P_{i+d+2}, the edge of the band
+    den = 1
+    for t, c in enumerate(reversed(ints)):
+        if t:
+            lo, hi = max(i - 1 - t, 0), i + t - 1
+            step = 2 * lcm(*range(2 * lo + 1, 2 * hi + 2, 2))
+            out = [0] * len(w)
+            for m in range(lo, hi + 1):
+                if w[m]:
+                    u = w[m] * (step // (2 * (2 * m + 1)))
+                    out[m] += (2 * m + 1) * u
+                    out[m + 1] += (m + 1) * u
+                    if m:
+                        out[m - 1] += m * u
+            w, den = out, den * step
+        w[i] += c * den
+        w[i - 2] -= c * den
+    return w, den
+
+
+def _pencil(potential: PotentialSpec, n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """(a, b, r): the band rows of R H and R S for phi_2..phi_n, and R's diagonal.
+
+    Row i - 2 belongs to phi_i and holds columns j = max(2, i - band)..
+    min(n, i + band) (matrix columns j - 2), with band = 2 + max(deg v, 0).
+    r[i - 2] is the lcm of the reduced denominators of row i of H and S, so
+    a and b hold integers.
+    """
+    ints, scale = potential.v.ints, potential.v.scale
+    band = 2 + max(len(ints) - 1, 0)
+    a, b, r = [], [], []
     for i in range(2, n + 1):
-        r = i - 2
-        s[r][r] = scale[i] ** 2 * (Fraction(1, 2 * i + 1) + Fraction(1, 2 * i - 3))
+        first = max(2, i - band)
+        cols = range(first, min(n, i + band) + 1)
+        # H_ij and S_ij as (numerator, denominator) in lowest terms
+        h = [(1, 2 * i - 1) if j == i else (0, 1) for j in cols]
+        if ints:
+            w, den = _legendre_horner(ints, i)
+            for t, j in enumerate(cols):
+                num = scale.numerator * (w[j] * (2 * j - 3) - w[j - 2] * (2 * j + 1))
+                d = scale.denominator * den * (2 * j + 1) * (2 * j - 3) * 4 * (2 * i - 1) * (2 * j - 1)
+                if j == i:
+                    num += d // (2 * i - 1)
+                g = gcd(num, d)
+                h[t] = (num // g, d // g)
+        s = [(0, 1)] * len(cols)
+        s[i - first] = (1, 2 * (2 * i - 3) * (2 * i - 1) * (2 * i + 1))
+        if i >= 4:
+            s[i - 2 - first] = (-1, 4 * (2 * i - 5) * (2 * i - 3) * (2 * i - 1))
         if i + 2 <= n:
-            s[r][r + 2] = s[r + 2][r] = -scale[i] * scale[i + 2] / (2 * i + 1)
-        h[r][r] = Fraction(1, 2 * i - 1)
-        w = [Fraction(0)] * (i + 1)
-        for vk in reversed(potential.v.coeffs):
-            w = _times_q(w)
-            w[i] += vk * scale[i]
-            w[i - 2] -= vk * scale[i]
-        for j in range(i, min(n, i + band) + 1):
-            top = w[j] / (2 * j + 1) if j < len(w) else 0
-            h[r][j - 2] += scale[j] * (top - w[j - 2] / (2 * j - 3))
-            h[j - 2][r] = h[r][j - 2]
-    return tuple(map(tuple, s)), tuple(map(tuple, h))
+            s[i + 2 - first] = (-1, 4 * (2 * i - 1) * (2 * i + 1) * (2 * i + 3))
+        row_lcm = lcm(*(d for _, d in h), *(d for _, d in s))
+        a.append([x * (row_lcm // d) for x, d in h])
+        b.append([x * (row_lcm // d) for x, d in s])
+        r.append(row_lcm)
+    return a, b, r
+
+
+def _dense(rows: list[list[int]], r: list[int]) -> Matrix:
+    """The exact matrix whose band row i, as :func:`_band_pivots` takes it, is rows[i] / r[i]."""
+    band = len(rows[0]) - 1
+    zero = Fraction(0)
+    out = []
+    for i, (row, ri) in enumerate(zip(rows, r)):
+        first = max(0, i - band)
+        full = [zero] * len(rows)
+        full[first : first + len(row)] = [Fraction(x, ri) for x in row]
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def build_secular_systems(
+    potential: PotentialSpec, orders: Iterable[int]
+) -> dict[int, SecularSystem]:
+    """The secular system of every order in ``orders``, from one pencil.
+
+    The pencil is built once at the largest order and eliminated once per
+    node; each order reads its determinants off the leading minors (see the
+    module docstring).  Orders may repeat and come in any order; each must
+    be at least 3.
+    """
+    orders = set(orders)
+    if min(orders) < 3:
+        raise ValueError("basis order must be at least 3")
+    top = max(orders)
+    a, b, r = _pencil(potential, top)
+    v = potential.v
+    low = v.coeff(0) + sum(min(vk, 0) for vk in v.coeffs[1:])
+    nodes = [floor(low) - 1 - m for m in range(top)]
+    minors = [
+        _band_pivots([[x - e * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for e in nodes
+    ]
+    systems = {}
+    lead_num = lead_den = 1  # phi_2 has leading coefficient C(4, 2) / 6 = 1
+    row_lcms = r[0]
+    for n in range(3, top + 1):
+        lead_num *= comb(2 * n, n)
+        lead_den *= 2 * (2 * n - 1)
+        row_lcms *= r[n - 2]
+        if n in orders:
+            values = [minor[n - 2] for minor in minors[:n]]
+            scale = Fraction(lead_den**2, row_lcms * lead_num**2)
+            char_poly = RationalPoly._canonical(_interpolate(nodes[:n], values), scale, "eps")
+            systems[n] = SecularSystem(n=n, potential=potential, char_poly=char_poly)
+    return systems
 
 
 def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
-    """Take S and H from :func:`galerkin_matrices` and expand det(H - eps S).
+    """The secular system of order n: :func:`build_secular_systems` for n alone.
 
     Requires n >= 3.
     """
-    s, h = galerkin_matrices(potential, n)
-    v = potential.v
-    band = 2 + max(v.degree, 0)
-    dens = [lcm(*(x.denominator for x in hrow + srow)) for hrow, srow in zip(h, s)]
-    a = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(h, dens)]
-    b = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(s, dens)]
-    low = v.coeff(0) + sum(min(vk, 0) for vk in v.coeffs[1:])
-    nodes = [floor(low) - 1 - m for m in range(n)]
-    values = [
-        _band_determinant([[x - e * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], band)
-        for e in nodes
-    ]
-    lead = prod(Fraction(comb(2 * k, k), 2 * (2 * k - 1)) for k in range(2, n + 1))
-    char_poly = RationalPoly._canonical(
-        _interpolate(nodes, values), 1 / (prod(dens) * lead**2), "eps"
-    )
-    return SecularSystem(n=n, potential=potential, h=h, s=s, char_poly=char_poly)
+    return build_secular_systems(potential, (n,))[n]
 
 
-def _band_determinant(m: list[list[int]], band: int) -> int:
-    """Determinant of an integer matrix of half-bandwidth ``band`` >= 1.
+def _band_pivots(rows: list[list[int]]) -> list[int]:
+    """The Bareiss pivots of an integer band matrix: its leading principal minors.
 
-    Bareiss elimination without pivoting, so every leading minor must be
-    nonzero.  Each step is confined to the band, and every division is
-    exact.  A row below the band is untouched by a step, where Bareiss would
-    scale it by the pivot over the previous pivot; those factors telescope,
-    so the row is scaled by the previous pivot once, as it enters the band.
+    Row i holds columns max(0, i - band)..min(size - 1, i + band) of a
+    matrix of half-bandwidth ``band``, which row 0 reveals.  There is no
+    pivoting, so every leading minor must be nonzero.  Each step is confined
+    to the band, every division is exact, and a row drops its first column
+    as that column is eliminated, so row k starts with the k-th pivot.  A
+    row below the band is untouched by a step, where Bareiss would scale it
+    by the pivot over the previous pivot; those factors telescope to the
+    previous pivot as the row enters the band, which cancels that step's
+    division.
     """
-    size = len(m)
+    size = len(rows)
+    band = len(rows[0]) - 1
+    pivots = []
     prev = 1
-    for k in range(size - 1):
-        pivot, pivot_row = m[k][k], m[k]
-        if k + band < size:
-            row = m[k + band]
-            for j in range(k, min(size, k + 2 * band + 1)):
-                row[j] *= prev
+    for k in range(size):
+        pivot, *tail = rows[k]
+        pivots.append(pivot)
         for i in range(k + 1, min(size, k + band + 1)):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, min(size, i + band + 1)):
-                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
+            lead, *rest = rows[i]
+            div = prev if i - k < band else 1
+            rows[i] = [(pivot * x - lead * y) // div for x, y in zip(rest, tail)] + [
+                pivot * x // div for x in rest[len(tail) :]
+            ]
         prev = pivot
-    return m[-1][-1]
+    return pivots
 
 
 def _interpolate(nodes: list[int], values: list[int]) -> list[int]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxeig import cli, goldens, rootfind
+from boxeig import cli, goldens, rayleigh_ritz, rootfind
 from boxeig.cli import main
 from boxeig.model import PotentialSpec
 
@@ -165,29 +165,46 @@ def test_solve_problem_file(tmp_path, capsys):
 
 
 def test_compute_cells_builds_each_object_once(monkeypatch):
-    # A1 takes the row's series, A2 and A3 share the quotient of its trial
-    # function, and RR takes the secular system; each is built once
+    # each row builds its series once for A1, and A2 and A3 share the
+    # quotient of its trial function; RR's secular systems come from one
+    # pencil build per command, which covers every N
     calls = []
 
     def counted(name, original):
         def wrapper(*args):
-            calls.append(name)
+            calls.append((name, *args[1:]))
             return original(*args)
 
         return wrapper
 
-    for name in ("build_series", "build_quotient", "build_secular"):
+    for name in ("build_series", "build_quotient", "build_secular_systems"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     potential = PotentialSpec.linear(Fraction(3, 7))
+    orders = (9, 7, 9)
+    row_builds = [call for n in orders for call in (("build_series", n), ("build_quotient",))]
     for methods, built in (
-        ("a1,a2,a3", ["build_series", "build_quotient"]),
-        ("a1,a2,a3,rr", ["build_series", "build_quotient", "build_secular"]),
+        ("a1,a2,a3", row_builds),
+        ("a1,a2,a3,rr", [("build_secular_systems", orders), *row_builds]),
     ):
         calls.clear()
-        cfg = cli.RunConfig(cli.parse_methods_flag(methods), potential, (9,))
-        cells = cli.compute_cells(cfg, 9)
+        rows = cli.compute_rows(cli.RunConfig(cli.parse_methods_flag(methods), potential, orders))
         assert calls == built
-        assert None not in cells.values()
+        assert all(None not in cells.values() for cells in rows)
+
+
+def test_rr_over_a_range_eliminates_once_per_node_of_the_largest_n(capsys, monkeypatch):
+    # N = 10..30 from one pencil of order 30: 30 node eliminations, where
+    # building each row's system alone would take sum(N) = 420
+    calls = []
+    original = rayleigh_ritz._band_pivots
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(rayleigh_ritz, "_band_pivots", counted)
+    assert run(capsys, "solve", "--methods", "rr", "--n", "10..30", "--lambda=1")[0] == 0
+    assert calls == [29] * 30
 
 
 def test_solve_out_file(tmp_path, capsys):
@@ -624,3 +641,28 @@ def test_cli_rr_output_matches_pinned_digests(tmp_path):
     path.write_text(CUBIC_PROBLEM)
     commands = [[arg.format(cubic=path) for arg in argv] for argv in RR_COMMANDS]
     assert not mismatched_commands(commands, RR_DIGESTS)
+
+
+# RR over many N in one command: a long ascending range at 30 digits, an
+# unsorted list with a duplicate next to A1 on an excited state, the cubic
+# from a problem file, and the free box
+RR_RANGE_COMMANDS = (
+    ("solve", "--methods", "rr", "--n", "3..30", "--lambda=1", "--digits", "30"),
+    ("solve", "--methods", "rr,a1", "--n", "12,8,8,16", "--lambda=-7/3", "--state", "1",
+     "--digits", "25"),
+    ("solve", "--methods", "rr", "--n", "3..20", "--potential", "{cubic}", "--format", "json"),
+    ("solve", "--methods", "rr", "--n", "4..12", "--lambda=0", "--format", "csv"),
+)
+# digests as for PINNED_DIGESTS, recorded from the implementation that built
+# each row's pencil on its own, in Fraction arithmetic
+RR_RANGE_DIGESTS = (
+    "ead22bad6e344b89c101e25a", "85b1e1ee280fee6499287920", "46d66252988e28edc6313fa5",
+    "a74a93e9398b31363e223a11",
+)
+
+
+def test_cli_rr_range_output_matches_pinned_digests(tmp_path):
+    path = tmp_path / "cubic.box"
+    path.write_text(CUBIC_PROBLEM)
+    commands = [[arg.format(cubic=path) for arg in argv] for argv in RR_RANGE_COMMANDS]
+    assert not mismatched_commands(commands, RR_RANGE_DIGESTS)

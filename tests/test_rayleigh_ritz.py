@@ -1,10 +1,14 @@
 """Secular-determinant reference method on the integrated-Legendre basis.
 
-The dense reference is the method this module replaced: the closed-form
-matrices of the basis q^j - q^n and fraction-free Bareiss elimination over
-Z[eps].  ``build_secular`` must give exactly its characteristic polynomial.
+Two earlier implementations serve as references.  The dense one is the
+closed-form matrices of the basis q^j - q^n and fraction-free Bareiss
+elimination over Z[eps]: ``build_secular`` and every order of
+``build_secular_systems`` must give exactly its characteristic polynomial.
+The Galerkin one is S and H of the phi_k in ``Fraction`` arithmetic, one
+dense matrix per order: the integer band pencil must equal it entry by entry.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -17,11 +21,12 @@ from hypothesis import strategies as st
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly, _int_divexact, _int_mul, _int_sub
 from boxeig.rayleigh_ritz import (
-    _band_determinant,
+    _band_pivots,
     _interpolate,
+    _pencil,
     basis_function,
     build_secular,
-    galerkin_matrices,
+    build_secular_systems,
     solve_secular,
 )
 from boxeig.rootfind import count_real_roots
@@ -128,6 +133,7 @@ def bareiss_determinant(matrix):
     return RationalPoly.from_coeffs(a[size - 1][size - 1], var) * Fraction(sign, den**size)
 
 
+@functools.cache
 def dense_char_poly(potential, n):
     """det(H - eps S) of the basis q^j - q^n by the dense Bareiss loop."""
     s, h = monomial_matrices(potential, n)
@@ -153,6 +159,51 @@ def shifted_legendre(k):
 def phi(k):
     """The integrated-Legendre basis function (P_k - P_{k-2}) / (2(2k-1))."""
     return (shifted_legendre(k) - shifted_legendre(k - 2)) * Fraction(1, 2 * (2 * k - 1))
+
+
+def _times_q(u):
+    """Legendre coefficients of q p from those of p."""
+    out = [Fraction(0)] * (len(u) + 1)
+    for m, c in enumerate(u):
+        if c:
+            half = c / (2 * (2 * m + 1))
+            out[m] += c / 2
+            out[m + 1] += (m + 1) * half
+            if m:
+                out[m - 1] += m * half
+    return out
+
+
+def galerkin_matrices(potential, n):
+    """(S, H) of the basis phi_k, k = 2..n, in closed form: the Galerkin reference.
+
+    Dense ``Fraction`` matrices; entry [i-2][j-2] belongs to phi_i and phi_j.  H takes the Legendre
+    coefficients of v phi_i by Horner steps of multiplication by q and
+    projects them onto phi_j.
+    """
+    if n < 3:
+        raise ValueError("basis order must be at least 3")
+    size = n - 1
+    scale = [Fraction(1, 2 * (2 * k - 1)) for k in range(n + 1)]
+    s = [[Fraction(0)] * size for _ in range(size)]
+    h = [[Fraction(0)] * size for _ in range(size)]
+    band = 2 + max(potential.v.degree, 0)
+    for i in range(2, n + 1):
+        r = i - 2
+        s[r][r] = scale[i] ** 2 * (Fraction(1, 2 * i + 1) + Fraction(1, 2 * i - 3))
+        if i + 2 <= n:
+            s[r][r + 2] = s[r + 2][r] = -scale[i] * scale[i + 2] / (2 * i + 1)
+        h[r][r] = Fraction(1, 2 * i - 1)
+        w = [Fraction(0)] * (i + 1)
+        for vk in reversed(potential.v.coeffs):
+            w = _times_q(w)
+            w[i] += vk * scale[i]
+            w[i - 2] -= vk * scale[i]
+        for j in range(i, min(n, i + band) + 1):
+            top = w[j] / (2 * j + 1) if j < len(w) else 0
+            h[r][j - 2] += scale[j] * (top - w[j - 2] / (2 * j - 3))
+            h[j - 2][r] = h[r][j - 2]
+    return tuple(map(tuple, s)), tuple(map(tuple, h))
 
 
 def gaussian_determinant(matrix) -> Fraction:
@@ -280,41 +331,81 @@ def test_legendre_basis_vanishes_at_walls_and_integrates_p():
         assert phi(k).differentiate() == shifted_legendre(k - 1)
 
 
+def pencil_matrices(potential, n):
+    """(S, H) of the integer band pencil of order n, as exact fractions."""
+    system = build_secular(potential, n)
+    return system.s, system.h
+
+
+def band_to_dense(rows):
+    """The square integer matrix of band rows as the elimination takes them."""
+    band = len(rows[0]) - 1
+    m = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        first = max(0, i - band)
+        m[i][first : first + len(row)] = row
+    return m
+
+
+def dense_to_band(m, band):
+    """Row i keeps columns max(0, i - band)..min(size - 1, i + band)."""
+    return [list(row[max(0, i - band) : i + band + 1]) for i, row in enumerate(m)]
+
+
 @pytest.mark.parametrize("n", [3, 4, 7, 10])
 def test_closed_form_matrix_elements(n):
     # Shen's entries for v = 0: a diagonal kinetic part 1/(2k-1) and
-    # S_kk = 1/(2(2k-3)(2k-1)(2k+1)), S_k,k+2 = -1/(4(2k-1)(2k+1)(2k+3))
-    s, h = galerkin_matrices(V0, n)
-    for i in range(2, n + 1):
-        for j in range(2, n + 1):
-            k = min(i, j)
-            want_s = {
-                0: Fraction(1, 2 * (2 * k - 3) * (2 * k - 1) * (2 * k + 1)),
-                2: Fraction(-1, 4 * (2 * k - 1) * (2 * k + 1) * (2 * k + 3)),
-            }.get(abs(i - j), 0)
-            assert s[i - 2][j - 2] == want_s
-            assert h[i - 2][j - 2] == (Fraction(1, 2 * i - 1) if i == j else 0)
+    # S_kk = 1/(2(2k-3)(2k-1)(2k+1)), S_k,k+2 = -1/(4(2k-1)(2k+1)(2k+3)),
+    # in the integer pencil and in the Galerkin reference alike
+    for s, h in (pencil_matrices(V0, n), galerkin_matrices(V0, n)):
+        for i in range(2, n + 1):
+            for j in range(2, n + 1):
+                k = min(i, j)
+                want_s = {
+                    0: Fraction(1, 2 * (2 * k - 3) * (2 * k - 1) * (2 * k + 1)),
+                    2: Fraction(-1, 4 * (2 * k - 1) * (2 * k + 1) * (2 * k + 3)),
+                }.get(abs(i - j), 0)
+                assert s[i - 2][j - 2] == want_s
+                assert h[i - 2][j - 2] == (Fraction(1, 2 * i - 1) if i == j else 0)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_galerkin_matrices_match_direct_integration(n):
-    s, h = galerkin_matrices(CUBIC, n)
+    # the integer pencil and the Galerkin reference against the products of
+    # the basis polynomials, integrated term by term
     basis = [phi(k) for k in range(2, n + 1)]
-    for i, pi in enumerate(basis):
-        for j, pj in enumerate(basis):
-            pipj = pi * pj
-            assert s[i][j] == pipj.integrate_01()
-            kinetic = pi.differentiate() * pj.differentiate()
-            assert kinetic.integrate_01() == (Fraction(1, 2 * i + 3) if i == j else 0)
-            assert h[i][j] == (kinetic + CUBIC.v * pipj).integrate_01()
+    for s, h in (pencil_matrices(CUBIC, n), galerkin_matrices(CUBIC, n)):
+        for i, pi in enumerate(basis):
+            for j, pj in enumerate(basis):
+                pipj = pi * pj
+                assert s[i][j] == pipj.integrate_01()
+                kinetic = pi.differentiate() * pj.differentiate()
+                assert kinetic.integrate_01() == (Fraction(1, 2 * i + 3) if i == j else 0)
+                assert h[i][j] == (kinetic + CUBIC.v * pipj).integrate_01()
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+def test_integer_pencil_equals_the_galerkin_reference(name):
+    # each band row holds integers over r_i, the lcm of the reduced
+    # denominators of row i of H and S, and gives the reference's entries
+    potential = POTENTIALS[name]
+    for n in range(3, 17):
+        s_ref, h_ref = galerkin_matrices(potential, n)
+        a, b, r = _pencil(potential, n)
+        assert [math.lcm(*(x.denominator for x in hrow + srow)) for hrow, srow in zip(h_ref, s_ref)] == r
+        for rows, ref in ((a, h_ref), (b, s_ref)):
+            assert [[Fraction(x, ri) for x in row] for row, ri in zip(band_to_dense(rows), r)] == [
+                list(row) for row in ref
+            ]
+        assert pencil_matrices(potential, n) == (s_ref, h_ref)
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
 def test_linear_potential_shifts_h_by_moment(n):
     # v = lam*q adds lam * integral(q phi_i phi_j) and leaves S alone
     lam = Fraction(3, 2)
-    s_v, h_v = galerkin_matrices(PotentialSpec.linear(lam), n)
-    s_0, h_0 = galerkin_matrices(V0, n)
+    s_v, h_v = pencil_matrices(PotentialSpec.linear(lam), n)
+    s_0, h_0 = pencil_matrices(V0, n)
     q = RationalPoly.monomial(1, 1, "q")
     for i in range(2, n + 1):
         for j in range(2, n + 1):
@@ -326,10 +417,14 @@ def test_linear_potential_shifts_h_by_moment(n):
 @pytest.mark.parametrize("name", list(POTENTIALS))
 def test_matrices_are_banded(name):
     # S is pentadiagonal with a zero first off-diagonal, and a degree-d
-    # potential gives H a half-bandwidth of 2 + max(d, 0)
+    # potential gives H a half-bandwidth of 2 + max(d, 0), which is the
+    # width of the pencil's band rows
     potential = POTENTIALS[name]
     band = 2 + max(potential.v.degree, 0)
-    s, h = galerkin_matrices(potential, 13)
+    a, b, _ = _pencil(potential, 13)
+    assert [len(row) for row in a] == [len(row) for row in b]
+    assert [len(row) for row in a] == [min(11, i + band) - max(0, i - band) + 1 for i in range(12)]
+    s, h = pencil_matrices(potential, 13)
     for i in range(12):
         for j in range(12):
             assert (s[i][j] != 0) == (abs(i - j) in (0, 2))
@@ -341,10 +436,11 @@ def test_matrices_are_banded(name):
 
 @pytest.mark.parametrize("name", list(POTENTIALS))
 def test_matrices_nest(name):
-    # the basis of order n is the first n - 1 functions of order n + 1
+    # the basis of order n is the first n - 1 functions of order n + 1, so
+    # the pencil of order n is a leading block of every larger one
     potential = POTENTIALS[name]
     for n in range(3, 12):
-        small, large = galerkin_matrices(potential, n), galerkin_matrices(potential, n + 1)
+        small, large = pencil_matrices(potential, n), pencil_matrices(potential, n + 1)
         for m_small, m_large in zip(small, large):
             assert m_small == tuple(row[: n - 1] for row in m_large[: n - 1])
 
@@ -360,7 +456,7 @@ def test_change_of_basis_determinant(n):
     assert sum(rows[-1]) + phi(n).leading == 0
     assert gaussian_determinant(rows) ** 2 == det_t_squared(n)
     s_old, h_old = monomial_matrices(CUBIC, n)
-    s, h = galerkin_matrices(CUBIC, n)
+    s, h = pencil_matrices(CUBIC, n)
     for new, old in ((s, s_old), (h, h_old)):
         for i, ti in enumerate(rows):
             for j, tj in enumerate(rows):
@@ -387,14 +483,20 @@ def test_overlap_matrix_positive_definite(n):
 
 
 # ---------------------------------------------------------------------------
-# the banded determinant and the interpolation
+# the banded elimination and the interpolation
 
 
 def test_band_determinant_matches_gaussian():
-    # L L^t with L lower triangular of bandwidth b and a positive diagonal is
-    # positive definite of half-bandwidth b; scaling its rows by positive
-    # integers, as build_secular clears each row's denominators, keeps every
-    # leading minor positive
+    # every pivot is the leading minor of its order.  L L^t with L lower
+    # triangular of bandwidth b and a positive diagonal is positive definite
+    # of half-bandwidth b; scaling its rows by positive integers, as the
+    # pencil clears each row's denominators, keeps every leading minor
+    # positive
+    def check(m, band):
+        pivots = _band_pivots(dense_to_band(m, band))
+        assert pivots == [gaussian_determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+        return pivots
+
     rng = random.Random(20261019)
     for _ in range(60):
         size, band = rng.randint(1, 12), rng.randint(1, 4)
@@ -409,12 +511,20 @@ def test_band_determinant_matches_gaussian():
             [sum(lower[i][k] * lower[j][k] for k in range(size)) for j in range(size)]
             for i in range(size)
         ]
-        want = gaussian_determinant(m)
-        assert _band_determinant([list(row) for row in m], band) == want
-        assert want == math.prod(lower[i][i] for i in range(size)) ** 2
+        assert check(m, band)[-1] == math.prod(lower[i][i] for i in range(size)) ** 2
         rows = [rng.randint(1, 10**6) for _ in range(size)]
         scaled = [[r * x for x in row] for r, row in zip(rows, m)]
-        assert _band_determinant(scaled, band) == math.prod(rows) * want
+        assert check(scaled, band)[-1] == math.prod(rows) * gaussian_determinant(m)
+    # the row-scaled pencils R(H - eS) themselves, at the first node below
+    # min v and further down
+    for potential in (V1, V_MINUS_30, CUBIC, POTENTIALS["sextic"]):
+        a, b, _ = _pencil(potential, 12)
+        band = 2 + max(potential.v.degree, 0)
+        v = potential.v
+        low = math.floor(v.coeff(0) + sum(min(vk, 0) for vk in v.coeffs[1:]))
+        for e in (low - 1, low - 1000):
+            pencil = band_to_dense([[x - e * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+            assert all(p > 0 for p in check(pencil, band))
 
 
 def test_interpolation_recovers_integer_polynomials():
@@ -436,6 +546,22 @@ def test_char_poly_equals_the_dense_reference(name):
     orders = list(range(3, 17)) + ([20, 24] if name in ("lam=1", "cubic") else [])
     for n in orders:
         assert build_secular(potential, n).char_poly == dense_char_poly(potential, n), n
+
+
+# orders as a command line may give them: a range, an unsorted list and a
+# list with duplicates
+ORDER_LISTS = (range(3, 21), (20, 7, 3, 12, 5, 16, 9), (11, 4, 11, 3, 18, 4, 18))
+
+
+@pytest.mark.parametrize("name", list(POTENTIALS))
+def test_every_order_of_a_range_equals_the_dense_reference(name):
+    potential = POTENTIALS[name]
+    for orders in ORDER_LISTS:
+        systems = build_secular_systems(potential, orders)
+        assert sorted(systems) == sorted(set(orders))
+        for n, system in systems.items():
+            assert system.n == n
+            assert system.char_poly == dense_char_poly(potential, n), (orders, n)
 
 
 @pytest.mark.parametrize("n", range(3, 17))
