@@ -65,7 +65,6 @@ from .series import (
 from .variational import (
     RayleighQuotient,
     build_quotient,
-    kinetic_energy_forms,
     solve_a2,
     solve_a3,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "exact_linear",
     "format_rational",
     "isolate_real_roots",
-    "kinetic_energy_forms",
     "linear_coupling",
     "load_problem",
     "nondimensionalize",

@@ -149,6 +149,9 @@ def parse_n_values(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
                 raise UsageError(f"--n range {text!r} is empty")
+            # RunConfig refuses the first value outside [N_MIN, N_MAX]: stop
+            # the range there, so that a huge one is never built
+            hi = min(hi, N_MAX + 1) if N_MIN <= lo <= N_MAX else lo
             values = tuple(range(lo, hi + 1))
         else:
             values = tuple(int(part) for part in text.split(","))

@@ -7,9 +7,9 @@ Two high-precision references and a float integrator live here:
   model.  Its eigenvalues are the roots of the wall condition
   phi(1; eps) = 0, which equals pi (Ai(z0) Bi(z1) - Ai(z1) Bi(z0)) / lam^(1/3)
   but is summed here as the paper's own power series at N -> oo, one number
-  per eps.  A scan in pi^2/4 steps brackets the wanted root, certified regula
-  falsi refines it, and bisection takes over only when the fast phase cannot
-  certify.
+  per eps.  The search runs on the grid eps = m 2^-k: a scan in steps of
+  about pi^2/4 brackets the wanted root, and the quadratic interval
+  refinement of :mod:`boxeig.rootfind` shrinks the bracket to one cell.
 * ``shoot``: a plain fixed-step RK4 integrator in ordinary floats, so the
   high-precision machinery can be checked against something that shares no
   code with it.
@@ -19,9 +19,10 @@ with 32 guard bits (``_GUARD_BITS``) below the context's precision and
 log2(e) sqrt(|eps| + |lam|) more for the cancellation between its terms; it
 has no range limit short of its bit budget (``_CANCELLATION_BITS``).
 
-mpmath contexts are built once per top-level call and passed explicitly;
-values enter and leave the kernel through them, and :func:`mpf_to_rational`
-turns a result into an exact Fraction.
+mpmath contexts are built once per top-level call and passed explicitly.
+They give pi, the refusal bounds and the returned mpf; the search itself
+reads only the kernel's integers, and :func:`mpf_to_rational` turns a
+result into an exact Fraction.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ from mpmath.ctx_mp import MPContext
 from .estimates import default_bracket
 from .model import PotentialSpec
 from .poly import RationalPoly, exact_rational
+from .rootfind import _refine_on_grid
 
 DEFAULT_DIGITS = 30
 _SCAN_LIMIT = 200
-# Regula falsi steps before bisection takes over.  Simple roots certify
-# within 8 steps (measured for |lam| <= 200, states 0..3, up to 45 digits);
-# a multiple root converges only linearly and is left to bisection.
-_REFINE_LIMIT = 30
 
 # Bits the wall kernel keeps below the last bit it must resolve.
 _GUARD_BITS = 32
@@ -98,11 +96,12 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     where phi solves the equation with phi(0) = 0 and phi'(0) = 1; in Airy
     functions, phi(1; eps) = pi (Ai(z0) Bi(z1) - Ai(z1) Bi(z0)) / lam^(1/3)
     with z = lam^(1/3) q - eps lam^(-2/3).  :func:`_ramp_wall` sums it as
-    the power series of the paper.  Eigenvalues are located by scanning
-    phi(1; eps) from eps = 0 in steps of pi^2/4, then refined by
-    Anderson-Bjorck regula falsi and certified by a sign change across a
-    window of width 10^-(digits+4); bisection finishes the job when that
-    certificate fails (see :func:`_scan_and_refine`).  Refused with
+    the power series of the paper, at the grid points eps = m 2^-k only,
+    2^-k the first power of two not above 10^-(digits+4).  The scan walks
+    from eps = 0 in steps of floor(2^k pi^2/4) grid cells, and the quadratic
+    interval refinement shrinks the bracket it finds to the one cell whose
+    ends carry opposite signs (see :func:`_scan_grid`); the result is that
+    cell's midpoint, within 10^-(digits+4) of the root.  Refused with
     :class:`RootScanError` before any evaluation: a state whose lower bound
     (the box bound, or for lam > 0 the half-line bound |a_1| lam^(2/3)) lies
     past the scan's end, and a coupling so strong that the series would need
@@ -140,15 +139,18 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
             f"the budget of {_CANCELLATION_BITS}"
         )
 
+    # the grid m / 2^k, 2^-k the first power of two not above 10^-(digits+4)
+    k = (10 ** (digits + 4) - 1).bit_length()
     lam_abs = float(abs(lam))
 
-    def wall_value(eps):
+    def value(m: int) -> int:
         # the context's bits and the guard bits, plus the cancellation bits
-        bits = ctx.prec + _GUARD_BITS + math.ceil(_LOG2_E * math.sqrt(abs(float(eps)) + lam_abs))
+        bits = ctx.prec + _GUARD_BITS + math.ceil(_LOG2_E * math.sqrt(m / (1 << k) + lam_abs))
         fixed_lam = (lam.numerator << bits) // lam.denominator
-        return ctx.ldexp(_ramp_wall(fixed_lam, int(ctx.ldexp(eps, bits)), bits), -bits)
+        return _ramp_wall(fixed_lam, m << (bits - k), bits)
 
-    return _scan_and_refine(wall_value, ctx, state, digits)
+    lo, hi = _scan_grid(value, int(ctx.ldexp(ctx.pi**2 / 4, k)), state)
+    return ctx.ldexp(lo + hi, -(k + 1))
 
 
 def _ramp_wall(lam: int, eps: int, bits: int) -> int:
@@ -190,80 +192,25 @@ def _ramp_wall(lam: int, eps: int, bits: int) -> int:
         j += 1
 
 
-def _scan_and_refine(func, ctx: MPContext, state: int, digits: int):
-    """The (state+1)-th sign change of func on eps >= 0, to 10^-(digits+4).
+def _scan_grid(value, step: int, state: int) -> tuple[int, int]:
+    """The grid cell that holds the (state+1)-th sign change of value on m >= 0.
 
-    The scan walks from 0 in pi^2/4 steps until it has seen state+1 sign
-    changes, which brackets the wanted root.  Anderson-Bjorck regula falsi
-    then refines inside that bracket until a step moves the iterate c by
-    less than half the target width, and c is certified by a sign change of
-    func between c - target/2 and c + target/2: the same certificate as a
-    bisection bracket of width target.  If the certificate fails or the
-    iteration budget runs out, plain bisection finishes from the current
-    bracket, which always holds a sign change.
+    ``value(m)`` is an exact integer with the sign of the eigencondition at
+    grid index m.  The scan walks 0, step, 2 step, ... until it has seen
+    state+1 sign changes, which brackets the wanted root, and the quadratic
+    interval refinement of :mod:`boxeig.rootfind` shrinks that bracket to one
+    cell (m, m + 1), or to (m, m) at an index where value is zero.
     """
-    step = ctx.pi**2 / 4
-    prev_x = ctx.mpf(0)
-    prev_v = func(prev_x)
+    prev = value(0)
     changes = 0
-    lo = hi = None
-    for i in range(1, _SCAN_LIMIT + 1):
-        x = i * step
-        v = func(x)
-        if v == 0 or (v > 0) != (prev_v > 0):
+    for m in range(step, (_SCAN_LIMIT + 1) * step, step):
+        v = value(m)
+        if v == 0 or (v > 0) != (prev > 0):
             changes += 1
             if changes == state + 1:
-                lo, hi = prev_x, x
-                flo, fhi = prev_v, v
-                break
-        prev_x, prev_v = x, v
-    if lo is None:
-        raise RootScanError(
-            f"no {state + 1}-th sign change within {_SCAN_LIMIT} scan steps"
-        )
-    target = ctx.mpf(10) ** (-(digits + 4))
-    half = target / 2
-
-    # Fast phase: Anderson-Bjorck regula falsi.  b is the newest iterate
-    # and a the other end of the bracket; while a is retained its value is
-    # scaled down, which keeps its sign, so func(a) and func(b) always differ
-    # in sign.
-    a, fa, b, fb = lo, flo, hi, fhi
-    prev_c = None
-    for _ in range(_REFINE_LIMIT):
-        c = b - fb * (b - a) / (fb - fa)
-        fc = func(c)
-        if fc == 0:
-            return c
-        if (fc > 0) == (fb > 0):
-            m = 1 - fc / fb
-            fa *= m if m > 0 else ctx.mpf(1) / 2
-        else:
-            a, fa = b, fb
-        b, fb = c, fc
-        if prev_c is not None and abs(c - prev_c) < half:
-            if lo <= c - half and c + half <= hi:
-                below, above = func(c - half), func(c + half)
-                if below == 0:
-                    return c - half
-                if above == 0:
-                    return c + half
-                if (below > 0) != (above > 0):
-                    return c
-            break
-        prev_c = c
-
-    # Trusted fallback: bisection on signs, from the current bracket.
-    while abs(b - a) > target:
-        mid = (a + b) / 2
-        v = func(mid)
-        if v == 0:
-            return mid
-        if (v > 0) == (fa > 0):
-            a, fa = mid, v
-        else:
-            b = mid
-    return (a + b) / 2
+                return (m, m) if v == 0 else _refine_on_grid(value, m - step, prev, m, v)
+        prev = v
+    raise RootScanError(f"no {state + 1}-th sign change within {_SCAN_LIMIT} scan steps")
 
 
 # ----------------------------------------------------------------------

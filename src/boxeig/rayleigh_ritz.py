@@ -93,11 +93,6 @@ class SecularSystem:
         return _dense(b, r)
 
 
-def basis_function(j: int, n: int) -> RationalPoly:
-    """f_j = q^j - q^n."""
-    return RationalPoly.monomial(j, 1, "q") - RationalPoly.monomial(n, 1, "q")
-
-
 def _legendre_horner(ints: tuple[int, ...], i: int) -> tuple[list[int], int]:
     """(w, den): the Legendre coefficients w[m] / den of sum_k ints[k] q^k (P_i - P_{i-2}).
 

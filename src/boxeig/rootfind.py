@@ -37,14 +37,16 @@ two ends of the index range it takes the secant guess and tests a window of
 to.  A sign change in the window squares n; otherwise n falls to its square
 root and the range is halved once.  Near a simple root the window keeps
 catching it, so the correct bits double per step.  Every step keeps opposite
-signs at the two ends, so any such search ends on the same cell.
+signs at the two ends, so any such search ends on the same cell.  The loop
+(:func:`_refine_on_grid`) reads its values through a callable, so the ramp
+oracle runs the same search on its wall series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .poly import (
     RationalPoly,
@@ -301,7 +303,20 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
         if (vj > 0) == up:
             return (Fraction(j, scale), hi)
 
-    # invariant: vi has sign slo and vj the opposite sign
+    i, j = _refine_on_grid(lambda m: _horner_dyadic(a, m, k), i, vi, j, vj)
+    return (Fraction(i, scale), Fraction(j, scale))
+
+
+def _refine_on_grid(value: Callable[[int], int], i: int, vi: int, j: int, vj: int) -> tuple[int, int]:
+    """The cell (m, m + 1) of the grid indices in [i, j] where ``value`` changes sign.
+
+    ``value(m)`` is an exact integer with the sign of the function at index m,
+    and vi = value(i), vj = value(j) have opposite signs, i < j.  Returns
+    (m, m) instead at an index m where ``value`` is zero.  The search is the
+    quadratic interval refinement of the module docstring; every step keeps
+    opposite signs at i and j.
+    """
+    up = vi > 0
     n = 4
     while j - i > 1:
         # the secant guess, rounded to the grid and kept inside (i, j)
@@ -310,18 +325,18 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
             num, den = -num, -den
         m = min(max(i + (2 * num + den) // (2 * den), i + 1), j - 1)
         w = max((j - i) // n, 1)
-        vm = _horner_dyadic(a, m, k)
+        vm = value(m)
         if not vm:
-            return (Fraction(m, scale),) * 2
+            return (m, m)
         # then the far end of a window of w cells beside it, on the root's side
         if (vm > 0) == up:
             i, vi, m = m, vm, m + w
         else:
             j, vj, m = m, vm, m - w
         if i < m < j:
-            vm = _horner_dyadic(a, m, k)
+            vm = value(m)
             if not vm:
-                return (Fraction(m, scale),) * 2
+                return (m, m)
             if (vm > 0) == up:
                 i, vi = m, vm
             else:
@@ -332,14 +347,14 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
         # the window missed: halve the range once
         n = max(isqrt(n), 4)
         m = (i + j) >> 1
-        vm = _horner_dyadic(a, m, k)
+        vm = value(m)
         if not vm:
-            return (Fraction(m, scale),) * 2
+            return (m, m)
         if (vm > 0) == up:
             i, vi = m, vm
         else:
             j, vj = m, vm
-    return (Fraction(i, scale), Fraction(j, scale))
+    return (i, j)
 
 
 def __getattr__(name: str):

@@ -54,7 +54,6 @@ from .estimates import (
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, _int_mul, _int_sub, as_rational
-from .rayleigh_ritz import basis_function
 from .series import TrialFunction
 
 logger = logging.getLogger(__name__)
@@ -153,28 +152,6 @@ def build_quotient(trial: TrialFunction) -> RayleighQuotient:
         num=_form(phi, d, *_energy_weight(trial.potential.v, trial.n)),
         den=_form(phi, d, *_norm_weight(trial.n)),
     )
-
-
-def kinetic_energy_forms(trial: TrialFunction) -> tuple[RationalPoly, RationalPoly]:
-    """(integral of phi'^2, integral of -phi phi'') as eps-polynomials.
-
-    The first is the kinetic part of the quotient, from the kernel that
-    :func:`build_quotient` runs with the potential left out; the second
-    integrates -f_i f_j'' of the basis polynomials f_j = q^j - q^n directly.
-    The two agree identically for functions vanishing at both walls; the test
-    suite checks the equality exactly.
-    """
-    phi, d = _q_coefficients(trial)
-    by_parts = _form(phi, d, *_energy_weight(RationalPoly.zero(), trial.n))
-    f = [basis_function(j, trial.n) for j, _ in trial.terms]
-    ddf = [fj.differentiate().differentiate() for fj in f]
-    literal = RationalPoly.zero("eps")
-    for (_, ci), fi in zip(trial.terms, f):
-        row = RationalPoly.zero("eps")
-        for (_, cj), ddfj in zip(trial.terms, ddf):
-            row = row + cj * -(fi * ddfj).integrate_01()
-        literal = literal + ci * row
-    return by_parts, literal
 
 
 def solve_a2(

@@ -21,10 +21,10 @@ from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular, solve_secular
 from boxeig.rootfind import count_real_roots
 from boxeig.series import build_series, build_trial
-from boxeig.variational import kinetic_energy_forms, solve_a2
+from boxeig.variational import solve_a2
 
 from test_rootfind import grid_scan_count
-from test_variational import quotient_at
+from test_variational import kinetic_energy_forms, quotient_at
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))

@@ -291,6 +291,22 @@ def test_flag_errors_name_the_flag(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize(
+    "n, first_outside",
+    [
+        ("4..1" + "0" * 30, "65"),
+        ("-1" + "0" * 30 + "..5", "-1" + "0" * 30),
+        ("100..1" + "0" * 20, "100"),
+    ],
+)
+def test_a_huge_n_range_is_refused_without_building_it(capsys, n, first_outside):
+    # each range is too long to build: the refusal names its first value
+    # outside [3, 64], as for a short range
+    code, out, err = run(capsys, "solve", f"--n={n}")
+    assert (code, out) == (1, "")
+    assert err == f"boxeig: error: --n {first_outside} outside [3, 64]\n"
+
+
 def test_order_three_is_refused_only_for_trial_functions(capsys):
     # A2 and A3 build a trial function from terms j = 1..N-1; A1 and RR take N = 3
     code, out, _ = run(capsys, "solve", "--n", "3", "--methods", "rr", "--format", "csv")
@@ -615,6 +631,36 @@ EXACT_DIGESTS = (
 def test_cli_exact_output_matches_pinned_digests():
     assert not mismatched_commands(EXACT_COMMANDS, EXACT_DIGESTS)
     assert len(EXACT_COMMANDS) == 12
+
+
+# the reference workload's exact commands, every coupling its seed draws
+# included, and a short request whose grid is coarse
+EXACT_REFERENCE_COMMANDS = (
+    *(
+        ("exact", *args, "--digits", "30")
+        for args in (
+            ("--lambda=-5", "--state", "1"),
+            ("--lambda=1/10",),
+            ("--lambda=-30",),
+            ("--lambda=-6",),
+            ("--lambda=-7",),
+            ("--lambda=-8",),
+        )
+    ),
+    ("exact", "--lambda=1", "--digits", "6"),
+)
+# digests as for PINNED_DIGESTS, recorded from the implementation that
+# refined the oracle's roots by regula falsi in mpf arithmetic, with a
+# bisection fallback
+EXACT_REFERENCE_DIGESTS = (
+    "b6e7dd1b23c33f07f5a4aebb", "f3fb8a7d0669ba93ef53d5cf", "1c36e3b1830912b30da8ff48",
+    "98d82025eb8af989b20aa209", "2c3cf9b91a2a916267096891", "1cd41b20fb1329b8813d6cb7",
+    "a54a921c90116c5a6a1f0c04",
+)
+
+
+def test_cli_exact_reference_output_matches_pinned_digests():
+    assert not mismatched_commands(EXACT_REFERENCE_COMMANDS, EXACT_REFERENCE_DIGESTS)
 
 
 # RR where the secular determinant is largest: N = 20, 24 and 30 on ramps,

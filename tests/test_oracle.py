@@ -164,7 +164,7 @@ def test_exact_linear_past_200_digits_matches_mpmath(lam, digits):
 def test_exact_linear_airy_evaluation_ceiling(monkeypatch):
     # the wall series is summed once per evaluation: the scan brackets the
     # root at its 4th point (3 pi^2/4 > 6.3); bisecting to 10^-39 would add
-    # about 130 more evaluations, the certified regula falsi about 10
+    # about 130 more evaluations, the quadratic interval refinement about 14
     calls = []
     real_wall = oracle._ramp_wall
 
@@ -270,53 +270,79 @@ def _recording(func, points):
     return recorded
 
 
-def test_scan_and_refine_certifies_a_simple_root_fast():
-    digits = 30
-    ctx = oracle._context(digits + 10)
-    r = ctx.mpf(7) / 3
+# the grid of a 30-digit request, its scan step and 7/3 as a grid position
+GRID_BITS = (10**34 - 1).bit_length()
+with mpmath.workdps(60):
+    GRID_STEP = int(mpmath.ldexp(mpmath.pi**2 / 4, GRID_BITS))
+SEVEN_THIRDS = 7 << GRID_BITS  # 3 m = SEVEN_THIRDS at m = 7/3 2^k
+
+
+def _holds_seven_thirds(cell):
+    lo, hi = cell
+    return hi == lo + 1 and 3 * lo < SEVEN_THIRDS < 3 * hi
+
+
+def test_scan_grid_refines_a_simple_root_fast():
     points = []
-    c = oracle._scan_and_refine(
-        _recording(lambda x: (x - r) * (x + 1), points), ctx, 0, digits
-    )
-    assert abs(c - r) <= ctx.mpf(10) ** -(digits + 4)
+    value = _recording(lambda m: (3 * m - SEVEN_THIRDS) * (m + (1 << GRID_BITS)), points)
+    assert _holds_seven_thirds(oracle._scan_grid(value, GRID_STEP, 0))
     assert len(points) <= 2 + 12  # two scan points, then a few refinement steps
 
 
-def test_scan_and_refine_triple_root():
-    # regula falsi converges only linearly at a triple root; the result must
-    # still lie within the target width of the root
-    digits = 30
-    ctx = oracle._context(digits + 10)
-    r = ctx.mpf(7) / 3
-    c = oracle._scan_and_refine(lambda x: (x - r) ** 3, ctx, 0, digits)
-    assert abs(c - r) <= ctx.mpf(10) ** -(digits + 4)
-
-
-def test_scan_and_refine_falls_back_to_bisection_when_uncertified():
-    # (x - r)^101 is so flat that regula falsi stalls at the bracket's end:
-    # two iterates agree, the certificate at c -+ target/2 fails, and
-    # bisection must finish from the bracket
-    digits = 30
-    ctx = oracle._context(digits + 10)
-    r = ctx.mpf(7) / 3
-    target = ctx.mpf(10) ** -(digits + 4)
+def test_scan_grid_triple_root():
+    # the secant guess converges only linearly at a triple root; the search
+    # must still end on the cell that holds it
     points = []
-    c = oracle._scan_and_refine(
-        _recording(lambda x: (x - r) ** 101, points), ctx, 0, digits
-    )
-    assert abs(c - r) <= target
-    assert len(points) > math.log2((ctx.pi**2 / 4) / target)
+    value = _recording(lambda m: (3 * m - SEVEN_THIRDS) ** 3, points)
+    assert _holds_seven_thirds(oracle._scan_grid(value, GRID_STEP, 0))
+    assert len(points) <= 2 * GRID_BITS
 
 
-def test_scan_and_refine_exhausts_its_scan_budget():
+def test_scan_grid_flat_root():
+    # (3 m - 7 2^k)^101 is so flat that the secant guess sits at a bracket
+    # end: the windows keep missing, and the halvings must finish the search
+    points = []
+    value = _recording(lambda m: (3 * m - SEVEN_THIRDS) ** 101, points)
+    assert _holds_seven_thirds(oracle._scan_grid(value, GRID_STEP, 0))
+    assert len(points) > GRID_BITS
+    assert len(points) <= 2 * GRID_BITS
+
+
+def test_scan_grid_exhausts_its_scan_budget():
     # one sign change only, so the second never comes: the scan gives up
     # after its full budget of steps
     points = []
     with pytest.raises(RootScanError, match="2-th sign change"):
-        oracle._scan_and_refine(
-            _recording(lambda x: x - 3, points), oracle._context(20), 1, 10
-        )
+        oracle._scan_grid(_recording(lambda m: m - (3 << GRID_BITS), points), GRID_STEP, 1)
     assert len(points) == oracle._SCAN_LIMIT + 1
+
+
+def test_exact_linear_returns_the_midpoint_of_a_sign_changing_grid_cell(monkeypatch):
+    # the wall series runs only at grid indices m (eps = m 2^-k, with k bits
+    # for digits + 4), and the value returned is the middle of a cell whose
+    # two ends it saw with opposite signs
+    rng = random.Random(20261019)
+    real_wall = oracle._ramp_wall
+    signs = {}
+
+    def recording_wall(lam, eps, bits):
+        v = real_wall(lam, eps, bits)
+        shift = bits - k
+        assert eps % (1 << shift) == 0, "evaluated off the grid"
+        signs[eps >> shift] = (v > 0) - (v < 0)
+        return v
+
+    monkeypatch.setattr(oracle, "_ramp_wall", recording_wall)
+    for _ in range(6):
+        lam = Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.choice([1, 3, 10]))
+        digits = rng.choice([12, 20, 30])
+        k = (10 ** (digits + 4) - 1).bit_length()
+        for state in range(3):
+            signs.clear()
+            doubled = mpf_to_rational(exact_linear(lam, state, digits)) * (2 << k)
+            assert doubled.denominator == 1 and doubled.numerator % 2 == 1, (lam, state)
+            lo = doubled.numerator >> 1
+            assert signs[lo] * signs[lo + 1] == -1, (lam, state)
 
 
 def test_exact_linear_perturbative_slope():

@@ -24,7 +24,6 @@ from boxeig.rayleigh_ritz import (
     _band_pivots,
     _interpolate,
     _pencil,
-    basis_function,
     build_secular,
     build_secular_systems,
     solve_secular,
@@ -63,6 +62,11 @@ POTENTIALS = {
 
 # ---------------------------------------------------------------------------
 # the dense reference: the basis f_j = q^j - q^n, j = 1..n-1
+
+
+def basis_function(j: int, n: int) -> RationalPoly:
+    """f_j = q^j - q^n."""
+    return RationalPoly.monomial(j, 1, "q") - RationalPoly.monomial(n, 1, "q")
 
 
 def monomial_matrices(potential, n):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,9 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular
 from boxeig.series import build_series, build_trial, specialize
-from boxeig.variational import build_quotient, kinetic_energy_forms, solve_a2, solve_a3
+from boxeig.variational import build_quotient, solve_a2, solve_a3
 
-from test_rayleigh_ritz import monomial_matrices
+from test_rayleigh_ritz import basis_function, monomial_matrices
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
@@ -71,6 +72,26 @@ def test_quotient_value_at_zero_energy():
 
 # ---------------------------------------------------------------------------
 # structural identities
+
+
+def kinetic_energy_forms(trial) -> tuple[RationalPoly, RationalPoly]:
+    """(integral of phi'^2, integral of -phi phi'') as eps-polynomials.
+
+    The first is the numerator of :func:`build_quotient` for the trial
+    function with the potential left out; the second integrates -f_i f_j''
+    of the basis polynomials f_j = q^j - q^n directly.  The two agree
+    identically for functions vanishing at both walls.
+    """
+    by_parts = build_quotient(replace(trial, potential=PotentialSpec.zero())).num
+    f = [basis_function(j, trial.n) for j, _ in trial.terms]
+    ddf = [fj.differentiate().differentiate() for fj in f]
+    literal = RationalPoly.zero("eps")
+    for (_, ci), fi in zip(trial.terms, f):
+        row = RationalPoly.zero("eps")
+        for (_, cj), ddfj in zip(trial.terms, ddf):
+            row = row + cj * -(fi * ddfj).integrate_01()
+        literal = literal + ci * row
+    return by_parts, literal
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
