@@ -294,14 +294,15 @@ def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rati
 
 
 def compute_cells(
-    cfg: RunConfig, n: int, system: SecularSystem | None
+    cfg: RunConfig, n: int, system: SecularSystem | None, exact: Rational | None
 ) -> dict[str, Rational | None]:
     """All requested numbers for one truncation order N.
 
     The row builds its series and quotient at most once each and hands every
     solver the one it solves: A1 the series, A2 and A3 the quotient of its
     trial function, RR ``system``, the row's secular system (None when RR is
-    not requested).
+    not requested).  ``exact`` is the oracle's value, which does not depend
+    on N (None when it is not requested).
     """
     tol = Fraction(1, 10 ** max(WORKING_DIGITS + 1, cfg.digits + 3))
     options = (cfg.bracket, cfg.state, cfg.selection, tol)
@@ -309,7 +310,7 @@ def compute_cells(
     cells: dict[str, Rational | None] = {}
     for method in cfg.methods:
         if method == METHOD_EXACT:
-            values = (_exact_eigenvalue(cfg.potential, cfg.state, cfg.digits),)
+            values = (exact,)
         else:
             if method == METHOD_RR:
                 est = solve_secular(system, *options)
@@ -332,14 +333,17 @@ def compute_rows(cfg: RunConfig) -> list[dict[str, Rational | None]]:
     """One cell mapping per N, in order.
 
     RR's secular systems come from one pencil for the whole command, built
-    at the largest N (see :mod:`boxeig.rayleigh_ritz`).  Rows run one after
-    another: the work is pure-Python exact arithmetic, which threads cannot
-    run in parallel under the interpreter lock.
+    at the largest N (see :mod:`boxeig.rayleigh_ritz`), and the oracle runs
+    once for the whole command.  Rows run one after another: the work is
+    pure-Python exact arithmetic, which threads cannot run in parallel under
+    the interpreter lock.
     """
-    systems = {}
+    systems, exact = {}, None
     if METHOD_RR in cfg.methods:
         systems = build_secular_systems(cfg.potential, cfg.n_values)
-    return [compute_cells(cfg, n, systems.get(n)) for n in cfg.n_values]
+    if METHOD_EXACT in cfg.methods:
+        exact = _exact_eigenvalue(cfg.potential, cfg.state, cfg.digits)
+    return [compute_cells(cfg, n, systems.get(n), exact) for n in cfg.n_values]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

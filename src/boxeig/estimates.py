@@ -104,13 +104,15 @@ def select_root(
 ) -> tuple[Fraction, Fraction] | None:
     """Certified enclosure (width <= 2*tol) of the root of p that is selected.
 
-    Index policies take the (state+1)-th isolating interval and refine only
-    that one.  Policies that compare values, ``nearest`` and any ``rank``
-    (a key on eps, such as the quotient value for ``min-w``), first refine
-    every candidate to a coarse certified enclosure and compare its
-    midpoint.  None when the bracket holds no suitable root.  ``min-w``
-    without a ``rank`` is refused: only the quotient methods have a value
-    to rank by, and so is a negative state.
+    Index policies (A1, A3 and RR by default, and every method under
+    ``smallest``) isolate only the first state+1 roots in the bracket and
+    refine only the last of them.  Policies that compare values,
+    ``nearest`` and any ``rank`` (a key on eps, such as the quotient value
+    for ``min-w``), isolate every root, first refine every candidate to a
+    coarse certified enclosure and compare its midpoint.  None when the
+    bracket holds no suitable root.  ``min-w`` without a ``rank`` is
+    refused: only the quotient methods have a value to rank by, and so is a
+    negative state.
     """
     if state < 0:
         raise ValueError("state must be nonnegative")
@@ -120,8 +122,9 @@ def select_root(
         return None
     # refine on the polynomial isolation used: at a multiple root that is the
     # square-free part, which changes sign there
-    p, intervals = rootfind.isolate_real_roots(p, bracket)
-    if rank is None and selection.policy != "nearest":
+    by_index = rank is None and selection.policy != "nearest"
+    p, intervals = rootfind.isolate_real_roots(p, bracket, state + 1 if by_index else None)
+    if by_index:
         if state >= len(intervals):
             return None
         return rootfind.refine_enclosure(p, intervals[state], 2 * tol)

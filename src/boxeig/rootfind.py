@@ -9,14 +9,22 @@ integer polynomial at a rational point n/d by the integer Horner kernel of
 (and hence root counts on half-open intervals) carry no rounding error.
 
 Isolation is Descartes bisection (Collins & Akritas 1976; Rouillier &
-Zimmermann 2004) on the integer polynomial q(t) that carries the bracket
-onto (0, 1).  A piece is dropped when the coefficients of (t + 1)^d q(1/(t + 1))
-show no sign variation and kept when they show one; otherwise it is halved by
-integer Taylor shifts, with an exact root at a midpoint recorded as it is met.
-The pieces are the same dyadic subdivisions of the bracket that Sturm
-bisection would visit, and no Sturm chain is built.  Near a multiple root
-the variations never drop below two, so a depth limit stops the search, and
-it is run again, without a limit, on the square-free part p / gcd(p, p').
+Zimmermann 2004) on the integer polynomial q(t) that carries the bracket's
+dyadic hull onto (0, 1).  The hull rounds both ends of the bracket outward to
+the grid of the largest power of two at most 2^-HULL_BITS of its width, so an
+end with a long denominator (default_bracket's float pi^2) does not put its
+bits into every coefficient of q.  A piece is dropped when the coefficients
+of (t + 1)^d q(1/(t + 1)) show no sign variation and kept when they show one;
+otherwise it is halved by integer Taylor shifts.  Pieces are searched left to
+right, with an exact root at a midpoint reported between its two halves, so
+the search can stop once it holds as many roots as a solver asks for.  An
+isolating interval that straddles a bracket end is cut there and kept when
+the polynomial changes sign across what is left; a root exactly at an end is
+reported as a degenerate interval.  The pieces are dyadic subdivisions of the
+hull, so every isolating end but a cut one is dyadic, and no Sturm chain is
+built.  Near a multiple root the variations never drop below two, so a depth
+limit stops the search, and it is run again, without a depth limit, on the
+square-free part p / gcd(p, p').
 That part has one source: the Sturm chain of p, whose last member is
 gcd(p, p'), divided through by that member.  Isolation returns the isolating
 intervals of the distinct roots (no multiplicities) with the polynomial it
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .poly import (
     RationalPoly,
@@ -68,6 +76,13 @@ GUARD_BITS = 32
 # bracket or of one unit, whichever is smaller; only a multiple root (or two
 # roots closer than that) keeps a piece alive so deep.
 DESCARTES_DEPTH_BITS = 64
+
+# Descartes bisection runs on the bracket rounded outward to the grid of the
+# largest power of two at most 2^-HULL_BITS of its width.  A bracket end with
+# a long denominator (default_bracket's float pi^2 has 94 bits) then puts none
+# of its bits into the coefficients of the transformed polynomial, and the
+# hull is wider than the bracket by at most 2^(1 - HULL_BITS) of its width.
+HULL_BITS = 8
 
 Interval = tuple[Fraction, Fraction]
 
@@ -150,36 +165,84 @@ def square_free_part(p: RationalPoly) -> RationalPoly:
 
 
 def isolate_real_roots(
-    p: RationalPoly, bracket: tuple
+    p: RationalPoly, bracket: tuple, limit: int | None = None
 ) -> tuple[RationalPoly, tuple[Interval, ...]]:
-    """Isolating intervals for every distinct real root of p in the bracket.
+    """Isolating intervals for the distinct real roots of p in the bracket.
 
     Returns them with the polynomial they were isolated on: p, or its
-    square-free part when p has a multiple root in the bracket.  That
+    square-free part when p has a multiple root among those searched.  That
     polynomial changes sign across each interval, except for degenerate
     intervals (r, r) at exact rational roots r; it is the one to refine.
     Roots landing exactly on a bracket endpoint are reported as inside.  The
     intervals are ascending and p is nonzero at both ends of each
-    nondegenerate one.
+    nondegenerate one.  With a ``limit``, only the first ``limit`` roots are
+    returned, and the search stops once it holds them.
+
+    The search runs on the bracket's dyadic hull (see :func:`_dyadic_hull`),
+    so its pieces have dyadic ends; an interval that straddles lo or hi is
+    cut there.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = exact_rational(bracket[0]), exact_rational(bracket[1])
     if lo >= hi:
         raise ValueError("bracket must satisfy lo < hi")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    if p.degree < 1:
+        return p, ()
 
-    intervals: list[Interval] = []
-    isolated = p
-    if p.degree >= 1:
-        a = p.ints
-        found = _descartes(a, lo, hi, bounded=True)
+    a = p.ints
+    at_lo, at_hi = (_sign_at(a, x) == 0 for x in (lo, hi))
+    want = None if limit is None else limit - at_lo
+    isolated, found = p, []
+    if want != 0:
+        found = _isolate(a, lo, hi, True, want)
         if found is None:
             isolated = square_free_part(p)
-            found = _descartes(isolated.ints, lo, hi, bounded=False)
-        intervals += found
-        intervals += [(x, x) for x in (lo, hi) if _sign_at(a, x) == 0]
-    intervals.sort()
-    return isolated, tuple(intervals)
+            found = _isolate(isolated.ints, lo, hi, False, want)
+    intervals = [(lo, lo)] * at_lo + found + [(hi, hi)] * at_hi
+    return isolated, tuple(intervals[:limit])
+
+
+def _dyadic_hull(lo: Fraction, hi: Fraction) -> Interval:
+    """(lo, hi) rounded outward to the grid 2^e, 2^e <= (hi - lo) / 2^HULL_BITS < 2^(e+1)."""
+    width = hi - lo
+    e = width.numerator.bit_length() - width.denominator.bit_length()
+    if Fraction(2) ** e > width:
+        e -= 1
+    step = Fraction(2) ** (e - HULL_BITS)
+    return (lo // step) * step, -(-hi // step) * step
+
+
+def _isolate(
+    a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool, limit: int | None
+) -> list[Interval] | None:
+    """The first ``limit`` isolating intervals of a that hold a root in (lo, hi).
+
+    The search runs on the dyadic hull of (lo, hi).  An interval that
+    straddles lo or hi is cut there, and kept when a changes sign across
+    what is left; a root exactly at lo or hi is left to the caller.  None
+    when :func:`_descartes` gives up (see ``bounded``).
+    """
+    out: list[Interval] = []
+    for piece in _descartes(a, *_dyadic_hull(lo, hi), bounded):
+        if piece is None:
+            return None
+        left, right = piece
+        if right <= lo:
+            continue
+        if left >= hi:
+            break
+        if left < lo or right > hi:
+            left, right = max(left, lo), min(right, hi)
+            sl, sr = _sign_at(a, left), _sign_at(a, right)
+            if not sl or not sr or sl == sr:
+                continue
+        out.append((left, right))
+        if len(out) == limit:
+            break
+    return out
 
 
 def _taylor_shift1(a: Sequence[int]) -> list[int]:
@@ -193,8 +256,8 @@ def _taylor_shift1(a: Sequence[int]) -> list[int]:
 
 def _descartes(
     a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool
-) -> list[Interval] | None:
-    """Isolating intervals of the distinct roots of a in the open bracket (lo, hi).
+) -> Iterator[Interval | None]:
+    """Isolating intervals of the distinct roots of a in the open bracket (lo, hi), ascending.
 
     ``a`` is a primitive integer coefficient sequence.  With lo = A/C and
     hi - lo = B/C, q(t) = C^d a((A + B t) / C) has the roots of a in (lo, hi)
@@ -205,12 +268,14 @@ def _descartes(
     roots and share its parity: none drops the piece, and one keeps it when
     q_k is nonzero at both ends.  A piece with one root and a root at an end
     is bisected on, so that refinement, which reads a zero at an endpoint as
-    the root, cannot return that end for it.  An exact root at a midpoint is
-    recorded as (m, m).
+    the root, cannot return that end for it.  Pieces are searched left half
+    first, and an exact root at a midpoint is yielded as (m, m) between the
+    two halves, so the intervals come in ascending order and a caller may
+    stop the search after any of them.
 
-    When ``bounded``, returns None instead of bisecting a piece at depth
-    DESCARTES_DEPTH_BITS + bit length of floor(hi - lo): a multiple root
-    keeps two or more variations at every depth.
+    When ``bounded``, yields None and stops instead of bisecting a piece at
+    depth DESCARTES_DEPTH_BITS + bit length of floor(hi - lo): a multiple
+    root keeps two or more variations at every depth.
     """
     d = len(a) - 1
     width = hi - lo
@@ -228,29 +293,31 @@ def _descartes(
     q = [x // g for x in q]
 
     max_depth = DESCARTES_DEPTH_BITS + int(width).bit_length()
-    out: list[Interval] = []
-    stack = [(q, 0, 0)]
+    stack: list[tuple[list[int] | None, int, int]] = [(q, 0, 0)]
     while stack:
         q, k, c = stack.pop()
+        if q is None:  # an exact root at the midpoint of a bisected piece
+            m = lo + width * Fraction(c, 1 << k)
+            yield (m, m)
+            continue
         # coefficients of (t + 1)^d q(1/(t + 1)): its ends are q(1) and q(0)
         v = _taylor_shift1(q[::-1])
-        signs = [x > 0 for x in v if x]
+        signs = [s > 0 for s in v if s]
         variations = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
         if variations == 0:
             continue
         if variations == 1 and v[0] and v[-1]:
-            out.append((lo + width * Fraction(c, 1 << k), lo + width * Fraction(c + 1, 1 << k)))
+            yield (lo + width * Fraction(c, 1 << k), lo + width * Fraction(c + 1, 1 << k))
             continue
         if bounded and k == max_depth:
-            return None
-        left = [x << (d - i) for i, x in enumerate(q)]  # 2^d q(t/2)
+            yield None
+            return
+        left = [y << (d - i) for i, y in enumerate(q)]  # 2^d q(t/2)
         right = _taylor_shift1(left)  # 2^d q((t + 1)/2)
-        if right[0] == 0:
-            m = lo + width * Fraction(2 * c + 1, 2 << k)
-            out.append((m, m))
         stack.append((right, k + 1, 2 * c + 1))
+        if right[0] == 0:
+            stack.append((None, k + 1, 2 * c + 1))
         stack.append((left, k + 1, 2 * c))
-    return out
 
 
 def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -205,6 +206,57 @@ def test_rr_over_a_range_eliminates_once_per_node_of_the_largest_n(capsys, monke
     monkeypatch.setattr(rayleigh_ritz, "_band_pivots", counted)
     assert run(capsys, "solve", "--methods", "rr", "--n", "10..30", "--lambda=1")[0] == 0
     assert calls == [29] * 30
+
+
+@pytest.mark.parametrize("methods, n", [("exact", "4..13"), ("a1,exact", "4..40")])
+def test_solve_runs_the_oracle_once_per_command(capsys, monkeypatch, methods, n):
+    # the oracle's value does not depend on N, so one call serves every row
+    calls = []
+    original = cli.exact_linear
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_linear", counted)
+    code, out, _ = run(capsys, "solve", "--methods", methods, "--n", n, "--lambda=1")
+    rows = out.strip().splitlines()[2:]
+    assert code in (0, 2) and len(rows) == int(n.split("..")[1]) - 3
+    assert len(calls) == 1
+    assert len({row.split("|")[-2] for row in rows}) == 1
+
+
+def test_series_solvers_isolate_on_dyadic_hulls_and_only_up_to_their_root(capsys, monkeypatch):
+    # every bracket Descartes bisection runs on has dyadic ends; A1 and A3
+    # stop once they hold the root they refine, where isolating every root
+    # in the bracket took 30 and 69 Taylor shifts; A2 ranks every root
+    brackets, shifts = [], {}
+    method = [None]
+    original_descartes, original_shift = rootfind._descartes, rootfind._taylor_shift1
+
+    def descartes(a, lo, hi, bounded):
+        brackets.append((lo, hi))
+        return original_descartes(a, lo, hi, bounded)
+
+    def shift(a):
+        shifts[method[0]] = shifts.get(method[0], 0) + 1
+        return original_shift(a)
+
+    def tagged(name, solve):
+        def wrapper(*args, **kwargs):
+            method[0] = name
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(rootfind, "_descartes", descartes)
+    monkeypatch.setattr(rootfind, "_taylor_shift1", shift)
+    for name in ("solve_a1", "solve_a2", "solve_a3"):
+        monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
+    code, _, _ = run(capsys, "solve", "--methods", "a1,a2,a3", "--n", "14..16", "--lambda=1")
+    assert code == 0 and len(brackets) == 9
+    assert all(x.denominator & (x.denominator - 1) == 0 for bracket in brackets for x in bracket)
+    assert shifts == {"solve_a1": 11, "solve_a2": 21, "solve_a3": 36}
 
 
 def test_solve_out_file(tmp_path, capsys):
@@ -712,3 +764,46 @@ def test_cli_rr_range_output_matches_pinned_digests(tmp_path):
     path.write_text(CUBIC_PROBLEM)
     commands = [[arg.format(cubic=path) for arg in argv] for argv in RR_RANGE_COMMANDS]
     assert not mismatched_commands(commands, RR_RANGE_DIGESTS)
+
+
+# --bracket ends the isolation hull rounds: non-dyadic and long-denominator
+# ends (default_bracket's float pi^2 at lambda = 1, and a third of it),
+# brackets of width 1e-26 and 1e-28 around one method's root, and ends on the
+# A1 root 10 (lambda = 1, N = 8), with excited states and every policy
+_PI2 = Fraction(math.pi) ** 2
+BRACKET_COMMANDS = (
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1", "--bracket", "10,50",
+     "--digits", "30"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1", "--bracket", "1/7,10",
+     "--digits", "30"),
+    ("solve", "--methods", "a1", "--n", "8", "--lambda=1", "--bracket", "10,100", "--state", "1",
+     "--digits", "25"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1", "--bracket",
+     "10.36850716192479431799703403,10.36850716192479431799703404", "--digits", "30"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1", "--bracket",
+     "10.36861906517368928596785566585,10.36861906517368928596785566595", "--digits", "40"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "6..9", "--lambda=1", "--bracket",
+     f"0,{8 * _PI2}", "--digits", "25"),
+    ("solve", "--methods", "a1,a2,a3,rr", "--n", "6..9", "--lambda=1", "--bracket",
+     f"{_PI2 / 3},{8 * _PI2}", "--digits", "25", "--format", "csv"),
+    ("solve", "--methods", "a1,a3,rr", "--n", "10,12", "--lambda=-7", "--state", "1",
+     "--bracket", "1/3,777/7", "--digits", "30"),
+    ("solve", "--methods", "a1,a3,rr", "--n", "8,9", "--lambda=0", "--select", "nearest:40",
+     "--bracket", "0.1,98.7"),
+    ("solve", "--methods", "a2,a3", "--n", "5..7", "--lambda=3/7", "--select", "min-w",
+     "--state", "1", "--bracket", "1/3,300/7", "--format", "json"),
+    ("solve", "--methods", "a2", "--n", "9,12", "--lambda=-30", "--select", "smallest",
+     "--bracket", "3/10,200/3", "--digits", "30"),
+)
+# digests as for PINNED_DIGESTS, recorded from the implementation that ran
+# Descartes bisection on the bracket itself and isolated every root in it
+BRACKET_DIGESTS = (
+    "e9e673482cac8441036e497b", "765daa88e7bd0d21641c0197", "84b0c6dbd15492604d3f2cab",
+    "2e9b79bf86669d6bc4edbfda", "5e561ab42181a2cd2cbca327", "500681ad4423afc6870422ac",
+    "d5082e3b45c5400f1a0fdc01", "16e41075fa60d1797af5cb91", "f31793068a860b290852767b",
+    "f5b31e798b5bda063dc05338", "b34fc8b84865b932f36ab89e",
+)
+
+
+def test_cli_bracket_output_matches_pinned_digests():
+    assert not mismatched_commands(BRACKET_COMMANDS, BRACKET_DIGESTS)

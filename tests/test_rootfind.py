@@ -2,10 +2,13 @@
 
 import ast
 import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxeig import rootfind
 from boxeig.model import PotentialSpec
@@ -275,6 +278,113 @@ def test_isolation_on_a_bracket_wider_than_the_float_range(sturm_calls, roots, c
     for iv, root in zip(intervals, sorted(set(roots))):
         assert abs(certified_midpoint(isolated, iv, Fraction(1, 10**13)) - root) < 1e-12
     assert sturm_calls == {"sturm_sequence": chains}
+
+
+# ---------------------------------------------------------------------------
+# isolation on the dyadic hull, against Sturm counts
+
+
+def roots_on_closed(p, a, b):
+    """Distinct roots of p in [a, b], by Sturm counts."""
+    at_a = p.eval(a) == 0
+    return at_a + (count_real_roots(p, a, b) if a < b else 0)
+
+
+def is_dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+@st.composite
+def brackets(draw):
+    """A bracket: ends with long, short or power-of-two denominators, width 10^-30 to 10^4."""
+    kind = draw(st.sampled_from(("pi", "small", "dyadic", "float")))
+    if kind == "pi":
+        # the ends default_bracket makes: a float pi^2 times a rational
+        lo = Fraction(math.pi) ** 2 * Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 9)))
+    elif kind == "small":
+        lo = Fraction(draw(st.integers(-100, 100)), draw(st.integers(1, 30)))
+    elif kind == "dyadic":
+        lo = Fraction(draw(st.integers(-2**12, 2**12)), 2 ** draw(st.integers(0, 12)))
+    else:
+        lo = Fraction(draw(st.floats(-300, 300, allow_nan=False)))
+    width = Fraction(draw(st.integers(1, 10**4)), 10 ** draw(st.integers(0, 34)))
+    if draw(st.booleans()):
+        hi = lo + width
+    else:
+        # a long-denominator upper end, as default_bracket's (state+2)^2 pi^2 factor
+        hi = max(lo + width, Fraction(math.pi) ** 2 * draw(st.integers(1, 40)))
+    return lo, hi
+
+
+@st.composite
+def bracketed_polynomials(draw):
+    """(p, lo, hi): p has roots at, just beside and between the bracket ends and its hull's."""
+    lo, hi = draw(brackets())
+    hull_lo, hull_hi = rootfind._dyadic_hull(lo, hi)
+    width = hi - lo
+    near = [
+        lo, hi, hull_lo, hull_hi,
+        lo - width / 2 ** 40, lo + width / 10**9, hi - width / 2**33, hi + width / 10**12,
+        (hull_lo + lo) / 2, (hi + hull_hi) / 2, lo - width, hi + width,
+    ]
+    inside = st.integers(1, 999).map(lambda k: lo + width * Fraction(k, 1000))
+    roots = draw(st.lists(st.sampled_from(near) | inside, min_size=1, max_size=5))
+    p = poly_from_roots(r for r in roots for _ in range(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        # an irreducible quadratic or cubic factor, with roots no grid holds
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=4))
+        if coeffs[-1]:
+            p = p * RationalPoly.from_coeffs(coeffs)
+    return p, lo, hi
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(bracketed_polynomials())
+def test_isolation_on_the_hull_agrees_with_sturm_counts(case):
+    p, lo, hi = case
+    isolated, intervals = isolate_real_roots(p, (lo, hi))
+    assert len(intervals) == roots_on_closed(p, lo, hi)
+    ends = [x for iv in intervals for x in iv]
+    assert ends == sorted(ends) and all(lo <= x <= hi for x in ends)
+    for a, b in intervals:
+        # only a cut at the bracket leaves an end off the dyadic grid
+        assert all(is_dyadic(x) or x in (lo, hi) for x in (a, b))
+        if a == b:
+            assert p.eval(a) == 0
+        else:
+            assert isolated.eval(a) * isolated.eval(b) < 0
+            assert count_real_roots(p, a, b) == 1 and p.eval(a) != 0
+    # asking for the first k roots gives the first k of the full isolation:
+    # the same intervals on the same polynomial, else the same roots
+    for k in range(1, len(intervals) + 2):
+        first, found = isolate_real_roots(p, (lo, hi), limit=k)
+        assert len(found) == min(k, len(intervals))
+        if first == isolated:
+            assert found == intervals[:k]
+        for (a, b), (c, d) in zip(found, intervals):
+            assert roots_on_closed(p, min(a, c), max(b, d)) == 1
+
+
+def test_the_early_stop_counts_only_roots_inside_the_bracket():
+    # the hull of (1/3, 10) starts at 5/16, below the root 8/25, which must
+    # not count towards the one root asked for
+    p = poly_from_roots([Fraction(8, 25), 5])
+    assert rootfind._dyadic_hull(Fraction(1, 3), Fraction(10)) == (Fraction(5, 16), Fraction(10))
+    _, intervals = isolate_real_roots(p, (Fraction(1, 3), 10), limit=1)
+    assert len(intervals) == 1 and roots_on_closed(p, *intervals[0]) == 1
+    assert intervals[0][0] < 5 < intervals[0][1]
+    with pytest.raises(ValueError, match="limit"):
+        isolate_real_roots(p, (Fraction(1, 3), 10), limit=0)
+
+
+def test_a_root_at_a_midpoint_comes_between_its_halves():
+    # 0 is the first midpoint of (-2, 2), and the one root asked for beyond
+    # -3/2 is -1 in the left half, not the midpoint met first
+    p = poly_from_roots([-1, 0, 1])
+    _, intervals = isolate_real_roots(p, (-2, 2))
+    assert [a <= r <= b for (a, b), r in zip(intervals, (-1, 0, 1))] == [True] * 3
+    assert intervals[1] == (0, 0)
+    assert isolate_real_roots(p, (-2, 2), limit=2)[1] == intervals[:2]
 
 
 def test_isolation_rejects_zero_polynomial():
