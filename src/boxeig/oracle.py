@@ -19,23 +19,28 @@ with 32 guard bits (``_GUARD_BITS``) below the context's precision and
 log2(e) sqrt(|eps| + |lam|) more for the cancellation between its terms; it
 has no range limit short of its bit budget (``_CANCELLATION_BITS``).
 
-mpmath contexts are built once per top-level call and passed explicitly.
-They give pi, the refusal bounds and the returned mpf; the search itself
-reads only the kernel's integers, and :func:`mpf_to_rational` turns a
-result into an exact Fraction.
+mpmath is imported only when an oracle first runs, so the package and every
+command without ``exact`` load without it.  :func:`_context` keeps one
+mpmath context per working precision, in a small bounded cache, and never
+changes a context's precision once built.  The contexts give pi, the refusal
+bounds and the returned mpf; the search itself reads only the kernel's
+integers, and :func:`mpf_to_rational` turns a result into an exact Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from mpmath.ctx_mp import MPContext
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .estimates import default_bracket
 from .model import PotentialSpec
 from .poly import RationalPoly, exact_rational
 from .rootfind import _refine_on_grid
+
+if TYPE_CHECKING:
+    from mpmath.ctx_mp import MPContext
 
 DEFAULT_DIGITS = 30
 _SCAN_LIMIT = 200
@@ -57,7 +62,16 @@ class RootScanError(RuntimeError):
     """The eigencondition scan exhausted its step budget without bracketing."""
 
 
+# a few precisions cover every caller; the bound only keeps odd ones from piling up
+@lru_cache(maxsize=8)
 def _context(digits: int) -> MPContext:
+    """The shared mpmath context at ``digits`` digits; its dps must never change.
+
+    The mpf values an oracle returns belong to this context, so a change of
+    its precision would change how they compute.
+    """
+    from mpmath.ctx_mp import MPContext
+
     ctx = MPContext()
     ctx.dps = digits
     return ctx
@@ -80,7 +94,11 @@ def mpf_to_rational(x) -> Fraction:
 
 
 def exact_box(state: int = 0, digits: int = DEFAULT_DIGITS):
-    """Eigenvalue (state+1)^2 pi^2 of the empty unit box, to `digits` digits."""
+    """Eigenvalue (state+1)^2 pi^2 of the empty unit box, to `digits` digits.
+
+    The mpf shares the cached context of its precision (see :func:`_context`):
+    do not change that context's precision.
+    """
     if state < 0:
         raise ValueError("state must be nonnegative")
     if digits < 2:
@@ -106,6 +124,8 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     (the box bound, or for lam > 0 the half-line bound |a_1| lam^(2/3)) lies
     past the scan's end, and a coupling so strong that the series would need
     more than ``_CANCELLATION_BITS`` bits for cancellation inside the scan.
+    The mpf shares the cached context of its precision (see :func:`_context`):
+    do not change that context's precision.
     """
     lam = exact_rational(lam)
     if lam == 0:

@@ -7,6 +7,10 @@ import io
 import json
 import logging
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -374,6 +378,59 @@ def test_argparse_failures_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["solve", "--format", "xml"])
     assert info.value.code == 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # usage failures leave nothing behind in the reused parser: a command
+    # prints the same after them as it does on a fresh one
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    command = ("solve", "--methods", "a1,rr", "--n", "6,8", "--lambda=1/3", "--format", "csv")
+    first = cli_digest(command)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--format", "xml"])
+    assert info.value.code == 1
+    assert main(["solve", "--n", "3"]) == 1
+    capsys.readouterr()
+    assert cli_digest(command) == first
+    assert len(built) == 1
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import boxeig.cli
+loaded = ["mpmath" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append((boxeig.cli.main(argv), "mpmath" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_oracle_imports_mpmath(tmp_path):
+    # a fresh interpreter, so that nothing else has loaded mpmath yet
+    path = tmp_path / "ramp.box"
+    path.write_text(RAMP_PROBLEM)
+    commands = [
+        ["solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1"],
+        ["table", "1"],
+        ["convert", str(path)],
+        ["exact", "--lambda=1"],
+    ]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [False, [0, False], [0, False], [0, False], [0, True]]
 
 
 def test_exact_rejects_general_potential(tmp_path, capsys):

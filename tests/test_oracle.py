@@ -1,5 +1,6 @@
 """High-precision reference values: the ramp's wall series, scans, and shooting."""
 
+import functools
 import math
 import random
 import re
@@ -244,22 +245,55 @@ def test_exact_linear_refuses_a_coupling_past_the_bit_budget(monkeypatch, lam, s
         exact_linear(lam, 0, digits=20)
 
 
-class _CountingContext(oracle.MPContext):
-    built = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).built += 1
-        super().__init__(*args, **kwargs)
-
-
 @pytest.mark.parametrize("lam", [-7, Fraction(1, 10)])
 def test_exact_linear_builds_one_context(monkeypatch, lam):
     # the outer context is the only one: the wall series builds none per
-    # evaluation
-    monkeypatch.setattr(oracle, "MPContext", _CountingContext)
-    monkeypatch.setattr(_CountingContext, "built", 0)
+    # evaluation, and a second call at the same digits builds none at all
+    built = []
+    build = oracle._context.__wrapped__
+
+    def counted(digits):
+        built.append(digits)
+        return build(digits)
+
+    size = oracle._context.cache_parameters()["maxsize"]
+    monkeypatch.setattr(oracle, "_context", functools.lru_cache(maxsize=size)(counted))
     exact_linear(lam, 0, 30)
-    assert _CountingContext.built == 1
+    assert len(built) == 1
+    exact_linear(lam, 1, 30)
+    assert len(built) == 1
+
+
+def test_an_oracle_value_keeps_its_precision_and_value():
+    # a returned mpf computes in its own context: later calls at other
+    # digits must not change that context's precision
+    x = exact_linear(1, 0, 30)
+    before = (x.context.dps, x._mpf_, (x / 3)._mpf_, str(x))
+    exact_linear(1, 0, 12)
+    exact_linear(-5, 1, 60)
+    exact_box(0, 50)
+    assert (x.context.dps, x._mpf_, (x / 3)._mpf_, str(x)) == before
+    assert before[0] == 40
+
+
+def test_a_cached_context_computes_like_a_fresh_one():
+    from mpmath.ctx_mp import MPContext
+
+    fresh = MPContext()
+    fresh.dps = 45
+    cached = oracle._context(45)
+    assert cached is oracle._context(45) and cached.dps == 45
+    assert cached.pi._mpf_ == fresh.pi._mpf_
+    assert (cached.cbrt(cached.mpf(3)) / 7)._mpf_ == (fresh.cbrt(fresh.mpf(3)) / 7)._mpf_
+    assert exact_box(2, 40)._mpf_ == (9 * fresh.pi**2)._mpf_
+
+
+def test_the_context_cache_stays_bounded():
+    size = oracle._context.cache_parameters()["maxsize"]
+    assert size is not None and size <= 16
+    for digits in range(2, 3 * size):
+        exact_box(1, digits)
+    assert oracle._context.cache_info().currsize == size
 
 
 def _recording(func, points):
