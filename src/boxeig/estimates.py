@@ -1,4 +1,4 @@
-"""Result containers and root-selection policies shared by the solvers."""
+"""Result containers, root selection, and the one path from closure polynomial to estimate."""
 
 from __future__ import annotations
 
@@ -146,3 +146,31 @@ def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Frac
     if bracket is None:
         return default_bracket(potential, state)
     return (exact_rational(bracket[0]), exact_rational(bracket[1]))
+
+
+def solve_closure(
+    method: str,
+    source,
+    p: RationalPoly,
+    bracket,
+    state: int,
+    selection: RootSelection,
+    tol: Fraction,
+    rank: Callable[[Fraction], Fraction] | None = None,
+    w: Callable[[Fraction], Fraction] | None = None,
+) -> EigenEstimate | None:
+    """The estimate at the root of the closure polynomial p that ``selection`` picks.
+
+    Every solver ends here.  ``source`` is what p was built from: its ``n``
+    labels the estimate, and its ``potential`` sets the default bracket,
+    which a ``bracket`` of None asks for.  :func:`select_root` selects and
+    refines the root, with ``rank`` as its key; ``w``, when given, is the
+    quotient whose value at eps the estimate reports.  None when the bracket
+    holds no suitable root.
+    """
+    bracket = resolve_bracket(bracket, source.potential, state)
+    enclosure = select_root(p, bracket, state, selection, tol, rank)
+    if enclosure is None:
+        return None
+    value = None if w is None else w((enclosure[0] + enclosure[1]) / 2)
+    return EigenEstimate(method, source.n, state, enclosure, value)

@@ -71,11 +71,6 @@ class GoldenTable:
             if len(row) != len(self.columns):
                 raise ValueError("cell row width must match column count")
 
-    def cell(self, n: int, label: str) -> str:
-        i = self.n_values.index(n)
-        j = next(k for k, col in enumerate(self.columns) if col.label == label)
-        return self.cells[i][j]
-
 
 def parse_cell(text: str) -> Rational | None:
     """Parse a golden cell to an exact rational; ``NO_ROOT`` maps to None."""

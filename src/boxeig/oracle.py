@@ -77,12 +77,6 @@ def _context(digits: int) -> MPContext:
     return ctx
 
 
-def _to_mpf(ctx: MPContext, x):
-    if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / x.denominator
-    return ctx.convert(x)
-
-
 def mpf_to_rational(x) -> Fraction:
     """Exact Fraction equal to an mpmath float (sign * mantissa * 2**exp)."""
     sign, man, exp, _ = x._mpf_
@@ -136,7 +130,7 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
         raise ValueError("digits must be at least 2")
 
     ctx = _context(digits + 10)
-    lam_f = _to_mpf(ctx, lam)
+    lam_f = ctx.mpf(lam.numerator) / lam.denominator
     # eps_k >= min v + (k+1)^2 pi^2, so a state whose bound lies past the
     # scan's end can never be bracketed.
     bound = min(lam_f, 0) + (state + 1) ** 2 * ctx.pi**2

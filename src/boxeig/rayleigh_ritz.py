@@ -15,7 +15,8 @@ potential part comes from the Legendre coefficients of v (P_i - P_{i-2}),
 formed on integers by Horner steps of multiplication by q = (1+x)/2 with
 x P_m = ((m+1) P_{m+1} + m P_{m-1}) / (2m+1).  A potential of degree d
 gives H a half-bandwidth of 2 + max(d, 0).  Each row is stored as integer
-band entries over r_i, the lcm of the denominators of row i of H and S.
+band entries over r_i, the lcm of the denominators of row i of H and S; the
+pencil has no other form, dense or in fractions.
 
 Eigenvalue estimates are the roots of det(H - eps S).  det(R(H - eS)), with
 R = diag(r_i), is evaluated at n integer points
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, floor, gcd, lcm
 from typing import Iterable
 
@@ -55,23 +55,20 @@ from .estimates import (
     SOLVER_TOL,
     EigenEstimate,
     RootSelection,
-    resolve_bracket,
-    select_root,
+    solve_closure,
 )
 from .model import PotentialSpec
 from .poly import RationalPoly
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
 
 @dataclass(frozen=True)
 class SecularSystem:
-    """The pencil (H, S) for one n and its characteristic polynomial.
+    """The characteristic polynomial of the pencil (H, S) of one order n.
 
     ``char_poly`` is det(H - eps S) in the basis q^j - q^n, which is
-    det(h - eps s) / det(T)^2 (see the module docstring).  ``h`` and ``s``
-    are the matrices in the integrated-Legendre basis phi_2..phi_n as exact
-    fractions; they are formed on first use and the solver never reads them.
+    det(h - eps s) / det(T)^2 for the pencil (h, s) of the
+    integrated-Legendre basis phi_2..phi_n (see the module docstring).  The
+    pencil itself lives only as the integer band rows of :func:`_pencil`.
     """
 
     n: int
@@ -81,16 +78,6 @@ class SecularSystem:
     @property
     def size(self) -> int:
         return self.n - 1
-
-    @cached_property
-    def h(self) -> Matrix:
-        a, _, r = _pencil(self.potential, self.n)
-        return _dense(a, r)
-
-    @cached_property
-    def s(self) -> Matrix:
-        _, b, r = _pencil(self.potential, self.n)
-        return _dense(b, r)
 
 
 def _legendre_horner(ints: tuple[int, ...], i: int) -> tuple[list[int], int]:
@@ -156,19 +143,6 @@ def _pencil(potential: PotentialSpec, n: int) -> tuple[list[list[int]], list[lis
         b.append([x * (row_lcm // d) for x, d in s])
         r.append(row_lcm)
     return a, b, r
-
-
-def _dense(rows: list[list[int]], r: list[int]) -> Matrix:
-    """The exact matrix whose band row i, as :func:`_band_pivots` takes it, is rows[i] / r[i]."""
-    band = len(rows[0]) - 1
-    zero = Fraction(0)
-    out = []
-    for i, (row, ri) in enumerate(zip(rows, r)):
-        first = max(0, i - band)
-        full = [zero] * len(rows)
-        full[first : first + len(row)] = [Fraction(x, ri) for x in row]
-        out.append(tuple(full))
-    return tuple(out)
 
 
 def build_secular_systems(
@@ -272,14 +246,11 @@ def solve_secular(
 ) -> EigenEstimate | None:
     """The root of det(H - eps S) in the bracket that ``selection`` picks.
 
-    By default that is the (state+1)-th smallest.  A basis of size n has n
-    roots, so a state at or past n has none: the result is None, as for
-    every solver that finds no root.
+    By default that is the (state+1)-th smallest.  The basis of order n has
+    n - 1 functions and det(H - eps S) as many roots, so a state at or past
+    n - 1 has none: the result is None, as for every solver that finds no
+    root.
     """
     if state >= system.size:
         return None
-    bracket = resolve_bracket(bracket, system.potential, state)
-    enclosure = select_root(system.char_poly, bracket, state, selection, tol)
-    if enclosure is None:
-        return None
-    return EigenEstimate(METHOD_RR, system.n, state, enclosure)
+    return solve_closure(METHOD_RR, system, system.char_poly, bracket, state, selection, tol)

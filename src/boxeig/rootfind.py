@@ -24,12 +24,11 @@ reported as a degenerate interval.  The pieces are dyadic subdivisions of the
 hull, so every isolating end but a cut one is dyadic, and no Sturm chain is
 built.  Near a multiple root the variations never drop below two, so a depth
 limit stops the search, and it is run again, without a depth limit, on the
-square-free part p / gcd(p, p').
-That part has one source: the Sturm chain of p, whose last member is
-gcd(p, p'), divided through by that member.  Isolation returns the isolating
-intervals of the distinct roots (no multiplicities) with the polynomial it
-isolated them on, p or that square-free part.  The latter changes sign across
-every nondegenerate interval, so refinement on it builds no second chain.
+square-free part p / gcd(p, p'), the gcd being the last member of the Sturm
+chain of p.  Isolation returns the isolating intervals of the distinct roots
+(no multiplicities) with the polynomial it isolated them on, p or that
+square-free part.  The latter changes sign across every nondegenerate
+interval, so refinement on it builds no second chain.
 Isolation refines nothing, so a solver certifies only the root it picks.
 
 Refinement returns one cell of the dyadic grid m/2^k, 2^-k the first power
@@ -158,10 +157,14 @@ def count_real_roots(p: RationalPoly, lo, hi) -> int:
 def square_free_part(p: RationalPoly) -> RationalPoly:
     """p with repeated factors collapsed to multiplicity one.
 
-    The first member of the counting chain, p / gcd(p, p') as a primitive
-    integer polynomial; its sign may differ from that of p.
+    p / gcd(p, p'), with the gcd the last member of p's Sturm chain, as a
+    primitive integer polynomial whose sign may differ from that of p; p
+    itself when the gcd is a constant.
     """
-    return RationalPoly.from_coeffs(_counting_chain(p)[0], p.var)
+    g = sturm_sequence(p)[-1]
+    if len(g) < 2:
+        return p
+    return RationalPoly.from_coeffs(_int_divexact(p.ints, g), p.var)
 
 
 def isolate_real_roots(

@@ -30,8 +30,7 @@ from .estimates import (
     SOLVER_TOL,
     EigenEstimate,
     RootSelection,
-    resolve_bracket,
-    select_root,
+    solve_closure,
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational
@@ -160,8 +159,5 @@ def solve_a1(
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
     """Eigenvalue estimate from B(eps) = 0; None when no suitable root exists."""
-    bracket = resolve_bracket(bracket, series.potential, state)
-    enclosure = select_root(boundary_polynomial(series), bracket, state, selection, tol)
-    if enclosure is None:
-        return None
-    return EigenEstimate(METHOD_A1, series.n, state, enclosure)
+    p = boundary_polynomial(series)
+    return solve_closure(METHOD_A1, series, p, bracket, state, selection, tol)

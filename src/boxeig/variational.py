@@ -49,8 +49,7 @@ from .estimates import (
     SOLVER_TOL,
     EigenEstimate,
     RootSelection,
-    resolve_bracket,
-    select_root,
+    solve_closure,
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, _int_mul, _int_sub, as_rational
@@ -169,15 +168,10 @@ def solve_a2(
     """
     if state > 0:
         logger.warning("excited-state selection for the stationary method is heuristic")
-    bracket = resolve_bracket(bracket, quotient.potential, state)
-    rank = quotient.value if selection.policy in ("default", "min-w") else None
-    enclosure = select_root(
-        quotient.stationarity_polynomial(), bracket, state, selection, tol, rank
-    )
-    if enclosure is None:
-        return None
-    w = quotient.value((enclosure[0] + enclosure[1]) / 2)
-    return EigenEstimate(METHOD_A2, quotient.n, state, enclosure, w)
+    w = quotient.value
+    rank = w if selection.policy in ("default", "min-w") else None
+    p = quotient.stationarity_polynomial()
+    return solve_closure(METHOD_A2, quotient, p, bracket, state, selection, tol, rank, w)
 
 
 def solve_a3(
@@ -190,11 +184,6 @@ def solve_a3(
     """Self-consistent point eps = W(eps); smallest root by default."""
     if state > 0:
         logger.warning("excited-state selection for the fixed-point method is heuristic")
-    bracket = resolve_bracket(bracket, quotient.potential, state)
     rank = quotient.value if selection.policy == "min-w" else None
-    enclosure = select_root(
-        quotient.fixed_point_polynomial(), bracket, state, selection, tol, rank
-    )
-    if enclosure is None:
-        return None
-    return EigenEstimate(METHOD_A3, quotient.n, state, enclosure)
+    p = quotient.fixed_point_polynomial()
+    return solve_closure(METHOD_A3, quotient, p, bracket, state, selection, tol, rank)

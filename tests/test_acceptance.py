@@ -18,11 +18,12 @@ from boxeig.cli import table_values
 from boxeig.model import PotentialSpec
 from boxeig.oracle import exact_box, exact_linear, mpf_to_rational, shoot_root
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import build_secular, solve_secular
+from boxeig.rayleigh_ritz import _pencil, build_secular, solve_secular
 from boxeig.rootfind import count_real_roots
 from boxeig.series import build_series, build_trial
 from boxeig.variational import solve_a2
 
+from test_rayleigh_ritz import band_to_dense
 from test_rootfind import grid_scan_count
 from test_variational import kinetic_energy_forms, quotient_at
 
@@ -186,17 +187,15 @@ def test_criterion_8_structural_exactness():
         kinetic_ok = kinetic_ok and by_parts == literal
         kinetic_cases += 1
 
-    # (c) both secular matrices exactly symmetric
+    # (c) both secular matrices exactly symmetric: band row i of R H and
+    # R S over r_i is row i of H and S
     symmetry_ok = True
     for potential in (V0, V1, PotentialSpec.general(RationalPoly.from_coeffs([2, -1, 3], "q"))):
-        system = build_secular(potential, 9)
-        for i in range(system.size):
-            for j in range(system.size):
-                symmetry_ok = (
-                    symmetry_ok
-                    and system.h[i][j] == system.h[j][i]
-                    and system.s[i][j] == system.s[j][i]
-                )
+        a, b, r = _pencil(potential, 9)
+        for rows in (band_to_dense(a), band_to_dense(b)):
+            for i in range(len(r)):
+                for j in range(len(r)):
+                    symmetry_ok = symmetry_ok and rows[i][j] * r[j] == rows[j][i] * r[i]
 
     # (d) Sturm counts equal exact grid scans on 100 seeded random polynomials
     rng = random.Random(20260816)

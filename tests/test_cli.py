@@ -316,6 +316,7 @@ def test_solve_out_file(tmp_path, capsys):
         # the --serial flag is gone
         ("solve", "--serial"),
         ("table", "4", "--serial"),
+        ("solve", "--methods", ","),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -525,6 +526,18 @@ def test_table_mismatch_exit_three(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "4")
     assert code == 3
     assert "5/6 cells match" in out
+    assert out.count("FAIL") == 1
+
+
+def test_table_shows_a_value_computed_for_a_no_root_cell_as_fail(capsys, monkeypatch):
+    # a golden "--" asserts that no root exists; a computed one is shown at
+    # 12 significant digits
+    table = goldens.TABLES[4]
+    cells = ((goldens.NO_ROOT, table.cells[0][1]), *table.cells[1:])
+    monkeypatch.setitem(goldens.TABLES, 4, dataclasses.replace(table, cells=cells))
+    code, out, _ = run(capsys, "table", "4")
+    assert code == 3
+    assert "| 4 | eps(RR, lam=0) | -- | 9.86974962132 | FAIL |" in out.splitlines()
     assert out.count("FAIL") == 1
 
 

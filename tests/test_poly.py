@@ -283,3 +283,4 @@ def test_str_smoke():
     p = RationalPoly.from_coeffs([1, 0, Fraction(-1, 6)], var="eps")
     text = str(p)
     assert "eps" in text and "1/6" in text
+    assert str(RationalPoly.zero()) == "0"

@@ -336,9 +336,15 @@ def test_legendre_basis_vanishes_at_walls_and_integrates_p():
 
 
 def pencil_matrices(potential, n):
-    """(S, H) of the integer band pencil of order n, as exact fractions."""
-    system = build_secular(potential, n)
-    return system.s, system.h
+    """(S, H) of the integer band pencil of order n, as dense exact fractions.
+
+    Band row i of R H and R S, divided by r_i, is row i of H and S.
+    """
+    a, b, r = _pencil(potential, n)
+    return tuple(
+        tuple(tuple(Fraction(x, ri) for x in row) for row, ri in zip(band_to_dense(rows), r))
+        for rows in (b, a)
+    )
 
 
 def band_to_dense(rows):
@@ -395,12 +401,8 @@ def test_integer_pencil_equals_the_galerkin_reference(name):
     potential = POTENTIALS[name]
     for n in range(3, 17):
         s_ref, h_ref = galerkin_matrices(potential, n)
-        a, b, r = _pencil(potential, n)
+        _, _, r = _pencil(potential, n)
         assert [math.lcm(*(x.denominator for x in hrow + srow)) for hrow, srow in zip(h_ref, s_ref)] == r
-        for rows, ref in ((a, h_ref), (b, s_ref)):
-            assert [[Fraction(x, ri) for x in row] for row, ri in zip(band_to_dense(rows), r)] == [
-                list(row) for row in ref
-            ]
         assert pencil_matrices(potential, n) == (s_ref, h_ref)
 
 
@@ -471,16 +473,16 @@ def test_change_of_basis_determinant(n):
 
 @pytest.mark.parametrize("n", [3, 5, 8, 12])
 def test_matrices_symmetric_exactly(n):
-    sys_n = build_secular(V1, n)
-    for i in range(sys_n.size):
-        for j in range(sys_n.size):
-            assert sys_n.s[i][j] == sys_n.s[j][i]
-            assert sys_n.h[i][j] == sys_n.h[j][i]
+    s, h = pencil_matrices(V1, n)
+    for i in range(n - 1):
+        for j in range(n - 1):
+            assert s[i][j] == s[j][i]
+            assert h[i][j] == h[j][i]
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9, 12])
 def test_overlap_matrix_positive_definite(n):
-    s = build_secular(V1, n).s
+    s, _ = pencil_matrices(V1, n)
     minors = [gaussian_determinant([row[:k] for row in s[:k]]) for k in range(1, n)]
     assert len(minors) == n - 1
     assert all(m > 0 for m in minors)
@@ -577,15 +579,13 @@ def test_every_order_of_a_range_equals_the_dense_reference(name):
 def test_char_poly_is_the_pencil_determinant(potential, n):
     # a polynomial of degree n - 1 that agrees with det(h - eps s) / det(T)^2
     # at n distinct points is that polynomial
-    system = build_secular(potential, n)
-    assert system.char_poly.degree == n - 1
+    char_poly = build_secular(potential, n).char_poly
+    assert char_poly.degree == n - 1
+    s, h = pencil_matrices(potential, n)
     for k in range(n):
         eps = Fraction(7 * k - 20, 3)
-        pencil = [
-            [system.h[i][j] - eps * system.s[i][j] for j in range(system.size)]
-            for i in range(system.size)
-        ]
-        assert system.char_poly.eval(eps) * det_t_squared(n) == gaussian_determinant(pencil)
+        pencil = [[hij - eps * sij for hij, sij in zip(hi, si)] for hi, si in zip(h, s)]
+        assert char_poly.eval(eps) * det_t_squared(n) == gaussian_determinant(pencil)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +620,7 @@ def test_char_poly_degree_and_leading_coeff(n):
     assert sys_n.char_poly.degree == size
     # leading eps-coefficient of det(H - eps S) in the basis q^j - q^n is
     # (-1)^size det(S) of that basis, det(s) / det(T)^2
-    det_s = gaussian_determinant(sys_n.s) / det_t_squared(n)
+    det_s = gaussian_determinant(pencil_matrices(V1, n)[0]) / det_t_squared(n)
     assert sys_n.char_poly.coeff(size) == (-1) ** size * det_s
 
 
@@ -666,7 +666,7 @@ def test_residual_is_small_at_roots():
     est = solve_secular(system)
     # the residual is the monic determinant prod_k (eps_k - eps) at the
     # midpoint: char_poly over the leading coefficient det(s) / det(T)^2
-    det_s = gaussian_determinant(system.s) / det_t_squared(8)
+    det_s = gaussian_determinant(pencil_matrices(V0, 8)[0]) / det_t_squared(8)
     assert abs(system.char_poly.eval(est.eps)) / det_s < 1e-20
 
 

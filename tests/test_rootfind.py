@@ -460,6 +460,43 @@ def test_refine_enclosure_finds_a_rational_root_on_its_grid():
     assert refine_enclosure(p, (6, 7), Fraction(1, 10**12)) == (Fraction(13, 2),) * 2
 
 
+def test_refine_enclosure_returns_a_root_at_the_upper_end():
+    # q - 2 is nonzero at 1 and zero at 2
+    assert refine_enclosure(poly_from_roots([2]), (1, 2), Fraction(1, 10**12)) == (2, 2)
+
+
+def test_refine_enclosure_keeps_an_interval_that_holds_no_grid_point():
+    # width 1/2 puts the grid at 2^-33, wider than the 1e-12 interval
+    interval = (Fraction(1414213562373, 10**12), Fraction(1414213562374, 10**12))
+    assert math.floor(interval[1] * 2**33) < math.ceil(interval[0] * 2**33)
+    p = RationalPoly.from_coeffs([-2, 0, 1])
+    assert refine_enclosure(p, interval, Fraction(1, 2)) == interval
+
+
+def grid_step(root):
+    """Values -1 below the grid index ``root``, 0 at it and 99 above, with the probes made."""
+    probes = []
+
+    def value(m):
+        probes.append(m)
+        return -1 if m < root else 99 if m > root else 0
+
+    return value, probes
+
+
+@pytest.mark.parametrize(
+    "root, probes",
+    # from (0, -1) and (100, 99) the secant guess is 1, the window of
+    # 100/4 cells beside it ends at 26, and 63 halves what is left
+    [(26, [1, 26]), (63, [1, 26, 63])],
+    ids=["window", "halving"],
+)
+def test_refine_on_grid_stops_at_a_zero_probe(root, probes):
+    value, seen = grid_step(root)
+    assert rootfind._refine_on_grid(value, 0, -1, 100, 99) == (root, root)
+    assert seen == probes
+
+
 @functools.cache
 def seeded_isolating_intervals(shift):
     """(square-free part, isolating interval) pairs of the seeded polynomials.
