@@ -55,8 +55,8 @@ from .oracle import (
 )
 from .poly import Rational, format_rational
 from .rayleigh_ritz import SecularSystem, build_secular_systems, solve_secular
-from .series import TRIAL_MIN_ORDER, build_series, build_trial, solve_a1
-from .variational import build_quotient, solve_a2, solve_a3
+from .series import TRIAL_MIN_ORDER, EnergySeries, build_series, solve_a1
+from .variational import RayleighQuotient, build_quotients, solve_a2, solve_a3
 
 N_MIN, N_MAX = 3, 64
 DIGITS_MIN, DIGITS_MAX = 6, 40
@@ -89,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully parsed configuration of one ``solve`` run."""
+    """Fully parsed configuration of one ``solve`` run; it resolves the bracket once."""
 
     methods: tuple[str, ...]
     potential: PotentialSpec
@@ -120,6 +120,7 @@ class RunConfig:
                 "the search bracket has an end beyond the float range;"
                 " give a smaller --lambda or --bracket"
             )
+        object.__setattr__(self, "bracket", (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -293,56 +294,48 @@ def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rati
 
 
 def compute_cells(
-    cfg: RunConfig, n: int, system: SecularSystem | None, exact: Rational | None
+    cfg: RunConfig, n: int, series: EnergySeries | None, quotient: RayleighQuotient | None,
+    system: SecularSystem | None, exact: Rational | None,
 ) -> dict[str, Rational | None]:
     """All requested numbers for one truncation order N.
 
-    The row builds its series and quotient at most once each and hands every
-    solver the one it solves: A1 the series, A2 and A3 the quotient of its
-    trial function, RR ``system``, the row's secular system (None when RR is
-    not requested).  ``exact`` is the oracle's value, which does not depend
-    on N (None when it is not requested).
+    Each solver gets the object of order N it solves (None when no method
+    needs it); ``exact`` is the oracle's value, which does not depend on N.
     """
     tol = Fraction(1, 10 ** max(WORKING_DIGITS + 1, cfg.digits + 3))
     options = (cfg.bracket, cfg.state, cfg.selection, tol)
-    series = quotient = None
     cells: dict[str, Rational | None] = {}
     for method in cfg.methods:
         if method == METHOD_EXACT:
-            values = (exact,)
+            cells[METHOD_COLUMNS[method][0]] = exact
+            continue
+        if method == METHOD_A1:
+            est = solve_a1(series, *options)
+        elif method == METHOD_RR:
+            est = solve_secular(system, *options)
         else:
-            if method == METHOD_RR:
-                est = solve_secular(system, *options)
-            else:
-                if series is None:
-                    series = build_series(cfg.potential, n)
-                if method == METHOD_A1:
-                    est = solve_a1(series, *options)
-                else:
-                    if quotient is None:
-                        quotient = build_quotient(build_trial(series))
-                    solve = solve_a2 if method == METHOD_A2 else solve_a3
-                    est = solve(quotient, *options)
-            values = (None, None) if est is None else (est.eps, est.w)
-        cells.update(zip(METHOD_COLUMNS[method], values))
+            est = (solve_a2 if method == METHOD_A2 else solve_a3)(quotient, *options)
+        cells.update(zip(METHOD_COLUMNS[method], (None, None) if est is None else (est.eps, est.w)))
     return cells
 
 
 def compute_rows(cfg: RunConfig) -> list[dict[str, Rational | None]]:
     """One cell mapping per N, in order.
 
-    RR's secular systems come from one pencil for the whole command, built
-    at the largest N (see :mod:`boxeig.rayleigh_ritz`), and the oracle runs
-    once for the whole command.  Rows run one after another: the work is
-    pure-Python exact arithmetic, which threads cannot run in parallel under
-    the interpreter lock.
+    Each object a row solves is built once per command, at the largest N: one
+    run of the recurrence, whose prefix c_0..c_n and running sum B_n serve row
+    n; one pass that grows the forms as F_{n+1} = F_n + P_n (2 G_n + w_nn P_n)
+    and closes row n's as F_n + B_{n-1} (w_nn B_{n-1} - 2 G_n) (see
+    :mod:`boxeig.variational`); one RR pencil; one oracle run.  Rows run one
+    after another: exact pure-Python arithmetic gains nothing from threads.
     """
-    systems, exact = {}, None
-    if METHOD_RR in cfg.methods:
-        systems = build_secular_systems(cfg.potential, cfg.n_values)
-    if METHOD_EXACT in cfg.methods:
-        exact = _exact_eigenvalue(cfg.potential, cfg.state, cfg.digits)
-    return [compute_cells(cfg, n, systems.get(n), exact) for n in cfg.n_values]
+    methods, orders = set(cfg.methods), cfg.n_values
+    exact = _exact_eigenvalue(cfg.potential, cfg.state, cfg.digits) if METHOD_EXACT in methods else None
+    series = build_series(cfg.potential, max(orders)) if methods - {METHOD_RR, METHOD_EXACT} else None
+    quotients = build_quotients(series, orders) if {METHOD_A2, METHOD_A3} & methods else {}
+    systems = build_secular_systems(cfg.potential, orders) if METHOD_RR in methods else {}
+    return [compute_cells(cfg, n, series and series.prefix(n), quotients.get(n), systems.get(n), exact)
+            for n in orders]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -357,20 +350,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         selection=parse_select_flag(args.select),
     )
     columns = method_columns(cfg.methods)
-    rows_raw = compute_rows(cfg)
     headers = ["N", *columns]
-    rows = []
-    missing = False
-    for n, cells in zip(cfg.n_values, rows_raw):
-        row = [str(n)]
-        for column in columns:
-            value = cells[column]
-            if value is None:
-                missing = True
-                row.append(goldens.NO_ROOT)
-            else:
-                row.append(format_significant(value, cfg.digits))
-        rows.append(row)
+    values = [[cells[column] for column in columns] for cells in compute_rows(cfg)]
+    rows = [
+        [str(n), *(goldens.NO_ROOT if x is None else format_significant(x, cfg.digits) for x in row)]
+        for n, row in zip(cfg.n_values, values)
+    ]
+    missing = any(None in row for row in values)
     meta = {
         "command": "solve",
         "potential": cfg.potential.describe(),

@@ -349,14 +349,17 @@ def _horner_dyadic(a: Sequence[int], m: int, k: int) -> int:
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    _int_addmul(out, a, b)
+    return out
+
+
+def _int_addmul(out: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """out += a b, for an ``out`` long enough to hold the product."""
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
 
 
 def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:

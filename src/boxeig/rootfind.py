@@ -210,12 +210,14 @@ def isolate_real_roots(
 
 def _dyadic_hull(lo: Fraction, hi: Fraction) -> Interval:
     """(lo, hi) rounded outward to the grid 2^e, 2^e <= (hi - lo) / 2^HULL_BITS < 2^(e+1)."""
-    width = hi - lo
-    e = width.numerator.bit_length() - width.denominator.bit_length()
-    if Fraction(2) ** e > width:
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    num, den = c * b - a * d, b * d  # the width, unreduced
+    e = num.bit_length() - den.bit_length()
+    if den << max(e, 0) > num << max(-e, 0):
         e -= 1
-    step = Fraction(2) ** (e - HULL_BITS)
-    return (lo // step) * step, -(-hi // step) * step
+    up, down = max(HULL_BITS - e, 0), max(e - HULL_BITS, 0)
+    left, right = (a << up) // (b << down), -((-c << up) // (d << down))
+    return Fraction(left << down, 1 << up), Fraction(right << down, 1 << up)
 
 
 def _isolate(

@@ -10,11 +10,12 @@ where v_k are the coefficients of the dimensionless potential.  Each c_j is a
 polynomial in eps with exact rational coefficients, of eps-degree at most
 floor((j-1)/2).
 
-Truncating at order N gives two objects: the boundary polynomial
-B(eps) = sum_{j=1..N} c_j(eps), whose roots enforce phi(1) = 0 (the "A1"
-estimates), and a trial function sum_{j=1..N-1} c_j(eps) (q^j - q^N) that
-satisfies both boundary conditions identically and feeds the variational
-methods.
+Truncating at order N gives the boundary polynomial B_N = sum_{j=1..N} c_j,
+whose roots enforce phi(1) = 0 (the "A1" estimates), and a trial function
+sum_{j=1..N-1} c_j (q^j - q^N) that satisfies both boundary conditions
+identically and feeds the variational methods.  The c_j do not depend on N,
+so the series of order n is the prefix c_0..c_n of a run at any larger
+order, which keeps each B_n = B_{n-1} + c_n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .estimates import (
@@ -33,7 +35,7 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, as_rational
+from .poly import RationalPoly, as_rational, exact_rational
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +50,16 @@ class EnergySeries:
     n: int
     potential: PotentialSpec
     c: tuple[RationalPoly, ...]
+    sums: tuple[tuple[tuple[int, ...], int], ...]  # B_j = c_1 + ... + c_j: integers, denominator
+
+    def prefix(self, n: int) -> EnergySeries:
+        """The series of order n, for 3 <= n <= self.n: c_0..c_n and their sums."""
+        if not 3 <= n <= self.n:
+            raise ValueError(f"a prefix of an order-{self.n} series needs 3 <= n <= {self.n}")
+        if n == self.n:
+            return self
+        _note_ignored(self.potential.v, n)
+        return EnergySeries(n, self.potential, self.c[: n + 1], self.sums[: n + 1])
 
 
 @dataclass(frozen=True)
@@ -70,13 +82,7 @@ def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeri
     if n < 3:
         raise ValueError("series order must be at least 3")
     v = potential.v
-    if v.degree > n - 3:
-        logger.info(
-            "potential coefficients beyond degree %d cannot affect a series "
-            "truncated at N=%d; they are ignored",
-            n - 3,
-            n,
-        )
+    _note_ignored(v, n)
     # c_j = ints[j] / dens[j]: an integer list over one positive denominator,
     # reduced by their common gcd at each order
     c1 = as_rational(c1)
@@ -103,16 +109,26 @@ def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeri
         g = gcd(den, *acc)
         ints.append([x // g for x in acc])
         dens.append(den // g)
+    sums, acc, den = [], [], 1  # B_j = acc / den, one integer axpy per order
+    for p, d in zip(ints, dens):
+        m = lcm(den, d)
+        f, g = m // den, m // d
+        acc, den = [f * x + g * y for x, y in zip_longest(acc, p, fillvalue=0)], m
+        sums.append((tuple(acc), den))
     c = [RationalPoly._canonical(p, Fraction(1, d), "eps") for p, d in zip(ints, dens)]
-    return EnergySeries(n=n, potential=potential, c=tuple(c))
+    return EnergySeries(n=n, potential=potential, c=tuple(c), sums=tuple(sums))
+
+
+def _note_ignored(v: RationalPoly, n: int) -> None:
+    if v.degree > n - 3:
+        logger.info("potential coefficients beyond degree %d cannot affect a series "
+                    "truncated at N=%d; they are ignored", n - 3, n)
 
 
 def boundary_polynomial(series: EnergySeries) -> RationalPoly:
     """B(eps) = sum_{j=1..n} c_j(eps); its roots make phi(1) vanish."""
-    acc = RationalPoly.zero("eps")
-    for cj in series.c[1:]:
-        acc = acc + cj
-    return acc
+    ints, den = series.sums[series.n]
+    return RationalPoly._canonical(list(ints), Fraction(1, den), "eps")
 
 
 def build_trial(series: EnergySeries) -> TrialFunction:
@@ -131,10 +147,7 @@ def specialize(s, eps) -> RationalPoly:
     Accepts int/Fraction (exact) or float (converted to its exact rational
     value first, so the result is still exact arithmetic on the given bits).
     """
-    if isinstance(eps, float):
-        eps = Fraction(eps)
-    else:
-        eps = as_rational(eps)
+    eps = exact_rational(eps)
     if isinstance(s, EnergySeries):
         coeffs = [cj.eval(eps) for cj in s.c]
         return RationalPoly.from_coeffs(coeffs, "q")

@@ -14,22 +14,22 @@ the trial function" are implemented:
   a true upper bound on the ground state;
 * self-consistent points eps = W(eps) (roots of F = eps den - num).
 
-The trial function sum_j c_j(eps) (q^j - q^N) is, in powers of q,
+The trial function sum_j c_j(eps) (q^j - q^N) is sum_{a=1..N} Phi_a q^a, with
+Phi_a = c_a (a < N) and Phi_N = -B_{N-1} = -sum_{a<N} c_a, so num and den are
+double sums of Phi_a Phi_b times the integral of the q-monomials: the weight
+w_ab is ab/(a+b-1) + sum_k v_k/(a+b+k+1) for num and 1/(a+b+1) for den.
+With P_a the c_a over one common denominator (and B_{n-1} = sum_{a<n} P_a),
+G_n = sum_{a<n} w_an P_a and F_n = sum_{a,b<n} w_ab P_a P_b, the form of
+order n is
 
-    phi = sum_{a=1..N} Phi_a q^a,   Phi_j = c_j (j < N),   Phi_N = -sum_j c_j,
+    F_n + B_{n-1} (w_nn B_{n-1} - 2 G_n),   F_{n+1} = F_n + P_n (2 G_n + w_nn P_n),
 
-so num and den are double sums over a and b of Phi_a Phi_b times a closed-form
-weight, the integral of the corresponding q-monomials:
-
-    den = sum_{a,b} Phi_a Phi_b / (a+b+1),
-    num = sum_{a,b} Phi_a Phi_b [ab/(a+b-1) + sum_k v_k/(a+b+k+1)].
-
-The Phi_a are brought to integer lists over one common denominator and each
-weight table to integers over one common multiple of its denominators, so a
-form is summed on integers and made a polynomial once.  All of it, root
-refinement included, is exact rational arithmetic; the kinetic term uses the
-integrated-by-parts form (phi' squared), which equals the literal -phi phi''
-form identically because the trial function vanishes at both walls.
+so one pass over one weight table at the largest order builds the form of
+every order, one product per order, on integers; each is made a polynomial
+once.  All of it, root refinement included, is exact rational arithmetic;
+the kinetic term uses the integrated-by-parts form (phi' squared), which
+equals the literal -phi phi'' form identically because the trial function
+vanishes at both walls.
 
 Both solvers take the quotient they solve, so a caller that wants A2 and A3
 at one order builds it once and hands it to each.
@@ -40,7 +40,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
+from typing import Iterable
 
 from .estimates import (
     DEFAULT_SELECTION,
@@ -52,8 +54,8 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, _int_mul, _int_sub, as_rational
-from .series import TrialFunction
+from .poly import RationalPoly, _int_addmul, as_rational
+from .series import TRIAL_MIN_ORDER, EnergySeries, TrialFunction
 
 logger = logging.getLogger(__name__)
 
@@ -85,72 +87,66 @@ class RayleighQuotient:
         return eps * self.den - self.num
 
 
-def _q_coefficients(trial: TrialFunction) -> tuple[list[list[int]], int]:
-    """Integer lists P_1..P_n and one denominator d with Phi_a = P_a / d."""
-    d = lcm(*(c.scale.denominator for _, c in trial.terms))
-    phi: list[list[int]] = [[] for _ in range(trial.n)]
-    wall: list[int] = []
-    for j, c in trial.terms:
-        m = c.scale.numerator * (d // c.scale.denominator)
-        phi[j - 1] = [m * x for x in c.ints]
-        wall = _int_sub(wall, phi[j - 1])
-    phi[trial.n - 1] = wall
-    return phi, d
+def _weights(v: RationalPoly, n: int):
+    """(l, w) for num and for den: w(a, b) = l w_ab, an integer for a, b <= n.
 
-
-def _norm_weight(n: int):
-    """l and the integer l/(a+b+1): l times the integral of q^a q^b."""
-    l = lcm(*range(1, 2 * n + 2))
-    return l, lambda a, b: l // (a + b + 1)
-
-
-def _energy_weight(v: RationalPoly, n: int):
-    """l and l [ab/(a+b-1) + sum_k v_k/(a+b+k+1)] as integers.
-
-    That is l times the integral of (q^a)' (q^b)' + v q^a q^b; the potential
-    part depends on a+b alone and is tabulated once.
+    The weights are those of the module docstring; the potential part of
+    num's depends on a+b alone and is tabulated once.
     """
     top = lcm(*range(1, 2 * n + len(v.ints) + 1))
-    l = top * v.scale.denominator
+    le, ln = top * v.scale.denominator, lcm(*range(1, 2 * n + 2))
     vk = [x * v.scale.numerator * top for x in v.ints]
     pot = [sum(x // (s + k + 1) for k, x in enumerate(vk)) for s in range(2 * n + 1)]
-    return l, lambda a, b: l * a * b // (a + b - 1) + pot[a + b]
+    energy = lambda a, b: le * a * b // (a + b - 1) + pot[a + b]
+    return (le, energy), (ln, lambda a, b: ln // (a + b + 1))
 
 
-def _form(phi: list[list[int]], d: int, l: int, weight) -> RationalPoly:
-    """sum_{a,b} Phi_a Phi_b w_ab as an eps-polynomial, for Phi_a = phi[a-1] / d.
+def _quotients(potential: PotentialSpec, terms, orders: set[int]) -> dict[int, RayleighQuotient]:
+    """The quotient of each order in ``orders`` from the (a, c_a) in ``terms``, in one pass."""
+    top = max(orders)
+    d = lcm(*(c.scale.denominator for _, c in terms))
+    phi: list[list[int]] = [[] for _ in range(top + 1)]
+    for a, c in terms:
+        phi[a] = [c.scale.numerator * (d // c.scale.denominator) * x for x in c.ints]
+    (le, energy), (ln, norm) = _weights(potential.v, top)
+    size = 2 * max(map(len, phi)) - 1
+    forms = ((le, energy, [0] * size), (ln, norm, [0] * size))  # F_n of num and of den
+    wall, live, out = [], [], {}  # B_{n-1} = sum_{a<n} P_a; (a, P_a) for the nonzero P_a, a < n
+    for n, p in enumerate(phi[1:], 1):
+        width = max((len(pa) for _, pa in live), default=0)
+        g = ge, gn = [0] * width, [0] * width  # 2 G_n of num and of den
+        for a, pa in live:
+            we, wn = 2 * energy(a, n), 2 * norm(a, n)
+            for k, x in enumerate(pa):
+                ge[k] += we * x
+                gn[k] += wn * x
+        if n in orders:
+            closed = []
+            for (l, weight, f), gw in zip(forms, g):
+                form, w = f[:], weight(n, n)
+                _int_addmul(form, wall, [w * x - y for x, y in zip_longest(wall, gw, fillvalue=0)])
+                closed.append(RationalPoly._canonical(form, Fraction(1, l * d * d), "eps"))
+            out[n] = RayleighQuotient(n, potential, *closed)
+        if p:  # phi[top] is empty: no form is built past the largest order
+            for (_, weight, f), gw in zip(forms, g):
+                w = weight(n, n)
+                _int_addmul(f, p, [y + w * x for x, y in zip_longest(p, gw, fillvalue=0)])
+            wall = [x + y for x, y in zip_longest(wall, p, fillvalue=0)]
+            live.append((n, p))
+    return out
 
-    ``weight(a, b)`` is the integer l w_ab of a weight symmetric in a and b.
-    Row a accumulates r_a = l w_aa P_a + 2 sum_{b>a} l w_ab P_b by integer
-    axpy, and the form is sum_a P_a r_a / (l d^2), reduced once.
-    """
-    live = [(a, p) for a, p in enumerate(phi, 1) if p]
-    width = max((len(p) for _, p in live), default=0)
-    out = [0] * (2 * width - 1)
-    for i, (a, pa) in enumerate(live):
-        row = [0] * width
-        for b, pb in live[i:]:
-            w = weight(a, b) if b == a else 2 * weight(a, b)
-            for k, x in enumerate(pb):
-                row[k] += w * x
-        for k, x in enumerate(_int_mul(pa, row)):
-            out[k] += x
-    return RationalPoly._canonical(out, Fraction(1, l * d * d), "eps")
+
+def build_quotients(series: EnergySeries, orders: Iterable[int]) -> dict[int, RayleighQuotient]:
+    """The quotient of every order in ``orders`` (each in [4, series.n], any order, repeats allowed)."""
+    orders = set(orders)
+    if min(orders) < TRIAL_MIN_ORDER or max(orders) > series.n:
+        raise ValueError(f"quotient orders must lie in [{TRIAL_MIN_ORDER}, {series.n}]")
+    return _quotients(series.potential, tuple(enumerate(series.c[: max(orders)])), orders)
 
 
 def build_quotient(trial: TrialFunction) -> RayleighQuotient:
-    """num and den as double sums over the q-coefficients Phi_a of phi.
-
-    Both forms share the integer lists of the Phi_a over one denominator and
-    differ only in their weight tables (see the module docstring).
-    """
-    phi, d = _q_coefficients(trial)
-    return RayleighQuotient(
-        n=trial.n,
-        potential=trial.potential,
-        num=_form(phi, d, *_energy_weight(trial.potential.v, trial.n)),
-        den=_form(phi, d, *_norm_weight(trial.n)),
-    )
+    """The quotient of one trial function: :func:`build_quotients` for its order alone."""
+    return _quotients(trial.potential, trial.terms, {trial.n})[trial.n]
 
 
 def solve_a2(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxeig import cli, goldens, rayleigh_ritz, rootfind
+from boxeig import cli, estimates, goldens, rayleigh_ritz, rootfind
 from boxeig.cli import main
 from boxeig.model import PotentialSpec
 
@@ -169,10 +169,8 @@ def test_solve_problem_file(tmp_path, capsys):
     assert out.splitlines()[-1] == out_direct.splitlines()[-1]
 
 
-def test_compute_cells_builds_each_object_once(monkeypatch):
-    # each row builds its series once for A1, and A2 and A3 share the
-    # quotient of its trial function; RR's secular systems come from one
-    # pencil build per command, which covers every N
+def count_builds(monkeypatch) -> list[tuple]:
+    """Record each series, quotient, pencil and default-bracket build, with its arguments."""
     calls = []
 
     def counted(name, original):
@@ -182,19 +180,39 @@ def test_compute_cells_builds_each_object_once(monkeypatch):
 
         return wrapper
 
-    for name in ("build_series", "build_quotient", "build_secular_systems"):
+    for name in ("build_series", "build_quotients", "build_secular_systems"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(estimates, "default_bracket", counted("default_bracket", estimates.default_bracket))
+    return calls
+
+
+def test_compute_cells_builds_each_object_once(monkeypatch):
+    # one series at the largest N serves every row, one pass over it builds
+    # every row's quotient, one pencil covers every N for RR, and the
+    # default bracket is resolved once, by the command's RunConfig
+    calls = count_builds(monkeypatch)
     potential = PotentialSpec.linear(Fraction(3, 7))
     orders = (9, 7, 9)
-    row_builds = [call for n in orders for call in (("build_series", n), ("build_quotient",))]
+    series_builds = [("build_series", 9), ("build_quotients", orders)]
     for methods, built in (
-        ("a1,a2,a3", row_builds),
-        ("a1,a2,a3,rr", [("build_secular_systems", orders), *row_builds]),
+        ("a1,a2,a3", series_builds),
+        ("a1,a2,a3,rr", [*series_builds, ("build_secular_systems", orders)]),
     ):
         calls.clear()
         rows = cli.compute_rows(cli.RunConfig(cli.parse_methods_flag(methods), potential, orders))
-        assert calls == built
+        assert calls == [("default_bracket", 0), *built]
         assert all(None not in cells.values() for cells in rows)
+
+
+def test_a_repeated_solve_builds_as_much_as_the_first(capsys, monkeypatch):
+    # nothing outlives a command: a second run in the same process rebuilds
+    # what the first built, and prints the same table
+    calls = count_builds(monkeypatch)
+    argv = ("solve", "--methods", "a1,a2,a3,rr", "--n", "9,7,9", "--lambda=3/7")
+    first = run(capsys, *argv)
+    builds = len(calls)
+    assert run(capsys, *argv) == first
+    assert builds == 4 and len(calls) == 2 * builds
 
 
 def test_rr_over_a_range_eliminates_once_per_node_of_the_largest_n(capsys, monkeypatch):

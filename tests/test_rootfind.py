@@ -365,6 +365,25 @@ def test_isolation_on_the_hull_agrees_with_sturm_counts(case):
             assert roots_on_closed(p, min(a, c), max(b, d)) == 1
 
 
+def fraction_hull(lo, hi):
+    """The dyadic hull by Fraction arithmetic: the reference for the integer one."""
+    width = hi - lo
+    e = width.numerator.bit_length() - width.denominator.bit_length()
+    if Fraction(2) ** e > width:
+        e -= 1
+    step = Fraction(2) ** (e - rootfind.HULL_BITS)
+    return (lo // step) * step, -(-hi // step) * step
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(brackets())
+def test_the_integer_hull_equals_the_fraction_formula(bracket):
+    lo, hi = bracket
+    hull = rootfind._dyadic_hull(lo, hi)
+    assert hull == fraction_hull(lo, hi)
+    assert hull[0] <= lo < hi <= hull[1] and all(is_dyadic(x) for x in hull)
+
+
 def test_the_early_stop_counts_only_roots_inside_the_bracket():
     # the hull of (1/3, 10) starts at 5/16, below the root 8/25, which must
     # not count towards the one root asked for

@@ -1,13 +1,15 @@
 """Energy-parameterized series coefficients, boundary polynomial, trial."""
 
+import logging
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boxeig.cli import main
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.series import (
@@ -205,6 +207,55 @@ def test_specialized_series_tracks_sine():
     )
     assert worst < 1e-5
     assert worst > 1e-7, "deviation should be dominated by the truncation term"
+
+
+# ---------------------------------------------------------------------------
+# one run at the largest order serves every smaller one
+
+# ramps over lambda in [-200, 200] and cubics with coefficients of both signs
+ramps_and_cubics = st.one_of(
+    st.fractions(-200, 200, max_denominator=60).map(PotentialSpec.linear),
+    st.lists(st.fractions(-200, 200, max_denominator=9), min_size=4, max_size=4)
+    .filter(lambda cs: cs[3] != 0 and min(cs) < 0 < max(cs))
+    .map(lambda cs: PotentialSpec.general(RationalPoly.from_coeffs(cs, "q"))),
+)
+# order sets as a command takes them: repeats, gaps, unsorted and single orders
+order_sets = st.one_of(
+    st.lists(st.integers(min_value=4, max_value=24), min_size=1, max_size=6),
+    st.sampled_from([(4,), (64,), (9, 7, 9), (30, 4, 64, 4, 17)]),
+)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(ramps_and_cubics, order_sets)
+@example(PotentialSpec.linear(-200), (64,))
+@example(PotentialSpec.linear(Fraction(1, 3)), (4,))
+@example(PotentialSpec.linear(200), (9, 7, 9))
+def test_prefixes_of_one_run_are_the_series_of_each_order(potential, orders):
+    top = build_series(potential, max(orders))
+    for n in orders:
+        series = top.prefix(n)
+        assert series == build_series(potential, n)
+        b = sum(series.c[1:], RationalPoly.zero("eps"))
+        assert boundary_polynomial(series) == b
+
+
+def test_prefix_refuses_orders_the_run_does_not_hold():
+    series = build_series(V1, 9)
+    assert series.prefix(9) is series
+    for n in (2, 10):
+        with pytest.raises(ValueError, match="prefix"):
+            series.prefix(n)
+
+
+def test_each_prefix_notes_the_potential_terms_it_ignores(caplog, tmp_path):
+    # v of degree 7 reaches c_10 first: rows N = 5..9 ignore some of it
+    path = tmp_path / "deg7.box"
+    path.write_text("m=1/2\nhbar=1\nL1=0\nL2=1\n0 1\n1 -2\n7 3\n")
+    with caplog.at_level(logging.INFO, logger="boxeig.series"):
+        assert main(["solve", "--potential", str(path), "--n", "5..11"]) in (0, 2)
+    notes = [rec.args for rec in caplog.records if "ignored" in rec.getMessage()]
+    assert notes == [(n - 3, n) for n in range(5, 10)]
 
 
 # ---------------------------------------------------------------------------

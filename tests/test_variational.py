@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxeig.cli import format_significant
@@ -16,9 +16,10 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular
 from boxeig.series import build_series, build_trial, specialize
-from boxeig.variational import build_quotient, solve_a2, solve_a3
+from boxeig.variational import build_quotient, build_quotients, solve_a2, solve_a3
 
 from test_rayleigh_ritz import basis_function, monomial_matrices
+from test_series import order_sets, ramps_and_cubics
 
 V0 = PotentialSpec.zero()
 V1 = PotentialSpec.linear(Fraction(1))
@@ -143,6 +144,31 @@ def test_quotient_equals_the_matrix_quotient(name):
     trial = build_trial(build_series(potential, 6, c1=0))
     rq = build_quotient(trial)
     assert (rq.num, rq.den) == matrix_quotient(trial) == (RationalPoly.zero("eps"),) * 2
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(ramps_and_cubics, order_sets)
+@example(PotentialSpec.linear(-200), (64,))
+@example(PotentialSpec.linear(Fraction(1, 3)), (4,))
+@example(PotentialSpec.linear(200), (9, 7, 9))
+def test_one_pass_builds_the_matrix_quotient_of_every_order(potential, orders):
+    # the running forms F_n of one pass at the largest order against
+    # c^T H c / c^T S c of each row's own trial function
+    quotients = build_quotients(build_series(potential, max(orders)), orders)
+    assert sorted(quotients) == sorted(set(orders))
+    for n in orders:
+        trial = build_trial(build_series(potential, n))
+        rq = quotients[n]
+        assert (rq.n, rq.potential) == (n, potential)
+        assert (rq.num, rq.den) == matrix_quotient(trial)
+        assert rq == build_quotient(trial)
+
+
+def test_build_quotients_refuses_orders_outside_its_series():
+    series = build_series(V1, 9)
+    for orders in ((3, 9), (4, 10)):
+        with pytest.raises(ValueError, match="quotient orders"):
+            build_quotients(series, orders)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
