@@ -85,8 +85,9 @@ def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction,
     return (Fraction(0), hi)
 
 
-# Enclosure width to which candidates are refined before their values are
-# compared; the chosen one is then refined on to the solver's tolerance.
+# Enclosure width to which the candidates left in contention are refined
+# before their values are compared; the chosen one is then refined on to the
+# solver's tolerance.
 COARSE_WIDTH = Fraction(1, 10**12)
 
 # Enclosure half-width used by the solver entry points; tight enough that a
@@ -106,13 +107,15 @@ def select_root(
 
     Index policies (A1, A3 and RR by default, and every method under
     ``smallest``) isolate only the first state+1 roots in the bracket and
-    refine only the last of them.  Policies that compare values,
-    ``nearest`` and any ``rank`` (a key on eps, such as the quotient value
-    for ``min-w``), isolate every root, first refine every candidate to a
-    coarse certified enclosure and compare its midpoint.  None when the
-    bracket holds no suitable root.  ``min-w`` without a ``rank`` is
-    refused: only the quotient methods have a value to rank by, and so is a
-    negative state.
+    refine only the last of them.  ``nearest`` and a ``rank`` (a key on eps,
+    W for A2's default and ``min-w``) isolate every root.  A rank must rise
+    where p > 0 and fall where p < 0, so the sign of p between two
+    neighbouring roots orders their ranks strictly: a root with state+1
+    others on strictly descending runs of the rank beside it is dropped
+    unrefined.  The candidates left are compared at the midpoints of coarse
+    certified enclosures; a lone one is refined once, straight to 2*tol.
+    None when the bracket holds no suitable root.  ``min-w`` without a
+    ``rank`` is refused, and so is a negative state.
     """
     if state < 0:
         raise ValueError("state must be nonnegative")
@@ -123,22 +126,43 @@ def select_root(
     # refine on the polynomial isolation used: at a multiple root that is the
     # square-free part, which changes sign there
     by_index = rank is None and selection.policy != "nearest"
-    p, intervals = rootfind.isolate_real_roots(p, bracket, state + 1 if by_index else None)
-    if by_index:
-        if state >= len(intervals):
-            return None
-        return rootfind.refine_enclosure(p, intervals[state], 2 * tol)
-    if not intervals:
+    isolated, intervals = rootfind.isolate_real_roots(p, bracket, state + 1 if by_index else None)
+    # nearest needs one root, an index or a rank state+1
+    if len(intervals) <= (0 if rank is None and not by_index else state):
         return None
-    candidates = [rootfind.refine_enclosure(p, iv, COARSE_WIDTH) for iv in intervals]
-    mids = [(a + b) / 2 for a, b in candidates]
-    if rank is None:
-        idx = min(range(len(mids)), key=lambda i: abs(mids[i] - selection.target))
-    else:
-        if state >= len(mids):
-            return None
-        idx = sorted(range(len(mids)), key=lambda i: rank(mids[i]))[state]
-    return rootfind.refine_enclosure(p, candidates[idx], 2 * tol)
+    if by_index:
+        return rootfind.refine_enclosure(isolated, intervals[state], 2 * tol)
+    if rank is not None:
+        intervals = [intervals[i] for i in _contenders(p, intervals, state)]
+    idx = 0
+    if len(intervals) > 1:
+        intervals = [rootfind.refine_enclosure(isolated, iv, COARSE_WIDTH) for iv in intervals]
+        mids = [(a + b) / 2 for a, b in intervals]
+        if rank is None:
+            idx = min(range(len(mids)), key=lambda i: abs(mids[i] - selection.target))
+        else:
+            idx = sorted(range(len(mids)), key=lambda i: rank(mids[i]))[state]
+    return rootfind.refine_enclosure(isolated, intervals[idx], 2 * tol)
+
+
+def _contenders(p: RationalPoly, intervals, state: int) -> list[int]:
+    """Indices of the roots with at most ``state`` others below them on the rank's runs beside them.
+
+    p has no root between neighbouring intervals.  Its sign there is read on
+    p itself, not on the square-free part: at a nondegenerate end, where p
+    is nonzero, or midway between two degenerate intervals.
+    """
+    gaps = zip(intervals, intervals[1:])
+    signs = [rootfind._sign_at(p.ints, b if a < b else c if c < d else (b + c) / 2) for (a, b), (c, d) in gaps]
+    below, run = [0] * len(intervals), 0
+    for i in range(len(signs) - 1, -1, -1):  # falling to the right
+        run = run + 1 if signs[i] < 0 else 0
+        below[i] = run
+    run = 0
+    for i, sign in enumerate(signs, 1):  # rising to the left
+        run = run + 1 if sign > 0 else 0
+        below[i] += run
+    return [i for i, k in enumerate(below) if k <= state]
 
 
 def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Fraction, Fraction]:

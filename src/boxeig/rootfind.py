@@ -29,7 +29,8 @@ chain of p.  Isolation returns the isolating intervals of the distinct roots
 (no multiplicities) with the polynomial it isolated them on, p or that
 square-free part.  The latter changes sign across every nondegenerate
 interval, so refinement on it builds no second chain.
-Isolation refines nothing, so a solver certifies only the root it picks.
+Isolation refines nothing, so a solver refines only the roots its selection
+leaves in contention (``estimates.select_root``) and certifies the one it picks.
 
 Refinement returns one cell of the dyadic grid m/2^k, 2^-k the first power
 of two GUARD_BITS bits below the requested width: the cell that holds the

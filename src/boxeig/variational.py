@@ -160,7 +160,9 @@ def solve_a2(
 
     Reports the stationary eps and the quotient value W(eps) there.  The
     default selection takes the stationary point with the smallest W (for
-    state k, the (k+1)-th smallest W, which is heuristic for k >= 1).
+    state k, the (k+1)-th smallest W, which is heuristic for k >= 1).  W
+    ranks by the sign of S, as select_root asks: W' = S / den^2, and den > 0
+    is the norm of a trial function with c_1 = 1.
     """
     if state > 0:
         logger.warning("excited-state selection for the stationary method is heuristic")
@@ -177,9 +179,13 @@ def solve_a3(
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
-    """Self-consistent point eps = W(eps); smallest root by default."""
+    """Self-consistent point eps = W(eps); smallest root by default.
+
+    W(eps) = eps at every root, so ``min-w`` is the policy ``smallest``.
+    """
     if state > 0:
         logger.warning("excited-state selection for the fixed-point method is heuristic")
-    rank = quotient.value if selection.policy == "min-w" else None
+    if selection.policy == "min-w":
+        selection = RootSelection("smallest")
     p = quotient.fixed_point_polynomial()
-    return solve_closure(METHOD_A3, quotient, p, bracket, state, selection, tol, rank)
+    return solve_closure(METHOD_A3, quotient, p, bracket, state, selection, tol)

@@ -14,7 +14,7 @@ from boxeig import rootfind
 from boxeig.model import PotentialSpec
 from boxeig.oracle import mpf_to_rational
 from boxeig.poly import RationalPoly
-from boxeig.estimates import DEFAULT_SELECTION, select_root
+from boxeig.estimates import DEFAULT_SELECTION, RootSelection, select_root
 from boxeig.rayleigh_ritz import build_secular, solve_secular
 from boxeig.rootfind import (
     count_real_roots,
@@ -735,14 +735,26 @@ def sturm_calls(monkeypatch):
     [
         lambda: solve_a1(build_series(PotentialSpec.linear(1), 12)),
         lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10)),
+        # W(eps) = eps at every fixed point, so min-w is the smallest policy
+        lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10), selection=RootSelection("min-w")),
         lambda: solve_secular(build_secular(PotentialSpec.linear(1), 6)),
     ],
-    ids=["a1", "a3", "rr"],
+    ids=["a1", "a3", "a3-min-w", "rr"],
 )
 def test_index_policy_solve_refines_one_root(call_counts, solve):
     est = solve()
     assert est is not None
     assert call_counts == {"refine_enclosure": 1, "sturm_sequence": 0}
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_a2_refines_only_the_valleys_of_w(call_counts, n):
+    # S has four roots in the default bracket at lambda = 1, where W has a
+    # valley, a peak, a valley and a peak: the two valleys are compared at
+    # coarse enclosures and the winner is refined once more, 3 refinements
+    # where refining every candidate and then the winner took 5
+    assert solve_a2(quotient_at(PotentialSpec.linear(1), n)) is not None
+    assert call_counts == {"refine_enclosure": 3, "sturm_sequence": 0}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular
+from boxeig.rootfind import count_real_roots
 from boxeig.series import build_series, build_trial, specialize
 from boxeig.variational import build_quotient, build_quotients, solve_a2, solve_a3
 
@@ -206,6 +207,26 @@ def test_denominator_positive_dense_sample():
         eps = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
         assert rq0.den.eval(eps) > 0
         assert rq1.den.eval(eps) > 0
+
+
+# den = integral of phi^2 and c_1 = 1, so phi is a nonzero polynomial in q at
+# every real eps and den has no real root: W' = S / den^2 has the sign of S,
+# which is what lets select_root drop the stationary points that W's
+# monotone runs leave out of contention
+quotient_cases = (ramps_and_cubics, st.integers(min_value=4, max_value=30))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(*quotient_cases)
+@example(PotentialSpec.linear(-200), 30)
+@example(PotentialSpec.linear(200), 4)
+def test_denominator_has_no_real_root(potential, n):
+    den = quotient_at(potential, n).den
+    # Cauchy: every root of sum a_i x^i lies within 1 + max |a_i / a_d|
+    *lower, top = den.coeffs
+    bound = 1 + max(abs(c / top) for c in lower)
+    assert count_real_roots(den, -bound, bound) == 0
+    assert den.eval(0) > 0
 
 
 # ---------------------------------------------------------------------------
