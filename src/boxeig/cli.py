@@ -25,16 +25,14 @@ renderings of one run contain identical numeric strings.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
-from . import goldens
 from .estimates import (
     METHOD_A1,
     METHOD_A2,
@@ -42,6 +40,7 @@ from .estimates import (
     METHOD_EXACT,
     METHOD_RR,
     DEFAULT_SELECTION,
+    NO_ROOT,
     RootSelection,
     resolve_bracket,
 )
@@ -57,6 +56,9 @@ from .poly import Rational, format_rational
 from .rayleigh_ritz import SecularSystem, build_secular_systems, solve_secular
 from .series import TRIAL_MIN_ORDER, EnergySeries, build_series, solve_a1
 from .variational import RayleighQuotient, build_quotients, solve_a2, solve_a3
+
+if TYPE_CHECKING:
+    from .goldens import GoldenTable
 
 N_MIN, N_MAX = 3, 64
 DIGITS_MIN, DIGITS_MAX = 6, 40
@@ -236,6 +238,8 @@ def render_markdown(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def render_csv(headers: list[str], rows: list[list[str]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
@@ -248,11 +252,13 @@ def render_table(fmt: str, headers: list[str], rows: list[list[str]], meta: dict
         return render_markdown(headers, rows)
     if fmt == "csv":
         return render_csv(headers, rows)
+    import json
+
     payload = dict(meta)
     payload["columns"] = headers
 
     def json_cell(header: str, cell: str):
-        if cell == goldens.NO_ROOT:
+        if cell == NO_ROOT:
             return None
         if header == "N":
             return int(cell)
@@ -353,7 +359,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     headers = ["N", *columns]
     values = [[cells[column] for column in columns] for cells in compute_rows(cfg)]
     rows = [
-        [str(n), *(goldens.NO_ROOT if x is None else format_significant(x, cfg.digits) for x in row)]
+        [str(n), *(NO_ROOT if x is None else format_significant(x, cfg.digits) for x in row)]
         for n, row in zip(cfg.n_values, values)
     ]
     missing = any(None in row for row in values)
@@ -371,7 +377,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # table
 
 
-def table_values(table: goldens.GoldenTable) -> list[list[Rational | None]]:
+def table_values(table: GoldenTable) -> list[list[Rational | None]]:
     """Every cell of a golden table, row per N, from one ``compute_rows`` per coupling."""
     rows = {}
     for lam in dict.fromkeys(column.lam for column in table.columns):
@@ -382,6 +388,8 @@ def table_values(table: goldens.GoldenTable) -> list[list[Rational | None]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import goldens
+
     table = goldens.TABLES.get(args.id)
     if table is None:
         raise UsageError(f"no golden table {args.id}; choose from 1..4")
@@ -398,8 +406,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             ok = goldens.cell_matches(golden, value)
             failures += 0 if ok else 1
             if value is None:
-                shown = goldens.NO_ROOT
-            elif golden == goldens.NO_ROOT:
+                shown = NO_ROOT
+            elif golden == NO_ROOT:
                 shown = format_significant(value, 12)
             else:
                 shown = format_fixed(value, _decimals_of(golden))
@@ -445,6 +453,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         "unit_interval_ready": scaled.q1 == 0,
     }
     if args.format == "json":
+        import json
+
         emit(json.dumps(info, indent=2), args.out)
         return 0
     lines = [

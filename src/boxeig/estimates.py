@@ -17,6 +17,9 @@ METHOD_A3 = "A3"
 METHOD_RR = "RR"
 METHOD_EXACT = "EXACT"
 
+#: How an estimate of None (no real root in the bracket) renders in a table.
+NO_ROOT = "--"
+
 
 @dataclass(frozen=True)
 class EigenEstimate:

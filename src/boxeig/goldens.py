@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .estimates import METHOD_A1, METHOD_A2, METHOD_A3, METHOD_RR
+from .estimates import METHOD_A1, METHOD_A2, METHOD_A3, METHOD_RR, NO_ROOT
 from .poly import Rational
-
-NO_ROOT = "--"
 
 #: Ground-state benchmark values at 20 significant digits: the free box
 #: (exactly pi**2) and the unit linear ramp.  The oracle module reproduces

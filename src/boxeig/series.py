@@ -20,7 +20,6 @@ order, which keeps each B_n = B_{n-1} + c_n.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -36,8 +35,6 @@ from .estimates import (
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, as_rational, exact_rational
-
-logger = logging.getLogger(__name__)
 
 # A trial function keeps the terms j = 1..n-1, so it needs n >= 4 (A2, A3).
 TRIAL_MIN_ORDER = 4
@@ -121,8 +118,11 @@ def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeri
 
 def _note_ignored(v: RationalPoly, n: int) -> None:
     if v.degree > n - 3:
-        logger.info("potential coefficients beyond degree %d cannot affect a series "
-                    "truncated at N=%d; they are ignored", n - 3, n)
+        import logging
+
+        logging.getLogger(__name__).info(
+            "potential coefficients beyond degree %d cannot affect a series "
+            "truncated at N=%d; they are ignored", n - 3, n)
 
 
 def boundary_polynomial(series: EnergySeries) -> RationalPoly:

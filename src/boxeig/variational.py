@@ -37,7 +37,6 @@ at one order builds it once and hands it to each.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -56,8 +55,6 @@ from .estimates import (
 from .model import PotentialSpec
 from .poly import RationalPoly, _int_addmul, as_rational
 from .series import TRIAL_MIN_ORDER, EnergySeries, TrialFunction
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,9 @@ def solve_a2(
     is the norm of a trial function with c_1 = 1.
     """
     if state > 0:
-        logger.warning("excited-state selection for the stationary method is heuristic")
+        import logging
+
+        logging.getLogger(__name__).warning("excited-state selection for the stationary method is heuristic")
     w = quotient.value
     rank = w if selection.policy in ("default", "min-w") else None
     p = quotient.stationarity_polynomial()
@@ -184,7 +183,9 @@ def solve_a3(
     W(eps) = eps at every root, so ``min-w`` is the policy ``smallest``.
     """
     if state > 0:
-        logger.warning("excited-state selection for the fixed-point method is heuristic")
+        import logging
+
+        logging.getLogger(__name__).warning("excited-state selection for the fixed-point method is heuristic")
     if selection.policy == "min-w":
         selection = RootSelection("smallest")
     p = quotient.fixed_point_polynomial()

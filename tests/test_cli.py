@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, run in-process through main()."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -422,34 +423,71 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert len(built) == 1
 
 
+# the probe passes its data as Python literals: importing json would hide
+# whether a command loads it
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 import boxeig.cli
-loaded = ["mpmath" in sys.modules]
-for argv in json.loads(sys.argv[1]):
+commands, watched, layers = map(ast.literal_eval, sys.argv[1:])
+
+def loaded():
+    return [name for name in watched if name in sys.modules]
+
+report = [loaded(), [layer for layer in layers if f"boxeig.{layer}" not in sys.modules]]
+for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
-        loaded.append((boxeig.cli.main(argv), "mpmath" in sys.modules))
-print(json.dumps(loaded))
+        report.append([boxeig.cli.main(argv), loaded()])
+print(repr(report))
 """
+
+#: Modules that a ``solve`` in markdown has no use for: each loads on first use.
+_LAZY_MODULES = ["mpmath", "logging", "json", "csv", "boxeig.goldens"]
+#: The layers the benchmark's span tracer finds in ``sys.modules``.
+_TRACED_LAYERS = ["cli", "series", "variational", "rayleigh_ritz", "rootfind", "oracle"]
 
 
 def test_only_the_oracle_imports_mpmath(tmp_path):
-    # a fresh interpreter, so that nothing else has loaded mpmath yet
+    # a fresh interpreter per case, so that nothing else has loaded a module yet
     path = tmp_path / "ramp.box"
     path.write_text(RAMP_PROBLEM)
-    commands = [
-        ["solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1"],
-        ["table", "1"],
-        ["convert", str(path)],
-        ["exact", "--lambda=1"],
+    solve = ["solve", "--methods", "a1,a2,a3,rr", "--n", "8", "--lambda=1"]
+    cases = [
+        (
+            [
+                solve,
+                [*solve, "--format", "csv"],
+                [*solve, "--format", "json"],
+                ["table", "1"],
+                ["convert", str(path)],
+                ["solve", "--methods", "a2", "--state", "1", "--n", "5", "--lambda=1"],
+                ["exact", "--lambda=1"],
+            ],
+            [
+                [0, []],
+                [0, ["csv"]],
+                [0, ["json", "csv"]],
+                [0, ["json", "csv", "boxeig.goldens"]],
+                [0, ["json", "csv", "boxeig.goldens"]],
+                [0, ["logging", "json", "csv", "boxeig.goldens"]],
+                [0, ["mpmath", "logging", "json", "csv", "boxeig.goldens"]],
+            ],
+            "excited-state selection for the stationary method is heuristic\n",
+        ),
+        (
+            [["convert", str(path)], ["convert", str(path), "--format", "json"]],
+            [[0, []], [0, ["json"]]],
+            "",
+        ),
     ]
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert json.loads(proc.stdout) == [False, [0, False], [0, False], [0, False], [0, True]]
+    for commands, expected, err in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *map(repr, (commands, _LAZY_MODULES, _TRACED_LAYERS))],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert ast.literal_eval(proc.stdout) == [[], [], *expected]
+        assert proc.stderr == err
 
 
 def test_exact_rejects_general_potential(tmp_path, capsys):
