@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -52,7 +51,7 @@ from .oracle import (
     exact_linear,
     mpf_to_rational,
 )
-from .poly import Rational, format_rational
+from .poly import Rational, Record, _set, format_rational
 from .rayleigh_ritz import SecularSystem, build_secular_systems, solve_secular
 from .series import TRIAL_MIN_ORDER, EnergySeries, build_series, solve_a1
 from .variational import RayleighQuotient, build_quotients, solve_a2, solve_a3
@@ -89,40 +88,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully parsed configuration of one ``solve`` run; it resolves the bracket once."""
 
-    methods: tuple[str, ...]
-    potential: PotentialSpec
-    n_values: tuple[int, ...]
-    state: int = 0
-    bracket: tuple[Rational, Rational] | None = None
-    digits: int = DEFAULT_DIGITS
-    format: str = "md"
-    selection: RootSelection = field(default=DEFAULT_SELECTION)
+    __slots__ = ("methods", "potential", "n_values", "state", "bracket", "digits", "format", "selection")
 
-    def __post_init__(self) -> None:
-        for n in self.n_values:
+    def __init__(
+        self,
+        methods: tuple[str, ...],
+        potential: PotentialSpec,
+        n_values: tuple[int, ...],
+        state: int = 0,
+        bracket: tuple[Rational, Rational] | None = None,
+        digits: int = DEFAULT_DIGITS,
+        format: str = "md",
+        selection: RootSelection = DEFAULT_SELECTION,
+    ) -> None:
+        for n in n_values:
             if not N_MIN <= n <= N_MAX:
                 raise UsageError(f"--n {n} outside [{N_MIN}, {N_MAX}]")
-        _check_state_digits(self.state, self.digits)
-        trial = [m for m in (METHOD_A2, METHOD_A3) if m in self.methods]
-        if trial and min(self.n_values) < TRIAL_MIN_ORDER:
+        _check_state_digits(state, digits)
+        trial = [m for m in (METHOD_A2, METHOD_A3) if m in methods]
+        if trial and min(n_values) < TRIAL_MIN_ORDER:
             raise UsageError(
-                f"--n {min(self.n_values)} is below {TRIAL_MIN_ORDER},"
+                f"--n {min(n_values)} is below {TRIAL_MIN_ORDER},"
                 f" the lowest order for {' and '.join(trial)}"
             )
         # root finding is exact at any size; the check keeps solve to the
         # brackets that the float-bracket cross-checks can take as well (the
         # oracle, whose --lambda has the same limit, and shoot_root)
-        lo, hi = resolve_bracket(self.bracket, self.potential, self.state)
+        lo, hi = resolve_bracket(bracket, potential, state)
         if max(-lo, hi) > sys.float_info.max:
             raise UsageError(
                 "the search bracket has an end beyond the float range;"
                 " give a smaller --lambda or --bracket"
             )
-        object.__setattr__(self, "bracket", (lo, hi))
+        _set(self, "methods", methods)
+        _set(self, "potential", potential)
+        _set(self, "n_values", n_values)
+        _set(self, "state", state)
+        _set(self, "bracket", (lo, hi))
+        _set(self, "digits", digits)
+        _set(self, "format", format)
+        _set(self, "selection", selection)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import rootfind
 from .model import KIND_LINEAR, KIND_ZERO, PotentialSpec
-from .poly import RationalPoly, as_rational, exact_rational
+from .poly import RationalPoly, Record, _set, as_rational, exact_rational
 
 METHOD_A1 = "A1"
 METHOD_A2 = "A2"
@@ -21,8 +20,7 @@ METHOD_EXACT = "EXACT"
 NO_ROOT = "--"
 
 
-@dataclass(frozen=True)
-class EigenEstimate:
+class EigenEstimate(Record):
     """One eigenvalue estimate produced by a single method at one order N.
 
     ``enclosure`` is the certified rational enclosure of the selected root
@@ -30,19 +28,28 @@ class EigenEstimate:
     holds the exact quotient value at eps.
     """
 
-    method: str
-    n: int
-    state: int
-    enclosure: tuple[Fraction, Fraction]
-    w: Fraction | None = None
+    __slots__ = ("method", "n", "state", "enclosure", "w")
+
+    def __init__(
+        self,
+        method: str,
+        n: int,
+        state: int,
+        enclosure: tuple[Fraction, Fraction],
+        w: Fraction | None = None,
+    ) -> None:
+        _set(self, "method", method)
+        _set(self, "n", n)
+        _set(self, "state", state)
+        _set(self, "enclosure", enclosure)
+        _set(self, "w", w)
 
     @property
     def eps(self) -> Fraction:
         return (self.enclosure[0] + self.enclosure[1]) / 2
 
 
-@dataclass(frozen=True)
-class RootSelection:
+class RootSelection(Record):
     """Which root of a method's closure equation to report.
 
     ``default`` lets each method use its natural rule (smallest root for the
@@ -50,14 +57,15 @@ class RootSelection:
     stationary method).  ``nearest`` needs a target.
     """
 
-    policy: str = "default"
-    target: Fraction | None = None
+    __slots__ = ("policy", "target")
 
-    def __post_init__(self) -> None:
-        if self.policy not in ("default", "smallest", "nearest", "min-w"):
-            raise ValueError(f"unknown selection policy {self.policy!r}")
-        if (self.policy == "nearest") != (self.target is not None):
+    def __init__(self, policy: str = "default", target: Fraction | None = None) -> None:
+        if policy not in ("default", "smallest", "nearest", "min-w"):
+            raise ValueError(f"unknown selection policy {policy!r}")
+        if (policy == "nearest") != (target is not None):
             raise ValueError("'nearest' selection requires a target, others forbid it")
+        _set(self, "policy", policy)
+        _set(self, "target", target)
 
     @classmethod
     def parse(cls, text: str) -> "RootSelection":

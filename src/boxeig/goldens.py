@@ -13,11 +13,10 @@ All comparisons run in exact rational arithmetic: golden strings parse to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .estimates import METHOD_A1, METHOD_A2, METHOD_A3, METHOD_RR, NO_ROOT
-from .poly import Rational
+from .poly import Rational, Record, _set
 
 #: Ground-state benchmark values at 20 significant digits: the free box
 #: (exactly pi**2) and the unit linear ramp.  The oracle module reproduces
@@ -26,8 +25,7 @@ BENCHMARK_EPS_FREE = "9.8696044010893586191"
 BENCHMARK_EPS_RAMP = "10.368507161836337127"
 
 
-@dataclass(frozen=True)
-class GoldenColumn:
+class GoldenColumn(Record):
     """One column of a golden table: a method applied at a fixed coupling.
 
     ``quantity`` selects which number the column reports: ``"eps"`` for the
@@ -35,16 +33,17 @@ class GoldenColumn:
     stationary point (only meaningful for the stationary-quotient method).
     """
 
-    label: str
-    method: str
-    lam: Rational
-    quantity: str = "eps"
+    __slots__ = ("label", "method", "lam", "quantity")
 
-    def __post_init__(self) -> None:
-        if self.quantity not in ("eps", "w"):
-            raise ValueError(f"unknown column quantity {self.quantity!r}")
-        if self.quantity == "w" and self.method != METHOD_A2:
+    def __init__(self, label: str, method: str, lam: Rational, quantity: str = "eps") -> None:
+        if quantity not in ("eps", "w"):
+            raise ValueError(f"unknown column quantity {quantity!r}")
+        if quantity == "w" and method != METHOD_A2:
             raise ValueError("w columns only apply to the stationary-quotient method")
+        _set(self, "label", label)
+        _set(self, "method", method)
+        _set(self, "lam", lam)
+        _set(self, "quantity", quantity)
 
     @property
     def key(self) -> str:
@@ -52,22 +51,29 @@ class GoldenColumn:
         return "W(A2)" if self.quantity == "w" else f"eps({self.method})"
 
 
-@dataclass(frozen=True)
-class GoldenTable:
+class GoldenTable(Record):
     """A frozen reference table: row-per-N cells of verbatim digit strings."""
 
-    table_id: int
-    title: str
-    n_values: tuple[int, ...]
-    columns: tuple[GoldenColumn, ...]
-    cells: tuple[tuple[str, ...], ...]
+    __slots__ = ("table_id", "title", "n_values", "columns", "cells")
 
-    def __post_init__(self) -> None:
-        if len(self.cells) != len(self.n_values):
+    def __init__(
+        self,
+        table_id: int,
+        title: str,
+        n_values: tuple[int, ...],
+        columns: tuple[GoldenColumn, ...],
+        cells: tuple[tuple[str, ...], ...],
+    ) -> None:
+        if len(cells) != len(n_values):
             raise ValueError("one cell row required per N value")
-        for row in self.cells:
-            if len(row) != len(self.columns):
+        for row in cells:
+            if len(row) != len(columns):
                 raise ValueError("cell row width must match column count")
+        _set(self, "table_id", table_id)
+        _set(self, "title", title)
+        _set(self, "n_values", n_values)
+        _set(self, "columns", columns)
+        _set(self, "cells", cells)
 
 
 def parse_cell(text: str) -> Rational | None:

@@ -18,21 +18,22 @@ interior point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RationalPoly, ScalarLike, as_rational, format_rational
+from .poly import RationalPoly, Record, ScalarLike, _set, as_rational, format_rational
 
 KIND_ZERO = "zero"
 KIND_LINEAR = "linear"
 KIND_GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(Record):
     """Dimensionless potential v(q); its kind and slope are read off v."""
 
-    v: RationalPoly
+    __slots__ = ("v",)
+
+    def __init__(self, v: RationalPoly) -> None:
+        _set(self, "v", v)
 
     @property
     def kind(self) -> str:
@@ -69,46 +70,62 @@ class PotentialSpec:
         return f"v = {self.v}"
 
 
-@dataclass(frozen=True)
-class BoxProblem:
+class BoxProblem(Record):
     """Physical box problem: walls, mass, hbar, and a polynomial potential.
 
-    ``v_taylor`` holds the Taylor coefficients of V about x0, i.e. the
-    coefficient of (x - x0)**j, in energy units.
+    The five scalars are coerced to exact rationals.  ``v_taylor`` holds the
+    Taylor coefficients of V about x0, i.e. the coefficient of (x - x0)**j, in
+    energy units.
     """
 
-    mass: Fraction
-    hbar: Fraction
-    l1: Fraction
-    l2: Fraction
-    x0: Fraction
-    v_taylor: RationalPoly
+    __slots__ = ("mass", "hbar", "l1", "l2", "x0", "v_taylor")
 
-    def __post_init__(self) -> None:
-        for name in ("mass", "hbar", "l1", "l2", "x0"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.mass <= 0:
+    def __init__(
+        self,
+        mass: ScalarLike,
+        hbar: ScalarLike,
+        l1: ScalarLike,
+        l2: ScalarLike,
+        x0: ScalarLike,
+        v_taylor: RationalPoly,
+    ) -> None:
+        mass, hbar, l1, l2, x0 = map(as_rational, (mass, hbar, l1, l2, x0))
+        if mass <= 0:
             raise ValueError("mass must be positive")
-        if self.hbar <= 0:
+        if hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.l1 >= self.l2:
+        if l1 >= l2:
             raise ValueError("box walls must satisfy L1 < L2")
-        if not (self.l1 <= self.x0 <= self.l2):
+        if not (l1 <= x0 <= l2):
             raise ValueError("reference point x0 must lie inside [L1, L2]")
+        _set(self, "mass", mass)
+        _set(self, "hbar", hbar)
+        _set(self, "l1", l1)
+        _set(self, "l2", l2)
+        _set(self, "x0", x0)
+        _set(self, "v_taylor", v_taylor)
 
     @property
     def length(self) -> Fraction:
         return self.l2 - self.l1
 
 
-@dataclass(frozen=True)
-class DimensionlessProblem:
+class DimensionlessProblem(Record):
     """Image of a BoxProblem on an interval of unit length."""
 
-    potential: PotentialSpec
-    energy_scale: Fraction  # 2 m L^2 / hbar^2, so eps = energy_scale * E
-    q1: Fraction  # image of L1
-    q2: Fraction  # image of L2 (q2 - q1 = 1)
+    __slots__ = ("potential", "energy_scale", "q1", "q2")
+
+    def __init__(
+        self,
+        potential: PotentialSpec,
+        energy_scale: Fraction,  # 2 m L^2 / hbar^2, so eps = energy_scale * E
+        q1: Fraction,  # image of L1
+        q2: Fraction,  # image of L2 (q2 - q1 = 1)
+    ) -> None:
+        _set(self, "potential", potential)
+        _set(self, "energy_scale", energy_scale)
+        _set(self, "q1", q1)
+        _set(self, "q2", q2)
 
 
 def nondimensionalize(problem: BoxProblem) -> DimensionlessProblem:

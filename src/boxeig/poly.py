@@ -21,7 +21,6 @@ energy polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -56,8 +55,48 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+#: Sets a field of a :class:`Record` in its ``__init__``, past the refusal.
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value object whose fields are the names in its ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` and sets each exactly once in
+    its ``__init__`` through ``_set``.  Records compare and hash by their
+    fields, in slot order, and only with records of their own class; they
+    repr as ``Name(field=value, ...)`` and rebuild from their fields when
+    copied or pickled.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class RationalPoly(Record):
     """Dense univariate polynomial with exact rational coefficients.
 
     The fields hold the canonical form ``scale * sum(ints[k] x**k)``; build a
@@ -65,9 +104,12 @@ class RationalPoly:
     bring it to that form.
     """
 
-    ints: tuple[int, ...] = ()
-    scale: Fraction = Fraction(1)
-    var: str = "q"
+    __slots__ = ("ints", "scale", "var")
+
+    def __init__(self, ints: tuple[int, ...] = (), scale: Fraction = Fraction(1), var: str = "q") -> None:
+        _set(self, "ints", ints)
+        _set(self, "scale", scale)
+        _set(self, "var", var)
 
     # ------------------------------------------------------------------
     # constructors

@@ -44,7 +44,6 @@ largest pencil's row lcms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 from typing import Iterable
@@ -58,11 +57,10 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly
+from .poly import RationalPoly, Record, _set
 
 
-@dataclass(frozen=True)
-class SecularSystem:
+class SecularSystem(Record):
     """The characteristic polynomial of the pencil (H, S) of one order n.
 
     ``char_poly`` is det(H - eps S) in the basis q^j - q^n, which is
@@ -71,9 +69,12 @@ class SecularSystem:
     pencil itself lives only as the integer band rows of :func:`_pencil`.
     """
 
-    n: int
-    potential: PotentialSpec
-    char_poly: RationalPoly
+    __slots__ = ("n", "potential", "char_poly")
+
+    def __init__(self, n: int, potential: PotentialSpec, char_poly: RationalPoly) -> None:
+        _set(self, "n", n)
+        _set(self, "potential", potential)
+        _set(self, "char_poly", char_poly)
 
     @property
     def size(self) -> int:

@@ -20,7 +20,6 @@ order, which keeps each B_n = B_{n-1} + c_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -34,20 +33,28 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, as_rational, exact_rational
+from .poly import RationalPoly, Record, _set, as_rational, exact_rational
 
 # A trial function keeps the terms j = 1..n-1, so it needs n >= 4 (A2, A3).
 TRIAL_MIN_ORDER = 4
 
 
-@dataclass(frozen=True)
-class EnergySeries:
+class EnergySeries(Record):
     """Coefficients c_0..c_n of the interior solution, as polynomials in eps."""
 
-    n: int
-    potential: PotentialSpec
-    c: tuple[RationalPoly, ...]
-    sums: tuple[tuple[tuple[int, ...], int], ...]  # B_j = c_1 + ... + c_j: integers, denominator
+    __slots__ = ("n", "potential", "c", "sums")
+
+    def __init__(
+        self,
+        n: int,
+        potential: PotentialSpec,
+        c: tuple[RationalPoly, ...],
+        sums: tuple[tuple[tuple[int, ...], int], ...],  # B_j = c_1 + ... + c_j: integers, denominator
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "potential", potential)
+        _set(self, "c", c)
+        _set(self, "sums", sums)
 
     def prefix(self, n: int) -> EnergySeries:
         """The series of order n, for 3 <= n <= self.n: c_0..c_n and their sums."""
@@ -59,13 +66,15 @@ class EnergySeries:
         return EnergySeries(n, self.potential, self.c[: n + 1], self.sums[: n + 1])
 
 
-@dataclass(frozen=True)
-class TrialFunction:
+class TrialFunction(Record):
     """Terms (j, c_j) of the two-sided trial function sum c_j (q^j - q^n)."""
 
-    n: int
-    potential: PotentialSpec
-    terms: tuple[tuple[int, RationalPoly], ...]
+    __slots__ = ("n", "potential", "terms")
+
+    def __init__(self, n: int, potential: PotentialSpec, terms: tuple[tuple[int, RationalPoly], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "potential", potential)
+        _set(self, "terms", terms)
 
 
 def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeries:

@@ -37,7 +37,6 @@ at one order builds it once and hands it to each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -53,18 +52,20 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, _int_addmul, as_rational
+from .poly import RationalPoly, Record, _int_addmul, _set, as_rational
 from .series import TRIAL_MIN_ORDER, EnergySeries, TrialFunction
 
 
-@dataclass(frozen=True)
-class RayleighQuotient:
+class RayleighQuotient(Record):
     """num/den as exact eps-polynomials for one trial function."""
 
-    n: int
-    potential: PotentialSpec
-    num: RationalPoly
-    den: RationalPoly
+    __slots__ = ("n", "potential", "num", "den")
+
+    def __init__(self, n: int, potential: PotentialSpec, num: RationalPoly, den: RationalPoly) -> None:
+        _set(self, "n", n)
+        _set(self, "potential", potential)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def value(self, eps):
         """W(eps) = num(eps) / den(eps), an exact Fraction, for a rational eps."""

@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -389,6 +388,8 @@ def test_order_three_is_refused_only_for_trial_functions(capsys):
     assert (code, out) == (0, "N,eps(RR)\n3,10\n")
     code, _, err = run(capsys, "solve", "--n", "3..5", "--methods", "a1,a3")
     assert code == 1 and "--n 3" in err and "A3" in err and "A2" not in err
+    code, _, err = run(capsys, "solve", "--methods", "a2", "--n", "3")
+    assert code == 1 and "the lowest order for A2\n" in err
 
 
 def test_argparse_failures_exit_one():
@@ -440,8 +441,9 @@ for argv in commands:
 print(repr(report))
 """
 
-#: Modules that a ``solve`` in markdown has no use for: each loads on first use.
-_LAZY_MODULES = ["mpmath", "logging", "json", "csv", "boxeig.goldens"]
+#: Modules that a ``solve`` in markdown has no use for: each loads on first use,
+#: except ``dataclasses`` and ``inspect`` (16-20 ms together), which none loads.
+_LAZY_MODULES = ["mpmath", "logging", "json", "csv", "boxeig.goldens", "dataclasses", "inspect"]
 #: The layers the benchmark's span tracer finds in ``sys.modules``.
 _TRACED_LAYERS = ["cli", "series", "variational", "rayleigh_ritz", "rootfind", "oracle"]
 
@@ -577,7 +579,9 @@ def test_table_mismatch_exit_three(capsys, monkeypatch):
         for i, row in enumerate(table.cells)
     )
     monkeypatch.setitem(
-        goldens.TABLES, 4, dataclasses.replace(table, cells=tampered_cells)
+        goldens.TABLES,
+        4,
+        goldens.GoldenTable(table.table_id, table.title, table.n_values, table.columns, tampered_cells),
     )
     code, out, _ = run(capsys, "table", "4")
     assert code == 3
@@ -590,11 +594,31 @@ def test_table_shows_a_value_computed_for_a_no_root_cell_as_fail(capsys, monkeyp
     # 12 significant digits
     table = goldens.TABLES[4]
     cells = ((goldens.NO_ROOT, table.cells[0][1]), *table.cells[1:])
-    monkeypatch.setitem(goldens.TABLES, 4, dataclasses.replace(table, cells=cells))
+    tampered = goldens.GoldenTable(table.table_id, table.title, table.n_values, table.columns, cells)
+    monkeypatch.setitem(goldens.TABLES, 4, tampered)
     code, out, _ = run(capsys, "table", "4")
     assert code == 3
     assert "| 4 | eps(RR, lam=0) | -- | 9.86974962132 | FAIL |" in out.splitlines()
     assert out.count("FAIL") == 1
+
+
+def _golden_column(quantity="eps", method=estimates.METHOD_A2):
+    return goldens.GoldenColumn("c", method, Fraction(1), quantity)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _golden_column("W"), "unknown column quantity 'W'"),
+        (lambda: _golden_column("w", estimates.METHOD_A3), "w columns only apply"),
+        (lambda: goldens.GoldenTable(9, "t", (4, 5), (_golden_column(),), (("1",),)), "one cell row"),
+        (lambda: goldens.GoldenTable(9, "t", (4,), (_golden_column(),), (("1", "2"),)), "row width"),
+    ],
+    ids=["quantity", "w-column", "row-count", "row-width"],
+)
+def test_a_malformed_golden_table_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

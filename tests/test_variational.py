@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular
 from boxeig.rootfind import count_real_roots
-from boxeig.series import build_series, build_trial, specialize
+from boxeig.series import TrialFunction, build_series, build_trial, specialize
 from boxeig.variational import build_quotient, build_quotients, solve_a2, solve_a3
 
 from test_rayleigh_ritz import basis_function, monomial_matrices
@@ -84,7 +83,7 @@ def kinetic_energy_forms(trial) -> tuple[RationalPoly, RationalPoly]:
     of the basis polynomials f_j = q^j - q^n directly.  The two agree
     identically for functions vanishing at both walls.
     """
-    by_parts = build_quotient(replace(trial, potential=PotentialSpec.zero())).num
+    by_parts = build_quotient(TrialFunction(trial.n, PotentialSpec.zero(), trial.terms)).num
     f = [basis_function(j, trial.n) for j, _ in trial.terms]
     ddf = [fj.differentiate().differentiate() for fj in f]
     literal = RationalPoly.zero("eps")
