@@ -9,28 +9,21 @@ integer polynomial at a rational point n/d by the integer Horner kernel of
 (and hence root counts on half-open intervals) carry no rounding error.
 
 Isolation is Descartes bisection (Collins & Akritas 1976; Rouillier &
-Zimmermann 2004) on the integer polynomial q(t) that carries the bracket's
-dyadic hull onto (0, 1).  The hull rounds both ends of the bracket outward to
-the grid of the largest power of two at most 2^-HULL_BITS of its width, so an
-end with a long denominator (default_bracket's float pi^2) does not put its
-bits into every coefficient of q.  A piece is dropped when the coefficients
-of (t + 1)^d q(1/(t + 1)) show no sign variation and kept when they show one;
-otherwise it is halved by integer Taylor shifts.  Pieces are searched left to
-right, with an exact root at a midpoint reported between its two halves, so
-the search can stop once it holds as many roots as a solver asks for.  An
-isolating interval that straddles a bracket end is cut there and kept when
-the polynomial changes sign across what is left; a root exactly at an end is
-reported as a degenerate interval.  The pieces are dyadic subdivisions of the
-hull, so every isolating end but a cut one is dyadic, and no Sturm chain is
-built.  Near a multiple root the variations never drop below two, so a depth
-limit stops the search, and it is run again, without a depth limit, on the
-square-free part p / gcd(p, p'), the gcd being the last member of the Sturm
-chain of p.  Isolation returns the isolating intervals of the distinct roots
-(no multiplicities) with the polynomial it isolated them on, p or that
-square-free part.  The latter changes sign across every nondegenerate
-interval, so refinement on it builds no second chain.
-Isolation refines nothing, so a solver refines only the roots its selection
-leaves in contention (``estimates.select_root``) and certifies the one it picks.
+Zimmermann 2004) in the Bernstein basis (Mourrain, Rouillier & Roy 2005).
+The bracket's dyadic hull (see HULL_BITS) is mapped onto (0, 1) by powers of
+its grid integers, with an integer Taylor shift only when it does not start
+at 0, and the polynomial is made Bernstein once.  A piece is dropped when its
+integer Bernstein coefficients show no sign variation, kept when they show
+one, and otherwise halved by one de Casteljau triangle of sums.  Pieces are
+searched left to right, so the search can stop once it holds as many roots
+as a solver asks for.  An isolating interval that straddles a bracket end is
+cut there; every other end is dyadic, and no Sturm chain is built.  Near a
+multiple root the variations never drop below two, so a depth limit stops
+the search, and it is run again, without one, on the square-free part
+p / gcd(p, p'), the gcd being the last member of the Sturm chain of p.
+Refinement runs on the polynomial that isolation ran on, so it builds no
+second chain.  Isolation refines nothing: a solver refines only the roots
+its selection leaves in contention (``estimates.select_root``).
 
 Refinement returns one cell of the dyadic grid m/2^k, 2^-k the first power
 of two GUARD_BITS bits below the requested width: the cell that holds the
@@ -53,7 +46,7 @@ oracle runs the same search on its wall series.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 from .poly import (
@@ -260,66 +253,73 @@ def _taylor_shift1(a: Sequence[int]) -> list[int]:
     return b
 
 
+def _halves(b: list[int], d: int) -> tuple[list[int], list[int]]:
+    """2^d times the Bernstein coefficients of both halves of (0, 1), by one de Casteljau triangle.
+
+    Overwrites b with each row of sums in turn: row r starts with 2^r times
+    coefficient r of the left half and ends with 2^r times d - r of the right.
+    """
+    left, right = [b[0] << d], [b[-1] << d]
+    for r in range(d, 0, -1):  # b becomes row d - r + 1
+        for i in range(r):
+            b[i] += b[i + 1]
+        left.append(b[0] << (r - 1))
+        right.append(b[r - 1] << (r - 1))
+    return left, right[::-1]
+
+
 def _descartes(
     a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool
 ) -> Iterator[Interval | None]:
     """Isolating intervals of the distinct roots of a in the open bracket (lo, hi), ascending.
 
-    ``a`` is a primitive integer coefficient sequence.  With lo = A/C and
-    hi - lo = B/C, q(t) = C^d a((A + B t) / C) has the roots of a in (lo, hi)
-    in (0, 1).  A
-    piece lo + (hi - lo) [c/2^k, (c + 1)/2^k] is held as (q_k, k, c), q_k an
-    integer polynomial whose roots in (0, 1) are those of a in the piece.
-    The sign variations of (t + 1)^d q_k(1/(t + 1)) bound the number of those
-    roots and share its parity: none drops the piece, and one keeps it when
-    q_k is nonzero at both ends.  A piece with one root and a root at an end
-    is bisected on, so that refinement, which reads a zero at an endpoint as
-    the root, cannot return that end for it.  Pieces are searched left half
-    first, and an exact root at a midpoint is yielded as (m, m) between the
-    two halves, so the intervals come in ascending order and a caller may
-    stop the search after any of them.
+    ``a`` is a primitive integer coefficient sequence.  With lo = s/D and
+    hi = (s + w)/D, q(t) = D^d a((s + w t)/D) has the roots of a in (lo, hi)
+    in (0, 1).  A piece lo + (hi - lo) [c/2^k, (c + 1)/2^k] is held as (b, k, c),
+    b the integer Bernstein coefficients on (0, 1) of a polynomial with the
+    piece's roots of a there; their sign variations bound the number of those
+    roots and share its parity.  None drops the piece.  One keeps it when b_0
+    and b_d, its end values, are nonzero, since refinement reads a zero at an
+    end as the root.  More bisect it by :func:`_halves`.  The left half is
+    searched first, and an exact root at a midpoint is yielded as (m, m)
+    between the halves, so the intervals come in ascending order and a caller
+    may stop after any of them.
 
     When ``bounded``, yields None and stops instead of bisecting a piece at
     depth DESCARTES_DEPTH_BITS + bit length of floor(hi - lo): a multiple
     root keeps two or more variations at every depth.
     """
-    d = len(a) - 1
-    width = hi - lo
-    den = lcm(lo.denominator, width.denominator)
-    shift = lo.numerator * (den // lo.denominator)
-    scale = width.numerator * (den // width.denominator)
-    # homogeneous Horner: q <- q (shift + scale t) + a_i den^(d - i)
-    q = [a[-1]]
-    power = 1
-    for coeff in reversed(a[:-1]):
-        power *= den
-        q = [shift * x + scale * y for x, y in zip(q + [0], [0] + q)]
-        q[0] += coeff * power
-    g = gcd(*q)
-    q = [x // g for x in q]
+    d, width = len(a) - 1, hi - lo
+    den = lcm(lo.denominator, hi.denominator)
+    s, w = int(lo * den), int(width * den)
+    q = [x * den ** (d - i) for i, x in enumerate(a)]  # den^d a(u / den)
+    for i in range(d if s else 0):  # its Taylor shift by s
+        for j in range(d - 1, i - 1, -1):
+            q[j] += s * q[j + 1]
+    # q(t) = den^d a((s + w t) / den); (t + 1)^d q(1/(t + 1)) = sum C(d, i) b_i t^(d - i)
+    v = _taylor_shift1([x * w**i for x, i in zip(reversed(q), range(d, -1, -1))])
+    b = [x * factorial(i) * factorial(d - i) for i, x in enumerate(reversed(v))]  # d! b_i
+    g = gcd(*b)
+    b = [x // g for x in b]
 
     max_depth = DESCARTES_DEPTH_BITS + int(width).bit_length()
-    stack: list[tuple[list[int] | None, int, int]] = [(q, 0, 0)]
+    stack: list[tuple[list[int] | None, int, int]] = [(b, 0, 0)]
     while stack:
-        q, k, c = stack.pop()
-        if q is None:  # an exact root at the midpoint of a bisected piece
-            m = lo + width * Fraction(c, 1 << k)
-            yield (m, m)
+        b, k, c = stack.pop()
+        if b is None:  # an exact root at the midpoint of a bisected piece
+            yield (lo + width * Fraction(c, 1 << k),) * 2
             continue
-        # coefficients of (t + 1)^d q(1/(t + 1)): its ends are q(1) and q(0)
-        v = _taylor_shift1(q[::-1])
-        signs = [s > 0 for s in v if s]
-        variations = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        signs = [x > 0 for x in b if x]
+        variations = sum(1 for x, y in zip(signs, signs[1:]) if x != y)
         if variations == 0:
             continue
-        if variations == 1 and v[0] and v[-1]:
+        if variations == 1 and b[0] and b[-1]:
             yield (lo + width * Fraction(c, 1 << k), lo + width * Fraction(c + 1, 1 << k))
             continue
         if bounded and k == max_depth:
             yield None
             return
-        left = [y << (d - i) for i, y in enumerate(q)]  # 2^d q(t/2)
-        right = _taylor_shift1(left)  # 2^d q((t + 1)/2)
+        left, right = _halves(b, d)
         stack.append((right, k + 1, 2 * c + 1))
         if right[0] == 0:
             stack.append((None, k + 1, 2 * c + 1))

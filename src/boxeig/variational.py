@@ -73,11 +73,18 @@ class RayleighQuotient(Record):
         return self.num.eval(eps) / self.den.eval(eps)
 
     def stationarity_polynomial(self) -> RationalPoly:
-        """S = num' den - num den'; W'(eps) = S / den^2."""
-        return (
-            self.num.differentiate() * self.den
-            - self.num * self.den.differentiate()
-        )
+        """S = num' den - num den'; W'(eps) = S / den^2.
+
+        One pass over the integer coefficients: S_k = sum over i + j = k + 1
+        of (i - j) n_i d_j, times the product of the two scales.
+        """
+        num, den = self.num, self.den
+        s = [0] * max(len(num.ints) + len(den.ints) - 2, 0)
+        for i, x in enumerate(num.ints):
+            for j, y in enumerate(den.ints):
+                if i != j:
+                    s[i + j - 1] += (i - j) * x * y
+        return RationalPoly._canonical(s, num.scale * den.scale, num.var)
 
     def fixed_point_polynomial(self) -> RationalPoly:
         """F = eps den - num; roots satisfy eps = W(eps)."""

@@ -251,18 +251,18 @@ def test_solve_runs_the_oracle_once_per_command(capsys, monkeypatch, methods, n)
 def test_series_solvers_isolate_on_dyadic_hulls_and_only_up_to_their_root(capsys, monkeypatch):
     # every bracket Descartes bisection runs on has dyadic ends; A1 and A3
     # stop once they hold the root they refine, where isolating every root
-    # in the bracket took 30 and 69 Taylor shifts; A2 ranks every root
-    brackets, shifts = [], {}
+    # in the bracket took 9 and 22 de Casteljau splits; A2 ranks every root
+    brackets, splits = [], {}
     method = [None]
-    original_descartes, original_shift = rootfind._descartes, rootfind._taylor_shift1
+    original_descartes, original_halves = rootfind._descartes, rootfind._halves
 
     def descartes(a, lo, hi, bounded):
         brackets.append((lo, hi))
         return original_descartes(a, lo, hi, bounded)
 
-    def shift(a):
-        shifts[method[0]] = shifts.get(method[0], 0) + 1
-        return original_shift(a)
+    def halves(b, d):
+        splits[method[0]] = splits.get(method[0], 0) + 1
+        return original_halves(b, d)
 
     def tagged(name, solve):
         def wrapper(*args, **kwargs):
@@ -272,13 +272,13 @@ def test_series_solvers_isolate_on_dyadic_hulls_and_only_up_to_their_root(capsys
         return wrapper
 
     monkeypatch.setattr(rootfind, "_descartes", descartes)
-    monkeypatch.setattr(rootfind, "_taylor_shift1", shift)
+    monkeypatch.setattr(rootfind, "_halves", halves)
     for name in ("solve_a1", "solve_a2", "solve_a3"):
         monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
     code, _, _ = run(capsys, "solve", "--methods", "a1,a2,a3", "--n", "14..16", "--lambda=1")
     assert code == 0 and len(brackets) == 9
     assert all(x.denominator & (x.denominator - 1) == 0 for bracket in brackets for x in bracket)
-    assert shifts == {"solve_a1": 11, "solve_a2": 21, "solve_a3": 36}
+    assert splits == {"solve_a1": 4, "solve_a2": 6, "solve_a3": 15}
 
 
 def test_solve_out_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from boxeig import rootfind
 from boxeig.model import PotentialSpec
 from boxeig.oracle import mpf_to_rational
 from boxeig.poly import RationalPoly
-from boxeig.estimates import DEFAULT_SELECTION, RootSelection, select_root
+from boxeig.estimates import DEFAULT_SELECTION, RootSelection, default_bracket, select_root
 from boxeig.rayleigh_ritz import build_secular, solve_secular
 from boxeig.rootfind import (
     count_real_roots,
@@ -404,6 +404,127 @@ def test_a_root_at_a_midpoint_comes_between_its_halves():
     assert [a <= r <= b for (a, b), r in zip(intervals, (-1, 0, 1))] == [True] * 3
     assert intervals[1] == (0, 0)
     assert isolate_real_roots(p, (-2, 2), limit=2)[1] == intervals[:2]
+
+
+# ---------------------------------------------------------------------------
+# Bernstein bisection against the Taylor-shift bisection it replaced
+
+
+def reference_taylor_shift1(a):
+    """Coefficients of a(t + 1), ascending powers."""
+    b = list(a)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += b[j + 1]
+    return b
+
+
+def reference_descartes(a, lo, hi, bounded):
+    """Descartes bisection on monomial pieces, halved by integer Taylor shifts.
+
+    q(t) = C^d a((A + B t) / C) carries (lo, hi) onto (0, 1) by homogeneous
+    Horner; each piece is tested on the coefficients of
+    (t + 1)^d q_k(1/(t + 1)) and halved into 2^d q_k(t/2) and its shift by 1.
+    """
+    d = len(a) - 1
+    width = hi - lo
+    den = math.lcm(lo.denominator, width.denominator)
+    shift = lo.numerator * (den // lo.denominator)
+    scale = width.numerator * (den // width.denominator)
+    q = [a[-1]]
+    power = 1
+    for coeff in reversed(a[:-1]):
+        power *= den
+        q = [shift * x + scale * y for x, y in zip(q + [0], [0] + q)]
+        q[0] += coeff * power
+    g = math.gcd(*q)
+    q = [x // g for x in q]
+    max_depth = rootfind.DESCARTES_DEPTH_BITS + int(width).bit_length()
+    stack = [(q, 0, 0)]
+    while stack:
+        q, k, c = stack.pop()
+        if q is None:
+            m = lo + width * Fraction(c, 1 << k)
+            yield (m, m)
+            continue
+        v = reference_taylor_shift1(q[::-1])
+        signs = [s > 0 for s in v if s]
+        variations = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        if variations == 0:
+            continue
+        if variations == 1 and v[0] and v[-1]:
+            yield (lo + width * Fraction(c, 1 << k), lo + width * Fraction(c + 1, 1 << k))
+            continue
+        if bounded and k == max_depth:
+            yield None
+            return
+        left = [y << (d - i) for i, y in enumerate(q)]
+        right = reference_taylor_shift1(left)
+        stack.append((right, k + 1, 2 * c + 1))
+        if right[0] == 0:
+            stack.append((None, k + 1, 2 * c + 1))
+        stack.append((left, k + 1, 2 * c))
+
+
+@st.composite
+def descartes_cases(draw):
+    """(a, lo, hi): a of degree 1..40 from rational linear factors, some repeated.
+
+    The bracket starts at 0, at a nonzero dyadic or at a non-dyadic rational;
+    the roots lie on its dyadic midpoints, at its ends, inside it or near it.
+    """
+    start = draw(st.sampled_from(("zero", "dyadic", "rational")))
+    if start == "zero":
+        lo = Fraction(0)
+    elif start == "dyadic":
+        lo = Fraction(draw(st.integers(-2**10, 2**10).filter(bool)), 2 ** draw(st.integers(0, 10)))
+    else:
+        lo = draw(
+            st.builds(Fraction, st.integers(-999, 999), st.sampled_from((3, 7, 10, 96, 1000)))
+            .filter(lambda x: not is_dyadic(x))
+        )
+    width = Fraction(draw(st.integers(1, 10**4)), draw(st.sampled_from((1, 3, 2**5, 10**3, 2**20))))
+    hi = lo + width
+    midpoint = st.integers(1, 8).flatmap(
+        lambda k: st.integers(0, 2 ** (k - 1) - 1).map(lambda c: lo + width * Fraction(2 * c + 1, 2**k))
+    )
+    inside = st.integers(1, 999).map(lambda k: lo + width * Fraction(k, 1000))
+    near = st.sampled_from((lo, hi, lo - width / 3, hi + width / 7))
+    roots = draw(st.lists(st.tuples(midpoint | inside | near, st.integers(1, 3)), min_size=1, max_size=16))
+    p = poly_from_roots([r for r, m in roots for _ in range(m)][:40])
+    return list(p.ints), lo, hi
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(descartes_cases())
+def test_bernstein_bisection_yields_what_taylor_shift_bisection_yields(case):
+    a, lo, hi = case
+    # bounded on a, which gives up (None) at a multiple root off the midpoints
+    assert list(rootfind._descartes(a, lo, hi, True)) == list(reference_descartes(a, lo, hi, True))
+    # unbounded on the square-free part, as isolation's fallback runs it
+    b = square_free_part(RationalPoly.from_coeffs(a)).ints
+    assert list(rootfind._descartes(b, lo, hi, False)) == list(reference_descartes(b, lo, hi, False))
+
+
+def test_a_bounded_search_gives_up_in_both_bisections():
+    # a double root at 1/3 of (5/7, 5/7 + 3) keeps two variations at every depth
+    a = poly_from_roots([Fraction(12, 7), Fraction(12, 7), Fraction(5, 7), 3]).ints
+    lo, hi = Fraction(5, 7), Fraction(26, 7)
+    found = list(rootfind._descartes(a, lo, hi, True))
+    assert found[-1] is None and found == list(reference_descartes(a, lo, hi, True))
+
+
+def test_bernstein_bisection_of_a2_at_n64(monkeypatch):
+    # A2's S at N = 64, lambda = 2000 (degree 122) on its default bracket's
+    # hull: the reference's intervals, one Taylor shift to make q Bernstein,
+    # and a pinned number of de Casteljau splits
+    ramp = PotentialSpec.linear(2000)
+    s = quotient_at(ramp, 64).stationarity_polynomial()
+    hull = rootfind._dyadic_hull(*default_bracket(ramp))
+    counts = _count_calls(monkeypatch, ("_halves", "_taylor_shift1"))
+    found = list(rootfind._descartes(s.ints, *hull, True))
+    assert s.degree == 122 and counts == {"_halves": 76, "_taylor_shift1": 1}
+    assert found == list(reference_descartes(s.ints, *hull, True))
 
 
 def test_isolation_rejects_zero_polynomial():

@@ -16,7 +16,13 @@ from boxeig.poly import RationalPoly
 from boxeig.rayleigh_ritz import build_secular
 from boxeig.rootfind import count_real_roots
 from boxeig.series import TrialFunction, build_series, build_trial, specialize
-from boxeig.variational import build_quotient, build_quotients, solve_a2, solve_a3
+from boxeig.variational import (
+    RayleighQuotient,
+    build_quotient,
+    build_quotients,
+    solve_a2,
+    solve_a3,
+)
 
 from test_rayleigh_ritz import basis_function, monomial_matrices
 from test_series import order_sets, ramps_and_cubics
@@ -239,6 +245,36 @@ def test_stationarity_polynomial_n4_exact():
     assert s == RationalPoly.from_coeffs(
         [Fraction(-17, 7560), Fraction(13, 52920), Fraction(-47, 9525600)], "eps"
     )
+
+
+def product_rule_stationarity(num, den):
+    """S = num' den - num den', built with RationalPoly arithmetic."""
+    return num.differentiate() * den - num * den.differentiate()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(*quotient_cases)
+@example(PotentialSpec.linear(2000), 30)
+def test_one_pass_stationarity_equals_the_product_rule(potential, n):
+    q = quotient_at(potential, n)
+    s = q.stationarity_polynomial()
+    assert s == product_rule_stationarity(q.num, q.den)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ([3, -1, 2], [5]),  # den constant: S = num' den
+        ([7], [1, 1, 1]),  # num constant: S = -num den'
+        ([2, 4], [1, 2]),  # num = 2 den: S = 0
+        ([], [1, 1]),  # num zero
+        ([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)], [Fraction(9, 4), 0, Fraction(-1, 6), 1]),
+    ],
+)
+def test_one_pass_stationarity_on_edge_forms(num, den):
+    num, den = RationalPoly.from_coeffs(num, "eps"), RationalPoly.from_coeffs(den, "eps")
+    q = RayleighQuotient(4, V0, num, den)
+    assert q.stationarity_polynomial() == product_rule_stationarity(num, den)
 
 
 def test_second_stationary_point_n4():
