@@ -8,7 +8,15 @@ series at N -> oo in fixed point, and an RK4 shooting integrator).  All
 symbolic work and root finding are exact rational and integer arithmetic,
 and every estimate is an exact enclosure with its rational midpoint;
 floating point appears only in the benchmarks and in the value of pi that
-scales the default search bracket.
+scales the default search bracket.  The exact entry points take ints,
+Fractions and rational strings, and refuse a float.
+
+Each object has one builder: :func:`build_series` runs the recurrence once,
+at the largest order N a caller needs (a smaller order is its ``prefix``),
+and ``variational.build_quotients`` and
+``rayleigh_ritz.build_secular_systems`` build the quotient and the secular
+system of every requested order in one pass each.  The solvers take those
+objects; the oracles take the coupling.
 """
 
 from .estimates import (
@@ -25,14 +33,10 @@ from .model import (
     BoxProblem,
     DimensionlessProblem,
     PotentialSpec,
-    energy_to_epsilon,
-    epsilon_to_energy,
-    linear_coupling,
     load_problem,
     nondimensionalize,
     parse_problem,
     require_unit_interval,
-    serialize_problem,
 )
 from .oracle import (
     RootScanError,
@@ -42,32 +46,10 @@ from .oracle import (
     shoot_root,
 )
 from .poly import Rational, RationalPoly, as_rational, format_rational
-from .rayleigh_ritz import (
-    SecularSystem,
-    build_secular,
-    solve_secular,
-)
-from .rootfind import (
-    count_real_roots,
-    isolate_real_roots,
-    refine_enclosure,
-    sturm_sequence,
-)
-from .series import (
-    EnergySeries,
-    TrialFunction,
-    boundary_polynomial,
-    build_series,
-    build_trial,
-    solve_a1,
-    specialize,
-)
-from .variational import (
-    RayleighQuotient,
-    build_quotient,
-    solve_a2,
-    solve_a3,
-)
+from .rayleigh_ritz import SecularSystem, solve_secular
+from .rootfind import isolate_real_roots, refine_enclosure, sturm_sequence
+from .series import EnergySeries, boundary_polynomial, build_series, solve_a1
+from .variational import RayleighQuotient, solve_a2, solve_a3
 
 __version__ = "0.1.0"
 
@@ -88,34 +70,24 @@ __all__ = [
     "RootScanError",
     "RootSelection",
     "SecularSystem",
-    "TrialFunction",
     "as_rational",
     "boundary_polynomial",
-    "build_quotient",
-    "build_secular",
     "build_series",
-    "build_trial",
-    "count_real_roots",
     "default_bracket",
-    "energy_to_epsilon",
-    "epsilon_to_energy",
     "exact_box",
     "exact_linear",
     "format_rational",
     "isolate_real_roots",
-    "linear_coupling",
     "load_problem",
     "nondimensionalize",
     "parse_problem",
     "refine_enclosure",
     "require_unit_interval",
-    "serialize_problem",
     "shoot",
     "shoot_root",
     "solve_a1",
     "solve_a2",
     "solve_a3",
     "solve_secular",
-    "specialize",
     "sturm_sequence",
 ]

@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import rootfind
-from .model import KIND_LINEAR, KIND_ZERO, PotentialSpec
-from .poly import RationalPoly, Record, _set, as_rational, exact_rational
+from .model import KIND_LINEAR, PotentialSpec
+from .poly import RationalPoly, Record, _set, as_rational
 
 METHOD_A1 = "A1"
 METHOD_A2 = "A2"
@@ -83,11 +83,10 @@ def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction,
     """Search bracket (0, (state+2)^2 pi^2 max(1, 1 + bound)) on the energy axis.
 
     The bound term accounts for how far the potential can shift the spectrum:
-    the exact slope for a linear ramp, a coefficient-sum bound otherwise.
+    the exact slope for a linear ramp, otherwise the sum of the coefficients'
+    magnitudes (0 for the free box).
     """
-    if potential.kind == KIND_ZERO:
-        bound = Fraction(0)
-    elif potential.kind == KIND_LINEAR:
+    if potential.kind == KIND_LINEAR:
         bound = potential.lam
     else:
         bound = sum((abs(c) for c in potential.v.coeffs), Fraction(0))
@@ -180,7 +179,7 @@ def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Frac
     """The given search bracket as exact rationals, or the default one."""
     if bracket is None:
         return default_bracket(potential, state)
-    return (exact_rational(bracket[0]), exact_rational(bracket[1]))
+    return (as_rational(bracket[0]), as_rational(bracket[1]))
 
 
 def solve_closure(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .estimates import METHOD_A1, METHOD_A2, METHOD_A3, METHOD_RR, NO_ROOT
-from .poly import Rational, Record, _set
+from .poly import Rational, Record, _set, as_rational
 
 #: Ground-state benchmark values at 20 significant digits: the free box
 #: (exactly pi**2) and the unit linear ramp.  The oracle module reproduces
@@ -97,7 +97,7 @@ def round_to_unit(value: Rational, unit: Rational) -> Rational:
     return Fraction(round(value / unit)) * unit
 
 
-def cell_matches(golden: str, computed: Rational | float | None) -> bool:
+def cell_matches(golden: str, computed: Rational | None) -> bool:
     """Digit-string match: the computed value, rendered at the golden cell's
     precision (round-half-even), may differ from the cell by at most one unit
     in the final printed digit.
@@ -111,9 +111,8 @@ def cell_matches(golden: str, computed: Rational | float | None) -> bool:
     target = parse_cell(golden)
     if target is None or computed is None:
         return target is None and computed is None
-    value = computed if isinstance(computed, Fraction) else Fraction(computed)
     unit = cell_unit(golden)
-    return abs(round_to_unit(value, unit) - target) <= unit
+    return abs(round_to_unit(as_rational(computed), unit) - target) <= unit
 
 
 _LAM0 = Fraction(0)

@@ -50,10 +50,6 @@ class PotentialSpec(Record):
         return self.v.coeff(1) if self.kind == KIND_LINEAR else None
 
     @classmethod
-    def zero(cls) -> "PotentialSpec":
-        return cls(RationalPoly.zero("q"))
-
-    @classmethod
     def linear(cls, lam: ScalarLike) -> "PotentialSpec":
         """The ramp v(q) = lam * q; lam = 0 degenerates to the zero kind."""
         return cls(RationalPoly.from_coeffs([0, as_rational(lam)], "q"))
@@ -154,28 +150,6 @@ def require_unit_interval(problem: DimensionlessProblem) -> PotentialSpec:
     return problem.potential
 
 
-def epsilon_to_energy(eps, scale: ScalarLike):
-    """E = eps / (2 m L^2 / hbar^2); exact when eps is rational."""
-    scale = as_rational(scale)
-    if isinstance(eps, (int, Fraction)):
-        return Fraction(eps) / scale
-    return eps / float(scale)
-
-
-def energy_to_epsilon(energy, scale: ScalarLike):
-    """Inverse of epsilon_to_energy."""
-    scale = as_rational(scale)
-    if isinstance(energy, (int, Fraction)):
-        return Fraction(energy) * scale
-    return energy * float(scale)
-
-
-def linear_coupling(mass: ScalarLike, hbar: ScalarLike, length: ScalarLike, slope: ScalarLike) -> Fraction:
-    """Dimensionless slope lam = 2 m L^3 s / hbar^2 for a physical ramp V = s*x."""
-    mass, hbar, length, slope = map(as_rational, (mass, hbar, length, slope))
-    return 2 * mass * length**3 * slope / hbar**2
-
-
 # ----------------------------------------------------------------------
 # problem file format: `name=value` headers plus `j coefficient` lines
 
@@ -241,18 +215,3 @@ def parse_problem(text: str) -> BoxProblem:
 def load_problem(path) -> BoxProblem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem(fh.read())
-
-
-def serialize_problem(problem: BoxProblem) -> str:
-    """Inverse of parse_problem (up to comments and ordering)."""
-    lines = [
-        f"m={format_rational(problem.mass)}",
-        f"hbar={format_rational(problem.hbar)}",
-        f"L1={format_rational(problem.l1)}",
-        f"L2={format_rational(problem.l2)}",
-        f"x0={format_rational(problem.x0)}",
-    ]
-    for j, c in enumerate(problem.v_taylor.coeffs):
-        if c != 0:
-            lines.append(f"{j} {format_rational(c)}")
-    return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from .estimates import default_bracket
 from .model import PotentialSpec
-from .poly import RationalPoly, exact_rational
+from .poly import RationalPoly, as_rational
 from .rootfind import _refine_on_grid
 
 if TYPE_CHECKING:
@@ -121,7 +121,7 @@ def exact_linear(lam, state: int = 0, digits: int = DEFAULT_DIGITS):
     The mpf shares the cached context of its precision (see :func:`_context`):
     do not change that context's precision.
     """
-    lam = exact_rational(lam)
+    lam = as_rational(lam)
     if lam == 0:
         raise ValueError("lam must be nonzero; use exact_box for the empty box")
     if state < 0:

@@ -10,8 +10,8 @@ fields, and the ring operations run on integers: a scalar product changes
 only the scale, a product multiplies the integer tuples (a product of
 primitive polynomials is primitive), and a sum clears two denominators.
 Root finding reads the stored integers directly.  ``coeffs`` gives the
-rational coefficients.  Every operation is exact; floating point enters only
-through :meth:`RationalPoly.eval` when the caller passes a float.
+rational coefficients.  Every operation is exact, and no operation takes a
+float: a float argument raises TypeError.
 
 Each polynomial carries an advisory variable tag (``"q"`` for the spatial
 coordinate, ``"eps"`` for the energy).  Binary operations insist that the tags
@@ -38,13 +38,6 @@ def as_rational(x: ScalarLike) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def exact_rational(x: ScalarLike | float) -> Fraction:
-    """:func:`as_rational` that also takes a float, at its exact binary value."""
-    if isinstance(x, float):
-        return Fraction(x)
-    return as_rational(x)
 
 
 def format_rational(x: Fraction) -> str:
@@ -138,10 +131,6 @@ class RationalPoly(Record):
         return cls((), Fraction(1), var)
 
     @classmethod
-    def one(cls, var: str = "q") -> "RationalPoly":
-        return cls((1,), Fraction(1), var)
-
-    @classmethod
     def constant(cls, c: ScalarLike, var: str = "q") -> "RationalPoly":
         return cls.from_coeffs([c], var)
 
@@ -167,12 +156,6 @@ class RationalPoly(Record):
     @property
     def is_zero(self) -> bool:
         return not self.ints
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.scale * self.ints[-1]
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (zero beyond the stored degree)."""
@@ -249,37 +232,24 @@ class RationalPoly(Record):
             [k * c for k, c in enumerate(self.ints)][1:], self.scale, self.var
         )
 
-    def integrate_01(self) -> Fraction:
-        """Exact integral over [0, 1]: sum of coeffs[k] / (k+1)."""
-        return self.scale * sum(
-            (Fraction(c, k + 1) for k, c in enumerate(self.ints)), Fraction(0)
-        )
-
     # ------------------------------------------------------------------
     # evaluation
 
     def eval(self, x):
-        """Evaluate at x.
-
-        Exact (Fraction) for int/Fraction arguments.  A float argument is
-        converted to its exact rational value, evaluated exactly, and rounded
-        once at the end, so the result is correctly rounded.
-        """
+        """Evaluate at x: the exact Fraction value at an int or Fraction."""
         if isinstance(x, (int, Fraction)):
             if not self.ints:
                 return Fraction(0)
             d = x.denominator
             value = self.scale.numerator * _horner(self.ints, x.numerator, d)
             return Fraction(value, self.scale.denominator * d**self.degree)
-        if isinstance(x, float):
-            return float(self.eval(Fraction(x)))
-        raise TypeError(f"cannot evaluate at {x!r}: pass an int, Fraction or float")
+        raise TypeError(f"cannot evaluate at {x!r}: pass an int or Fraction")
 
     def __call__(self, x):
         return self.eval(x)
 
     # ------------------------------------------------------------------
-    # composition and division
+    # composition
 
     def compose_scale_shift(self, a: ScalarLike, b: ScalarLike, var: str | None = None) -> "RationalPoly":
         """Exact coefficients of p(a*t + b), reported in variable `var`."""
@@ -291,45 +261,6 @@ class RationalPoly(Record):
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
-
-    def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        """Exact polynomial division: self = q*other + r with deg r < deg other.
-
-        A plain Fraction loop, kept apart from the integer kernels below so
-        that the tests can check those against it.
-        """
-        self._check_var(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        dq = self.degree - other.degree
-        if dq < 0:
-            return RationalPoly.zero(self.var), self
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        quo = [Fraction(0)] * (dq + 1)
-        d = other.degree
-        lead = divisor[-1]
-        for k in range(dq, -1, -1):
-            c = rem[d + k] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(divisor):
-                    rem[j + k] -= c * b
-        return (
-            RationalPoly.from_coeffs(quo, self.var),
-            RationalPoly.from_coeffs(rem[:d], self.var),
-        )
-
-    # ------------------------------------------------------------------
-    # normalization
-
-    def primitive_part(self) -> "RationalPoly":
-        """The polynomial divided by its positive scale: coprime integer coefficients.
-
-        The sign of the polynomial is preserved, so sign-based root counting
-        on the primitive part agrees with the original.
-        """
-        return RationalPoly(self.ints, Fraction(1), self.var)
 
     # ------------------------------------------------------------------
     # rendering

@@ -154,7 +154,7 @@ def build_secular_systems(
     The pencil is built once at the largest order and eliminated once per
     node; each order reads its determinants off the leading minors (see the
     module docstring).  Orders may repeat and come in any order; each must
-    be at least 3.
+    be at least 3.  A single order n is ``build_secular_systems(p, (n,))[n]``.
     """
     orders = set(orders)
     if min(orders) < 3:
@@ -181,14 +181,6 @@ def build_secular_systems(
             char_poly = RationalPoly._canonical(_interpolate(nodes[:n], values), scale, "eps")
             systems[n] = SecularSystem(n=n, potential=potential, char_poly=char_poly)
     return systems
-
-
-def build_secular(potential: PotentialSpec, n: int) -> SecularSystem:
-    """The secular system of order n: :func:`build_secular_systems` for n alone.
-
-    Requires n >= 3.
-    """
-    return build_secular_systems(potential, (n,))[n]
 
 
 def _band_pivots(rows: list[list[int]]) -> list[int]:

@@ -3,10 +3,12 @@
 Every computation works on the coprime integer coefficients that
 :class:`~boxeig.poly.RationalPoly` stores (the polynomial divided by its
 positive scale, so every sign is kept).  A Sturm sequence is an integer
-primitive pseudo-remainder sequence, and the one sign primitive evaluates an
-integer polynomial at a rational point n/d by the integer Horner kernel of
-``poly`` on the homogenised form, so no step pays a gcd.  Sign-variation counts
-(and hence root counts on half-open intervals) carry no rounding error.
+primitive pseudo-remainder sequence, built only for its last member, the gcd
+that :func:`square_free_part` divides out.  The one sign primitive evaluates
+an integer polynomial at a rational point n/d by the integer Horner kernel of
+``poly`` on the homogenised form, so no step pays a gcd and no sign carries a
+rounding error.  Brackets, interval ends and widths are ints, Fractions or
+rational strings; a float is refused.
 
 Isolation is Descartes bisection (Collins & Akritas 1976; Rouillier &
 Zimmermann 2004) in the Bernstein basis (Mourrain, Rouillier & Roy 2005).
@@ -55,7 +57,7 @@ from .poly import (
     _horner_dyadic,
     _int_divexact,
     _int_prem,
-    exact_rational,
+    as_rational,
 )
 
 # Refinement searches a grid this many bits below the requested enclosure
@@ -119,35 +121,6 @@ def sturm_sequence(p: RationalPoly) -> list[list[int]]:
     return _remainder_sequence(list(p.ints), list(p.differentiate().ints))
 
 
-def _counting_chain(p: RationalPoly) -> list[list[int]]:
-    """Sturm chain of p divided through by its last member, gcd(p, p').
-
-    Every member of p's own chain vanishes at a multiple root of p, so sign
-    variations there would count nothing; the divided chain is the chain of
-    the square-free part and counts distinct roots at every point.
-    """
-    chain = sturm_sequence(p)
-    g = chain[-1]
-    if len(g) < 2:
-        return chain
-    return [_int_divexact(q, g) for q in chain]
-
-
-def sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    """Number of sign changes in the integer chain evaluated at x (zeros skipped)."""
-    signs = [s for s in (_sign_at(a, x) for a in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: RationalPoly, lo, hi) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    lo, hi = exact_rational(lo), exact_rational(hi)
-    if lo >= hi:
-        raise ValueError("empty interval")
-    chain = _counting_chain(p)
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
-
-
 def square_free_part(p: RationalPoly) -> RationalPoly:
     """p with repeated factors collapsed to multiplicity one.
 
@@ -181,7 +154,7 @@ def isolate_real_roots(
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    lo, hi = exact_rational(bracket[0]), exact_rational(bracket[1])
+    lo, hi = as_rational(bracket[0]), as_rational(bracket[1])
     if lo >= hi:
         raise ValueError("bracket must satisfy lo < hi")
     if limit is not None and limit < 1:
@@ -338,8 +311,8 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     on the grid indices, reading the exact integer values 2^(k deg) p(m/2^k)
     (see the module docstring).
     """
-    lo, hi = exact_rational(interval[0]), exact_rational(interval[1])
-    width = exact_rational(width)
+    lo, hi = as_rational(interval[0]), as_rational(interval[1])
+    width = as_rational(width)
     if width <= 0:
         raise ValueError("enclosure width must be positive")
     a = p.ints

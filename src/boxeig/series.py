@@ -13,7 +13,8 @@ floor((j-1)/2).
 Truncating at order N gives the boundary polynomial B_N = sum_{j=1..N} c_j,
 whose roots enforce phi(1) = 0 (the "A1" estimates), and a trial function
 sum_{j=1..N-1} c_j (q^j - q^N) that satisfies both boundary conditions
-identically and feeds the variational methods.  The c_j do not depend on N,
+identically and feeds the variational methods, which read its terms straight
+off the series: it has no record of its own.  The c_j do not depend on N,
 so the series of order n is the prefix c_0..c_n of a run at any larger
 order, which keeps each B_n = B_{n-1} + c_n.
 """
@@ -33,7 +34,7 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, Record, _set, as_rational, exact_rational
+from .poly import RationalPoly, Record, _set
 
 # A trial function keeps the terms j = 1..n-1, so it needs n >= 4 (A2, A3).
 TRIAL_MIN_ORDER = 4
@@ -66,24 +67,11 @@ class EnergySeries(Record):
         return EnergySeries(n, self.potential, self.c[: n + 1], self.sums[: n + 1])
 
 
-class TrialFunction(Record):
-    """Terms (j, c_j) of the two-sided trial function sum c_j (q^j - q^n)."""
+def build_series(potential: PotentialSpec, n: int) -> EnergySeries:
+    """Run the recurrence up to c_n, normalised to c_1 = 1.  Requires n >= 3.
 
-    __slots__ = ("n", "potential", "terms")
-
-    def __init__(self, n: int, potential: PotentialSpec, terms: tuple[tuple[int, RationalPoly], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "potential", potential)
-        _set(self, "terms", terms)
-
-
-def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeries:
-    """Run the recurrence up to c_n.  Requires n >= 3.
-
-    ``c1`` rescales the (arbitrary) normalization of the interior solution;
-    every c_j is homogeneous of degree one in it.  The recurrence runs on
-    integer lists, each c_j over one positive denominator, and each c_j
-    becomes a polynomial once at the end.
+    The recurrence runs on integer lists, each c_j over one positive
+    denominator, and each c_j becomes a polynomial once at the end.
     """
     if n < 3:
         raise ValueError("series order must be at least 3")
@@ -91,10 +79,9 @@ def build_series(potential: PotentialSpec, n: int, c1=Fraction(1)) -> EnergySeri
     _note_ignored(v, n)
     # c_j = ints[j] / dens[j]: an integer list over one positive denominator,
     # reduced by their common gcd at each order
-    c1 = as_rational(c1)
     vn, vd = v.scale.numerator, v.scale.denominator
-    ints: list[list[int]] = [[], [c1.numerator] if c1 else [], []]
-    dens = [1, c1.denominator, 1]
+    ints: list[list[int]] = [[], [1], []]
+    dens = [1, 1, 1]
     for j in range(3, n + 1):
         # c_0 = 0 contributes nothing to the potential sum
         terms = [
@@ -138,36 +125,6 @@ def boundary_polynomial(series: EnergySeries) -> RationalPoly:
     """B(eps) = sum_{j=1..n} c_j(eps); its roots make phi(1) vanish."""
     ints, den = series.sums[series.n]
     return RationalPoly._canonical(list(ints), Fraction(1, den), "eps")
-
-
-def build_trial(series: EnergySeries) -> TrialFunction:
-    """Trial function from a series of order n >= 4 (terms j = 1..n-1)."""
-    if series.n < TRIAL_MIN_ORDER:
-        raise ValueError(f"trial function needs series order at least {TRIAL_MIN_ORDER}")
-    terms = tuple(
-        (j, series.c[j]) for j in range(1, series.n) if not series.c[j].is_zero
-    )
-    return TrialFunction(n=series.n, potential=series.potential, terms=terms)
-
-
-def specialize(s, eps) -> RationalPoly:
-    """Substitute a numeric eps, returning an exact polynomial in q.
-
-    Accepts int/Fraction (exact) or float (converted to its exact rational
-    value first, so the result is still exact arithmetic on the given bits).
-    """
-    eps = exact_rational(eps)
-    if isinstance(s, EnergySeries):
-        coeffs = [cj.eval(eps) for cj in s.c]
-        return RationalPoly.from_coeffs(coeffs, "q")
-    if isinstance(s, TrialFunction):
-        coeffs = [Fraction(0)] * (s.n + 1)
-        for j, cj in s.terms:
-            value = cj.eval(eps)
-            coeffs[j] += value
-            coeffs[s.n] -= value
-        return RationalPoly.from_coeffs(coeffs, "q")
-    raise TypeError(f"cannot specialize {type(s).__name__}")
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,11 @@ the kinetic term uses the integrated-by-parts form (phi' squared), which
 equals the literal -phi phi'' form identically because the trial function
 vanishes at both walls.
 
-Both solvers take the quotient they solve, so a caller that wants A2 and A3
-at one order builds it once and hands it to each.
+:func:`build_quotients` is the one builder, and it reads the trial
+function's terms straight off the series; a single order n is
+``build_quotients(series, (n,))[n]``.  Both solvers take the quotient they
+solve, so a caller that wants A2 and A3 at one order builds it once and
+hands it to each.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .estimates import (
 )
 from .model import PotentialSpec
 from .poly import RationalPoly, Record, _int_addmul, _set, as_rational
-from .series import TRIAL_MIN_ORDER, EnergySeries, TrialFunction
+from .series import TRIAL_MIN_ORDER, EnergySeries
 
 
 class RayleighQuotient(Record):
@@ -106,14 +109,19 @@ def _weights(v: RationalPoly, n: int):
     return (le, energy), (ln, lambda a, b: ln // (a + b + 1))
 
 
-def _quotients(potential: PotentialSpec, terms, orders: set[int]) -> dict[int, RayleighQuotient]:
-    """The quotient of each order in ``orders`` from the (a, c_a) in ``terms``, in one pass."""
+def build_quotients(series: EnergySeries, orders: Iterable[int]) -> dict[int, RayleighQuotient]:
+    """The quotient of every order in ``orders``, in one pass over the series.
+
+    Each order lies in [4, series.n]; orders may repeat and come in any order.
+    """
+    orders = set(orders)
+    if min(orders) < TRIAL_MIN_ORDER or max(orders) > series.n:
+        raise ValueError(f"quotient orders must lie in [{TRIAL_MIN_ORDER}, {series.n}]")
     top = max(orders)
-    d = lcm(*(c.scale.denominator for _, c in terms))
-    phi: list[list[int]] = [[] for _ in range(top + 1)]
-    for a, c in terms:
-        phi[a] = [c.scale.numerator * (d // c.scale.denominator) * x for x in c.ints]
-    (le, energy), (ln, norm) = _weights(potential.v, top)
+    terms = series.c[:top]  # c_a is the trial function's term a, for a < top
+    d = lcm(*(c.scale.denominator for c in terms))
+    phi = [[c.scale.numerator * (d // c.scale.denominator) * x for x in c.ints] for c in terms] + [[]]
+    (le, energy), (ln, norm) = _weights(series.potential.v, top)
     size = 2 * max(map(len, phi)) - 1
     forms = ((le, energy, [0] * size), (ln, norm, [0] * size))  # F_n of num and of den
     wall, live, out = [], [], {}  # B_{n-1} = sum_{a<n} P_a; (a, P_a) for the nonzero P_a, a < n
@@ -131,7 +139,7 @@ def _quotients(potential: PotentialSpec, terms, orders: set[int]) -> dict[int, R
                 form, w = f[:], weight(n, n)
                 _int_addmul(form, wall, [w * x - y for x, y in zip_longest(wall, gw, fillvalue=0)])
                 closed.append(RationalPoly._canonical(form, Fraction(1, l * d * d), "eps"))
-            out[n] = RayleighQuotient(n, potential, *closed)
+            out[n] = RayleighQuotient(n, series.potential, *closed)
         if p:  # phi[top] is empty: no form is built past the largest order
             for (_, weight, f), gw in zip(forms, g):
                 w = weight(n, n)
@@ -139,19 +147,6 @@ def _quotients(potential: PotentialSpec, terms, orders: set[int]) -> dict[int, R
             wall = [x + y for x, y in zip_longest(wall, p, fillvalue=0)]
             live.append((n, p))
     return out
-
-
-def build_quotients(series: EnergySeries, orders: Iterable[int]) -> dict[int, RayleighQuotient]:
-    """The quotient of every order in ``orders`` (each in [4, series.n], any order, repeats allowed)."""
-    orders = set(orders)
-    if min(orders) < TRIAL_MIN_ORDER or max(orders) > series.n:
-        raise ValueError(f"quotient orders must lie in [{TRIAL_MIN_ORDER}, {series.n}]")
-    return _quotients(series.potential, tuple(enumerate(series.c[: max(orders)])), orders)
-
-
-def build_quotient(trial: TrialFunction) -> RayleighQuotient:
-    """The quotient of one trial function: :func:`build_quotients` for its order alone."""
-    return _quotients(trial.potential, trial.terms, {trial.n})[trial.n]
 
 
 def solve_a2(

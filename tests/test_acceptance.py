@@ -18,16 +18,16 @@ from boxeig.cli import table_values
 from boxeig.model import PotentialSpec
 from boxeig.oracle import exact_box, exact_linear, mpf_to_rational, shoot_root
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import _pencil, build_secular, solve_secular
-from boxeig.rootfind import count_real_roots
-from boxeig.series import build_series, build_trial
+from boxeig.rayleigh_ritz import _pencil, solve_secular
+from boxeig.series import build_series
 from boxeig.variational import solve_a2
 
-from test_rayleigh_ritz import band_to_dense
+from references import count_real_roots
+from test_rayleigh_ritz import band_to_dense, secular_at
 from test_rootfind import grid_scan_count
 from test_variational import kinetic_energy_forms, quotient_at
 
-V0 = PotentialSpec.zero()
+V0 = PotentialSpec.linear(0)
 V1 = PotentialSpec.linear(Fraction(1))
 
 
@@ -183,7 +183,7 @@ def test_criterion_8_structural_exactness():
         n = rng.randint(4, 10)
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
         potential = PotentialSpec.general(RationalPoly.from_coeffs(coeffs, "q"))
-        by_parts, literal = kinetic_energy_forms(build_trial(build_series(potential, n)))
+        by_parts, literal = kinetic_energy_forms(build_series(potential, n))
         kinetic_ok = kinetic_ok and by_parts == literal
         kinetic_cases += 1
 
@@ -224,7 +224,7 @@ def test_criterion_8_structural_exactness():
 def test_criterion_9_monotone_estimates_and_perturbative_slope():
     monotone_ok = True
     for potential in (V0, V1):
-        values = [solve_secular(build_secular(potential, n)).eps for n in (4, 6, 8)]
+        values = [solve_secular(secular_at(potential, n)).eps for n in (4, 6, 8)]
         monotone_ok = monotone_ok and values[0] >= values[1] >= values[2]
 
     lam = Fraction(1, 10000)

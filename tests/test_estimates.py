@@ -19,10 +19,11 @@ from boxeig.estimates import (
 )
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import build_secular, solve_secular
+from boxeig.rayleigh_ritz import solve_secular
 from boxeig.series import build_series, solve_a1
 from boxeig.variational import solve_a2, solve_a3
 
+from test_rayleigh_ritz import secular_at
 from test_variational import quotient_at, quotient_cases
 
 
@@ -31,7 +32,7 @@ SOLVERS = {
     "solve_a1": (solve_a1, build_series),
     "solve_a2": (solve_a2, quotient_at),
     "solve_a3": (solve_a3, quotient_at),
-    "solve_rr": (solve_secular, build_secular),
+    "solve_rr": (solve_secular, secular_at),
 }
 
 
@@ -105,16 +106,16 @@ def test_negative_state_refused(solve):
 
 
 def test_default_bracket_free_box():
-    lo, hi = default_bracket(PotentialSpec.zero())
+    lo, hi = default_bracket(PotentialSpec.linear(0))
     assert lo == 0
     # wide enough for the ground state, scaling like (state+2)^2
     assert float(hi) == pytest.approx(4 * math.pi**2)
-    _, hi2 = default_bracket(PotentialSpec.zero(), state=3)
+    _, hi2 = default_bracket(PotentialSpec.linear(0), state=3)
     assert float(hi2) == pytest.approx(25 * math.pi**2)
 
 
 def test_default_bracket_grows_with_coupling():
-    _, hi0 = default_bracket(PotentialSpec.zero())
+    _, hi0 = default_bracket(PotentialSpec.linear(0))
     _, hi1 = default_bracket(PotentialSpec.linear(Fraction(1)))
     _, hi9 = default_bracket(PotentialSpec.linear(Fraction(9)))
     assert hi0 < hi1 < hi9

@@ -24,7 +24,7 @@ from boxeig.oracle import (
 )
 from boxeig.poly import RationalPoly
 
-V0 = PotentialSpec.zero()
+V0 = PotentialSpec.linear(0)
 
 
 def as_mp(x, dps=50):

@@ -14,9 +14,9 @@ from boxeig.estimates import METHOD_A2, EigenEstimate, RootSelection
 from boxeig.goldens import GoldenColumn, GoldenTable
 from boxeig.model import BoxProblem, DimensionlessProblem, PotentialSpec, nondimensionalize
 from boxeig.poly import RationalPoly, Record
-from boxeig.rayleigh_ritz import SecularSystem, build_secular
-from boxeig.series import EnergySeries, TrialFunction, build_series, build_trial
-from boxeig.variational import RayleighQuotient, build_quotient
+from boxeig.rayleigh_ritz import SecularSystem, build_secular_systems
+from boxeig.series import EnergySeries, build_series
+from boxeig.variational import RayleighQuotient, build_quotients
 
 
 def test_all_lists_exactly_the_imported_public_names():
@@ -60,6 +60,74 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_the_readme_library_example_runs(capsys):
+    # the python block under "## Library" in README.md, run as printed: five
+    # estimates of the unit ramp's ground state, 10.3685...
+    readme = pathlib.Path(boxeig.__file__).parents[2] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("10.") for line in lines)
+    assert lines[-1].startswith("10.3685071618363371265")
+
+
+#: Public names that no module of the package uses, each with why it stays.
+UNCALLED = {
+    "shoot_root": "perfbench and the shooting cross-checks import it (ROADMAP items 16 and 20)",
+}
+
+
+def _references(node, skip):
+    """(kind, name) of each Name, Attribute and ``from ... import`` alias under node, outside ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield "name", node.id
+    elif isinstance(node, ast.Attribute):
+        yield "attribute", node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (("import", alias.name) for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Every public function, class and method of a module is used elsewhere in the package.
+
+    A use is read off the syntax tree of a module other than ``__init__.py``,
+    outside the name's own definition: a Name, an Attribute or an imported
+    name for a top-level function or class, an Attribute for a method of a
+    public class.  A name in a string or a docstring is not a use.  A method
+    counts as used through any Attribute of its name, whatever object it is
+    read from, so methods of several classes that share a name (``zero``,
+    say) count as used together.
+    """
+    package = pathlib.Path(boxeig.__file__).parent
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    uncalled = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            targets = [(node, {"name", "attribute", "import"})]
+            if isinstance(node, ast.ClassDef):
+                targets += [
+                    (meth, {"attribute"})
+                    for meth in node.body
+                    if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_")
+                ]
+            for definition, kinds in targets:
+                used = any(
+                    kind in kinds and name == definition.name
+                    for other in trees
+                    for kind, name in _references(other, definition)
+                )
+                if not used and definition.name not in UNCALLED:
+                    uncalled.append(definition.name)
+    assert uncalled == []
+
+
 # ---------------------------------------------------------------------------
 # record classes: immutable values
 
@@ -81,9 +149,8 @@ RECORDS = {
     EigenEstimate: lambda: EigenEstimate(METHOD_A2, 5, 0, (Fraction(29, 10), Fraction(31, 10)), Fraction(3)),
     RootSelection: lambda: RootSelection("nearest", Fraction(10)),
     EnergySeries: lambda: build_series(PotentialSpec.linear(1), 5),
-    TrialFunction: lambda: build_trial(build_series(PotentialSpec.linear(1), 5)),
-    RayleighQuotient: lambda: build_quotient(build_trial(build_series(PotentialSpec.linear(1), 5))),
-    SecularSystem: lambda: build_secular(PotentialSpec.linear(1), 4),
+    RayleighQuotient: lambda: build_quotients(build_series(PotentialSpec.linear(1), 5), (5,))[5],
+    SecularSystem: lambda: build_secular_systems(PotentialSpec.linear(1), (4,))[4],
     RunConfig: lambda: RunConfig((METHOD_A2,), PotentialSpec.linear(1), (5, 6), digits=12),
     GoldenColumn: _column,
     GoldenTable: lambda: GoldenTable(9, "one cell", (5,), (_column(),), (("10.36",),)),

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxeig.poly import (
-    RationalPoly,
-    _horner,
-    _horner_dyadic,
-    as_rational,
-    exact_rational,
-    format_rational,
-)
+from boxeig.goldens import cell_matches
+from boxeig.model import PotentialSpec
+from boxeig.oracle import exact_linear
+from boxeig.poly import RationalPoly, _horner, _horner_dyadic, as_rational, format_rational
+from boxeig.rootfind import isolate_real_roots, refine_enclosure
+from boxeig.series import build_series, solve_a1
+
+from references import integrate_01, poly_divmod, primitive_part
 
 rationals = st.builds(
     Fraction,
@@ -47,7 +47,6 @@ def test_zero_and_degree_conventions():
 def test_monomial_and_constant():
     assert RationalPoly.monomial(3, 5) == RationalPoly.from_coeffs([0, 0, 0, 5])
     assert RationalPoly.constant(Fraction(1, 2)).degree == 0
-    assert RationalPoly.one() == RationalPoly.constant(1)
     with pytest.raises(ValueError):
         RationalPoly.monomial(-1)
 
@@ -75,7 +74,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     zero = RationalPoly.zero()
-    one = RationalPoly.one()
+    one = RationalPoly.constant(1)
     assert a + zero == a and a * one == a and a * zero == zero
     assert a - a == zero and a + (-a) == zero
 
@@ -130,7 +129,7 @@ def test_operations_match_fraction_list_arithmetic(a, b, s, x):
 @given(coeff_lists, coeff_lists, rationals.filter(bool))
 def test_storage_is_canonical_and_equal_polys_hash_equal(a, b, s):
     p, q = RationalPoly.from_coeffs(a), RationalPoly.from_coeffs(b)
-    for r in (p, q, -p, p + q, p - q, p * q, p * s, p.differentiate(), p.primitive_part()):
+    for r in (p, q, -p, p + q, p - q, p * q, p * s, p.differentiate(), primitive_part(p)):
         assert isinstance(r.scale, Fraction) and r.scale > 0
         if r.is_zero:
             assert r.ints == () and r.scale == 1
@@ -158,13 +157,13 @@ def test_storage_is_canonical_and_equal_polys_hash_equal(a, b, s):
 @settings(max_examples=60, derandomize=True)
 @given(polys)
 def test_integral_of_derivative_is_boundary_difference(p):
-    assert p.differentiate().integrate_01() == p.eval(Fraction(1)) - p.eval(Fraction(0))
+    assert integrate_01(p.differentiate()) == p.eval(Fraction(1)) - p.eval(Fraction(0))
 
 
 def test_integrate_01_closed_form():
     # integral of q^k over [0,1] is 1/(k+1)
     for k in range(8):
-        assert RationalPoly.monomial(k).integrate_01() == Fraction(1, k + 1)
+        assert integrate_01(RationalPoly.monomial(k)) == Fraction(1, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +176,6 @@ def test_eval_exact_on_rationals(p, x):
     expected = sum(c * x**k for k, c in enumerate(p.coeffs))
     assert p.eval(x) == expected
     assert p(x) == expected
-
-
-@settings(max_examples=60, derandomize=True)
-@given(polys, st.floats(min_value=-4, max_value=4, allow_nan=False))
-def test_eval_float_is_correctly_rounded(p, x):
-    # float evaluation must equal the float of the exact rational value
-    exact = p.eval(Fraction(x))
-    assert p.eval(x) == float(exact)
 
 
 def test_dyadic_kernel_matches_integer_horner():
@@ -232,9 +223,9 @@ def test_compose_scale_shift_var_rename():
 def test_divmod_identity(a, b):
     if b.is_zero:
         with pytest.raises(ZeroDivisionError):
-            a.divmod(b)
+            poly_divmod(a, b)
         return
-    q, r = a.divmod(b)
+    q, r = poly_divmod(a, b)
     assert a == q * b + r
     assert r.is_zero or r.degree < b.degree
 
@@ -242,7 +233,7 @@ def test_divmod_identity(a, b):
 @settings(max_examples=40, derandomize=True)
 @given(polys)
 def test_primitive_part_properties(p):
-    prim = p.primitive_part()
+    prim = primitive_part(p)
     if p.is_zero:
         assert prim.is_zero
         return
@@ -256,7 +247,7 @@ def test_primitive_part_properties(p):
         g = gcd(g, n)
     assert g == 1, "coefficients are coprime"
     # same sign everywhere: the scale factor is positive
-    assert prim.leading * p.leading > 0
+    assert prim.coeffs[-1] * p.coeffs[-1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +260,36 @@ def test_format_rational():
     assert as_rational("5/3") == Fraction(5, 3)
 
 
-def test_exact_rational_takes_floats_at_their_binary_value():
-    assert exact_rational(0.1) == Fraction(3602879701896397, 36028797018963968)
-    assert exact_rational("0.1") == Fraction(1, 10)
-    assert exact_rational(3) == Fraction(3)
-    with pytest.raises(TypeError):
-        as_rational(0.1)
-    with pytest.raises(TypeError):
-        exact_rational(None)
+def test_a_float_is_refused():
+    # every exact entry point takes ints, Fractions and rational strings, and
+    # refuses a float rather than read its binary value
+    assert as_rational("0.1") == Fraction(1, 10)
+    assert as_rational(3) == Fraction(3)
+    p = RationalPoly.from_coeffs([-2, 0, 1])
+    series = build_series(PotentialSpec.linear(0), 4)
+    refused = [
+        lambda: as_rational(0.1),
+        lambda: as_rational(None),
+        lambda: p.eval(1.5),
+        lambda: isolate_real_roots(p, (0.0, 2)),
+        lambda: isolate_real_roots(p, (0, 2.0)),
+        lambda: refine_enclosure(p, (1.0, 2), Fraction(1, 10)),
+        lambda: refine_enclosure(p, (1, 2.0), Fraction(1, 10)),
+        lambda: refine_enclosure(p, (1, 2), 0.1),
+        lambda: solve_a1(series, (0.0, 20.0)),
+        lambda: exact_linear(1.0),
+        lambda: cell_matches("6.0", 6.0),
+    ]
+    for call in refused:
+        with pytest.raises(TypeError):
+            call()
+    # the same calls on exact rationals go through
+    assert p.eval(Fraction(3, 2)) == Fraction(1, 4)
+    assert isolate_real_roots(p, (0, 2))[1] == ((0, 2),)
+    lo, hi = refine_enclosure(p, (1, 2), Fraction(1, 10))
+    assert lo < hi and lo * lo < 2 < hi * hi
+    assert solve_a1(series, (0, 20)).eps == 6
+    assert cell_matches("6.0", Fraction(6))
 
 
 def test_str_smoke():

@@ -2,8 +2,8 @@
 
 Two earlier implementations serve as references.  The dense one is the
 closed-form matrices of the basis q^j - q^n and fraction-free Bareiss
-elimination over Z[eps]: ``build_secular`` and every order of
-``build_secular_systems`` must give exactly its characteristic polynomial.
+elimination over Z[eps]: every order of ``build_secular_systems``, alone
+or in a range, must give exactly its characteristic polynomial.
 The Galerkin one is S and H of the phi_k in ``Fraction`` arithmetic, one
 dense matrix per order: the integer band pencil must equal it entry by entry.
 """
@@ -24,19 +24,24 @@ from boxeig.rayleigh_ritz import (
     _band_pivots,
     _interpolate,
     _pencil,
-    build_secular,
     build_secular_systems,
     solve_secular,
 )
-from boxeig.rootfind import count_real_roots
 
-V0 = PotentialSpec.zero()
+from references import count_real_roots, integrate_01
+
+V0 = PotentialSpec.linear(0)
 V1 = PotentialSpec.linear(Fraction(1))
 V_MINUS_7 = PotentialSpec.linear(Fraction(-7))
 V_MINUS_30 = PotentialSpec.linear(Fraction(-30))
 CUBIC = PotentialSpec.general(
     RationalPoly.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 2), 1], "q")
 )
+
+
+def secular_at(potential, n):
+    """The secular system of order n alone."""
+    return build_secular_systems(potential, (n,))[n]
 
 
 def _seeded_potential(seed, degree):
@@ -279,9 +284,9 @@ def test_basis_matrices_match_direct_integration(n):
     for i, fi in enumerate(f):
         for j, fj in enumerate(f):
             fifj = fi * fj
-            assert s[i][j] == fifj.integrate_01()
+            assert s[i][j] == integrate_01(fifj)
             kinetic = fi.differentiate() * fj.differentiate()
-            assert h[i][j] == (kinetic + CUBIC.v * fifj).integrate_01()
+            assert h[i][j] == integrate_01(kinetic + CUBIC.v * fifj)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -388,10 +393,10 @@ def test_galerkin_matrices_match_direct_integration(n):
         for i, pi in enumerate(basis):
             for j, pj in enumerate(basis):
                 pipj = pi * pj
-                assert s[i][j] == pipj.integrate_01()
+                assert s[i][j] == integrate_01(pipj)
                 kinetic = pi.differentiate() * pj.differentiate()
-                assert kinetic.integrate_01() == (Fraction(1, 2 * i + 3) if i == j else 0)
-                assert h[i][j] == (kinetic + CUBIC.v * pipj).integrate_01()
+                assert integrate_01(kinetic) == (Fraction(1, 2 * i + 3) if i == j else 0)
+                assert h[i][j] == integrate_01(kinetic + CUBIC.v * pipj)
 
 
 @pytest.mark.parametrize("name", list(POTENTIALS))
@@ -415,7 +420,7 @@ def test_linear_potential_shifts_h_by_moment(n):
     q = RationalPoly.monomial(1, 1, "q")
     for i in range(2, n + 1):
         for j in range(2, n + 1):
-            moment = (q * phi(i) * phi(j)).integrate_01()
+            moment = integrate_01(q * phi(i) * phi(j))
             assert h_v[i - 2][j - 2] == h_0[i - 2][j - 2] + lam * moment
             assert s_v[i - 2][j - 2] == s_0[i - 2][j - 2]
 
@@ -459,7 +464,7 @@ def test_change_of_basis_determinant(n):
     for k in range(2, n + 1):
         a = phi(k).coeffs  # a_0 = 0 and sum a_m = 0, so phi_k = sum_{m<n} a_m f_m
         rows.append([a[m] if m < len(a) else Fraction(0) for m in range(1, n)])
-    assert sum(rows[-1]) + phi(n).leading == 0
+    assert sum(rows[-1]) + phi(n).coeffs[-1] == 0
     assert gaussian_determinant(rows) ** 2 == det_t_squared(n)
     s_old, h_old = monomial_matrices(CUBIC, n)
     s, h = pencil_matrices(CUBIC, n)
@@ -551,7 +556,7 @@ def test_char_poly_equals_the_dense_reference(name):
     potential = POTENTIALS[name]
     orders = list(range(3, 17)) + ([20, 24] if name in ("lam=1", "cubic") else [])
     for n in orders:
-        assert build_secular(potential, n).char_poly == dense_char_poly(potential, n), n
+        assert secular_at(potential, n).char_poly == dense_char_poly(potential, n), n
 
 
 # orders as a command line may give them: a range, an unsorted list and a
@@ -579,7 +584,7 @@ def test_every_order_of_a_range_equals_the_dense_reference(name):
 def test_char_poly_is_the_pencil_determinant(potential, n):
     # a polynomial of degree n - 1 that agrees with det(h - eps s) / det(T)^2
     # at n distinct points is that polynomial
-    char_poly = build_secular(potential, n).char_poly
+    char_poly = secular_at(potential, n).char_poly
     assert char_poly.degree == n - 1
     s, h = pencil_matrices(potential, n)
     for k in range(n):
@@ -594,7 +599,7 @@ def test_char_poly_is_the_pencil_determinant(potential, n):
 
 
 def test_secular_polynomial_n3_exact():
-    sys3 = build_secular(V0, 3)
+    sys3 = secular_at(V0, 3)
     assert sys3.char_poly == RationalPoly.from_coeffs(
         [Fraction(1, 60), Fraction(-13, 6300), Fraction(1, 25200)], "eps"
     )
@@ -603,9 +608,9 @@ def test_secular_polynomial_n3_exact():
 
 
 def test_secular_roots_n3_exact():
-    ground = solve_secular(build_secular(V0, 3))
+    ground = solve_secular(secular_at(V0, 3))
     assert abs(ground.eps - 10.0) < 1e-20
-    excited = solve_secular(build_secular(V0, 3), (Fraction(0), Fraction(100)), state=1)
+    excited = solve_secular(secular_at(V0, 3), (Fraction(0), Fraction(100)), state=1)
     assert abs(excited.eps - 42.0) < 1e-18
 
 
@@ -615,7 +620,7 @@ def test_secular_roots_n3_exact():
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
 def test_char_poly_degree_and_leading_coeff(n):
-    sys_n = build_secular(V1, n)
+    sys_n = secular_at(V1, n)
     size = n - 1
     assert sys_n.char_poly.degree == size
     # leading eps-coefficient of det(H - eps S) in the basis q^j - q^n is
@@ -627,7 +632,7 @@ def test_char_poly_degree_and_leading_coeff(n):
 @pytest.mark.parametrize("n", [3, 4, 6, 8, 10])
 @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1)])
 def test_all_roots_real(n, lam):
-    sys_n = build_secular(PotentialSpec.linear(lam), n)
+    sys_n = secular_at(PotentialSpec.linear(lam), n)
     # a symmetric pencil with positive definite S has a full set of real
     # eigenvalues; they all lie in (0, hi) for a wide enough hi
     hi = Fraction(10**6)
@@ -643,7 +648,7 @@ def test_ground_state_nonincreasing_and_above_exact(lam, eps0):
     potential = PotentialSpec.linear(Fraction(lam))
     previous = None
     for n in range(3, 11):
-        est = solve_secular(build_secular(potential, n))
+        est = solve_secular(secular_at(potential, n))
         assert est.eps >= eps0 - 1e-12
         if previous is not None:
             assert est.eps <= previous + 1e-15
@@ -654,15 +659,15 @@ def test_excited_states_interlace():
     # adding a basis function can only lower each variational level
     for state in (0, 1, 2):
         bracket = (Fraction(0), Fraction(10**4))
-        coarse = solve_secular(build_secular(V0, 6), bracket, state)
-        fine = solve_secular(build_secular(V0, 7), bracket, state)
+        coarse = solve_secular(secular_at(V0, 6), bracket, state)
+        fine = solve_secular(secular_at(V0, 7), bracket, state)
         assert fine.eps <= coarse.eps + 1e-12
         exact = math.pi**2 * (state + 1) ** 2
         assert fine.eps >= exact - 1e-12
 
 
 def test_residual_is_small_at_roots():
-    system = build_secular(V0, 8)
+    system = secular_at(V0, 8)
     est = solve_secular(system)
     # the residual is the monic determinant prod_k (eps_k - eps) at the
     # midpoint: char_poly over the leading coefficient det(s) / det(T)^2
@@ -673,13 +678,13 @@ def test_residual_is_small_at_roots():
 def test_estimate_beyond_the_float_range_is_exact():
     # at lambda = 1e60 the monic determinant at the midpoint exceeds 1e308;
     # the estimate is the exact enclosure and its midpoint all the same
-    est = solve_secular(build_secular(PotentialSpec.linear(10**60), 10))
+    est = solve_secular(secular_at(PotentialSpec.linear(10**60), 10))
     assert 0 < est.eps < 10**61 and est.enclosure[0] <= est.eps <= est.enclosure[1]
 
 
 def test_state_out_of_range():
     # N=4 gives a basis of size 3, so det(H - eps S) has no fourth root
-    system = build_secular(V0, 4)
+    system = secular_at(V0, 4)
     assert system.size == 3
     assert solve_secular(system, state=3) is None
     assert solve_secular(system, state=2) is not None
@@ -687,4 +692,4 @@ def test_state_out_of_range():
 
 def test_min_basis_order():
     with pytest.raises(ValueError):
-        build_secular(V0, 2)
+        secular_at(V0, 2)

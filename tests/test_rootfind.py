@@ -15,23 +15,18 @@ from boxeig.model import PotentialSpec
 from boxeig.oracle import mpf_to_rational
 from boxeig.poly import RationalPoly
 from boxeig.estimates import DEFAULT_SELECTION, RootSelection, default_bracket, select_root
-from boxeig.rayleigh_ritz import build_secular, solve_secular
-from boxeig.rootfind import (
-    count_real_roots,
-    isolate_real_roots,
-    refine_enclosure,
-    sturm_sequence,
-    sign_variations,
-    square_free_part,
-)
+from boxeig.rayleigh_ritz import solve_secular
+from boxeig.rootfind import isolate_real_roots, refine_enclosure, square_free_part, sturm_sequence
 from boxeig.series import build_series, solve_a1
 from boxeig.variational import solve_a2, solve_a3
 
+from references import count_real_roots, poly_divmod, primitive_part, sign_variations
+from test_rayleigh_ritz import secular_at
 from test_variational import quotient_at
 
 
 def poly_from_roots(roots, var="q"):
-    p = RationalPoly.one(var)
+    p = RationalPoly.constant(1, var)
     for r in roots:
         p = p * RationalPoly.from_coeffs([-Fraction(r), 1], var)
     return p
@@ -74,16 +69,16 @@ def test_sturm_counts_at_a_multiple_root():
 
 def fraction_sturm_chain(p):
     """Reference chain in rational arithmetic: divide, negate, make primitive."""
-    chain = [p.primitive_part()]
+    chain = [primitive_part(p)]
     d = p.differentiate()
     if d.is_zero:
         return chain
-    chain.append(d.primitive_part())
+    chain.append(primitive_part(d))
     while True:
-        _, r = chain[-2].divmod(chain[-1])
+        _, r = poly_divmod(chain[-2], chain[-1])
         if r.is_zero:
             return chain
-        chain.append((-r).primitive_part())
+        chain.append(primitive_part(-r))
 
 
 def seeded_polynomials():
@@ -108,7 +103,7 @@ def test_sturm_sequence_matches_fraction_reference_chain():
         sign_matters += sum(
             1
             for a, b in zip(expected[1:], expected[2:])
-            if b.leading < 0 and (a.degree - b.degree) % 2 == 0
+            if b.coeffs[-1] < 0 and (a.degree - b.degree) % 2 == 0
         )
     assert sign_matters >= 10
 
@@ -557,7 +552,7 @@ def test_square_free_part_agrees_with_sturm_counts():
         for m in (1, 2, 3):
             p = base * poly_from_roots([r] * m)
             sf = square_free_part(p)
-            _, rem = p.divmod(sf)
+            _, rem = poly_divmod(p, sf)
             assert rem.is_zero, p
             assert len(sturm_sequence(sf)[-1]) == 1, p
             assert count_real_roots(sf, lo, hi) == count_real_roots(p, lo, hi), p
@@ -858,7 +853,7 @@ def sturm_calls(monkeypatch):
         lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10)),
         # W(eps) = eps at every fixed point, so min-w is the smallest policy
         lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10), selection=RootSelection("min-w")),
-        lambda: solve_secular(build_secular(PotentialSpec.linear(1), 6)),
+        lambda: solve_secular(secular_at(PotentialSpec.linear(1), 6)),
     ],
     ids=["a1", "a3", "a3-min-w", "rr"],
 )
@@ -885,7 +880,7 @@ def test_a2_refines_only_the_valleys_of_w(call_counts, n):
         lambda: solve_a2(quotient_at(PotentialSpec.linear(1), 30)),
         lambda: solve_a1(build_series(PotentialSpec.linear(1), 12)),
         lambda: solve_a3(quotient_at(PotentialSpec.linear(1), 10)),
-        lambda: solve_secular(build_secular(PotentialSpec.linear(1), 6)),
+        lambda: solve_secular(secular_at(PotentialSpec.linear(1), 6)),
     ],
     ids=["a2-n20", "a2-n30", "a1", "a3", "rr"],
 )

@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 from boxeig.cli import main
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.series import (
-    boundary_polynomial,
-    build_series,
-    build_trial,
-    solve_a1,
-    specialize,
-)
+from boxeig.series import boundary_polynomial, build_series, solve_a1
 
-V0 = PotentialSpec.zero()
+from references import specialize, trial_terms
+
+V0 = PotentialSpec.linear(0)
 V1 = PotentialSpec.linear(Fraction(1))
 
 small_rationals = st.builds(
@@ -44,7 +40,7 @@ def test_seed_coefficients():
     s = build_series(V1, 6)
     zero = RationalPoly.zero("eps")
     assert s.c[0] == zero
-    assert s.c[1] == RationalPoly.one("eps")
+    assert s.c[1] == RationalPoly.constant(1, "eps")
     assert s.c[2] == zero
 
 
@@ -59,11 +55,11 @@ def test_hand_evaluated_low_orders():
     assert s1.c[4].coeff(0) == Fraction(1, 12)
 
 
-def recurrence_reference(potential, n, c1):
+def recurrence_reference(potential, n):
     """The recurrence on RationalPoly sums, one per potential term and order."""
     v = potential.v
     zero = RationalPoly.zero("eps")
-    c = [zero, RationalPoly.constant(c1, "eps"), zero]
+    c = [zero, RationalPoly.constant(1, "eps"), zero]
     eps = RationalPoly.monomial(1, 1, "eps")
     for j in range(3, n + 1):
         acc = zero
@@ -78,8 +74,8 @@ def recurrence_reference(potential, n, c1):
 
 def test_series_equals_the_polynomial_recurrence():
     # the integer recurrence against the RationalPoly one: the sweep rows,
-    # lam = 3/7 and 1/1000, seeded cubics and a sextic with rational
-    # coefficients, and normalizations c1 of either sign and zero
+    # lam = 3/7 and 1/1000, and seeded cubics and a sextic with rational
+    # coefficients
     rng = random.Random(20261019)
     pots = [PotentialSpec.linear(Fraction(lam)) for lam in ("0", "1", "3/7", "-7", "-30", "1/1000")]
     pots += [
@@ -92,8 +88,7 @@ def test_series_equals_the_polynomial_recurrence():
     ]
     for potential in pots:
         for n in range(3, 23):
-            for c1 in (Fraction(1), Fraction(-3, 5), Fraction(0)):
-                assert build_series(potential, n, c1).c == recurrence_reference(potential, n, c1)
+            assert build_series(potential, n).c == recurrence_reference(potential, n)
 
 
 def test_requires_order_three():
@@ -148,15 +143,6 @@ def test_boundary_polynomial_hand_values():
     assert b5 == RationalPoly.from_coeffs([1, Fraction(-1, 6), Fraction(1, 120)], "eps")
 
 
-@settings(max_examples=20, derandomize=True)
-@given(potentials, st.integers(min_value=3, max_value=10), small_rationals)
-def test_linearity_in_seed(potential, n, scale):
-    base = build_series(potential, n)
-    scaled = build_series(potential, n, c1=scale)
-    for cj, dj in zip(base.c, scaled.c):
-        assert dj == cj * scale
-
-
 def test_potential_truncation_is_noop():
     # coefficients of v beyond degree N-3 cannot influence c_0..c_N
     n = 8
@@ -201,9 +187,10 @@ def test_specialized_series_tracks_sine():
     # Maclaurin polynomial of sin(pi q)/pi up to the truncation remainder;
     # the alternating-series bound for the first dropped term (q^15) is
     # pi^14/15! ~ 7.0e-6, so the sup deviation on [0,1] stays below 1e-5
-    phi = specialize(build_series(V0, 13), math.pi**2)
+    phi = specialize(build_series(V0, 13), Fraction(math.pi**2))
     worst = max(
-        abs(phi.eval(i / 200) - math.sin(math.pi * i / 200) / math.pi) for i in range(201)
+        abs(float(phi.eval(Fraction(i, 200))) - math.sin(math.pi * i / 200) / math.pi)
+        for i in range(201)
     )
     assert worst < 1e-5
     assert worst > 1e-7, "deviation should be dominated by the truncation term"
@@ -262,26 +249,20 @@ def test_each_prefix_notes_the_potential_terms_it_ignores(caplog, tmp_path):
 # trial functions
 
 
-def test_build_trial_requires_order_four():
-    with pytest.raises(ValueError):
-        build_trial(build_series(V0, 3))
-
-
 def test_trial_vanishes_at_both_walls_identically():
     for potential in (V0, V1):
-        trial = build_trial(build_series(potential, 7))
+        series = build_series(potential, 7)
         for eps in (Fraction(0), Fraction(5), Fraction(-3, 2), Fraction(97, 7)):
-            phi = specialize(trial, eps)
+            phi = specialize(series, eps, trial=True)
             assert phi.eval(Fraction(0)) == 0
             assert phi.eval(Fraction(1)) == 0
 
 
 def test_trial_terms_match_series():
     series = build_series(V0, 4)
-    trial = build_trial(series)
-    assert trial.terms == ((1, series.c[1]), (3, series.c[3]))
+    assert trial_terms(series) == ((1, series.c[1]), (3, series.c[3]))
     # at eps = 6 the trial collapses to q - q^3 exactly
-    phi = specialize(trial, Fraction(6))
+    phi = specialize(series, Fraction(6), trial=True)
     assert phi == RationalPoly.from_coeffs([0, 1, 0, -1], "q")
 
 

@@ -13,21 +13,14 @@ from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
-from boxeig.rayleigh_ritz import build_secular
-from boxeig.rootfind import count_real_roots
-from boxeig.series import TrialFunction, build_series, build_trial, specialize
-from boxeig.variational import (
-    RayleighQuotient,
-    build_quotient,
-    build_quotients,
-    solve_a2,
-    solve_a3,
-)
+from boxeig.series import EnergySeries, build_series
+from boxeig.variational import RayleighQuotient, build_quotients, solve_a2, solve_a3
 
-from test_rayleigh_ritz import basis_function, monomial_matrices
+from references import count_real_roots, integrate_01, specialize, trial_terms
+from test_rayleigh_ritz import basis_function, monomial_matrices, secular_at
 from test_series import order_sets, ramps_and_cubics
 
-V0 = PotentialSpec.zero()
+V0 = PotentialSpec.linear(0)
 V1 = PotentialSpec.linear(Fraction(1))
 CUBIC = PotentialSpec.general(
     RationalPoly.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 2), 1], "q")
@@ -40,8 +33,8 @@ small_rationals = st.builds(
 
 
 def quotient_at(potential, n):
-    """The quotient of the order-n trial function: series, trial, quotient."""
-    return build_quotient(build_trial(build_series(potential, n)))
+    """The quotient of the order-n trial function, from the series of order n."""
+    return build_quotients(build_series(potential, n), (n,))[n]
 
 
 potentials = st.one_of(
@@ -81,22 +74,25 @@ def test_quotient_value_at_zero_energy():
 # structural identities
 
 
-def kinetic_energy_forms(trial) -> tuple[RationalPoly, RationalPoly]:
+def kinetic_energy_forms(series) -> tuple[RationalPoly, RationalPoly]:
     """(integral of phi'^2, integral of -phi phi'') as eps-polynomials.
 
-    The first is the numerator of :func:`build_quotient` for the trial
-    function with the potential left out; the second integrates -f_i f_j''
-    of the basis polynomials f_j = q^j - q^n directly.  The two agree
-    identically for functions vanishing at both walls.
+    phi is the trial function of the series.  The first is the numerator of
+    its quotient with the potential left out; the second integrates
+    -f_i f_j'' of the basis polynomials f_j = q^j - q^n directly.  The two
+    agree identically for functions vanishing at both walls.
     """
-    by_parts = build_quotient(TrialFunction(trial.n, PotentialSpec.zero(), trial.terms)).num
-    f = [basis_function(j, trial.n) for j, _ in trial.terms]
+    n = series.n
+    free = EnergySeries(n, PotentialSpec.linear(0), series.c, series.sums)
+    by_parts = build_quotients(free, (n,))[n].num
+    terms = trial_terms(series)
+    f = [basis_function(j, n) for j, _ in terms]
     ddf = [fj.differentiate().differentiate() for fj in f]
     literal = RationalPoly.zero("eps")
-    for (_, ci), fi in zip(trial.terms, f):
+    for (_, ci), fi in zip(terms, f):
         row = RationalPoly.zero("eps")
-        for (_, cj), ddfj in zip(trial.terms, ddf):
-            row = row + cj * -(fi * ddfj).integrate_01()
+        for (_, cj), ddfj in zip(terms, ddf):
+            row = row + cj * -integrate_01(fi * ddfj)
         literal = literal + ci * row
     return by_parts, literal
 
@@ -104,7 +100,7 @@ def kinetic_energy_forms(trial) -> tuple[RationalPoly, RationalPoly]:
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(potentials, st.integers(min_value=4, max_value=10))
 def test_kinetic_forms_agree_exactly(potential, n):
-    by_parts, literal = kinetic_energy_forms(build_trial(build_series(potential, n)))
+    by_parts, literal = kinetic_energy_forms(build_series(potential, n))
     assert by_parts == literal
 
 
@@ -117,10 +113,11 @@ def _quadratic_form(matrix, terms) -> RationalPoly:
     return acc
 
 
-def matrix_quotient(trial):
+def matrix_quotient(series):
     """(c^T H c, c^T S c) with the matrices of the basis q^j - q^n: the reference quotient."""
-    s, h = monomial_matrices(trial.potential, trial.n)
-    return _quadratic_form(h, trial.terms), _quadratic_form(s, trial.terms)
+    s, h = monomial_matrices(series.potential, series.n)
+    terms = trial_terms(series)
+    return _quadratic_form(h, terms), _quadratic_form(s, terms)
 
 
 def _random_cubic(seed):
@@ -141,15 +138,11 @@ def test_quotient_equals_the_matrix_quotient(name):
     # even c_j vanishes, so the kernel skips those rows and columns
     potential = DIFFERENTIAL_POTENTIALS[name]
     for n in range(4, 21):
-        trial = build_trial(build_series(potential, n))
+        series = build_series(potential, n)
         if potential.v.is_zero:
-            assert len(trial.terms) == n // 2
-        rq = build_quotient(trial)
-        assert (rq.num, rq.den) == matrix_quotient(trial)
-    # the normalization c1 = 0 leaves no term: both forms are zero
-    trial = build_trial(build_series(potential, 6, c1=0))
-    rq = build_quotient(trial)
-    assert (rq.num, rq.den) == matrix_quotient(trial) == (RationalPoly.zero("eps"),) * 2
+            assert len(trial_terms(series)) == n // 2
+        rq = quotient_at(potential, n)
+        assert (rq.num, rq.den) == matrix_quotient(series)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -163,11 +156,11 @@ def test_one_pass_builds_the_matrix_quotient_of_every_order(potential, orders):
     quotients = build_quotients(build_series(potential, max(orders)), orders)
     assert sorted(quotients) == sorted(set(orders))
     for n in orders:
-        trial = build_trial(build_series(potential, n))
+        series = build_series(potential, n)
         rq = quotients[n]
         assert (rq.n, rq.potential) == (n, potential)
-        assert (rq.num, rq.den) == matrix_quotient(trial)
-        assert rq == build_quotient(trial)
+        assert (rq.num, rq.den) == matrix_quotient(series)
+        assert rq == quotient_at(potential, n)
 
 
 def test_build_quotients_refuses_orders_outside_its_series():
@@ -181,12 +174,12 @@ def test_build_quotients_refuses_orders_outside_its_series():
 def test_quotient_matches_direct_integration(n):
     # reference: integrate the specialized trial polynomial in q
     rq = quotient_at(CUBIC, n)
-    trial = build_trial(build_series(CUBIC, n))
+    series = build_series(CUBIC, n)
     for eps in (Fraction(0), Fraction(7, 2), Fraction(-13, 3), Fraction(50)):
-        phi = specialize(trial, eps)
+        phi = specialize(series, eps, trial=True)
         dphi = phi.differentiate()
-        num = (dphi * dphi + CUBIC.v * phi * phi).integrate_01()
-        den = (phi * phi).integrate_01()
+        num = integrate_01(dphi * dphi + CUBIC.v * phi * phi)
+        den = integrate_01(phi * phi)
         assert rq.num.eval(eps) == num
         assert rq.den.eval(eps) == den
         assert rq.value(eps) == num / den
@@ -398,7 +391,7 @@ def test_value_comparing_selection_is_pinned(solve, policy, state, eps, w):
 # pinned exact polynomials of the whole pipeline
 
 # sha256 (first 24 hex digits) of the coefficient strings of quotient_at(v, N)
-# .num and .den for N = 4..20 and of build_secular(v, N).char_poly for
+# .num and .den for N = 4..20 and of secular_at(v, N).char_poly for
 # N = 4..12, recorded from the earlier implementation that stored each
 # coefficient as a Fraction.  A change of representation or of kernel that
 # moves any coefficient of any of them fails here.
@@ -425,5 +418,5 @@ def test_pipeline_polynomials_match_pinned_digests(name):
     assert (
         coefficient_digest(q.num for q in quotients),
         coefficient_digest(q.den for q in quotients),
-        coefficient_digest(build_secular(v, n).char_poly for n in range(4, 13)),
+        coefficient_digest(secular_at(v, n).char_poly for n in range(4, 13)),
     ) == PIPELINE_DIGESTS[name]
