@@ -7,8 +7,9 @@ which absorbs the mixed truncation/rounding in the reference data.  Cells
 holding :data:`NO_ROOT` assert that the corresponding search finds no real
 root in its bracket.
 
-All comparisons run in exact rational arithmetic: golden strings parse to
-:class:`~fractions.Fraction` and the tolerance unit is an exact power of ten.
+All comparisons are exact: a cell's digits and the computed value, rounded
+to the cell's last printed digit, are compared as integer counts of that
+digit's unit.
 """
 
 from __future__ import annotations
@@ -76,27 +77,6 @@ class GoldenTable(Record):
         _set(self, "cells", cells)
 
 
-def parse_cell(text: str) -> Rational | None:
-    """Parse a golden cell to an exact rational; ``NO_ROOT`` maps to None."""
-    if text == NO_ROOT:
-        return None
-    return Fraction(text)
-
-
-def cell_unit(text: str) -> Rational:
-    """One unit in the last printed digit of a golden cell."""
-    if text == NO_ROOT:
-        raise ValueError("no-root cells have no numeric tolerance")
-    mantissa = text.split(".")
-    decimals = len(mantissa[1]) if len(mantissa) == 2 else 0
-    return Fraction(1, 10**decimals)
-
-
-def round_to_unit(value: Rational, unit: Rational) -> Rational:
-    """Round an exact rational to the nearest multiple of ``unit``, half-even."""
-    return Fraction(round(value / unit)) * unit
-
-
 def cell_matches(golden: str, computed: Rational | None) -> bool:
     """Digit-string match: the computed value, rendered at the golden cell's
     precision (round-half-even), may differ from the cell by at most one unit
@@ -107,12 +87,17 @@ def cell_matches(golden: str, computed: Rational | None) -> bool:
     reference data mixes truncation and rounding at the last place, so a cell
     can sit a full unit below the true value, and the computed side must first
     be put on the same decimal grid before the off-by-one allowance applies.
+    Both sides are compared as integer counts of that unit: the cell's digits,
+    and the computed value rounded half-even by one ``divmod``.
     """
-    target = parse_cell(golden)
-    if target is None or computed is None:
-        return target is None and computed is None
-    unit = cell_unit(golden)
-    return abs(round_to_unit(as_rational(computed), unit) - target) <= unit
+    if golden == NO_ROOT or computed is None:
+        return golden == NO_ROOT and computed is None
+    whole, _, decimals = golden.partition(".")
+    value = as_rational(computed)
+    q, r = divmod(value.numerator * 10 ** len(decimals), value.denominator)
+    if 2 * r > value.denominator or (2 * r == value.denominator and q & 1):
+        q += 1
+    return abs(q - int(whole + decimals)) <= 1
 
 
 _LAM0 = Fraction(0)

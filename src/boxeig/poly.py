@@ -134,12 +134,6 @@ class RationalPoly(Record):
     def constant(cls, c: ScalarLike, var: str = "q") -> "RationalPoly":
         return cls.from_coeffs([c], var)
 
-    @classmethod
-    def monomial(cls, power: int, c: ScalarLike = 1, var: str = "q") -> "RationalPoly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls.from_coeffs([0] * power + [c], var)
-
     # ------------------------------------------------------------------
     # structure
 

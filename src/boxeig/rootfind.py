@@ -43,6 +43,12 @@ catching it, so the correct bits double per step.  Every step keeps opposite
 signs at the two ends, so any such search ends on the same cell.  The loop
 (:func:`_refine_on_grid`) reads its values through a callable, so the ramp
 oracle runs the same search on its wall series.
+
+Floats steer refinement and exact signs decide it (Kobel, Rouillier &
+Sagraloff, ISSAC 2016): a float Newton iteration (:func:`_float_guess`) hands
+the loop a guess of the root's grid index g, an int, and the loop probes
+g -/+ |g| 2^-GUESS_BITS first.  Floats only choose probe points; every end
+kept has an exactly verified sign, so the cell is the one found unseeded.
 """
 
 from __future__ import annotations
@@ -79,6 +85,10 @@ DESCARTES_DEPTH_BITS = 64
 # hull is wider than the bracket by at most 2^(1 - HULL_BITS) of its width.
 HULL_BITS = 8
 
+# Refinement probes GUESS_BITS bits of its float guess g of the root's grid
+# index: g -/+ |g| 2^-GUESS_BITS.  Float Newton is good to about 2^-50.
+GUESS_BITS = 40
+
 Interval = tuple[Fraction, Fraction]
 
 
@@ -86,6 +96,15 @@ def _sign_at(a: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial a at x = n/d (d > 0), read off d^deg a(n/d)."""
     value = _horner(a, x.numerator, x.denominator)
     return (value > 0) - (value < 0)
+
+
+def _is_root(a: Sequence[int], x: Fraction) -> bool:
+    """Whether x is a root of a; by the rational root theorem x = n/d in
+    lowest terms can be one only if d | a[-1] and n | a[0]."""
+    n, d = x.numerator, x.denominator
+    if a[-1] % d or (n and a[0] % n):
+        return False
+    return not _horner(a, n, d)
 
 
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -163,7 +182,7 @@ def isolate_real_roots(
         return p, ()
 
     a = p.ints
-    at_lo, at_hi = (_sign_at(a, x) == 0 for x in (lo, hi))
+    at_lo, at_hi = _is_root(a, lo), _is_root(a, hi)
     want = None if limit is None else limit - at_lo
     isolated, found = p, []
     if want != 0:
@@ -280,14 +299,14 @@ def _descartes(
     while stack:
         b, k, c = stack.pop()
         if b is None:  # an exact root at the midpoint of a bisected piece
-            yield (lo + width * Fraction(c, 1 << k),) * 2
+            yield (Fraction((s << k) + w * c, den << k),) * 2
             continue
         signs = [x > 0 for x in b if x]
         variations = sum(1 for x, y in zip(signs, signs[1:]) if x != y)
         if variations == 0:
             continue
         if variations == 1 and b[0] and b[-1]:
-            yield (lo + width * Fraction(c, 1 << k), lo + width * Fraction(c + 1, 1 << k))
+            yield (Fraction((s << k) + w * c, den << k), Fraction((s << k) + w * (c + 1), den << k))
             continue
         if bounded and k == max_depth:
             yield None
@@ -308,8 +327,8 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     bits below ``width``, that holds the root, clipped to the interval; or
     (r, r) for a root r on the grid.  Its endpoints carry exactly verified
     opposite signs of p.  The cell is found by quadratic interval refinement
-    on the grid indices, reading the exact integer values 2^(k deg) p(m/2^k)
-    (see the module docstring).
+    on the grid indices, reading the exact integer values 2^(k deg) p(m/2^k),
+    and seeded by a float guess (see the module docstring).
     """
     lo, hi = as_rational(interval[0]), as_rational(interval[1])
     width = as_rational(width)
@@ -349,21 +368,73 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
         if (vj > 0) == up:
             return (Fraction(j, scale), hi)
 
-    i, j = _refine_on_grid(lambda m: _horner_dyadic(a, m, k), i, vi, j, vj)
+    guess = _float_guess(a, k, i, vi, j, vj)
+    i, j = _refine_on_grid(lambda m: _horner_dyadic(a, m, k), i, vi, j, vj, guess)
     return (Fraction(i, scale), Fraction(j, scale))
 
 
-def _refine_on_grid(value: Callable[[int], int], i: int, vi: int, j: int, vj: int) -> tuple[int, int]:
+def _float_guess(a: Sequence[int], k: int, i: int, vi: int, j: int, vj: int) -> int | None:
+    """A grid index near the root of a between i and j (values vi, vj), or None.
+
+    At most 30 Newton steps in floats on a shifted into float range, from
+    the secant point, with bisection when a step leaves the bracket that the
+    float signs keep.  None for a line, for a range too narrow for the
+    guess's probes, and where a float overflows or is not finite.
+    """
+    if len(a) < 3 or j - i <= max(abs(i), abs(j)) >> (GUESS_BITS - 2):
+        return None
+    try:
+        bits = max(map(int.bit_length, a))
+        shift, scale = max(bits - 1000, 0), 2.0 ** -min(bits, 1000)
+        f = [(c >> shift) * scale for c in reversed(a)]
+        lo, hi, up = i / (1 << k), j / (1 << k), vi > 0
+        x = lo + (hi - lo) * (vi / (vi - vj))
+        for _ in range(30):
+            v = dv = 0.0
+            for c in f:
+                dv = dv * x + v
+                v = v * x + c
+            lo, hi = (x, hi) if (v > 0) == up else (lo, x)
+            step = v / dv if dv else hi - lo
+            tol = abs(x) * 2.0**-48
+            if abs(step) <= tol or hi - lo <= 64 * tol:
+                break
+            x -= step
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        num, den = x.as_integer_ratio()
+    except (OverflowError, ValueError):  # a float out of range, inf or nan
+        return None
+    return (num << k) // den
+
+
+def _refine_on_grid(
+    value: Callable[[int], int], i: int, vi: int, j: int, vj: int, guess: int | None = None
+) -> tuple[int, int]:
     """The cell (m, m + 1) of the grid indices in [i, j] where ``value`` changes sign.
 
     ``value(m)`` is an exact integer with the sign of the function at index m,
     and vi = value(i), vj = value(j) have opposite signs, i < j.  Returns
     (m, m) instead at an index m where ``value`` is zero.  The search is the
     quadratic interval refinement of the module docstring; every step keeps
-    opposite signs at i and j.
+    opposite signs at i and j, so a ``guess`` of the root's index changes
+    only the probes.  When its two probes catch the root, the next window is
+    as narrow, relative to the range, as theirs was.
     """
-    up = vi > 0
-    n = 4
+    up, n = vi > 0, 4
+    if guess is not None:
+        w, span = max(abs(guess) >> GUESS_BITS, 1), j - i
+        for m in (guess - w, guess + w):
+            if i < m < j:
+                vm = value(m)
+                if not vm:
+                    return (m, m)
+                if (vm > 0) == up:
+                    i, vi = m, vm
+                else:
+                    j, vj = m, vm
+        if j - i <= 2 * w:
+            n = max(span // (j - i), 4)
     while j - i > 1:
         # the secant guess, rounded to the grid and kept inside (i, j)
         num, den = (j - i) * vi, vi - vj

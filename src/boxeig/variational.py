@@ -26,7 +26,9 @@ order n is
 
 so one pass over one weight table at the largest order builds the form of
 every order, one product per order, on integers; each is made a polynomial
-once.  All of it, root refinement included, is exact rational arithmetic;
+once.  S, F and W(eps) are each one pass over the integer coefficients of
+num and den, and W(eps) is one Fraction.  All of it, root refinement
+included (whose float guesses only choose probe points), is exact;
 the kinetic term uses the integrated-by-parts form (phi' squared), which
 equals the literal -phi phi'' form identically because the trial function
 vanishes at both walls.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .estimates import (
@@ -55,7 +57,7 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, Record, _int_addmul, _set, as_rational
+from .poly import RationalPoly, Record, _horner, _int_addmul, _set, as_rational
 from .series import TRIAL_MIN_ORDER, EnergySeries
 
 
@@ -71,9 +73,16 @@ class RayleighQuotient(Record):
         _set(self, "den", den)
 
     def value(self, eps):
-        """W(eps) = num(eps) / den(eps), an exact Fraction, for a rational eps."""
+        """W(eps) = num(eps) / den(eps), an exact Fraction, for a rational eps.
+
+        One Fraction, so one gcd: with eps = x/d, W is the ratio of the
+        integer Horner values, times the scales and a power of d.
+        """
         eps = as_rational(eps)
-        return self.num.eval(eps) / self.den.eval(eps)
+        (a, b), (c, e) = self.num.scale.as_integer_ratio(), self.den.scale.as_integer_ratio()
+        x, d, gap = eps.numerator, eps.denominator, len(self.den.ints) - len(self.num.ints)
+        top = a * e * _horner(self.num.ints, x, d) * d ** max(gap, 0)
+        return Fraction(top, b * c * _horner(self.den.ints, x, d) * d ** max(-gap, 0))
 
     def stationarity_polynomial(self) -> RationalPoly:
         """S = num' den - num den'; W'(eps) = S / den^2.
@@ -90,9 +99,16 @@ class RayleighQuotient(Record):
         return RationalPoly._canonical(s, num.scale * den.scale, num.var)
 
     def fixed_point_polynomial(self) -> RationalPoly:
-        """F = eps den - num; roots satisfy eps = W(eps)."""
-        eps = RationalPoly.monomial(1, 1, "eps")
-        return eps * self.den - self.num
+        """F = eps den - num; roots satisfy eps = W(eps).
+
+        One pass over the integer coefficients, the scales over a common g/l.
+        """
+        num, den = self.num, self.den
+        sn, sd = num.scale, den.scale
+        g, l = gcd(sn.numerator, sd.numerator), lcm(sn.denominator, sd.denominator)
+        x, y = sn.numerator // g * (l // sn.denominator), sd.numerator // g * (l // sd.denominator)
+        f = [y * c - x * e for c, e in zip_longest((0, *den.ints), num.ints, fillvalue=0)]
+        return RationalPoly._canonical(f, Fraction(g, l), num.var)
 
 
 def _weights(v: RationalPoly, n: int):

@@ -3,13 +3,15 @@
 No command runs any of these.  The Sturm counter checks root isolation (and
 acceptance criterion 8's "Sturm vs grid scan"); the Fraction division,
 primitive part and integral over [0, 1] check the integer kernels and the
-closed-form pencils; ``trial_terms`` and ``specialize`` give the trial
-function of a series, and the series or the trial function at one eps as a
-polynomial in q.
+closed-form pencils; ``monomial`` builds c x^k; ``trial_terms`` and
+``specialize`` give the trial function of a series, and the series or the
+trial function at one eps as a polynomial in q; the golden-cell match in
+Fraction arithmetic checks the integer one of ``boxeig.goldens``.
 """
 
 from fractions import Fraction
 
+from boxeig.estimates import NO_ROOT
 from boxeig.poly import RationalPoly, _int_divexact, as_rational
 from boxeig.rootfind import _sign_at, sturm_sequence
 
@@ -48,6 +50,13 @@ def count_real_roots(p: RationalPoly, lo, hi) -> int:
 
 # ---------------------------------------------------------------------------
 # polynomials in Fraction arithmetic
+
+
+def monomial(power: int, c=1, var: str = "q") -> RationalPoly:
+    """c var^power."""
+    if power < 0:
+        raise ValueError("monomial power must be nonnegative")
+    return RationalPoly.from_coeffs([0] * power + [c], var)
 
 
 def poly_divmod(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
@@ -110,3 +119,37 @@ def specialize(series, eps, trial: bool = False) -> RationalPoly:
         coeffs[j] += value
         coeffs[series.n] -= value
     return RationalPoly.from_coeffs(coeffs, "q")
+
+
+# ---------------------------------------------------------------------------
+# golden cells in Fraction arithmetic
+
+
+def parse_cell(text: str) -> Fraction | None:
+    """Parse a golden cell to an exact rational; ``NO_ROOT`` maps to None."""
+    if text == NO_ROOT:
+        return None
+    return Fraction(text)
+
+
+def cell_unit(text: str) -> Fraction:
+    """One unit in the last printed digit of a golden cell."""
+    if text == NO_ROOT:
+        raise ValueError("no-root cells have no numeric tolerance")
+    mantissa = text.split(".")
+    decimals = len(mantissa[1]) if len(mantissa) == 2 else 0
+    return Fraction(1, 10**decimals)
+
+
+def round_to_unit(value: Fraction, unit: Fraction) -> Fraction:
+    """Round an exact rational to the nearest multiple of ``unit``, half-even."""
+    return Fraction(round(value / unit)) * unit
+
+
+def cell_matches(golden: str, computed: Fraction | None) -> bool:
+    """``goldens.cell_matches`` in Fractions: round to the cell's unit, then compare."""
+    target = parse_cell(golden)
+    if target is None or computed is None:
+        return target is None and computed is None
+    unit = cell_unit(golden)
+    return abs(round_to_unit(as_rational(computed), unit) - target) <= unit

@@ -22,7 +22,7 @@ from boxeig.rayleigh_ritz import _pencil, solve_secular
 from boxeig.series import build_series
 from boxeig.variational import solve_a2
 
-from references import count_real_roots
+from references import count_real_roots, monomial
 from test_rayleigh_ritz import band_to_dense, secular_at
 from test_rootfind import grid_scan_count
 from test_variational import kinetic_energy_forms, quotient_at
@@ -171,7 +171,7 @@ def test_criterion_8_structural_exactness():
     series = build_series(V0, 21)
     sine_ok = all(series.c[j].is_zero for j in range(2, 22, 2)) and all(
         series.c[2 * k + 1]
-        == RationalPoly.monomial(k, Fraction((-1) ** k, math.factorial(2 * k + 1)), "eps")
+        == monomial(k, Fraction((-1) ** k, math.factorial(2 * k + 1)), "eps")
         for k in range(11)
     )
 

@@ -15,7 +15,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import references
 from boxeig import cli, estimates, goldens, rayleigh_ritz, rootfind
 from boxeig.cli import main
 from boxeig.model import PotentialSpec
@@ -600,6 +603,49 @@ def test_table_shows_a_value_computed_for_a_no_root_cell_as_fail(capsys, monkeyp
     assert code == 3
     assert "| 4 | eps(RR, lam=0) | -- | 9.86974962132 | FAIL |" in out.splitlines()
     assert out.count("FAIL") == 1
+
+
+@st.composite
+def golden_cells(draw):
+    """(cell, computed): a decimal cell or "--", and None or a value near the cell.
+
+    The offsets are in halves of the cell's unit, so exact half-way ties
+    between two renderings come up often, on both sides of zero.
+    """
+    decimals = draw(st.integers(0, 12))
+    digits = draw(st.integers(-(10**14), 10**14))
+    text = str(abs(digits)).rjust(decimals + 1, "0")
+    cell = ("-" if digits < 0 else "") + (f"{text[:-decimals]}.{text[-decimals:]}" if decimals else text)
+    cell = draw(st.sampled_from((cell, goldens.NO_ROOT)))
+    kind = draw(st.sampled_from(("none", "near", "near", "any")))
+    if kind == "none":
+        return cell, None
+    if kind == "any":
+        return cell, draw(st.builds(Fraction, st.integers(), st.integers(1, 10**20)))
+    half = draw(st.integers(-5, 5))
+    nudge = draw(st.sampled_from((0, 0, Fraction(1, 10**40), Fraction(-1, 10**40))))
+    return cell, Fraction(2 * digits + half, 2 * 10**decimals) + nudge
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(golden_cells())
+def test_integer_cell_match_equals_the_fraction_rounding(case):
+    cell, computed = case
+    assert goldens.cell_matches(cell, computed) == references.cell_matches(cell, computed)
+
+
+def test_cell_match_rounds_half_to_even():
+    # at one decimal 0.25 renders as 0.2 and 0.35 as 0.4, so a cell two
+    # units past the even rendering fails even where the other one passes
+    quarter, seven_twentieths, tiny = Fraction(1, 4), Fraction(7, 20), Fraction(1, 10**30)
+    assert goldens.cell_matches("0.3", quarter) and not goldens.cell_matches("0.4", quarter)
+    assert goldens.cell_matches("0.4", quarter + tiny)
+    assert goldens.cell_matches("0.5", seven_twentieths) and not goldens.cell_matches("0.2", seven_twentieths)
+    assert goldens.cell_matches("0.2", seven_twentieths - tiny)
+    assert goldens.cell_matches("-0.3", -quarter) and not goldens.cell_matches("-0.4", -quarter)
+    assert goldens.cell_matches("-0.5", -seven_twentieths) and not goldens.cell_matches("-0.2", -seven_twentieths)
+    assert goldens.cell_matches("--", None) and not goldens.cell_matches("--", Fraction(1))
+    assert not goldens.cell_matches("6", None)
 
 
 def _golden_column(quantity="eps", method=estimates.METHOD_A2):

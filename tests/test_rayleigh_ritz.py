@@ -28,7 +28,7 @@ from boxeig.rayleigh_ritz import (
     solve_secular,
 )
 
-from references import count_real_roots, integrate_01
+from references import count_real_roots, integrate_01, monomial
 
 V0 = PotentialSpec.linear(0)
 V1 = PotentialSpec.linear(Fraction(1))
@@ -71,7 +71,7 @@ POTENTIALS = {
 
 def basis_function(j: int, n: int) -> RationalPoly:
     """f_j = q^j - q^n."""
-    return RationalPoly.monomial(j, 1, "q") - RationalPoly.monomial(n, 1, "q")
+    return monomial(j, 1, "q") - monomial(n, 1, "q")
 
 
 def monomial_matrices(potential, n):
@@ -417,7 +417,7 @@ def test_linear_potential_shifts_h_by_moment(n):
     lam = Fraction(3, 2)
     s_v, h_v = pencil_matrices(PotentialSpec.linear(lam), n)
     s_0, h_0 = pencil_matrices(V0, n)
-    q = RationalPoly.monomial(1, 1, "q")
+    q = monomial(1, 1, "q")
     for i in range(2, n + 1):
         for j in range(2, n + 1):
             moment = integrate_01(q * phi(i) * phi(j))

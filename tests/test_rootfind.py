@@ -229,6 +229,38 @@ def test_isolation_endpoint_root_right():
     assert len(isolate_real_roots(p, (Fraction(0), Fraction(1)))[1]) == 1
 
 
+def test_roots_with_long_denominators_at_both_bracket_ends():
+    # the rational root theorem lets a bracket end through with two
+    # remainders; exact roots there are still reported as (x, x)
+    lo, hi = Fraction(3**60 + 1, 2**95), Fraction(7**40 - 2, 3**70)
+    p = poly_from_roots([lo, hi]) * RationalPoly.from_coeffs([-2, 0, 1])
+    assert lo < 2**0.5 < hi
+    _, intervals = isolate_real_roots(p, (lo, hi))
+    assert intervals[0] == (lo, lo) and intervals[-1] == (hi, hi) and len(intervals) == 3
+    assert isolate_real_roots(p, (lo, hi), limit=1)[1] == ((lo, lo),)
+    # an end near a root but not on it is no root
+    _, intervals = isolate_real_roots(p, (lo - Fraction(1, 2**200), hi + Fraction(1, 3**130)))
+    assert len(intervals) == 3 and all(a < b for a, b in intervals)
+
+
+@st.composite
+def points_on_polynomials(draw):
+    """An integer coefficient list and a rational point, often one of its roots."""
+    roots = draw(st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 2**70)), max_size=3))
+    extra = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda c: c[-1]))
+    p = poly_from_roots(roots) * RationalPoly.from_coeffs(extra)
+    near = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+    x = draw(st.one_of(st.sampled_from(roots or [Fraction(0)]), near))
+    return p.ints, x
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(points_on_polynomials())
+def test_the_rational_root_test_agrees_with_the_sign(case):
+    a, x = case
+    assert rootfind._is_root(a, x) == (rootfind._sign_at(a, x) == 0)
+
+
 def test_isolation_agrees_with_sturm_counts():
     # every seeded polynomial, and it times (x - r)^2 and times (x - r)^3;
     # r with denominator 1, 2, 4 or 8 lies on the bisection grid of (-20, 20)
@@ -632,6 +664,50 @@ def test_refine_on_grid_stops_at_a_zero_probe(root, probes):
     assert seen == probes
 
 
+@st.composite
+def grid_searches(draw):
+    """(value, i, j, guess): value changes sign once on the grid indices in (i, j).
+
+    value(m) = s (D m - R) (m - a) (m - b) (2^e + (m - i)^2) changes sign at
+    R/D in (i, j), and at a < i and b > j, where a probe outside (i, j) would
+    find another root; D = 1 puts R/D on the grid.  The guess lies inside
+    (i, j), near it, far away, or on the root.
+    """
+    i = draw(st.integers(-(10**30), 10**30))
+    j = i + draw(st.integers(2, 2**80))
+    den = draw(st.sampled_from((1, 3, 2**20 + 1)))
+    root = draw(st.integers(i * den + 1, j * den - 1))
+    a, b = i - draw(st.integers(1, j - i)), j + draw(st.integers(1, j - i))
+    sign = draw(st.sampled_from((-1, 1)))
+    e = draw(st.integers(0, 160))
+
+    def value(m):
+        return sign * (den * m - root) * (m - a) * (m - b) * ((1 << e) + (m - i) ** 2)
+
+    guess = draw(
+        st.one_of(
+            st.integers(i, j),
+            st.integers(i - (j - i), j + (j - i)),
+            st.integers(-(10**60), 10**60),
+            st.just(root // den),
+            st.just(root // den + 1),
+        )
+    )
+    return value, i, j, guess
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(grid_searches())
+def test_refine_on_grid_ends_on_the_unseeded_cell_whatever_the_guess(case):
+    # every probe keeps opposite signs at i and j, so a seeded search ends
+    # where the unseeded one does, on the grid zero when there is one
+    value, i, j, guess = case
+    unseeded = rootfind._refine_on_grid(value, i, value(i), j, value(j))
+    assert rootfind._refine_on_grid(value, i, value(i), j, value(j), guess) == unseeded
+    lo, hi = unseeded
+    assert (hi == lo and value(lo) == 0) or (hi == lo + 1 and value(lo) * value(hi) < 0)
+
+
 @functools.cache
 def seeded_isolating_intervals(shift):
     """(square-free part, isolating interval) pairs of the seeded polynomials.
@@ -765,6 +841,56 @@ def test_refinement_probes_at_most_half_the_bisection_count(monkeypatch):
         refine_enclosure(p, interval, width)
     assert bisection > 80 * len(intervals)
     assert 2 * calls["_horner_dyadic"] <= bisection
+
+
+def test_the_float_guess_cuts_the_exact_probes_to_three_fifths(monkeypatch):
+    # the float Newton iteration only chooses where the exact search probes
+    # first; without it (a guess of None) the same cells take about twice
+    # the exact evaluations
+    width = Fraction(2, 10**26)
+    intervals = seeded_isolating_intervals(0)
+    calls = _count_calls(monkeypatch, ("_horner_dyadic",))
+    seeded = [refine_enclosure(p, interval, width) for p, interval in intervals]
+    probes = calls["_horner_dyadic"]
+    monkeypatch.setattr(rootfind, "_float_guess", lambda *args: None)
+    calls["_horner_dyadic"] = 0
+    assert [refine_enclosure(p, interval, width) for p, interval in intervals] == seeded
+    assert 10 * probes <= 6 * calls["_horner_dyadic"]
+
+
+def beyond_float_range_cases():
+    """(polynomial, isolating interval) pairs that floats cannot hold or evaluate.
+
+    A2's S at N = 64, lambda = 2000 has coefficients past 2^1024; at
+    lambda = 10^300 the default bracket ends near 4e301 and powers of the
+    roots overflow; the synthetic roots lie at or past the largest float.
+    """
+    cases = []
+    ramp = PotentialSpec.linear(2000)
+    s = quotient_at(ramp, 64).stationarity_polynomial()
+    assert max(c.bit_length() for c in s.ints) > 1024
+    isolated, intervals = isolate_real_roots(s, default_bracket(ramp))
+    cases += [(isolated, iv) for iv in intervals]
+    ramp = PotentialSpec.linear(10**300)
+    for n in (4, 9):
+        q = quotient_at(ramp, n)
+        for p in (q.stationarity_polynomial(), q.fixed_point_polynomial()):
+            isolated, intervals = isolate_real_roots(p, default_bracket(ramp))
+            cases += [(isolated, iv) for iv in intervals]
+    top = Fraction(2**1024)
+    for root in (Fraction(10**300, 7), top - 2**970, top + Fraction(1, 3)):
+        p = poly_from_roots([root]) * RationalPoly.from_coeffs([1, 0, 1])
+        cases += [(p, (root / 2, 2 * root)), (p, (root - 1, root + Fraction(1, 2**20)))]
+    return cases
+
+
+def test_refinement_beyond_the_float_range_returns_the_bisection_cell():
+    cases = beyond_float_range_cases()
+    for p, interval in cases:
+        for width in (Fraction(1, 10**12), Fraction(2, 10**26)):
+            cell, _ = bisection_enclosure(p, interval, width)
+            assert refine_enclosure(p, interval, width) == cell, (p, interval, width)
+    assert len(cases) > 30
 
 
 def test_refine_float_result():

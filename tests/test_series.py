@@ -14,7 +14,7 @@ from boxeig.model import PotentialSpec
 from boxeig.poly import RationalPoly
 from boxeig.series import boundary_polynomial, build_series, solve_a1
 
-from references import specialize, trial_terms
+from references import monomial, specialize, trial_terms
 
 V0 = PotentialSpec.linear(0)
 V1 = PotentialSpec.linear(Fraction(1))
@@ -60,7 +60,7 @@ def recurrence_reference(potential, n):
     v = potential.v
     zero = RationalPoly.zero("eps")
     c = [zero, RationalPoly.constant(1, "eps"), zero]
-    eps = RationalPoly.monomial(1, 1, "eps")
+    eps = monomial(1, 1, "eps")
     for j in range(3, n + 1):
         acc = zero
         for i in range(1, j - 1):
@@ -115,7 +115,7 @@ def test_free_box_closed_form():
     for j in range(2, n + 1, 2):
         assert s.c[j].is_zero
     for k in range((n - 1) // 2 + 1):
-        expected = RationalPoly.monomial(
+        expected = monomial(
             k, Fraction((-1) ** k, math.factorial(2 * k + 1)), "eps"
         )
         assert s.c[2 * k + 1] == expected, f"odd coefficient c_{2*k+1}"
@@ -171,7 +171,7 @@ def test_schroedinger_residual_vanishes_through_n_minus_2(potential, n, eps):
 
 def test_specialize_at_zero_energy_free_box():
     phi = specialize(build_series(V0, 13), Fraction(0))
-    assert phi == RationalPoly.monomial(1, 1, "q")
+    assert phi == monomial(1, 1, "q")
 
 
 def test_specialize_boundary_consistency():

@@ -16,7 +16,7 @@ from boxeig.poly import RationalPoly
 from boxeig.series import EnergySeries, build_series
 from boxeig.variational import RayleighQuotient, build_quotients, solve_a2, solve_a3
 
-from references import count_real_roots, integrate_01, specialize, trial_terms
+from references import count_real_roots, integrate_01, monomial, specialize, trial_terms
 from test_rayleigh_ritz import basis_function, monomial_matrices, secular_at
 from test_series import order_sets, ramps_and_cubics
 
@@ -254,20 +254,42 @@ def test_one_pass_stationarity_equals_the_product_rule(potential, n):
     assert s == product_rule_stationarity(q.num, q.den)
 
 
-@pytest.mark.parametrize(
-    "num, den",
-    [
-        ([3, -1, 2], [5]),  # den constant: S = num' den
-        ([7], [1, 1, 1]),  # num constant: S = -num den'
-        ([2, 4], [1, 2]),  # num = 2 den: S = 0
-        ([], [1, 1]),  # num zero
-        ([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)], [Fraction(9, 4), 0, Fraction(-1, 6), 1]),
-    ],
-)
+EDGE_FORMS = [
+    ([3, -1, 2], [5]),  # den constant: S = num' den
+    ([7], [1, 1, 1]),  # num constant: S = -num den'
+    ([2, 4], [1, 2]),  # num = 2 den: S = 0
+    ([], [1, 1]),  # num zero
+    ([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)], [Fraction(9, 4), 0, Fraction(-1, 6), 1]),
+]
+
+
+def edge_quotient(num, den):
+    return RayleighQuotient(4, V0, RationalPoly.from_coeffs(num, "eps"), RationalPoly.from_coeffs(den, "eps"))
+
+
+@pytest.mark.parametrize("num, den", EDGE_FORMS)
 def test_one_pass_stationarity_on_edge_forms(num, den):
-    num, den = RationalPoly.from_coeffs(num, "eps"), RationalPoly.from_coeffs(den, "eps")
-    q = RayleighQuotient(4, V0, num, den)
-    assert q.stationarity_polynomial() == product_rule_stationarity(num, den)
+    q = edge_quotient(num, den)
+    assert q.stationarity_polynomial() == product_rule_stationarity(q.num, q.den)
+
+
+# ---------------------------------------------------------------------------
+# the quotient value W = num/den
+
+
+def test_value_takes_one_fraction_equal_to_the_ratio_of_evaluations():
+    # at 0, at negative rationals and where num and den differ in degree
+    # (A2 and A3 quotients have equal degrees; the edge forms do not)
+    points = [Fraction(0), Fraction(-7, 3), Fraction(-1), Fraction(5, 2), Fraction(-10**9 - 1, 10**9)]
+    quotients = [edge_quotient(num, den) for num, den in EDGE_FORMS]
+    quotients += [quotient_at(V1, 7), quotient_at(CUBIC, 9), quotient_at(PotentialSpec.linear(-200), 12)]
+    for q in quotients:
+        for eps in points:
+            if q.den.eval(eps):
+                assert q.value(eps) == q.num.eval(eps) / q.den.eval(eps), (q, eps)
+    assert [q.num.degree - q.den.degree for q in quotients[:5]] == [2, -2, 0, -2, -1]
+    with pytest.raises(ZeroDivisionError):
+        edge_quotient([1], [1, 1]).value(-1)
 
 
 def test_second_stationary_point_n4():
@@ -327,6 +349,26 @@ def test_fixed_point_polynomial_n4_exact():
     # 5 eps^3 - 402 eps^2 + 9360 eps - 58320 (hand-derived)
     f = quotient_at(V0, 4).fixed_point_polynomial()
     assert f * 45360 == RationalPoly.from_coeffs([-58320, 9360, -402, 5], "eps")
+
+
+def fixed_point_by_arithmetic(q):
+    """F = eps den - num, built with RationalPoly arithmetic."""
+    return monomial(1, 1, "eps") * q.den - q.num
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(*quotient_cases)
+@example(PotentialSpec.linear(2000), 30)
+@example(PotentialSpec.linear(Fraction(-7, 3)), 4)
+def test_one_pass_fixed_point_equals_the_polynomial_arithmetic(potential, n):
+    q = quotient_at(potential, n)
+    assert q.fixed_point_polynomial() == fixed_point_by_arithmetic(q)
+
+
+@pytest.mark.parametrize("num, den", EDGE_FORMS)
+def test_one_pass_fixed_point_on_edge_forms(num, den):
+    q = edge_quotient(num, den)
+    assert q.fixed_point_polynomial() == fixed_point_by_arithmetic(q)
 
 
 def test_solve_a3_free_box_n4():
