@@ -43,7 +43,14 @@ from .estimates import (
     RootSelection,
     resolve_bracket,
 )
-from .model import PotentialSpec, load_problem, nondimensionalize, require_unit_interval
+from .model import (
+    KIND_LINEAR,
+    KIND_ZERO,
+    PotentialSpec,
+    load_problem,
+    nondimensionalize,
+    require_unit_interval,
+)
 from .oracle import (
     DEFAULT_DIGITS as ORACLE_DIGITS,
     RootScanError,
@@ -226,16 +233,6 @@ def format_significant(value: Rational, digits: int) -> str:
     return format(quotient, "f")
 
 
-def format_fixed(value: Rational, decimals: int) -> str:
-    """Render an exact rational with a fixed decimal count, half-even."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        ctx.rounding = ROUND_HALF_EVEN
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-        exponent = Decimal(1).scaleb(-decimals)
-        return format(quotient.quantize(exponent), "f")
-
-
 def render_markdown(headers: list[str], rows: list[list[str]]) -> str:
     lines = [
         "| " + " | ".join(headers) + " |",
@@ -298,9 +295,9 @@ def method_columns(methods: tuple[str, ...]) -> list[str]:
 
 def _exact_eigenvalue(potential: PotentialSpec, state: int, digits: int) -> Rational:
     working = max(ORACLE_DIGITS, digits + 5)
-    if potential.kind == "zero":
+    if potential.kind == KIND_ZERO:
         value = exact_box(state, digits=working)
-    elif potential.kind == "linear":
+    elif potential.kind == KIND_LINEAR:
         value = exact_linear(potential.lam, state, digits=working)
     else:
         raise UsageError("the exact benchmark only covers flat and linear potentials")
@@ -418,7 +415,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             elif golden == NO_ROOT:
                 shown = format_significant(value, 12)
             else:
-                shown = format_fixed(value, _decimals_of(golden))
+                shown = goldens.cell_digits(golden, value)
             rows.append([str(n), column.label, golden, shown, "ok" if ok else "FAIL"])
     total = len(table.n_values) * len(table.columns)
     summary = f"table {table.table_id}: {total - failures}/{total} cells match"
@@ -428,11 +425,6 @@ def cmd_table(args: argparse.Namespace) -> int:
         body = f"{body}\n{summary}"
     emit(body, args.out)
     return 3 if failures else 0
-
-
-def _decimals_of(golden: str) -> int:
-    parts = golden.split(".")
-    return len(parts[1]) if len(parts) == 2 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"boxeig: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, NotImplementedError, RootScanError) as exc:
+    except (UsageError, OSError, ValueError, NotImplementedError, RootScanError) as exc:
         print(f"boxeig: error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,9 +52,8 @@ class EigenEstimate(Record):
 class RootSelection(Record):
     """Which root of a method's closure equation to report.
 
-    ``default`` lets each method use its natural rule (smallest root for the
-    boundary and fixed-point methods, smallest quotient value for the
-    stationary method).  ``nearest`` needs a target.
+    ``default`` is each method's own rule, and :func:`solve_closure` holds
+    every method's rules.  ``nearest`` needs a target.
     """
 
     __slots__ = ("policy", "target")
@@ -113,24 +112,20 @@ def select_root(
     tol: Fraction,
     rank: Callable[[Fraction], Fraction] | None = None,
 ) -> tuple[Fraction, Fraction] | None:
-    """Certified enclosure (width <= 2*tol) of the root of p that is selected.
+    """Certified enclosure (width <= 2*tol) of the root of p at a nonnegative ``state``.
 
-    Index policies (A1, A3 and RR by default, and every method under
-    ``smallest``) isolate only the first state+1 roots in the bracket and
-    refine only the last of them.  ``nearest`` and a ``rank`` (a key on eps,
-    W for A2's default and ``min-w``) isolate every root.  A rank must rise
-    where p > 0 and fall where p < 0, so the sign of p between two
-    neighbouring roots orders their ranks strictly: a root with state+1
-    others on strictly descending runs of the rank beside it is dropped
-    unrefined.  The candidates left are compared at the midpoints of coarse
-    certified enclosures; a lone one is refined once, straight to 2*tol.
-    None when the bracket holds no suitable root.  ``min-w`` without a
-    ``rank`` is refused, and so is a negative state.
+    The mechanism of selection; :func:`solve_closure` holds the rules that
+    choose among its three modes.  By index (no ``rank``, any policy but
+    ``nearest``) it isolates only the first state+1 roots in the bracket and
+    refines only the last of them.  ``nearest`` and a ``rank`` (a key on
+    eps) isolate every root.  A rank must rise where p > 0 and fall where
+    p < 0, so the sign of p between two neighbouring roots orders their
+    ranks strictly: a root with state+1 others on strictly descending runs
+    of the rank beside it is dropped unrefined.  The candidates left are
+    compared at the midpoints of coarse certified enclosures; a lone one is
+    refined once, straight to 2*tol.  None when the bracket holds no
+    suitable root.
     """
-    if state < 0:
-        raise ValueError("state must be nonnegative")
-    if selection.policy == "min-w" and rank is None:
-        raise ValueError("'min-w' selection ranks by quotient value, which only A2 and A3 have")
     if p.degree < 1:
         return None
     # refine on the polynomial isolation used: at a multiple root that is the
@@ -182,6 +177,10 @@ def resolve_bracket(bracket, potential: PotentialSpec, state: int) -> tuple[Frac
     return (as_rational(bracket[0]), as_rational(bracket[1]))
 
 
+#: The methods whose choice of an excited state is heuristic, as the warning names them.
+_HEURISTIC = {METHOD_A2: "stationary", METHOD_A3: "fixed-point"}
+
+
 def solve_closure(
     method: str,
     source,
@@ -190,19 +189,43 @@ def solve_closure(
     state: int,
     selection: RootSelection,
     tol: Fraction,
-    rank: Callable[[Fraction], Fraction] | None = None,
     w: Callable[[Fraction], Fraction] | None = None,
 ) -> EigenEstimate | None:
-    """The estimate at the root of the closure polynomial p that ``selection`` picks.
+    """The estimate of ``method`` at the root of its closure polynomial p that ``selection`` picks.
 
-    Every solver ends here.  ``source`` is what p was built from: its ``n``
-    labels the estimate, and its ``potential`` sets the default bracket,
-    which a ``bracket`` of None asks for.  :func:`select_root` selects and
-    refines the root, with ``rank`` as its key; ``w``, when given, is the
-    quotient whose value at eps the estimate reports.  None when the bracket
-    holds no suitable root.
+    Every solver builds p and ends here, and every rule that labels a root
+    lives here.  A negative state is refused.  ``nearest:<x>`` takes the
+    root nearest x, whatever the state.  ``smallest`` takes the (state+1)-th
+    smallest root in the bracket, and so do ``default`` for A1, A3 and RR
+    and A3's ``min-w``: W(eps) = eps at every fixed point, so the smallest W
+    is the smallest root.  A2's ``default`` and ``min-w`` take the
+    stationary point with the (state+1)-th smallest W, with the quotient
+    ``w`` as the rank of :func:`select_root`; W ranks by the sign of S = p,
+    as that asks, because W' = S / den^2 and den > 0 is the norm of a trial
+    function with c_1 = 1.  A1 and RR have no quotient and refuse ``min-w``.
+    RR's basis of order n has n - 1 functions and p = det(H - eps S) as many
+    roots, so a state at or past n - 1 has none, whatever the policy.  A2's
+    and A3's choice of an excited state is heuristic: each such solve logs
+    one warning.
+
+    ``source`` is what p was built from: its ``n`` labels the estimate, and
+    its ``potential`` sets the default bracket, which a ``bracket`` of None
+    asks for.  ``w``, when given, is the quotient whose value at eps the
+    estimate reports.  None when the bracket holds no suitable root.
     """
+    if state < 0:
+        raise ValueError("state must be nonnegative")
+    if selection.policy == "min-w" and method in (METHOD_A1, METHOD_RR):
+        raise ValueError("'min-w' selection ranks by quotient value, which only A2 and A3 have")
+    if state > 0 and method in _HEURISTIC:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "excited-state selection for the %s method is heuristic", _HEURISTIC[method])
     bracket = resolve_bracket(bracket, source.potential, state)
+    if method == METHOD_RR and state >= p.degree:
+        return None
+    rank = w if method == METHOD_A2 and selection.policy in ("default", "min-w") else None
     enclosure = select_root(p, bracket, state, selection, tol, rank)
     if enclosure is None:
         return None

@@ -88,16 +88,29 @@ def cell_matches(golden: str, computed: Rational | None) -> bool:
     can sit a full unit below the true value, and the computed side must first
     be put on the same decimal grid before the off-by-one allowance applies.
     Both sides are compared as integer counts of that unit: the cell's digits,
-    and the computed value rounded half-even by one ``divmod``.
+    and the count :func:`cell_digits` renders.
     """
     if golden == NO_ROOT or computed is None:
         return golden == NO_ROOT and computed is None
     whole, _, decimals = golden.partition(".")
+    return abs(_units(computed, len(decimals)) - int(whole + decimals)) <= 1
+
+
+def cell_digits(golden: str, computed: Rational) -> str:
+    """The computed value at the golden cell's last digit: the count :func:`cell_matches` compares."""
+    decimals = len(golden.partition(".")[2])
+    q = _units(computed, decimals)
+    sign, digits = "-" * (q < 0), str(abs(q)).rjust(decimals + 1, "0")
+    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}" if decimals else sign + digits
+
+
+def _units(computed: Rational, decimals: int) -> int:
+    """computed rounded half-even to a count of 10^-decimals, by one ``divmod``."""
     value = as_rational(computed)
-    q, r = divmod(value.numerator * 10 ** len(decimals), value.denominator)
+    q, r = divmod(value.numerator * 10**decimals, value.denominator)
     if 2 * r > value.denominator or (2 * r == value.denominator and q & 1):
         q += 1
-    return abs(q - int(whole + decimals)) <= 1
+    return q
 
 
 _LAM0 = Fraction(0)

@@ -181,14 +181,9 @@ class RationalPoly(Record):
             return self
         if not self.ints:
             return o
-        # a A + b B = (g / den) (x A + y B) with integer x, y
-        a, b = self.scale, o.scale
-        g = gcd(a.numerator, b.numerator)
-        den = lcm(a.denominator, b.denominator)
-        x = a.numerator // g * (den // a.denominator)
-        y = b.numerator // g * (den // b.denominator)
+        x, y, scale = _common_scale(self.scale, o.scale)
         ints = [x * u + y * w for u, w in zip_longest(self.ints, o.ints, fillvalue=0)]
-        return RationalPoly._canonical(ints, Fraction(g, den), self.var)
+        return RationalPoly._canonical(ints, scale, self.var)
 
     __radd__ = __add__
 
@@ -279,6 +274,12 @@ class RationalPoly(Record):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _common_scale(a: Fraction, b: Fraction) -> tuple[int, int, Fraction]:
+    """(x, y, s): integers x = a / s and y = b / s over s = gcd of numerators / lcm of denominators."""
+    g, l = gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)
+    return a.numerator // g * (l // a.denominator), b.numerator // g * (l // b.denominator), Fraction(g, l)
+
+
 # ----------------------------------------------------------------------
 # integer coefficient lists
 #
@@ -327,13 +328,6 @@ def _int_addmul(out: list[int], a: Sequence[int], b: Sequence[int]) -> None:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-
-
-def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _int_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -76,10 +76,6 @@ class SecularSystem(Record):
         _set(self, "potential", potential)
         _set(self, "char_poly", char_poly)
 
-    @property
-    def size(self) -> int:
-        return self.n - 1
-
 
 def _legendre_horner(ints: tuple[int, ...], i: int) -> tuple[list[int], int]:
     """(w, den): the Legendre coefficients w[m] / den of sum_k ints[k] q^k (P_i - P_{i-2}).
@@ -237,13 +233,5 @@ def solve_secular(
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
-    """The root of det(H - eps S) in the bracket that ``selection`` picks.
-
-    By default that is the (state+1)-th smallest.  The basis of order n has
-    n - 1 functions and det(H - eps S) as many roots, so a state at or past
-    n - 1 has none: the result is None, as for every solver that finds no
-    root.
-    """
-    if state >= system.size:
-        return None
+    """The root of det(H - eps S) that :func:`~boxeig.estimates.solve_closure` selects, or None."""
     return solve_closure(METHOD_RR, system, system.char_poly, bracket, state, selection, tol)

@@ -137,6 +137,6 @@ def solve_a1(
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
-    """Eigenvalue estimate from B(eps) = 0; None when no suitable root exists."""
+    """The root of B(eps) that :func:`~boxeig.estimates.solve_closure` selects, or None."""
     p = boundary_polynomial(series)
     return solve_closure(METHOD_A1, series, p, bracket, state, selection, tol)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 from .estimates import (
@@ -57,7 +57,7 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, Record, _horner, _int_addmul, _set, as_rational
+from .poly import RationalPoly, Record, _common_scale, _horner, _int_addmul, _set, as_rational
 from .series import TRIAL_MIN_ORDER, EnergySeries
 
 
@@ -101,14 +101,12 @@ class RayleighQuotient(Record):
     def fixed_point_polynomial(self) -> RationalPoly:
         """F = eps den - num; roots satisfy eps = W(eps).
 
-        One pass over the integer coefficients, the scales over a common g/l.
+        One pass over the integer coefficients, the scales over a common one.
         """
         num, den = self.num, self.den
-        sn, sd = num.scale, den.scale
-        g, l = gcd(sn.numerator, sd.numerator), lcm(sn.denominator, sd.denominator)
-        x, y = sn.numerator // g * (l // sn.denominator), sd.numerator // g * (l // sd.denominator)
+        x, y, scale = _common_scale(num.scale, den.scale)
         f = [y * c - x * e for c, e in zip_longest((0, *den.ints), num.ints, fillvalue=0)]
-        return RationalPoly._canonical(f, Fraction(g, l), num.var)
+        return RationalPoly._canonical(f, scale, num.var)
 
 
 def _weights(v: RationalPoly, n: int):
@@ -172,22 +170,9 @@ def solve_a2(
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
-    """Stationary point of W in the bracket; None when there is none.
-
-    Reports the stationary eps and the quotient value W(eps) there.  The
-    default selection takes the stationary point with the smallest W (for
-    state k, the (k+1)-th smallest W, which is heuristic for k >= 1).  W
-    ranks by the sign of S, as select_root asks: W' = S / den^2, and den > 0
-    is the norm of a trial function with c_1 = 1.
-    """
-    if state > 0:
-        import logging
-
-        logging.getLogger(__name__).warning("excited-state selection for the stationary method is heuristic")
-    w = quotient.value
-    rank = w if selection.policy in ("default", "min-w") else None
+    """The root of S that :func:`~boxeig.estimates.solve_closure` selects, and W there, or None."""
     p = quotient.stationarity_polynomial()
-    return solve_closure(METHOD_A2, quotient, p, bracket, state, selection, tol, rank, w)
+    return solve_closure(METHOD_A2, quotient, p, bracket, state, selection, tol, quotient.value)
 
 
 def solve_a3(
@@ -197,15 +182,6 @@ def solve_a3(
     selection: RootSelection = DEFAULT_SELECTION,
     tol: Fraction = SOLVER_TOL,
 ) -> EigenEstimate | None:
-    """Self-consistent point eps = W(eps); smallest root by default.
-
-    W(eps) = eps at every root, so ``min-w`` is the policy ``smallest``.
-    """
-    if state > 0:
-        import logging
-
-        logging.getLogger(__name__).warning("excited-state selection for the fixed-point method is heuristic")
-    if selection.policy == "min-w":
-        selection = RootSelection("smallest")
+    """The root of F, eps = W(eps), that :func:`~boxeig.estimates.solve_closure` selects, or None."""
     p = quotient.fixed_point_polynomial()
     return solve_closure(METHOD_A3, quotient, p, bracket, state, selection, tol)

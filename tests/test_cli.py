@@ -630,8 +630,13 @@ def golden_cells(draw):
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(golden_cells())
 def test_integer_cell_match_equals_the_fraction_rounding(case):
+    # and the digits `table` shows are the rounding that cell_matches compares
     cell, computed = case
     assert goldens.cell_matches(cell, computed) == references.cell_matches(cell, computed)
+    if cell != goldens.NO_ROOT and computed is not None:
+        shown = goldens.cell_digits(cell, computed)
+        assert len(shown.partition(".")[2]) == len(cell.partition(".")[2])
+        assert Fraction(shown) == references.round_to_unit(computed, references.cell_unit(cell))
 
 
 def test_cell_match_rounds_half_to_even():

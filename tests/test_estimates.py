@@ -88,12 +88,20 @@ def test_a_lone_nearest_candidate_is_refined_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("solve", ["solve_a1", "solve_rr"])
+@pytest.mark.parametrize("solve", list(SOLVERS))
 def test_min_w_refused_without_quotient(solve):
+    # A1 and RR have no quotient; A2's min-w is its default, and A3's is the
+    # smallest root, where W(eps) = eps is smallest
     solver, build = SOLVERS[solve]
     operand = build(PotentialSpec.linear(Fraction(1)), 10)
-    with pytest.raises(ValueError, match="min-w"):
-        solver(operand, selection=RootSelection.parse("min-w"))
+    min_w = RootSelection.parse("min-w")
+    if solve in ("solve_a1", "solve_rr"):
+        with pytest.raises(ValueError, match="'min-w' selection ranks by quotient value, which only A2 and A3 have"):
+            solver(operand, selection=min_w)
+        return
+    same = DEFAULT_SELECTION if solve == "solve_a2" else RootSelection("smallest")
+    for state in range(3):
+        assert solver(operand, state=state, selection=min_w) == solver(operand, state=state, selection=same)
 
 
 @pytest.mark.parametrize("solve", list(SOLVERS))

@@ -92,23 +92,26 @@ def _references(node, skip):
         yield from _references(child, skip)
 
 
-def test_every_public_name_has_a_caller_in_the_package():
-    """Every public function, class and method of a module is used elsewhere in the package.
-
-    A use is read off the syntax tree of a module other than ``__init__.py``,
-    outside the name's own definition: a Name, an Attribute or an imported
-    name for a top-level function or class, an Attribute for a method of a
-    public class.  A name in a string or a docstring is not a use.  A method
-    counts as used through any Attribute of its name, whatever object it is
-    read from, so methods of several classes that share a name (``zero``,
-    say) count as used together.
-    """
+def _package_trees():
     package = pathlib.Path(boxeig.__file__).parent
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+
+
+def _uncalled(private: bool) -> list[str]:
+    """The uncalled top-level definitions of the package, of one privacy.
+
+    Public: every function and class, and every public method of a public
+    class.  Private: every ``_name`` function; a module hook such as
+    ``__getattr__`` is neither.  See the test below for what counts as a use.
+    """
+    trees = [tree for name, tree in _package_trees().items() if name != "__init__"]
     uncalled = []
     for tree in trees:
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if private:
+                if not isinstance(node, ast.FunctionDef) or node.name[:1] != "_" or node.name[:2] == "__":
+                    continue
+            elif not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             targets = [(node, {"name", "attribute", "import"})]
             if isinstance(node, ast.ClassDef):
@@ -125,7 +128,37 @@ def test_every_public_name_has_a_caller_in_the_package():
                 )
                 if not used and definition.name not in UNCALLED:
                     uncalled.append(definition.name)
-    assert uncalled == []
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Every public function, class and method of a module is used elsewhere in the package.
+
+    A use is read off the syntax tree of a module other than ``__init__.py``,
+    outside the name's own definition: a Name, an Attribute or an imported
+    name for a top-level function or class, an Attribute for a method of a
+    public class.  A name in a string or a docstring is not a use.  A method
+    counts as used through any Attribute of its name, whatever object it is
+    read from, so methods of several classes that share a name (``zero``,
+    say) count as used together.
+    """
+    assert _uncalled(private=False) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # as for public names: a helper that only the tests use lives in the tests
+    assert _uncalled(private=True) == []
+
+
+def test_only_estimates_reads_the_selection_policy():
+    # every rule that labels a root lives in estimates.solve_closure (and the
+    # select_root mechanism it calls); the solvers only build closure polynomials
+    readers = sorted(
+        name
+        for name, tree in _package_trees().items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "policy" for node in ast.walk(tree))
+    )
+    assert readers == ["estimates"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxeig.estimates import DEFAULT_SELECTION, RootSelection
 from boxeig.model import PotentialSpec
-from boxeig.poly import RationalPoly, _int_divexact, _int_mul, _int_sub
+from boxeig.poly import RationalPoly, _int_divexact, _int_mul
 from boxeig.rayleigh_ritz import (
     _band_pivots,
     _interpolate,
@@ -106,6 +107,14 @@ def monomial_matrices(potential, n):
         for i in range(1, n)
     ]
     return s, h
+
+
+def _int_sub(a, b):
+    """a - b for integer coefficient lists, with no trailing zeros."""
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def bareiss_determinant(matrix):
@@ -636,7 +645,7 @@ def test_all_roots_real(n, lam):
     # a symmetric pencil with positive definite S has a full set of real
     # eigenvalues; they all lie in (0, hi) for a wide enough hi
     hi = Fraction(10**6)
-    assert count_real_roots(sys_n.char_poly, Fraction(0), hi) == sys_n.size
+    assert count_real_roots(sys_n.char_poly, Fraction(0), hi) == sys_n.n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +692,18 @@ def test_estimate_beyond_the_float_range_is_exact():
 
 
 def test_state_out_of_range():
-    # N=4 gives a basis of size 3, so det(H - eps S) has no fourth root
-    system = secular_at(V0, 4)
-    assert system.size == 3
-    assert solve_secular(system, state=3) is None
-    assert solve_secular(system, state=2) is not None
+    # order n gives a basis of n - 1 functions, so det(H - eps S) has no
+    # n-th root, under the index rule and under nearest alike; the bracket
+    # holds every root
+    bracket = (0, 10**6)
+    for n in (3, 4, 8):
+        system = secular_at(V0, n)
+        assert system.char_poly.degree == system.n - 1
+        for state in (n - 2, n - 1, n):
+            for selection in (DEFAULT_SELECTION, RootSelection.parse("nearest:40")):
+                est = solve_secular(system, bracket, state, selection)
+                assert (est is not None) == (state < system.n - 1)
+    assert solve_secular(secular_at(V0, 4), state=2) is not None  # the default bracket too
 
 
 def test_min_basis_order():

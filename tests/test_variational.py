@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from boxeig.cli import format_significant
 from boxeig.estimates import RootSelection
 from boxeig.model import PotentialSpec
+from boxeig.rayleigh_ritz import solve_secular
 from boxeig.poly import RationalPoly
-from boxeig.series import EnergySeries, build_series
+from boxeig.series import EnergySeries, build_series, solve_a1
 from boxeig.variational import RayleighQuotient, build_quotients, solve_a2, solve_a3
 
 from references import count_real_roots, integrate_01, monomial, specialize, trial_terms
@@ -400,11 +401,25 @@ def test_fixed_point_polynomial_roots_are_fixed_points():
 
 
 def test_state_selection_warns(caplog):
+    # once per A2 or A3 solve of an excited state, from the one module that
+    # selects roots; never for the ground state, nor for A1 and RR
     import logging
 
-    with caplog.at_level(logging.WARNING):
-        solve_a3(quotient_at(V0, 9), state=1)
-    assert any("heuristic" in rec.message for rec in caplog.records)
+    quotient = quotient_at(V0, 9)
+    solvers = [
+        (solve_a1, build_series(V0, 9), None),
+        (solve_a2, quotient, "excited-state selection for the stationary method is heuristic"),
+        (solve_a3, quotient, "excited-state selection for the fixed-point method is heuristic"),
+        (solve_secular, secular_at(V0, 9), None),
+    ]
+    for solver, operand, warning in solvers:
+        for state in range(3):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                solver(operand, state=state)
+            records = [(rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records]
+            want = [("boxeig.estimates", logging.WARNING, warning)] if warning and state else []
+            assert records == want
 
 
 # ---------------------------------------------------------------------------
