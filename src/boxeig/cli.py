@@ -17,9 +17,9 @@ Exit status: 0 all requested values produced; 1 usage or runtime error;
 2 some cells had no root in the bracket (rendered ``--``); 3 golden-table
 mismatch.
 
-Numbers are computed at a working accuracy of at least 25 significant
-digits and rounded (half-even) only at render time; CSV and markdown
-renderings of one run contain identical numeric strings.
+Numbers are computed to an absolute enclosure half-width of
+10^-max(26, digits+3) and rounded (half-even) only at render time; CSV and
+markdown renderings of one run contain identical numeric strings.
 """
 
 from __future__ import annotations

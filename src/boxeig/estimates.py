@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from itertools import zip_longest
 
 from . import rootfind
 from .model import KIND_LINEAR, PotentialSpec
-from .poly import RationalPoly, Record, _set, as_rational
+from .poly import RationalPoly, Record, _ratio_at, _set, as_rational
 
 METHOD_A1 = "A1"
 METHOD_A2 = "A2"
@@ -99,9 +99,15 @@ def default_bracket(potential: PotentialSpec, state: int = 0) -> tuple[Fraction,
 # solver's tolerance.
 COARSE_WIDTH = Fraction(1, 10**12)
 
-# Enclosure half-width used by the solver entry points; tight enough that a
-# renderer can trust 25 significant digits from the midpoint.
+# Enclosure half-width used by the solver entry points.  It is absolute: the
+# CLI asks for 10^-max(26, digits + 3), which is not a count of significant
+# digits for an eigenvalue near zero.
 SOLVER_TOL = Fraction(1, 10**26)
+
+# A2's certified ground state bounds W at its first valley by a multiple of
+# 2^-U_BITS, so that num - U den has integer coefficients about U_BITS bits
+# wider than num's.
+U_BITS = 60
 
 
 def select_root(
@@ -110,44 +116,107 @@ def select_root(
     state: int,
     selection: RootSelection,
     tol: Fraction,
-    rank: Callable[[Fraction], Fraction] | None = None,
+    quotient: tuple[RationalPoly, RationalPoly | int] | None = None,
 ) -> tuple[Fraction, Fraction] | None:
     """Certified enclosure (width <= 2*tol) of the root of p at a nonnegative ``state``.
 
     The mechanism of selection; :func:`solve_closure` holds the rules that
-    choose among its three modes.  By index (no ``rank``, any policy but
+    choose among its three modes.  By index (no ``quotient``, any policy but
     ``nearest``) it isolates only the first state+1 roots in the bracket and
-    refines only the last of them.  ``nearest`` and a ``rank`` (a key on
-    eps) isolate every root.  A rank must rise where p > 0 and fall where
-    p < 0, so the sign of p between two neighbouring roots orders their
-    ranks strictly: a root with state+1 others on strictly descending runs
-    of the rank beside it is dropped unrefined.  The candidates left are
-    compared at the midpoints of coarse certified enclosures; a lone one is
-    refined once, straight to 2*tol.  None when the bracket holds no
-    suitable root.
+    refines only the last of them.  ``nearest`` ranks by distance to the
+    target and a ``quotient`` (num, den) by W = num / den; den must be
+    positive and p have the sign of W', so that the sign of p between two
+    neighbouring roots orders their W strictly.
+
+    By W at state 0, with 2*tol <= COARSE_WIDTH, isolation stops at W's
+    first valley (p goes from - to +), which is refined once, straight to
+    2*tol.  U, W at the midpoint of the coarse enclosure the comparison
+    below would read, rounded up to 2^-U_BITS, bounds W there.  Where
+    num - U den is positive on the rest of the bracket
+    (:func:`~boxeig.rootfind.positive_on`), every other root has a larger W
+    at every point the comparison reads, so the valley is its choice, and
+    nothing else is isolated or refined.
+
+    Otherwise every root is isolated, and one with state+1 others on
+    strictly descending runs of W beside it is dropped unrefined.  The
+    candidates left are compared at the midpoints of coarse certified
+    enclosures (the valley's read off its final one); a lone one is refined
+    once, straight to 2*tol.  None when the bracket holds no suitable root.
     """
     if p.degree < 1:
         return None
+    if quotient is not None:
+        num, den = quotient
+        quotient = num, num._coerce(den)
     # refine on the polynomial isolation used: at a multiple root that is the
     # square-free part, which changes sign there
-    by_index = rank is None and selection.policy != "nearest"
-    isolated, intervals = rootfind.isolate_real_roots(p, bracket, state + 1 if by_index else None)
+    by_index = quotient is None and selection.policy != "nearest"
+    valley = None
+    # the valley's coarse cell is read off its final one, on a finer grid
+    if quotient is not None and state == 0 and 2 * tol <= COARSE_WIDTH:
+        roots, seen = rootfind.real_roots(p, bracket), []
+        valley = _first_valley(p, roots, seen)
+        if valley is not None:
+            enclosure = rootfind.refine_enclosure(p, valley, 2 * tol)
+            coarse = rootfind.coarsen(enclosure, valley, COARSE_WIDTH)
+            if _lowest(quotient, bracket, valley, coarse):
+                return enclosure
+        isolated, intervals = p, seen + list(roots)
+        if intervals and intervals[-1] is None:  # the search gave up near a multiple root
+            isolated, intervals = rootfind._square_free_roots(p, bracket)
+    else:
+        isolated, intervals = rootfind.isolate_real_roots(p, bracket, state + 1 if by_index else None)
     # nearest needs one root, an index or a rank state+1
-    if len(intervals) <= (0 if rank is None and not by_index else state):
+    if len(intervals) <= (0 if quotient is None and not by_index else state):
         return None
     if by_index:
         return rootfind.refine_enclosure(isolated, intervals[state], 2 * tol)
-    if rank is not None:
+    if quotient is not None:
         intervals = [intervals[i] for i in _contenders(p, intervals, state)]
-    idx = 0
+    cells, idx = intervals, 0
     if len(intervals) > 1:
-        intervals = [rootfind.refine_enclosure(isolated, iv, COARSE_WIDTH) for iv in intervals]
-        mids = [(a + b) / 2 for a, b in intervals]
-        if rank is None:
+        refine = rootfind.refine_enclosure
+        cells = [coarse if iv == valley else refine(isolated, iv, COARSE_WIDTH) for iv in intervals]
+        mids = [(a + b) / 2 for a, b in cells]
+        if quotient is None:
             idx = min(range(len(mids)), key=lambda i: abs(mids[i] - selection.target))
         else:
-            idx = sorted(range(len(mids)), key=lambda i: rank(mids[i]))[state]
-    return rootfind.refine_enclosure(isolated, intervals[idx], 2 * tol)
+            idx = sorted(range(len(mids)), key=lambda i: Fraction(*_ratio_at(*quotient, mids[i])))[state]
+    if intervals[idx] == valley:
+        return enclosure
+    return rootfind.refine_enclosure(isolated, cells[idx], 2 * tol)
+
+
+def _first_valley(p: RationalPoly, roots, seen: list) -> tuple[Fraction, Fraction] | None:
+    """The first interval of ``roots``, p's lazy isolation, across which p goes from - to +.
+
+    Appends each item it reads to ``seen``.  None at an exact root (r, r)
+    before it, where the search gives up, or at its end.
+    """
+    for interval in roots:
+        seen.append(interval)
+        if interval is None or interval[0] == interval[1]:
+            return None
+        if rootfind._sign_at(p.ints, interval[1]) > 0:
+            return interval
+    return None
+
+
+def _lowest(quotient, bracket, interval, coarse) -> bool:
+    """Whether W = num / den is above U on the bracket beside ``interval``, certified.
+
+    U is W at the midpoint of ``coarse``, rounded up to a multiple of
+    2^-U_BITS, and W is above U wherever num - U den is positive.
+    """
+    num, den = quotient
+    top, bottom = _ratio_at(num, den, (coarse[0] + coarse[1]) / 2)
+    u = -((-top << U_BITS) // bottom)  # U = u / 2^U_BITS
+    (a, b), (c, d) = num.scale.as_integer_ratio(), den.scale.as_integer_ratio()
+    x, y = a * d << U_BITS, u * c * b  # g = (num - U den) b d 2^U_BITS
+    g = [x * s - y * t for s, t in zip_longest(num.ints, den.ints, fillvalue=0)]
+    (lo, hi), (left, right) = map(as_rational, bracket), interval
+    return (left <= lo or rootfind.positive_on(g, lo, left)) and (
+        right >= hi or rootfind.positive_on(g, right, hi))
 
 
 def _contenders(p: RationalPoly, intervals, state: int) -> list[int]:
@@ -189,7 +258,7 @@ def solve_closure(
     state: int,
     selection: RootSelection,
     tol: Fraction,
-    w: Callable[[Fraction], Fraction] | None = None,
+    quotient=None,
 ) -> EigenEstimate | None:
     """The estimate of ``method`` at the root of its closure polynomial p that ``selection`` picks.
 
@@ -199,18 +268,20 @@ def solve_closure(
     smallest root in the bracket, and so do ``default`` for A1, A3 and RR
     and A3's ``min-w``: W(eps) = eps at every fixed point, so the smallest W
     is the smallest root.  A2's ``default`` and ``min-w`` take the
-    stationary point with the (state+1)-th smallest W, with the quotient
-    ``w`` as the rank of :func:`select_root`; W ranks by the sign of S = p,
-    as that asks, because W' = S / den^2 and den > 0 is the norm of a trial
-    function with c_1 = 1.  A1 and RR have no quotient and refuse ``min-w``.
-    RR's basis of order n has n - 1 functions and p = det(H - eps S) as many
-    roots, so a state at or past n - 1 has none, whatever the policy.  A2's
-    and A3's choice of an excited state is heuristic: each such solve logs
-    one warning.
+    stationary point with the (state+1)-th smallest W, with the quotient's
+    num and den as the rank of :func:`select_root`, which certifies W's
+    first valley as the lowest without isolating past it when it can.  W
+    ranks by the sign of S = p, as that asks, because W' = S / den^2 and
+    den > 0 is the norm of a trial function with c_1 = 1.  A1 and RR have
+    no quotient and refuse ``min-w``.  RR's basis of order n has n - 1
+    functions and p = det(H - eps S) as many roots, so a state at or past
+    n - 1 has none, whatever the policy.  A2's and A3's choice of an
+    excited state is heuristic: each such solve logs one warning.
 
     ``source`` is what p was built from: its ``n`` labels the estimate, and
     its ``potential`` sets the default bracket, which a ``bracket`` of None
-    asks for.  ``w``, when given, is the quotient whose value at eps the
+    asks for.  ``quotient``, when given, is the
+    :class:`~boxeig.variational.RayleighQuotient` whose value at eps the
     estimate reports.  None when the bracket holds no suitable root.
     """
     if state < 0:
@@ -225,9 +296,10 @@ def solve_closure(
     bracket = resolve_bracket(bracket, source.potential, state)
     if method == METHOD_RR and state >= p.degree:
         return None
-    rank = w if method == METHOD_A2 and selection.policy in ("default", "min-w") else None
+    ranked = method == METHOD_A2 and selection.policy in ("default", "min-w")
+    rank = (quotient.num, quotient.den) if ranked else None
     enclosure = select_root(p, bracket, state, selection, tol, rank)
     if enclosure is None:
         return None
-    value = None if w is None else w((enclosure[0] + enclosure[1]) / 2)
+    value = None if quotient is None else quotient.value((enclosure[0] + enclosure[1]) / 2)
     return EigenEstimate(method, source.n, state, enclosure, value)

@@ -316,6 +316,24 @@ def _horner_dyadic(a: Sequence[int], m: int, k: int) -> int:
     return acc
 
 
+def _ratio_at(num: RationalPoly, den: RationalPoly, x: Fraction) -> tuple[int, int]:
+    """(t, u) with t / u = num(x) / den(x), for a rational x at which den is nonzero.
+
+    u has the sign of den(x).  One integer Horner pass over each polynomial
+    (shift-Horner at a dyadic x), times the scales and a power of the
+    denominator of x.
+    """
+    (a, b), (c, e) = num.scale.as_integer_ratio(), den.scale.as_integer_ratio()
+    n, d = x.numerator, x.denominator
+    k = d.bit_length() - 1
+    if d == 1 << k:
+        top, bottom = _horner_dyadic(num.ints, n, k), _horner_dyadic(den.ints, n, k)
+    else:
+        top, bottom = _horner(num.ints, n, d), _horner(den.ints, n, d)
+    gap = len(den.ints) - len(num.ints)
+    return a * e * top * d ** max(gap, 0), b * c * bottom * d ** max(-gap, 0)
+
+
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     _int_addmul(out, a, b)

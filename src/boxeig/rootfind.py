@@ -17,22 +17,29 @@ its grid integers, with an integer Taylor shift only when it does not start
 at 0, and the polynomial is made Bernstein once.  A piece is dropped when its
 integer Bernstein coefficients show no sign variation, kept when they show
 one, and otherwise halved by one de Casteljau triangle of sums.  Pieces are
-searched left to right, so the search can stop once it holds as many roots
-as a solver asks for.  An isolating interval that straddles a bracket end is
-cut there; every other end is dyadic, and no Sturm chain is built.  Near a
-multiple root the variations never drop below two, so a depth limit stops
-the search, and it is run again, without one, on the square-free part
-p / gcd(p, p'), the gcd being the last member of the Sturm chain of p.
-Refinement runs on the polynomial that isolation ran on, so it builds no
-second chain.  Isolation refines nothing: a solver refines only the roots
-its selection leaves in contention (``estimates.select_root``).
+searched left to right and handed on as they are found (:func:`real_roots`),
+so a solver can stop the search once it holds the roots it asks for.  Each
+piece is compared with the bracket ends as integers over its power-of-two
+denominator, and cut at an end that it straddles; every other end is
+dyadic, one Fraction is built per end handed on, and no Sturm chain is
+built.  Near a multiple root the variations never drop below two, so a
+depth limit stops the search, and it is run again, without one, on the
+square-free part p / gcd(p, p'), the gcd being the last member of the Sturm
+chain of p.  Refinement runs on the polynomial that isolation ran on, so it
+builds no second chain.  Isolation refines nothing: a solver refines the
+root its selection certifies, or those it leaves in contention
+(``estimates.select_root``).  The same search, when it finds no root and
+the ends are positive, certifies that a polynomial is positive on an
+interval (:func:`positive_on`).
 
 Refinement returns one cell of the dyadic grid m/2^k, 2^-k the first power
 of two GUARD_BITS bits below the requested width: the cell that holds the
 root, clipped to the isolating interval, or (r, r) for a root r on the grid.
-It searches the grid indices m and reads the exact integer values
-V(m) = 2^(k deg) p(m/2^k), which the shift-Horner kernel of ``poly`` computes
-without a Fraction; an interval end off the grid takes one general sign.
+So the cell for a wider width is read off it, with no evaluation
+(:func:`coarsen`).  It searches the grid indices m and reads the exact
+integer values V(m) = 2^(k deg) p(m/2^k), which the shift-Horner kernel of
+``poly`` computes without a Fraction; an interval end off the grid takes one
+general sign.
 The search is quadratic interval refinement (J. Abbott, ACM Commun. Comput.
 Algebra 48, 2014; Kerber & Sagraloff, ISSAC 2011).  From the values at the
 two ends of the index range it takes the secant guess and tests a window of
@@ -54,7 +61,8 @@ kept has an exactly verified sign, so the cell is the one found unseeded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from itertools import islice
+from math import factorial, gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
 from .poly import (
@@ -153,6 +161,21 @@ def square_free_part(p: RationalPoly) -> RationalPoly:
     return RationalPoly.from_coeffs(_int_divexact(p.ints, g), p.var)
 
 
+def real_roots(p: RationalPoly, bracket: tuple) -> Iterator[Interval | None]:
+    """The isolating intervals of :func:`isolate_real_roots` on p, lazily, as its first search finds them.
+
+    That search is bounded: near a multiple root it yields None and stops,
+    and only :func:`isolate_real_roots` runs the square-free fallback.  A
+    zero p or an empty bracket is refused at once.
+    """
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    lo, hi = as_rational(bracket[0]), as_rational(bracket[1])
+    if lo >= hi:
+        raise ValueError("bracket must satisfy lo < hi")
+    return _roots(p.ints, lo, hi, True) if p.degree > 0 else iter(())
+
+
 def isolate_real_roots(
     p: RationalPoly, bracket: tuple, limit: int | None = None
 ) -> tuple[RationalPoly, tuple[Interval, ...]]:
@@ -169,71 +192,87 @@ def isolate_real_roots(
 
     The search runs on the bracket's dyadic hull (see :func:`_dyadic_hull`),
     so its pieces have dyadic ends; an interval that straddles lo or hi is
-    cut there.
+    cut there.  Its first ``limit`` items are those of :func:`real_roots`,
+    unless that gives up before them.
     """
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    lo, hi = as_rational(bracket[0]), as_rational(bracket[1])
-    if lo >= hi:
-        raise ValueError("bracket must satisfy lo < hi")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    if p.degree < 1:
-        return p, ()
-
-    a = p.ints
-    at_lo, at_hi = _is_root(a, lo), _is_root(a, hi)
-    want = None if limit is None else limit - at_lo
-    isolated, found = p, []
-    if want != 0:
-        found = _isolate(a, lo, hi, True, want)
-        if found is None:
-            isolated = square_free_part(p)
-            found = _isolate(isolated.ints, lo, hi, False, want)
-    intervals = [(lo, lo)] * at_lo + found + [(hi, hi)] * at_hi
-    return isolated, tuple(intervals[:limit])
+    found = list(islice(real_roots(p, bracket), limit))
+    if not found or found[-1] is not None:
+        return p, tuple(found)
+    return _square_free_roots(p, bracket, limit)
 
 
-def _dyadic_hull(lo: Fraction, hi: Fraction) -> Interval:
-    """(lo, hi) rounded outward to the grid 2^e, 2^e <= (hi - lo) / 2^HULL_BITS < 2^(e+1)."""
+def _square_free_roots(p: RationalPoly, bracket: tuple, limit: int | None = None):
+    """:func:`isolate_real_roots` once its bounded search gave up: unbounded, on the square-free part."""
+    isolated = square_free_part(p)
+    lo, hi = as_rational(bracket[0]), as_rational(bracket[1])
+    return isolated, tuple(islice(_roots(isolated.ints, lo, hi, False), limit))
+
+
+def positive_on(a: Sequence[int], lo, hi) -> bool:
+    """Whether a is positive on the dyadic hull of [lo, hi]: at both ends, and no root between.
+
+    The no-root test is a Descartes search (:func:`_descartes`) that yields
+    nothing; False where it gives up.  ``a`` is an integer coefficient list,
+    trailing zeros allowed.
+    """
+    left, right, e = _dyadic_hull(as_rational(lo), as_rational(hi))
+    if _horner_dyadic(a, left, e) <= 0 or _horner_dyadic(a, right, e) <= 0:
+        return False
+    return next(_descartes(a, left, right, 1 << e, True), False) is False
+
+
+def _dyadic_hull(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(lo, hi) rounded outward to the grid 2^g, 2^g <= (hi - lo) / 2^HULL_BITS < 2^(g+1).
+
+    As integers (left, right, e) over one power of two: the hull is
+    [left / 2^e, right / 2^e], e >= 0.
+    """
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     num, den = c * b - a * d, b * d  # the width, unreduced
-    e = num.bit_length() - den.bit_length()
-    if den << max(e, 0) > num << max(-e, 0):
-        e -= 1
-    up, down = max(HULL_BITS - e, 0), max(e - HULL_BITS, 0)
+    g = num.bit_length() - den.bit_length()
+    if den << max(g, 0) > num << max(-g, 0):
+        g -= 1
+    up, down = max(HULL_BITS - g, 0), max(g - HULL_BITS, 0)
     left, right = (a << up) // (b << down), -((-c << up) // (d << down))
-    return Fraction(left << down, 1 << up), Fraction(right << down, 1 << up)
+    return left << down, right << down, up
 
 
-def _isolate(
-    a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool, limit: int | None
-) -> list[Interval] | None:
-    """The first ``limit`` isolating intervals of a that hold a root in (lo, hi).
+def _roots(a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool) -> Iterator[Interval | None]:
+    """Isolating intervals of the distinct roots of a in [lo, hi], ascending.
 
-    The search runs on the dyadic hull of (lo, hi).  An interval that
-    straddles lo or hi is cut there, and kept when a changes sign across
-    what is left; a root exactly at lo or hi is left to the caller.  None
-    when :func:`_descartes` gives up (see ``bounded``).
+    (lo, lo) first and (hi, hi) last for a root at a bracket end.  Between
+    them, the pieces of :func:`_descartes` on the dyadic hull of (lo, hi),
+    compared with lo and hi on integers over the piece's power-of-two
+    denominator, cut there, and kept after a cut when a changes sign across
+    what is left; one Fraction per end.  None, last, where
+    :func:`_descartes` gives up (see ``bounded``).
     """
-    out: list[Interval] = []
-    for piece in _descartes(a, *_dyadic_hull(lo, hi), bounded):
+    if _is_root(a, lo):
+        yield lo, lo
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    s, t, e = _dyadic_hull(lo, hi)
+    for piece in _descartes(a, s, t, 1 << e, bounded):
         if piece is None:
-            return None
-        left, right = piece
-        if right <= lo:
+            yield None
+            return
+        x, y, k = piece
+        f = e + k  # the piece is [x / 2^f, y / 2^f]
+        if y * ld <= ln << f:
             continue
-        if left >= hi:
+        if x * hd >= hn << f:
             break
-        if left < lo or right > hi:
-            left, right = max(left, lo), min(right, hi)
+        cut_lo, cut_hi = x * ld < ln << f, y * hd > hn << f
+        left = lo if cut_lo else Fraction(x, 1 << f)
+        right = hi if cut_hi else Fraction(y, 1 << f)
+        if cut_lo or cut_hi:
             sl, sr = _sign_at(a, left), _sign_at(a, right)
             if not sl or not sr or sl == sr:
                 continue
-        out.append((left, right))
-        if len(out) == limit:
-            break
-    return out
+        yield left, right
+    if _is_root(a, hi):
+        yield hi, hi
 
 
 def _taylor_shift1(a: Sequence[int]) -> list[int]:
@@ -261,29 +300,29 @@ def _halves(b: list[int], d: int) -> tuple[list[int], list[int]]:
 
 
 def _descartes(
-    a: Sequence[int], lo: Fraction, hi: Fraction, bounded: bool
-) -> Iterator[Interval | None]:
-    """Isolating intervals of the distinct roots of a in the open bracket (lo, hi), ascending.
+    a: Sequence[int], left: int, right: int, den: int, bounded: bool
+) -> Iterator[tuple[int, int, int] | None]:
+    """Isolating intervals of the distinct roots of a in (left / den, right / den), ascending.
 
-    ``a`` is a primitive integer coefficient sequence.  With lo = s/D and
-    hi = (s + w)/D, q(t) = D^d a((s + w t)/D) has the roots of a in (lo, hi)
-    in (0, 1).  A piece lo + (hi - lo) [c/2^k, (c + 1)/2^k] is held as (b, k, c),
+    ``a`` is an integer coefficient sequence, not all zero, and an interval
+    is yielded as integers (l, r, k) over den 2^k: (l / (den 2^k), r / (den 2^k)).
+    With s = left and w = right - left, q(t) = den^d a((s + w t) / den) has
+    the roots of a in the bracket in (0, 1).  A piece
+    [s 2^k + w c, s 2^k + w (c + 1)] / (den 2^k) is held as (b, k, c),
     b the integer Bernstein coefficients on (0, 1) of a polynomial with the
     piece's roots of a there; their sign variations bound the number of those
     roots and share its parity.  None drops the piece.  One keeps it when b_0
     and b_d, its end values, are nonzero, since refinement reads a zero at an
     end as the root.  More bisect it by :func:`_halves`.  The left half is
-    searched first, and an exact root at a midpoint is yielded as (m, m)
+    searched first, and an exact root at a midpoint is yielded as (m, m, k)
     between the halves, so the intervals come in ascending order and a caller
     may stop after any of them.
 
     When ``bounded``, yields None and stops instead of bisecting a piece at
-    depth DESCARTES_DEPTH_BITS + bit length of floor(hi - lo): a multiple
-    root keeps two or more variations at every depth.
+    depth DESCARTES_DEPTH_BITS + bit length of the bracket's width, rounded
+    down: a multiple root keeps two or more variations at every depth.
     """
-    d, width = len(a) - 1, hi - lo
-    den = lcm(lo.denominator, hi.denominator)
-    s, w = int(lo * den), int(width * den)
+    d, s, w = len(a) - 1, left, right - left
     q = [x * den ** (d - i) for i, x in enumerate(a)]  # den^d a(u / den)
     for i in range(d if s else 0):  # its Taylor shift by s
         for j in range(d - 1, i - 1, -1):
@@ -294,19 +333,20 @@ def _descartes(
     g = gcd(*b)
     b = [x // g for x in b]
 
-    max_depth = DESCARTES_DEPTH_BITS + int(width).bit_length()
+    max_depth = DESCARTES_DEPTH_BITS + (w // den).bit_length()
     stack: list[tuple[list[int] | None, int, int]] = [(b, 0, 0)]
     while stack:
         b, k, c = stack.pop()
+        m = (s << k) + w * c  # the piece's left end, over den 2^k
         if b is None:  # an exact root at the midpoint of a bisected piece
-            yield (Fraction((s << k) + w * c, den << k),) * 2
+            yield m, m, k
             continue
         signs = [x > 0 for x in b if x]
         variations = sum(1 for x, y in zip(signs, signs[1:]) if x != y)
         if variations == 0:
             continue
         if variations == 1 and b[0] and b[-1]:
-            yield (Fraction((s << k) + w * c, den << k), Fraction((s << k) + w * (c + 1), den << k))
+            yield m, m + w, k
             continue
         if bounded and k == max_depth:
             yield None
@@ -335,9 +375,7 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     if width <= 0:
         raise ValueError("enclosure width must be positive")
     a = p.ints
-    # the grid m / 2^k, for the smallest k with 2^k >= 2^GUARD_BITS / width
-    cells = -(-(width.denominator << GUARD_BITS) // width.numerator)
-    k = (cells - 1).bit_length()
+    k = _grid_bits(width)
     scale = 1 << k
     i = -(-(lo.numerator << k) // lo.denominator)  # ceil(lo 2^k)
     j = (hi.numerator << k) // hi.denominator  # floor(hi 2^k)
@@ -371,6 +409,24 @@ def refine_enclosure(p: RationalPoly, interval: tuple, width) -> Interval:
     guess = _float_guess(a, k, i, vi, j, vj)
     i, j = _refine_on_grid(lambda m: _horner_dyadic(a, m, k), i, vi, j, vj, guess)
     return (Fraction(i, scale), Fraction(j, scale))
+
+
+def coarsen(cell: Interval, interval: Interval, width) -> Interval:
+    """``refine_enclosure(p, interval, width)``, read off ``cell``, what it returned at a width no larger.
+
+    ``interval`` is nondegenerate.  The grid of ``width`` lies on cell's grid.
+    """
+    k = _grid_bits(as_rational(width))
+    lo, hi = cell
+    if lo == hi and not (1 << k) % lo.denominator:
+        return cell
+    m = (lo.numerator << k) // lo.denominator
+    return max(Fraction(m, 1 << k), interval[0]), min(Fraction(m + 1, 1 << k), interval[1])
+
+
+def _grid_bits(width: Fraction) -> int:
+    """The smallest k with 2^k >= 2^GUARD_BITS / width: refinement's grid is m / 2^k."""
+    return (-(-(width.denominator << GUARD_BITS) // width.numerator) - 1).bit_length()
 
 
 def _float_guess(a: Sequence[int], k: int, i: int, vi: int, j: int, vj: int) -> int | None:

@@ -57,7 +57,7 @@ from .estimates import (
     solve_closure,
 )
 from .model import PotentialSpec
-from .poly import RationalPoly, Record, _common_scale, _horner, _int_addmul, _set, as_rational
+from .poly import RationalPoly, Record, _common_scale, _int_addmul, _ratio_at, _set, as_rational
 from .series import TRIAL_MIN_ORDER, EnergySeries
 
 
@@ -75,14 +75,10 @@ class RayleighQuotient(Record):
     def value(self, eps):
         """W(eps) = num(eps) / den(eps), an exact Fraction, for a rational eps.
 
-        One Fraction, so one gcd: with eps = x/d, W is the ratio of the
-        integer Horner values, times the scales and a power of d.
+        One Fraction, so one gcd: the ratio of one integer Horner pass over
+        each of num and den, by shift-Horner steps at a dyadic eps.
         """
-        eps = as_rational(eps)
-        (a, b), (c, e) = self.num.scale.as_integer_ratio(), self.den.scale.as_integer_ratio()
-        x, d, gap = eps.numerator, eps.denominator, len(self.den.ints) - len(self.num.ints)
-        top = a * e * _horner(self.num.ints, x, d) * d ** max(gap, 0)
-        return Fraction(top, b * c * _horner(self.den.ints, x, d) * d ** max(-gap, 0))
+        return Fraction(*_ratio_at(self.num, self.den, as_rational(eps)))
 
     def stationarity_polynomial(self) -> RationalPoly:
         """S = num' den - num den'; W'(eps) = S / den^2.
@@ -172,7 +168,7 @@ def solve_a2(
 ) -> EigenEstimate | None:
     """The root of S that :func:`~boxeig.estimates.solve_closure` selects, and W there, or None."""
     p = quotient.stationarity_polynomial()
-    return solve_closure(METHOD_A2, quotient, p, bracket, state, selection, tol, quotient.value)
+    return solve_closure(METHOD_A2, quotient, p, bracket, state, selection, tol, quotient)
 
 
 def solve_a3(

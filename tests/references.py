@@ -1,7 +1,8 @@
 """Independent references the tests check the package against.
 
 No command runs any of these.  The Sturm counter checks root isolation (and
-acceptance criterion 8's "Sturm vs grid scan"); the Fraction division,
+acceptance criterion 8's "Sturm vs grid scan"); refining every candidate
+checks selection by rank; the Fraction division,
 primitive part and integral over [0, 1] check the integer kernels and the
 closed-form pencils; ``monomial`` builds c x^k; ``trial_terms`` and
 ``specialize`` give the trial function of a series, and the series or the
@@ -11,7 +12,8 @@ Fraction arithmetic checks the integer one of ``boxeig.goldens``.
 
 from fractions import Fraction
 
-from boxeig.estimates import NO_ROOT
+from boxeig import rootfind
+from boxeig.estimates import COARSE_WIDTH, NO_ROOT
 from boxeig.poly import RationalPoly, _int_divexact, as_rational
 from boxeig.rootfind import _sign_at, sturm_sequence
 
@@ -46,6 +48,22 @@ def count_real_roots(p: RationalPoly, lo, hi) -> int:
         raise ValueError("empty interval")
     chain = _counting_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
+
+
+# ---------------------------------------------------------------------------
+# selection by rank
+
+
+def select_by_refining_every_candidate(p, bracket, state, tol, rank):
+    """The reference rule: every root to COARSE_WIDTH, sorted by rank at the midpoints."""
+    if p.degree < 1:
+        return None
+    isolated, intervals = rootfind.isolate_real_roots(p, bracket)
+    if state >= len(intervals):
+        return None
+    candidates = [rootfind.refine_enclosure(isolated, iv, COARSE_WIDTH) for iv in intervals]
+    idx = sorted(range(len(candidates)), key=lambda i: rank(sum(candidates[i]) / 2))[state]
+    return rootfind.refine_enclosure(isolated, candidates[idx], 2 * tol)
 
 
 # ---------------------------------------------------------------------------

@@ -254,14 +254,16 @@ def test_solve_runs_the_oracle_once_per_command(capsys, monkeypatch, methods, n)
 def test_series_solvers_isolate_on_dyadic_hulls_and_only_up_to_their_root(capsys, monkeypatch):
     # every bracket Descartes bisection runs on has dyadic ends; A1 and A3
     # stop once they hold the root they refine, where isolating every root
-    # in the bracket took 9 and 22 de Casteljau splits; A2 ranks every root
+    # in the bracket took 9 and 22 de Casteljau splits; A2 stops at W's first
+    # valley, whose interval starts at 0, and then runs its no-root test once,
+    # on the rest of the bracket, with no split: 9 isolations and 3 tests
     brackets, splits = [], {}
     method = [None]
     original_descartes, original_halves = rootfind._descartes, rootfind._halves
 
-    def descartes(a, lo, hi, bounded):
-        brackets.append((lo, hi))
-        return original_descartes(a, lo, hi, bounded)
+    def descartes(a, left, right, den, bounded):
+        brackets.append((Fraction(left, den), Fraction(right, den)))
+        return original_descartes(a, left, right, den, bounded)
 
     def halves(b, d):
         splits[method[0]] = splits.get(method[0], 0) + 1
@@ -279,7 +281,7 @@ def test_series_solvers_isolate_on_dyadic_hulls_and_only_up_to_their_root(capsys
     for name in ("solve_a1", "solve_a2", "solve_a3"):
         monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
     code, _, _ = run(capsys, "solve", "--methods", "a1,a2,a3", "--n", "14..16", "--lambda=1")
-    assert code == 0 and len(brackets) == 9
+    assert code == 0 and len(brackets) == 12
     assert all(x.denominator & (x.denominator - 1) == 0 for bracket in brackets for x in bracket)
     assert splits == {"solve_a1": 4, "solve_a2": 6, "solve_a3": 15}
 
@@ -547,15 +549,16 @@ def test_table_one_all_cells_match(capsys):
 
 @pytest.mark.parametrize("table_id, isolations", [(1, 30), (2, 30), (3, 14), (4, 6)])
 def test_table_solves_each_row_once_per_coupling(capsys, monkeypatch, table_id, isolations):
-    # one isolation per (coupling, N, method): A2's eps and W columns share it
+    # one isolation per (coupling, N, method): A2's eps and W columns share
+    # it; isolate_real_roots runs the lazy search, and A2 runs it on its own
     calls = []
-    original = rootfind.isolate_real_roots
+    original = rootfind.real_roots
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(rootfind, "isolate_real_roots", counted)
+    monkeypatch.setattr(rootfind, "real_roots", counted)
     assert run(capsys, "table", str(table_id))[0] == 0
     assert len(calls) == isolations
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from boxeig import rootfind
+from boxeig import estimates, rootfind
 from boxeig.estimates import (
     COARSE_WIDTH,
     DEFAULT_SELECTION,
@@ -23,6 +23,7 @@ from boxeig.rayleigh_ritz import solve_secular
 from boxeig.series import build_series, solve_a1
 from boxeig.variational import solve_a2, solve_a3
 
+from references import select_by_refining_every_candidate
 from test_rayleigh_ritz import secular_at
 from test_variational import quotient_at, quotient_cases
 
@@ -145,18 +146,6 @@ def test_eps_is_the_enclosure_midpoint():
 # selection by rank against refining every candidate
 
 
-def select_by_refining_every_candidate(p, bracket, state, tol, rank):
-    """The reference rule: every root to COARSE_WIDTH, sorted by rank at the midpoints."""
-    if p.degree < 1:
-        return None
-    isolated, intervals = rootfind.isolate_real_roots(p, bracket)
-    if state >= len(intervals):
-        return None
-    candidates = [rootfind.refine_enclosure(isolated, iv, COARSE_WIDTH) for iv in intervals]
-    idx = sorted(range(len(candidates)), key=lambda i: rank(sum(candidates[i]) / 2))[state]
-    return rootfind.refine_enclosure(isolated, candidates[idx], 2 * tol)
-
-
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(*quotient_cases)
 @example(PotentialSpec.linear(1), 30)
@@ -178,6 +167,21 @@ def test_quotient_selection_matches_refining_every_candidate(potential, n):
         est = solve_a3(rq, None, state, RootSelection("min-w"))
         assert (est and est.enclosure) == want
         assert est == solve_a3(rq, None, state, RootSelection("smallest"))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(*quotient_cases)
+@example(PotentialSpec.linear(1), 20)
+@example(PotentialSpec.linear(-200), 30)
+@example(PotentialSpec.linear(200), 4)
+def test_a2_ground_state_is_the_lowest_stationary_point(potential, n):
+    # whether W's first valley is certified or every root is compared, the
+    # enclosure is the one that refining every stationary point picks
+    rq = quotient_at(potential, n)
+    s = rq.stationarity_polynomial()
+    want = select_by_refining_every_candidate(s, default_bracket(potential), 0, SOLVER_TOL, rq.value)
+    est = solve_a2(rq)
+    assert (est and est.enclosure) == want
 
 
 def from_roots(*roots, c=1):
@@ -204,13 +208,41 @@ SYNTHETIC_CASES = {
     "even-multiplicity-negated": (from_roots("1/3", "1/3", "7/3", c=-1), (0, 4)),
     # roots at both bracket ends
     "bracket-ends": (from_roots(0, 2, 5), (0, 5)),
-    # peak, valley, peak: the valley is the lone survivor at state 0
+    # peak, valley, peak: the valley is the lone survivor at state 0, and W
+    # falls below it towards the bracket's upper end
     "peak-first": (from_roots("1/3", "7/3", "13/3", c=-1), (0, 6)),
-    # two valleys around a peak
+    # two valleys around a peak; the right one is lower
     "two-valleys": (from_roots("1/3", "4/3", "10/3"), (0, 6)),
     # W falls through two inflections to a valley, or rises from one through two
     "falling-run": (from_roots("1/3", "1/3", "2/3", "2/3", "4/3"), (0, 2)),
     "rising-run": (from_roots("1/3", "2/3", "2/3", "4/3", "4/3"), (0, 2)),
+    # two valleys around a peak; the left one is lower
+    "left-valley-lower": (from_roots("1/3", 2, 3), (0, 4)),
+    # a peak, then a valley above W at the bracket's lower end
+    "peak-above-the-start": (from_roots(1, 2), (0, 3)),
+    # a valley, a peak, then W falls below the valley to the bracket's upper end
+    "falling-to-the-end": (from_roots(1, 2, c=-1), (0, 5)),
+    # a peak and no valley
+    "no-valley": (from_roots(1, c=-1), (0, 3)),
+}
+
+# what selection at state 0 makes of W's first valley: it is certified, its
+# certificate fails, or isolation never reaches it; in the last two cases
+# the comparison of every root decides
+FIRST_VALLEY = {
+    "degenerate": "unreached",  # an exact rational root comes first
+    "degenerate-tie": "unreached",
+    "even-multiplicity": "unreached",  # the search gives up at the double root
+    "even-multiplicity-negated": "unreached",
+    "bracket-ends": "unreached",  # a root at the bracket's lower end
+    "peak-first": "fails",  # W falls below the valley towards the upper end
+    "two-valleys": "fails",  # the right valley is lower
+    "falling-run": "unreached",  # the search gives up at a double root
+    "rising-run": "certified",
+    "left-valley-lower": "certified",
+    "peak-above-the-start": "fails",  # W is lower at the bracket's lower end
+    "falling-to-the-end": "fails",
+    "no-valley": "unreached",
 }
 
 
@@ -222,9 +254,35 @@ def test_rank_selection_matches_refining_every_candidate(name):
     tol = Fraction(1, 10**20)
     for state in range(roots + 2):
         want = select_by_refining_every_candidate(p, bracket, state, tol, rank)
-        got = select_root(p, bracket, state, DEFAULT_SELECTION, tol, rank)
+        got = select_root(p, bracket, state, DEFAULT_SELECTION, tol, (antiderivative(p), 1))
         assert got == want
         assert (got is None) == (state >= roots)
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC_CASES))
+def test_the_first_valley_is_certified_only_where_it_is_lowest(monkeypatch, name):
+    # whatever the path, the bounded search runs once: a comparison reads the
+    # rest of it, and a give-up goes straight to the square-free restart
+    p, bracket = SYNTHETIC_CASES[name]
+    tried, searches = [], []
+    lowest, real_roots = estimates._lowest, rootfind.real_roots
+    monkeypatch.setattr(estimates, "_lowest", lambda *a: tried.append(lowest(*a)) or tried[-1])
+    monkeypatch.setattr(rootfind, "real_roots", lambda *a: searches.append(a) or real_roots(*a))
+    got = select_root(p, bracket, 0, DEFAULT_SELECTION, Fraction(1, 10**20), (antiderivative(p), 1))
+    assert got and tried == {"certified": [True], "fails": [False], "unreached": []}[FIRST_VALLEY[name]]
+    assert len(searches) == 1
+    # a bracket may come as rational strings
+    text = tuple(map(str, bracket))
+    assert select_root(p, text, 0, DEFAULT_SELECTION, Fraction(1, 10**20), (antiderivative(p), 1)) == got
+
+
+def test_a_tolerance_wider_than_the_coarse_one_keeps_the_comparison():
+    # the comparison returns the cell its coarse enclosure refines to, so the
+    # certificate, which refines straight to 2*tol, is not tried there
+    p, bracket = SYNTHETIC_CASES["left-valley-lower"]
+    for tol in (COARSE_WIDTH / 2, COARSE_WIDTH, Fraction(1, 10**6)):
+        want = select_by_refining_every_candidate(p, bracket, 0, tol, antiderivative(p).eval)
+        assert select_root(p, bracket, 0, DEFAULT_SELECTION, tol, (antiderivative(p), 1)) == want
 
 
 def test_the_square_free_sign_differs_from_p_in_one_synthetic_case():
@@ -243,13 +301,14 @@ def test_the_square_free_sign_differs_from_p_in_one_synthetic_case():
     "name, refines", [("peak-first", 1), ("falling-run", 1), ("two-valleys", 3)]
 )
 def test_a_lone_survivor_at_state_zero_is_refined_once(monkeypatch, name, refines):
-    # two survivors are compared at coarse enclosures first
+    # two survivors are compared at coarse enclosures first; a valley that
+    # failed its certificate is compared at the coarse enclosure read off
+    # its final one, which is returned if it wins
     p, bracket = SYNTHETIC_CASES[name]
-    rank = antiderivative(p).eval
     tol = Fraction(1, 10**20)
-    want = select_by_refining_every_candidate(p, bracket, 0, tol, rank)
+    want = select_by_refining_every_candidate(p, bracket, 0, tol, antiderivative(p).eval)
     calls = []
     refine = rootfind.refine_enclosure
     monkeypatch.setattr(rootfind, "refine_enclosure", lambda *a: calls.append(a) or refine(*a))
-    assert select_root(p, bracket, 0, DEFAULT_SELECTION, tol, rank) == want
+    assert select_root(p, bracket, 0, DEFAULT_SELECTION, tol, (antiderivative(p), 1)) == want
     assert len(calls) == refines

@@ -321,6 +321,20 @@ def is_dyadic(x):
     return x.denominator & (x.denominator - 1) == 0
 
 
+def dyadic_hull(lo, hi):
+    """rootfind._dyadic_hull, its integers over a power of two read as Fractions."""
+    left, right, e = rootfind._dyadic_hull(lo, hi)
+    assert e >= 0
+    return Fraction(left, 1 << e), Fraction(right, 1 << e)
+
+
+def descartes(a, lo, hi, bounded):
+    """rootfind._descartes on a rational bracket, its intervals read as Fractions."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    for piece in rootfind._descartes(a, int(lo * den), int(hi * den), den, bounded):
+        yield piece and (Fraction(piece[0], den << piece[2]), Fraction(piece[1], den << piece[2]))
+
+
 @st.composite
 def brackets(draw):
     """A bracket: ends with long, short or power-of-two denominators, width 10^-30 to 10^4."""
@@ -347,7 +361,7 @@ def brackets(draw):
 def bracketed_polynomials(draw):
     """(p, lo, hi): p has roots at, just beside and between the bracket ends and its hull's."""
     lo, hi = draw(brackets())
-    hull_lo, hull_hi = rootfind._dyadic_hull(lo, hi)
+    hull_lo, hull_hi = dyadic_hull(lo, hi)
     width = hi - lo
     near = [
         lo, hi, hull_lo, hull_hi,
@@ -406,16 +420,79 @@ def fraction_hull(lo, hi):
 @given(brackets())
 def test_the_integer_hull_equals_the_fraction_formula(bracket):
     lo, hi = bracket
-    hull = rootfind._dyadic_hull(lo, hi)
+    hull = dyadic_hull(lo, hi)
     assert hull == fraction_hull(lo, hi)
     assert hull[0] <= lo < hi <= hull[1] and all(is_dyadic(x) for x in hull)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(bracketed_polynomials())
+def test_the_lazy_search_is_the_first_run_of_isolation(case):
+    # it yields isolate_real_roots' intervals, or, where a multiple root
+    # makes it give up, intervals of the same first roots and then None
+    p, lo, hi = case
+    found = list(rootfind.real_roots(p, (lo, hi)))
+    isolated, intervals = isolate_real_roots(p, (lo, hi))
+    if found and found[-1] is None:
+        assert isolated != p and len(found) - 1 <= len(intervals)
+        for (a, b), (c, d) in zip(found[:-1], intervals):
+            assert roots_on_closed(p, a, b) == 1 and roots_on_closed(p, min(a, c), max(b, d)) == 1
+    else:
+        assert isolated == p and tuple(found) == intervals
+
+
+def test_the_lazy_search_refuses_at_once():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rootfind.real_roots(RationalPoly.zero(), (0, 1))
+    with pytest.raises(ValueError, match="lo < hi"):
+        rootfind.real_roots(poly_from_roots([1]), (1, 1))
+    assert list(rootfind.real_roots(RationalPoly.constant(3), (0, 1))) == []
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(bracketed_polynomials())
+def test_positive_on_certifies_exactly_a_positive_hull(case):
+    # true just where q has no root on the closed hull and is positive
+    # there, unless complex roots within about 2^-64 of the hull make the
+    # search give up (1 + p^2 has them beside every simple root of p)
+    p, lo, hi = case
+    hull_lo, hull_hi = dyadic_hull(lo, hi)
+    for q in (p, -p, p * p + 1):
+        positive = roots_on_closed(q, hull_lo, hull_hi) == 0 and q.eval(hull_lo) > 0
+        gives_up = None in descartes(q.ints, hull_lo, hull_hi, True)
+        assert rootfind.positive_on(q.ints, lo, hi) == (positive and not gives_up)
+    assert not rootfind.positive_on((), lo, hi)
+    assert rootfind.positive_on((3, 0, 0), lo, hi) and not rootfind.positive_on((-3,), lo, hi)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(bracketed_polynomials())
+def test_coarsen_reads_a_coarse_refinement_off_a_finer_one(case):
+    p, lo, hi = case
+    isolated, intervals = isolate_real_roots(p, (lo, hi))
+    widths = (Fraction(1, 10**40), Fraction(1, 10**26), Fraction(1, 10**12), Fraction(1, 8), Fraction(5))
+    for interval in intervals:
+        if interval[0] == interval[1]:
+            continue
+        cells = [refine_enclosure(isolated, interval, w) for w in widths]
+        for i, fine in enumerate(cells):
+            for w, cell in zip(widths[i:], cells[i:]):
+                assert rootfind.coarsen(fine, interval, w) == cell
+
+
+def test_coarsen_keeps_a_root_on_the_coarse_grid():
+    p = poly_from_roots([Fraction(5, 8), Fraction(1, 3)])
+    _, (interval,) = isolate_real_roots(p, (Fraction(1, 2), 1))
+    assert interval != (Fraction(5, 8),) * 2
+    fine = refine_enclosure(p, interval, Fraction(1, 10**30))
+    assert fine == (Fraction(5, 8),) * 2 == rootfind.coarsen(fine, interval, Fraction(1, 10))
 
 
 def test_the_early_stop_counts_only_roots_inside_the_bracket():
     # the hull of (1/3, 10) starts at 5/16, below the root 8/25, which must
     # not count towards the one root asked for
     p = poly_from_roots([Fraction(8, 25), 5])
-    assert rootfind._dyadic_hull(Fraction(1, 3), Fraction(10)) == (Fraction(5, 16), Fraction(10))
+    assert dyadic_hull(Fraction(1, 3), Fraction(10)) == (Fraction(5, 16), Fraction(10))
     _, intervals = isolate_real_roots(p, (Fraction(1, 3), 10), limit=1)
     assert len(intervals) == 1 and roots_on_closed(p, *intervals[0]) == 1
     assert intervals[0][0] < 5 < intervals[0][1]
@@ -527,17 +604,17 @@ def descartes_cases(draw):
 def test_bernstein_bisection_yields_what_taylor_shift_bisection_yields(case):
     a, lo, hi = case
     # bounded on a, which gives up (None) at a multiple root off the midpoints
-    assert list(rootfind._descartes(a, lo, hi, True)) == list(reference_descartes(a, lo, hi, True))
+    assert list(descartes(a, lo, hi, True)) == list(reference_descartes(a, lo, hi, True))
     # unbounded on the square-free part, as isolation's fallback runs it
     b = square_free_part(RationalPoly.from_coeffs(a)).ints
-    assert list(rootfind._descartes(b, lo, hi, False)) == list(reference_descartes(b, lo, hi, False))
+    assert list(descartes(b, lo, hi, False)) == list(reference_descartes(b, lo, hi, False))
 
 
 def test_a_bounded_search_gives_up_in_both_bisections():
     # a double root at 1/3 of (5/7, 5/7 + 3) keeps two variations at every depth
     a = poly_from_roots([Fraction(12, 7), Fraction(12, 7), Fraction(5, 7), 3]).ints
     lo, hi = Fraction(5, 7), Fraction(26, 7)
-    found = list(rootfind._descartes(a, lo, hi, True))
+    found = list(descartes(a, lo, hi, True))
     assert found[-1] is None and found == list(reference_descartes(a, lo, hi, True))
 
 
@@ -547,9 +624,9 @@ def test_bernstein_bisection_of_a2_at_n64(monkeypatch):
     # and a pinned number of de Casteljau splits
     ramp = PotentialSpec.linear(2000)
     s = quotient_at(ramp, 64).stationarity_polynomial()
-    hull = rootfind._dyadic_hull(*default_bracket(ramp))
+    hull = dyadic_hull(*default_bracket(ramp))
     counts = _count_calls(monkeypatch, ("_halves", "_taylor_shift1"))
-    found = list(rootfind._descartes(s.ints, *hull, True))
+    found = list(descartes(s.ints, *hull, True))
     assert s.degree == 122 and counts == {"_halves": 76, "_taylor_shift1": 1}
     assert found == list(reference_descartes(s.ints, *hull, True))
 
@@ -992,11 +1069,12 @@ def test_index_policy_solve_refines_one_root(call_counts, solve):
 @pytest.mark.parametrize("n", [20, 30])
 def test_a2_refines_only_the_valleys_of_w(call_counts, n):
     # S has four roots in the default bracket at lambda = 1, where W has a
-    # valley, a peak, a valley and a peak: the two valleys are compared at
-    # coarse enclosures and the winner is refined once more, 3 refinements
-    # where refining every candidate and then the winner took 5
+    # valley, a peak, a valley and a peak: the first valley is refined once,
+    # and W beside it is certified to lie above it, 1 refinement where
+    # comparing both valleys at coarse enclosures took 3 and refining every
+    # candidate and then the winner 5
     assert solve_a2(quotient_at(PotentialSpec.linear(1), n)) is not None
-    assert call_counts == {"refine_enclosure": 3, "sturm_sequence": 0}
+    assert call_counts == {"refine_enclosure": 1, "sturm_sequence": 0}
 
 
 @pytest.mark.parametrize(
